@@ -260,12 +260,12 @@ class GridFunction:
             "N_t": self.spec.N_t,
             "name": self.name,
             "polyradial": bool(self.polyradial),
-            "dtype": "complex64",
+            "dtype": "complex128",
         }
         buf = io.BytesIO()
         buf.write(self.MAGIC)
         buf.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        buf.write(np.ascontiguousarray(self.values.astype(np.complex64)).tobytes())
+        buf.write(np.ascontiguousarray(self.values, dtype=np.complex128).tobytes())
         return buf.getvalue()
 
     @classmethod
@@ -276,7 +276,10 @@ class GridFunction:
         header = json.loads(buf.readline().decode())
         spec = GridSpec(n=header["n"], R_z=header["R_z"], R_t=header["R_t"],
                         N_z=header["N_z"], N_t=header["N_t"])
-        data = np.frombuffer(buf.read(), dtype=np.complex64).reshape(spec.shape)
+        dtype = header.get("dtype")
+        if dtype not in ("complex64", "complex128"):
+            raise ValueError(f"unsupported container dtype {dtype!r}")
+        data = np.frombuffer(buf.read(), dtype=dtype).reshape(spec.shape)
         return cls(spec=spec, values=data.astype(np.complex128), name=header["name"],
                    polyradial=header["polyradial"])
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -31,6 +32,7 @@ from .lagspec import (
     analyze_polyradial,
     synthesize,
     synthesize_at,
+    synthesize_batch,
 )
 from .operators import SpectralMultiplier, apply_operator
 from .report import VerificationReport
@@ -134,8 +136,10 @@ _KERNEL_CACHE: dict = {}
 
 def kernel_spectrum(s: float, rho: float, grid: LambdaGrid, quad: AnalysisQuadrature,
                     spec: GridSpec) -> PolyradialSpectrum:
-    """Laguerre coefficients of phi_{s,rho} on the lattice (cached per (s, rho))."""
-    key = (round(s, 12), round(rho, 12), id(grid), id(quad))
+    """Laguerre coefficients of phi_{s,rho} on the lattice, cached by content:
+    (s, rho, n) and the lattice and v-quadrature arrays the analysis reads."""
+    key = (round(s, 12), round(rho, 12), spec.n, grid.nodes.tobytes(), grid.k_caps.tobytes(),
+           quad.v_nodes.tobytes(), quad.v_weights.tobytes())
     hit = _KERNEL_CACHE.get(key)
     if hit is not None:
         return hit
@@ -194,8 +198,7 @@ class ExtensionField:
     """Solution levels U(., rho_j) of an extension problem on a rho-ladder.
 
     companions[j] = (U at rho_j e^{-delta}, U at rho_j e^{+delta}) supports
-    rho-derivatives without touching the ladder spacing; spectra keeps the
-    per-level coefficient tables for exact off-grid evaluation.
+    rho-derivatives without touching the ladder spacing.
     """
 
     rho_levels: np.ndarray
@@ -204,11 +207,23 @@ class ExtensionField:
     s: float
     delta: float = 0.05
     companions: dict = field(default_factory=dict)
-    spectra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.rho_levels) >= 0):
             raise ValueError("rho levels must be strictly decreasing")
+
+    def radii(self, with_companions: bool) -> list:
+        """Radii to synthesize: each rho_j, then its e^{-delta} and e^{+delta} companions."""
+        e = (1.0, math.exp(-self.delta), math.exp(self.delta)) if with_companions else (1.0,)
+        return [rho * f for rho in self.rho_levels for f in e]
+
+    def fill(self, fields: list) -> "ExtensionField":
+        """Place fields synthesized at radii(...) into levels and companions."""
+        step = len(fields) // len(self.rho_levels)
+        self.levels = fields[::step]
+        if step == 3:
+            self.companions = {j: tuple(fields[3 * j + 1:3 * j + 3]) for j in range(len(self.levels))}
+        return self
 
     def rho_derivatives(self, j: int):
         """(d/drho U, d2/drho2 U) at level j from the e^{±delta} companions."""
@@ -234,17 +249,8 @@ def conformal_extension(f: GridFunction, s: float, rho_levels=None,
     rho_levels = default_rho_ladder() if rho_levels is None else np.asarray(rho_levels, float)
     Sf = analyze_polyradial(f, grid, quad)
     out = ExtensionField(rho_levels=rho_levels, levels=[], provenance=f"conformal(s={s:g})", s=s)
-    for j, rho in enumerate(rho_levels):
-        Sw = conformal_poisson_spectrum(Sf, s, rho, grid, quad, f.spec)
-        out.levels.append(synthesize(Sw, f.spec))
-        out.spectra[j] = Sw
-        if with_companions:
-            lo = synthesize(conformal_poisson_spectrum(
-                Sf, s, rho * math.exp(-out.delta), grid, quad, f.spec), f.spec)
-            hi = synthesize(conformal_poisson_spectrum(
-                Sf, s, rho * math.exp(out.delta), grid, quad, f.spec), f.spec)
-            out.companions[j] = (lo, hi)
-    return out
+    return out.fill([synthesize(conformal_poisson_spectrum(Sf, s, r, grid, quad, f.spec), f.spec)
+                     for r in out.radii(with_companions)])
 
 
 def macdonald_multiplier(s: float, rho: float):
@@ -342,32 +348,25 @@ def nonconformal_extension(f: GridFunction, s: float, rho_levels=None,
                            grid: Optional[LambdaGrid] = None,
                            quad: Optional[AnalysisQuadrature] = None,
                            with_companions: bool = True) -> ExtensionField:
-    """Per-mode Macdonald solution of the pure extension problem."""
+    """Per-mode Macdonald solution of the pure extension problem.
+
+    Every level and its e^{+-delta} companions are Macdonald multipliers of one
+    spectrum, so the whole ladder is synthesized in one batch: the Laguerre
+    recurrence runs once per lambda node, not once per level and companion.
+    """
     if not (0 < s < 1):
         raise ValueError("nonconformal extension requires s in (0, 1)")
     grid = grid or LambdaGrid.build()
     quad = quad or AnalysisQuadrature.build(f.spec)
     rho_levels = default_rho_ladder() if rho_levels is None else np.asarray(rho_levels, float)
-    Sf = analyze_polyradial(f, grid, quad)
-    n = f.spec.n
     out = ExtensionField(rho_levels=rho_levels, levels=[],
                          provenance=f"nonconformal(s={s:g})", s=s)
-    for j, rho in enumerate(rho_levels):
-        theta = macdonald_multiplier(s, rho)
-        S = Sf.copy_transformed(lambda k, lam: theta(k, lam, n=n),
-                                name=f"U^nc_{rho:g}[{Sf.name}]")
-        if not all(np.all(np.isfinite(c)) for c in S.coeffs):
-            raise ValueError("Macdonald evaluation failed on the lattice")
-        out.levels.append(synthesize(S, f.spec))
-        out.spectra[j] = S
-        if with_companions:
-            pair = []
-            for sgn in (-1.0, 1.0):
-                th = macdonald_multiplier(s, rho * math.exp(sgn * out.delta))
-                pair.append(synthesize(Sf.copy_transformed(
-                    lambda k, lam: th(k, lam, n=n)), f.spec))
-            out.companions[j] = tuple(pair)
-    return out
+    Sf = analyze_polyradial(f, grid, quad)
+    fields = synthesize_batch(Sf, f.spec, [partial(macdonald_multiplier(s, r), n=f.spec.n)
+                                           for r in out.radii(with_companions)])
+    if not all(np.all(np.isfinite(g.values)) for g in fields):
+        raise ValueError("Macdonald evaluation failed on the lattice")
+    return out.fill(fields)
 
 
 # ---------------------------------------------------------------------------

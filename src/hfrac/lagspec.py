@@ -223,47 +223,17 @@ def _project_shared_x(x: np.ndarray, Wmat: np.ndarray, kcaps: np.ndarray, alpha:
     return out
 
 
-def _expand_node(x: np.ndarray, c: np.ndarray, alpha: int, want_deriv: bool = False):
-    """sum_k c_k l_k(x); optionally also d/dx of the sum.
+def _expand_multi(x: np.ndarray, C: np.ndarray, alpha: int,
+                  want_deriv: bool = False, chunk: int = 384):
+    """sum_k C[r, k] l_k(x) for every real row r at once, k-chunked.
 
+    Returns (R, len(x)) [and the x-derivative when asked]: the table block is
+    built once per chunk and contracted against all rows in real arithmetic.
     d/dx l_k^a = -l_{k-1}^{a+1} - l_k^a / 2, so the derivative accumulates a
     second recurrence of type alpha+1.
     """
-    x = np.asarray(x, dtype=float)
-    w = np.exp(-0.5 * x)
-    kcap = len(c)
-    prev = w
-    acc = c[0] * prev
-    if want_deriv:
-        prev1 = w            # type alpha+1, index k-1 lag
-        dacc = np.zeros_like(acc)
-    if kcap == 1:
-        return (acc, -0.5 * acc) if want_deriv else acc
-    cur = (1.0 + alpha - x) * w
-    acc = acc + c[1] * cur
-    if want_deriv:
-        dacc = dacc + c[1] * (-prev1)
-        cur1 = (2.0 + alpha - x) * w
-    for k in range(1, kcap - 1):
-        prev, cur = cur, ((2 * k + alpha + 1 - x) * cur - (k + alpha) * prev) / (k + 1)
-        acc = acc + c[k + 1] * cur
-        if want_deriv:
-            prev1, cur1 = cur1, ((2 * k + alpha + 2 - x) * cur1 - (k + alpha + 1) * prev1) / (k + 1)
-            dacc = dacc + c[k + 1] * (-prev1)
-    if want_deriv:
-        return acc, dacc - 0.5 * acc
-    return acc
-
-
-def _expand_multi(x: np.ndarray, Cmat: np.ndarray, alpha: int,
-                  want_deriv: bool = False, chunk: int = 384):
-    """sum_k C[l, k] l_k(x) for every row l at once, k-chunked.
-
-    Returns (L, len(x)) [and the x-derivative when asked]: the table block is
-    built once per chunk and contracted against all coefficient rows.
-    """
-    L, kcap = Cmat.shape
-    acc = np.zeros((L, x.size), dtype=Cmat.dtype)
+    R, kcap = C.shape
+    acc = np.zeros((R, x.size))
     dacc = np.zeros_like(acc) if want_deriv else None
     w = np.exp(-0.5 * x)
     prev, cur = w, (1.0 + alpha - x) * w
@@ -292,9 +262,9 @@ def _expand_multi(x: np.ndarray, Cmat: np.ndarray, alpha: int,
                     prev1, cur1 = cur1, ((2 * (k - 1) + alpha + 2 - x) * cur1
                                          - (k + alpha) * prev1) / k
                     dblock[j] = -prev1 - 0.5 * cur
-        acc += Cmat[:, k0:k0 + klen] @ block[:klen]
+        acc += C[:, k0:k0 + klen] @ block[:klen]
         if want_deriv:
-            dacc += Cmat[:, k0:k0 + klen] @ dblock[:klen]
+            dacc += C[:, k0:k0 + klen] @ dblock[:klen]
         k0 += klen
     return (acc, dacc) if want_deriv else acc
 
@@ -677,35 +647,22 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
 
 # ---------------------------------------------------------------------------
 # Synthesis
+#
+# slices_at_radii_batch is the one Laguerre expansion: every synthesis, grid or
+# point, single or batched, runs the recurrence once per lambda node and
+# contracts it against all the symbols it was given.  A single synthesis is a
+# batch of one.
 # ---------------------------------------------------------------------------
-
-def _slices_at_radii(S: PolyradialSpectrum, u_vals: np.ndarray, want_du: bool = False):
-    """f^lam at the given radii u = |z|^2: (M, len(u)) array (and d/du if asked)."""
-    grid, n = S.grid, S.n
-    alpha = n - 1
-    M = grid.M
-    out = np.empty((M, u_vals.size), dtype=complex)
-    dout = np.empty_like(out) if want_du else None
-    for i, lam in enumerate(grid.nodes):
-        al = abs(lam)
-        x = 0.5 * al * u_vals
-        pref = (2 * math.pi) ** (-n) * al ** n
-        if want_du:
-            acc, dacc = _expand_node(x, S.coeffs[i], alpha, want_deriv=True)
-            out[i] = pref * acc
-            dout[i] = pref * dacc * (0.5 * al)     # d/du = (|lam|/2) d/dx
-        else:
-            out[i] = pref * _expand_node(x, S.coeffs[i], alpha)
-    return (out, dout) if want_du else out
-
 
 def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,
                           want_du: bool = False):
     """Per-level slices (L, M, Nu) for a family of diagonal symbols.
 
-    mults is a sequence of callables m(k, lam) (None = identity); the Laguerre
-    tables are built once per lambda node and contracted against every level,
-    which is what makes rho-ladders cheap.
+    mults is a sequence of callables m(k, lam) (None = identity).  The
+    Laguerre table at the radii u = |z|^2 is built once per lambda node and
+    contracted in real arithmetic against the real and imaginary parts of
+    every level's coefficients, which is what makes rho-ladders cheap.  With
+    want_du the d/du slices come back as well.
     """
     grid, n = S.grid, S.n
     alpha = n - 1
@@ -717,57 +674,41 @@ def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,
         pref = (2 * math.pi) ** (-n) * al ** n
         c = S.coeffs[i]
         k = np.arange(len(c))
-        Cmat = np.empty((L, len(c)), dtype=complex)
+        C = np.empty((2 * L, len(c)))
         for l, m in enumerate(mults):
-            Cmat[l] = c if m is None else c * m(k, lam)
+            cl = c if m is None else c * m(k, lam)
+            C[l], C[L + l] = cl.real, cl.imag
         x = 0.5 * al * u_vals
         if want_du:
-            acc, dacc = _expand_multi(x, Cmat, alpha, want_deriv=True)
-            out[:, i, :] = pref * acc
-            dout[:, i, :] = pref * dacc * (0.5 * al)
+            acc, dacc = _expand_multi(x, C, alpha, want_deriv=True)
+            dacc *= pref * (0.5 * al)                 # d/du = (|lam|/2) d/dx
+            dout.real[:, i], dout.imag[:, i] = dacc[:L], dacc[L:]
         else:
-            out[:, i, :] = pref * _expand_multi(x, Cmat, alpha)
+            acc = _expand_multi(x, C, alpha)
+        acc *= pref
+        out.real[:, i], out.imag[:, i] = acc[:L], acc[L:]
     return (out, dout) if want_du else out
+
+
+def _synthesized_values(S: PolyradialSpectrum, spec: GridSpec, mults):
+    """Grid values per symbol: lambda-quadrature of e^{-i lam t} f^lam(z)."""
+    uniq, inv = np.unique(spec.z_radius_sq().round(12).ravel(), return_inverse=True)
+    sl = slices_at_radii_batch(S, uniq, mults)                  # (L, M, Nu)
+    phases = np.exp(-1j * np.outer(S.grid.nodes, spec.t_axis)) * S.grid.weights[:, None]
+    for l in range(len(mults)):
+        vals_u = (sl[l].T @ phases) / (2.0 * math.pi)           # (Nu, Nt)
+        yield vals_u[inv].reshape(spec.shape)
 
 
 def synthesize_batch(S: PolyradialSpectrum, spec: GridSpec, mults) -> list:
     """Synthesize one grid function per diagonal symbol, sharing the tables."""
-    r2 = spec.z_radius_sq()
-    uniq, inv = np.unique(r2.round(12).ravel(), return_inverse=True)
-    sl = slices_at_radii_batch(S, uniq, mults)                  # (L, M, Nu)
-    phases = np.exp(-1j * np.outer(S.grid.nodes, spec.t_axis)) * S.grid.weights[:, None]
-    outs = []
-    for l in range(sl.shape[0]):
-        vals_u = (sl[l].T @ phases) / (2.0 * math.pi)
-        outs.append(GridFunction(spec=spec, values=vals_u[inv].reshape(spec.shape),
-                                 name=f"synth[{S.name};{l}]", polyradial=True))
-    return outs
-
-
-def synthesize_at_batch(S: PolyradialSpectrum, u_vals, t_vals, mults,
-                        deriv: Optional[str] = None) -> np.ndarray:
-    """Point values (L, P) at scattered (|z|^2, t) for a family of symbols."""
-    u_vals = np.atleast_1d(np.asarray(u_vals, dtype=float))
-    t_vals = np.atleast_1d(np.asarray(t_vals, dtype=float))
-    if deriv == "du":
-        _, use = slices_at_radii_batch(S, u_vals.ravel(), mults, want_du=True)
-    else:
-        use = slices_at_radii_batch(S, u_vals.ravel(), mults)
-    phases = np.exp(-1j * np.outer(S.grid.nodes, t_vals.ravel()))
-    if deriv == "dt":
-        phases = phases * (-1j * S.grid.nodes[:, None])
-    w = S.grid.weights[:, None]
-    return np.sum(use * (phases * w)[None, :, :], axis=1) / (2.0 * math.pi)
+    return [GridFunction(spec=spec, values=vals, name=f"synth[{S.name};{l}]", polyradial=True)
+            for l, vals in enumerate(_synthesized_values(S, spec, mults))]
 
 
 def synthesize(S: PolyradialSpectrum, spec: GridSpec) -> GridFunction:
-    """Rebuild a grid function: lambda-quadrature of e^{-i lam t} f^lam(z)."""
-    r2 = spec.z_radius_sq()
-    uniq, inv = np.unique(r2.round(12).ravel(), return_inverse=True)
-    sl = _slices_at_radii(S, uniq)                                  # (M, Nu)
-    phases = np.exp(-1j * np.outer(S.grid.nodes, spec.t_axis)) * S.grid.weights[:, None]
-    vals_u = (sl.T @ phases) / (2.0 * math.pi)                      # (Nu, Nt)
-    vals = vals_u[inv].reshape(spec.shape)
+    """Rebuild a grid function: the batch of one with the identity symbol."""
+    vals, = _synthesized_values(S, spec, [None])
     return GridFunction(spec=spec, values=vals, name=f"synth[{S.name}]", polyradial=True)
 
 
@@ -785,15 +726,14 @@ def synthesize_at(S: PolyradialSpectrum, u_vals: np.ndarray, t_vals: np.ndarray,
         raise ValueError("u and t sample arrays must have the same shape")
     flat_u = u_vals.ravel()
     if deriv == "du":
-        sl, dsl = _slices_at_radii(S, flat_u, want_du=True)
-        use = dsl
+        _, use = slices_at_radii_batch(S, flat_u, [None], want_du=True)
     else:
-        use = _slices_at_radii(S, flat_u)
+        use = slices_at_radii_batch(S, flat_u, [None])
     phases = np.exp(-1j * np.outer(S.grid.nodes, t_vals.ravel()))
     if deriv == "dt":
         phases = phases * (-1j * S.grid.nodes[:, None])
     w = S.grid.weights[:, None]
-    vals = np.sum(use * phases * w, axis=0) / (2.0 * math.pi)
+    vals = np.sum(use[0] * phases * w, axis=0) / (2.0 * math.pi)
     return vals.reshape(u_vals.shape)
 
 

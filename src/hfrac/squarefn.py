@@ -51,7 +51,6 @@ __all__ = [
     "extended_gauge",
     "extended_gauge_grad_sq",
     "extension_gradient_sq_at",
-    "poisson_spectrum",
 ]
 
 
@@ -105,20 +104,6 @@ class SquareFunctionConfig:
             if abs(x.x[0]) > spec.R_z - margin or abs(x.y[0]) > spec.R_z - margin \
                     or abs(x.t) > spec.R_t - margin:
                 raise ValueError("g* samples must sit interior by a margin of R/4")
-
-
-def poisson_spectrum(S: PolyradialSpectrum, rho: float) -> PolyradialSpectrum:
-    return apply_operator(S, SpectralMultiplier("poisson_nonconf", rho, n=S.n)).spectrum
-
-
-def _poisson_drho_spectrum(S: PolyradialSpectrum, rho: float) -> PolyradialSpectrum:
-    n = S.n
-
-    def sym(k, lam):
-        mu = (2.0 * np.asarray(k, float) + n) * np.abs(lam)
-        return -np.sqrt(mu) * np.exp(-rho * np.sqrt(mu))
-
-    return S.copy_transformed(sym, name=f"dP_{rho:g}[{S.name}]")
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,23 @@ def setup():
 # kernel and constants
 # ---------------------------------------------------------------------------
 
+def test_kernel_spectrum_cache_keyed_by_content():
+    spec = GridSpec(N_z=16, N_t=16, R_z=4, R_t=4)
+    grid = LambdaGrid.build(nodes_per_sign=20, K=8, k_energy_cap=2.0)
+    s, rho = 0.37, 0.9
+    quad = AnalysisQuadrature.build(spec, n_radial_v=256)
+    a = kernel_spectrum(s, rho, grid, quad, spec)
+    b = kernel_spectrum(s, rho, LambdaGrid.build(nodes_per_sign=20, K=8, k_energy_cap=2.0),
+                        AnalysisQuadrature.build(spec, n_radial_v=256), spec)
+    assert b is a
+    c = kernel_spectrum(s, rho, grid, AnalysisQuadrature.build(spec, n_radial_v=320), spec)
+    assert c is not a
+    assert kernel_spectrum(s, rho, grid, AnalysisQuadrature.build(spec, n_radial_v=320), spec) is c
+    # same nodes, deeper caps
+    deeper = LambdaGrid.build(nodes_per_sign=20, K=8, k_energy_cap=3.0)
+    assert kernel_spectrum(s, rho, deeper, quad, spec) is not a
+
+
 def test_phi_kernel_origin():
     assert phi_kernel(0.5, 1.0, (0.0, 0.0, 0.0)) == pytest.approx(1.0)
     p = HeisenbergPoint([0.3], [0.1], -0.2)
@@ -282,6 +299,25 @@ def test_nonconformal_extension_half_is_poisson(setup):
                                  with_companions=False)
     P = nonconformal_poisson(f, 1.0, "spectral", grid, quad)
     assert np.max(np.abs(fld.levels[0].values - P.values)) <= 1e-10 * np.max(np.abs(P.values))
+
+
+def test_nonconformal_ladder_matches_single_syntheses(setup):
+    # one batched sweep gives every level and companion of a separate synthesis
+    spec, grid, quad, f = setup
+    s, ladder = 0.3, np.array([1.0, 0.5, 0.25])
+    fld = nonconformal_extension(f, s, ladder, grid, quad)
+    Sf = analyze_polyradial(f, grid, quad)
+    for j, rho in enumerate(ladder):
+        radii = (rho, rho * math.exp(-fld.delta), rho * math.exp(fld.delta))
+        for got, r in zip((fld.levels[j],) + fld.companions[j], radii):
+            theta = macdonald_multiplier(s, r)
+            ref = synthesize(Sf.copy_transformed(lambda k, lam: theta(k, lam, n=spec.n)), spec)
+            scale = np.max(np.abs(ref.values))
+            assert np.max(np.abs(got.values - ref.values)) <= 1e-13 * scale, (rho, r)
+    bare = nonconformal_extension(f, s, ladder, grid, quad, with_companions=False)
+    assert bare.companions == {} and len(bare.levels) == len(ladder)
+    for a, b in zip(bare.levels, fld.levels):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(b.values))
 
 
 def test_nonconformal_trace_constant(setup):

@@ -333,6 +333,7 @@ def test_pipeline_dilation_covariance(default_setup):
 
 
 def test_synthesize_at_matches_grid(default_setup):
+    # both callers share one engine; the per-node reference test checks the engine
     spec, grid, quad = default_setup
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
     S = analyze_polyradial(f, grid, quad)
@@ -342,6 +343,52 @@ def test_synthesize_at_matches_grid(default_setup):
     t = spec.t_axis[k]
     val = synthesize_at(S, np.array([u]), np.array([t]))[0]
     assert abs(val - g.values[i, j, k]) <= 1e-12
+
+
+def _expand_node_reference(x, c, alpha):
+    """sum_k c_k l_k(x) and its x-derivative, one node at a time.
+
+    The per-node recurrence the batched engine replaced, kept as an independent
+    reference: d/dx l_k^a = -l_{k-1}^{a+1} - l_k^a / 2.
+    """
+    w = np.exp(-0.5 * x)
+    prev, acc = w, c[0] * w
+    prev1, dacc = w, np.zeros_like(acc)
+    if len(c) == 1:
+        return acc, -0.5 * acc
+    cur = (1.0 + alpha - x) * w
+    acc = acc + c[1] * cur
+    dacc = dacc - c[1] * prev1
+    cur1 = (2.0 + alpha - x) * w
+    for k in range(1, len(c) - 1):
+        prev, cur = cur, ((2 * k + alpha + 1 - x) * cur - (k + alpha) * prev) / (k + 1)
+        acc = acc + c[k + 1] * cur
+        prev1, cur1 = cur1, ((2 * k + alpha + 2 - x) * cur1 - (k + alpha + 1) * prev1) / (k + 1)
+        dacc = dacc - c[k + 1] * prev1
+    return acc, dacc - 0.5 * acc
+
+
+def test_synthesize_at_matches_per_node_reference(default_setup):
+    # the engine against a per-node expansion and a plain lambda-quadrature
+    spec, grid, quad = default_setup
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    # a t-shift makes the coefficients complex, so both real contraction rows count
+    S = analyze_polyradial(f, grid, quad).copy_transformed(lambda k, lam: np.exp(0.7j * lam))
+    u = np.array([0.0, 0.3, 1.7, 4.0, 9.5])
+    t = np.array([0.0, 0.4, -1.1, 2.0, -3.5])
+    n = spec.n
+    sl = np.empty((grid.M, u.size), dtype=complex)
+    dsl = np.empty_like(sl)
+    for i, lam in enumerate(grid.nodes):
+        pref = (2 * math.pi) ** (-n) * abs(lam) ** n
+        acc, dacc = _expand_node_reference(0.5 * abs(lam) * u, S.coeffs[i], n - 1)
+        sl[i], dsl[i] = pref * acc, pref * dacc * (0.5 * abs(lam))
+    phases = np.exp(-1j * np.outer(grid.nodes, t)) * grid.weights[:, None] / (2 * math.pi)
+    refs = {None: np.sum(sl * phases, axis=0), "du": np.sum(dsl * phases, axis=0),
+            "dt": np.sum(sl * phases * (-1j * grid.nodes[:, None]), axis=0)}
+    for deriv, ref in refs.items():
+        got = synthesize_at(S, u, t, deriv=deriv)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), deriv
 
 
 def test_synthesize_at_derivatives(default_setup):
