@@ -108,12 +108,6 @@ def dilate(r: float, a: HeisenbergPoint) -> HeisenbergPoint:
     return HeisenbergPoint(r * a.x, r * a.y, r * r * a.t)
 
 
-def koranyi_norm_arrays(x, y, t):
-    """Gauge on coordinate arrays (n=1 layout: scalar x, y per point)."""
-    z2 = x * x + y * y
-    return (z2 * z2 + 16.0 * t * t) ** 0.25
-
-
 # ---------------------------------------------------------------------------
 # Grids
 # ---------------------------------------------------------------------------
@@ -173,6 +167,14 @@ class GridSpec:
         axes = [self.z_axis] * (2 * self.n)
         mesh = np.meshgrid(*axes, indexing="ij")
         return sum(m * m for m in mesh)
+
+    def require_interior(self, samples) -> None:
+        """Raise ValueError unless every coordinate of every sample sits a quarter
+        of its half-width inside the box: |x_j|, |y_j| <= 3 R_z/4, |t| <= 3 R_t/4."""
+        for p in samples:
+            if (np.max(np.abs(np.concatenate([p.x, p.y]))) > self.R_z - self.R_z / 4.0
+                    or abs(p.t) > self.R_t - self.R_t / 4.0):
+                raise ValueError("samples must sit interior to the box by a margin of R/4")
 
     def refine(self, factor: float = 1.25) -> "GridSpec":
         def bump(N):
@@ -582,30 +584,6 @@ def make_test_function(fid: TestFunctionId, spec: GridSpec) -> GridFunction:
     vals = evaluator(mesh[0], mesh[1], mesh[2])
     return GridFunction(spec=spec, values=np.asarray(vals, dtype=np.complex128),
                         name=fid.label(), polyradial=False, evaluator=evaluator)
-
-
-def pointwise_product(f: GridFunction, g: GridFunction, name: str = None) -> GridFunction:
-    """Pointwise product on grid values, composing closed forms where possible.
-
-    Products of polyradial functions are polyradial; the radial profile and
-    evaluator multiply, while the central profile does not (a t-convolution),
-    so the product is analyzed through the dense-t quadrature route.
-    """
-    if f.spec.shape != g.spec.shape:
-        raise ValueError("operands must share a grid")
-    out = GridFunction(
-        spec=f.spec,
-        values=f.values * g.values,
-        name=name or f"{f.name}.{g.name}",
-        polyradial=f.polyradial and g.polyradial,
-    )
-    if f.evaluator is not None and g.evaluator is not None:
-        fe, ge = f.evaluator, g.evaluator
-        out.evaluator = lambda x, y, t: fe(x, y, t) * ge(x, y, t)
-    if f.radial_profile is not None and g.radial_profile is not None:
-        fr, gr = f.radial_profile, g.radial_profile
-        out.radial_profile = lambda u, t: fr(u, t) * gr(u, t)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,18 @@ Its Laguerre coefficients factor over dilation,
 and the convolution is a plain coefficient product, so every level of a
 rho-ladder is one kernel analysis plus one synthesis.
 
-The non-conformal extension uses the Macdonald multiplier
-theta_s(rho, mu) = (2^{1-s}/Gamma(s)) (rho sqrt(mu))^s K_s(rho sqrt(mu)),
-whose rho -> 0 Neumann trace is exactly 2^{1-2s} Gamma(1-s)/Gamma(s) mu^s.
+The non-conformal extension uses the Macdonald multiplier, the operators
+kind macdonald((s, rho)):
+theta_s(rho, mu) = (2^{1-s}/Gamma(s)) (rho sqrt(mu))^s K_s(rho sqrt(mu)).
+It solves U'' + (1-2s)/rho U' = mu U with U(0) = 1 and decay at infinity,
+collapses to exp(-rho sqrt(mu)) at s = 1/2, and its rho -> 0 Neumann trace is
+exactly 2^{1-2s} Gamma(1-s)/Gamma(s) mu^s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -52,7 +54,6 @@ __all__ = [
     "nonconformal_poisson",
     "nonconformal_extension",
     "conformal_pde_residual",
-    "macdonald_multiplier",
     "macdonald_check_integral",
     "kernel_mass",
     "default_rho_ladder",
@@ -253,35 +254,6 @@ def conformal_extension(f: GridFunction, s: float, rho_levels=None,
                      for r in out.radii(with_companions)])
 
 
-def macdonald_multiplier(s: float, rho: float):
-    """theta_s(rho, mu) = (2^{1-s}/G(s)) (rho sqrt(mu))^s K_s(rho sqrt(mu)).
-
-    Solves U'' + (1-2s)/rho U' = mu U with U(0) = 1 and decay at infinity; at
-    s = 1/2 it collapses to exp(-rho sqrt(mu)).
-    """
-    pref = 2.0 ** (1.0 - s) / math.exp(gammaln(s))
-
-    def theta(k, lam, n=1):
-        mu = (2.0 * np.asarray(k, float) + n) * np.abs(lam)
-        x = rho * np.sqrt(mu)
-        return pref * np.where(x > 700.0, 0.0, x ** s * kv(s, np.minimum(x, 700.0)))
-
-    return theta
-
-
-def macdonald_deriv_multiplier(s: float, rho: float):
-    """d/drho of theta_s: -sqrt(mu) (2^{1-s}/G(s)) (rho sqrt(mu))^s K_{s-1}(rho sqrt(mu))."""
-    pref = 2.0 ** (1.0 - s) / math.exp(gammaln(s))
-
-    def dtheta(k, lam, n=1):
-        mu = (2.0 * np.asarray(k, float) + n) * np.abs(lam)
-        x = rho * np.sqrt(mu)
-        val = np.where(x > 700.0, 0.0, x ** s * kv(abs(s - 1.0), np.minimum(x, 700.0)))
-        return -np.sqrt(mu) * pref * val
-
-    return dtheta
-
-
 def macdonald_check_integral(orders, args, tol: float = 1e-10) -> float:
     """Largest relative deviation of K_nu against its integral representation.
 
@@ -362,7 +334,7 @@ def nonconformal_extension(f: GridFunction, s: float, rho_levels=None,
     out = ExtensionField(rho_levels=rho_levels, levels=[],
                          provenance=f"nonconformal(s={s:g})", s=s)
     Sf = analyze_polyradial(f, grid, quad)
-    fields = synthesize_batch(Sf, f.spec, [partial(macdonald_multiplier(s, r), n=f.spec.n)
+    fields = synthesize_batch(Sf, f.spec, [SpectralMultiplier("macdonald", (s, r), n=f.spec.n)
                                            for r in out.radii(with_companions)])
     if not all(np.all(np.isfinite(g.values)) for g in fields):
         raise ValueError("Macdonald evaluation failed on the lattice")
@@ -439,12 +411,7 @@ def frac_conf_pointwise(f: GridFunction, s: float, samples,
     if not (0 < s < 0.5):
         raise ValueError("the pointwise representation requires s in (0, 1/2)")
     spec = f.spec
-    margin = spec.R_z / 4.0
-    for x in samples:
-        from .group import koranyi_norm
-        if abs(x.x[0]) > spec.R_z - margin or abs(x.y[0]) > spec.R_z - margin \
-                or abs(x.t) > spec.R_t - margin:
-            raise ValueError("sample too close to the box boundary")
+    spec.require_interior(samples)
     rep = VerificationReport(suite="pointwise-ir", inputs={"f": f.name, "s": s,
                                                            "samples": len(samples)})
     grid = grid or LambdaGrid.build()

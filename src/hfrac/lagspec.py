@@ -42,7 +42,6 @@ __all__ = [
     "group_convolve",
     "plancherel_check",
     "parseval_pair",
-    "HS_CONSTANT_PAPERFORM",
 ]
 
 
@@ -54,11 +53,6 @@ def hs_constant(n: int) -> float:
     throughout; see the repo docs for the convention audit.
     """
     return (2.0 * math.pi) ** (-(n + 1))
-
-
-def HS_CONSTANT_PAPERFORM(n: int) -> float:
-    # 2^{n-1} / pi^{n+1}; differs from hs_constant(n) by 2^{2n}
-    return 2.0 ** (n - 1) / math.pi ** (n + 1)
 
 
 def proj_dim(k: np.ndarray, n: int) -> np.ndarray:
@@ -145,7 +139,14 @@ class LambdaGrid:
 
 
 # ---------------------------------------------------------------------------
-# Weighted Laguerre recurrences
+# Weighted Laguerre recurrence
+#
+# _laguerre_blocks is the one run of the recurrence that analysis (_project)
+# and synthesis (_expand_multi) share: both contract its k-chunks against
+# their weights or coefficients in real arithmetic, real and imaginary parts
+# as separate rows, so no table block is ever promoted to complex.
+# laguerre_phi_table stays a plain full-table recurrence, the independent
+# reference the tests compare against.
 # ---------------------------------------------------------------------------
 
 def laguerre_phi_table(K: int, alpha: int, x: np.ndarray) -> np.ndarray:
@@ -161,41 +162,16 @@ def laguerre_phi_table(K: int, alpha: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _project_node(x: np.ndarray, W: np.ndarray, kcap: int, alpha: int) -> np.ndarray:
-    """c_k = sum_j W_j l_k(x_j) for k = 0..kcap-1 without storing the table."""
-    w = np.exp(-0.5 * x)
-    prev = w
-    out = np.empty(kcap, dtype=W.dtype)
-    out[0] = W @ prev
-    if kcap == 1:
-        return out
-    cur = (1.0 + alpha - x) * w
-    out[1] = W @ cur
-    for k in range(1, kcap - 1):
-        prev, cur = cur, ((2 * k + alpha + 1 - x) * cur - (k + alpha) * prev) / (k + 1)
-        out[k + 1] = W @ cur
-    return out
+def _laguerre_blocks(x: np.ndarray, alpha: int, kmax: int, chunk: int):
+    """Yield (k0, block) with block[j] = l_{k0+j}(x) for k0 + j < kmax, k0 = 0, chunk, ...
 
-
-def _project_shared_x(x: np.ndarray, Wmat: np.ndarray, kcaps: np.ndarray, alpha: int,
-                      chunk: int = 256):
-    """Batched projection when every row of Wmat shares the x-nodes.
-
-    Runs the weighted recurrence once, in k-chunks; rows drop out as k passes
-    their cap.  Returns per-row coefficient arrays of length kcaps[i].
+    The one run of the weighted recurrence behind analysis and synthesis; the
+    block buffer is reused, so a consumer copies what it keeps past the next step.
     """
-    M = Wmat.shape[0]
-    order = np.argsort(kcaps)[::-1].astype(int)
-    Ws = Wmat[order]
-    caps_sorted = np.asarray(kcaps)[order]
-    kmax = int(caps_sorted[0])
-    cols = [np.empty(int(c), dtype=Wmat.dtype) for c in caps_sorted]
     w = np.exp(-0.5 * x)
-    prev = w
-    cur = (1.0 + alpha - x) * w
-    block = np.empty((chunk, x.size))
-    k0 = 0
-    while k0 < kmax:
+    prev, cur = w, (1.0 + alpha - x) * w
+    block = np.empty((min(chunk, kmax), x.size))
+    for k0 in range(0, kmax, chunk):
         klen = min(chunk, kmax - k0)
         for j in range(klen):
             k = k0 + j
@@ -207,17 +183,30 @@ def _project_shared_x(x: np.ndarray, Wmat: np.ndarray, kcaps: np.ndarray, alpha:
                 prev, cur = cur, ((2 * (k - 1) + alpha + 1 - x) * cur
                                   - (k - 1 + alpha) * prev) / k
                 block[j] = cur
-        active = int(np.searchsorted(-caps_sorted, -(k0 + 1)))
-        active = max(active, int(np.sum(caps_sorted > k0)))
-        if active == 0:
-            break
-        vals = Ws[:active] @ block[:klen].T            # (active, klen)
+        yield k0, block[:klen]
+
+
+def _project(x: np.ndarray, Wmat: np.ndarray, kcaps, alpha: int, chunk: int = 256) -> list:
+    """c_i[k] = sum_j Wmat[i, j] l_k(x_j) for k < kcaps[i], every row in one recurrence.
+
+    The real and imaginary parts of each row are interleaved into one real
+    matrix, so each table block is contracted in real arithmetic and the
+    product's (re, im) column pairs read back as complex; rows drop out of the
+    product as k passes their cap.  Returns per-row arrays of length kcaps[i].
+    """
+    caps = np.asarray(kcaps, dtype=int)
+    order = np.argsort(caps)[::-1]
+    caps = caps[order]
+    W = np.empty((2 * caps.size, x.size))
+    W[0::2], W[1::2] = Wmat[order].real, Wmat[order].imag
+    cols = [np.empty(int(c), dtype=complex) for c in caps]
+    for k0, block in _laguerre_blocks(x, alpha, int(caps[0]), chunk):
+        active = int(np.count_nonzero(caps > k0))
+        vals = (block @ W[:2 * active].T).view(complex)      # (klen, active)
         for i in range(active):
-            hi = min(int(caps_sorted[i]), k0 + klen)
-            if hi > k0:
-                cols[i][k0:hi] = vals[i, :hi - k0]
-        k0 += klen
-    out = [None] * M
+            hi = min(int(caps[i]), k0 + len(block))
+            cols[i][k0:hi] = vals[:hi - k0, i]
+    out = [None] * caps.size
     for i, oi in enumerate(order):
         out[oi] = cols[i]
     return out
@@ -227,45 +216,27 @@ def _expand_multi(x: np.ndarray, C: np.ndarray, alpha: int,
                   want_deriv: bool = False, chunk: int = 384):
     """sum_k C[r, k] l_k(x) for every real row r at once, k-chunked.
 
-    Returns (R, len(x)) [and the x-derivative when asked]: the table block is
-    built once per chunk and contracted against all rows in real arithmetic.
-    d/dx l_k^a = -l_{k-1}^{a+1} - l_k^a / 2, so the derivative accumulates a
-    second recurrence of type alpha+1.
+    Returns (R, len(x)) [and the x-derivative when asked]: each table block is
+    contracted against all rows in real arithmetic.  d/dx l_k^a =
+    -l_{k-1}^{a+1} - l_k^a / 2, so the derivative reads a second table of type
+    alpha+1, one row behind.
     """
     R, kcap = C.shape
     acc = np.zeros((R, x.size))
-    dacc = np.zeros_like(acc) if want_deriv else None
-    w = np.exp(-0.5 * x)
-    prev, cur = w, (1.0 + alpha - x) * w
     if want_deriv:
-        prev1, cur1 = w, (2.0 + alpha - x) * w
-    block = np.empty((min(chunk, kcap), x.size))
-    dblock = np.empty_like(block) if want_deriv else None
-    k0 = 0
-    while k0 < kcap:
-        klen = min(chunk, kcap - k0)
-        for j in range(klen):
-            k = k0 + j
-            if k == 0:
-                block[j] = prev
-                if want_deriv:
-                    dblock[j] = -0.5 * prev
-            elif k == 1:
-                block[j] = cur
-                if want_deriv:
-                    dblock[j] = -prev1 - 0.5 * cur
-            else:
-                prev, cur = cur, ((2 * (k - 1) + alpha + 1 - x) * cur
-                                  - (k - 1 + alpha) * prev) / k
-                block[j] = cur
-                if want_deriv:
-                    prev1, cur1 = cur1, ((2 * (k - 1) + alpha + 2 - x) * cur1
-                                         - (k + alpha) * prev1) / k
-                    dblock[j] = -prev1 - 0.5 * cur
-        acc += C[:, k0:k0 + klen] @ block[:klen]
+        dacc = np.zeros_like(acc)
+        blocks1 = _laguerre_blocks(x, alpha + 1, kcap, chunk)
+        last1 = np.zeros(x.size)                 # l_{k0-1}^{a+1}; l_{-1} = 0
+    for k0, block in _laguerre_blocks(x, alpha, kcap, chunk):
+        Ck = C[:, k0:k0 + len(block)]
+        acc += Ck @ block
         if want_deriv:
-            dacc += C[:, k0:k0 + klen] @ dblock[:klen]
-        k0 += klen
+            _, block1 = next(blocks1)
+            dblock = -0.5 * block
+            dblock[0] -= last1
+            dblock[1:] -= block1[:-1]
+            last1 = block1[-1].copy()
+            dacc += Ck @ dblock
     return (acc, dacc) if want_deriv else acc
 
 
@@ -395,9 +366,7 @@ def twisted_convolve(F: np.ndarray, G: np.ndarray, lam: float, spec: GridSpec) -
 class PolyradialSpectrum:
     """Ragged coefficient table c_k(lam) on the (k, lam) lattice.
 
-    coeffs[i] has length grid.k_caps[i]; the rectangular view ``c_rect`` is the
-    (K+1, M) block used by symbol-lattice checks and serialization callers that
-    want a fixed K.
+    coeffs[i] has length grid.k_caps[i].
     """
 
     grid: LambdaGrid
@@ -409,14 +378,6 @@ class PolyradialSpectrum:
     @property
     def K(self) -> int:
         return self.grid.K
-
-    def c_rect(self, K: Optional[int] = None) -> np.ndarray:
-        K = self.grid.K if K is None else K
-        out = np.zeros((K + 1, self.grid.M), dtype=complex)
-        for i, c in enumerate(self.coeffs):
-            m = min(K + 1, len(c))
-            out[:m, i] = c[:m]
-        return out
 
     def copy_transformed(self, fn: Callable, name: str = None) -> "PolyradialSpectrum":
         """New spectrum with coeffs[i][k] *= fn(k, lam_i) (diagonal action)."""
@@ -555,7 +516,9 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
 
     Input routes, best available first: closed-form central profile; closed-form
     radial profile / evaluator (dense-t quadrature); raw grid samples (grid-t
-    trapezoid, aliasing-guarded).
+    trapezoid, aliasing-guarded).  Every route projects through _project: the
+    heavy-tail route as one batch over the lattice, the routes whose x-nodes
+    move with lam as batches of one.
     """
     if not u.polyradial:
         raise ValueError("analyze_polyradial requires a polyradial input")
@@ -584,7 +547,7 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
                 Wmat[i] = ang * (quad.v_weights / abs(lam)) \
                     * u.central_profile(uu[i], lam) * uu[i] ** alpha
             x = 0.5 * quad.v_nodes
-            raw = _project_shared_x(x, Wmat, grid.k_caps, alpha)
+            raw = _project(x, Wmat, grid.k_caps, alpha)
             coeffs = [c / proj_dim(np.arange(len(c)), n) for c in raw]
             return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
         for i, lam in enumerate(grid.nodes):
@@ -593,7 +556,7 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
             uu = quad.u_nodes
             W = ang * quad.u_weights * u.central_profile(uu, lam) * uu ** alpha
             x = 0.5 * al * uu
-            c = _project_node(x, W.astype(complex), kcap, alpha)
+            c, = _project(x, W[None, :], [kcap], alpha)
             dims = proj_dim(np.arange(kcap), n)
             coeffs.append(c / dims)
         return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs,
@@ -613,7 +576,7 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
             kcap = int(grid.k_caps[i])
             W = ang * quad.u_weights * slices[:, i] * uu ** alpha
             x = 0.5 * abs(lam) * uu
-            c = _project_node(x, W, kcap, alpha)
+            c, = _project(x, W[None, :], [kcap], alpha)
             coeffs.append(c / proj_dim(np.arange(kcap), n))
         return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
 
@@ -634,7 +597,7 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
         Wu += 1j * np.bincount(inv, weights=sl.imag, minlength=uniq.size)
         Wu *= cell
         x = 0.5 * abs(lam) * uniq
-        c = _project_node(x, Wu, kcap, alpha)
+        c, = _project(x, Wu[None, :], [kcap], alpha)
         coeffs.append(c / proj_dim(np.arange(kcap), n))
     out = PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
     out.warnings.extend(field_.warnings)
@@ -649,9 +612,9 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
 # Synthesis
 #
 # slices_at_radii_batch is the one Laguerre expansion: every synthesis, grid or
-# point, single or batched, runs the recurrence once per lambda node and
-# contracts it against all the symbols it was given.  A single synthesis is a
-# batch of one.
+# point, single or batched, runs the shared recurrence once per lambda node and
+# contracts it in real arithmetic against all the symbols it was given.  A
+# single synthesis is a batch of one.
 # ---------------------------------------------------------------------------
 
 def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,

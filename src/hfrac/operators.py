@@ -3,27 +3,33 @@
 Every operator here acts diagonally through its scalar symbol m(k, lam) with
 mu = (2k+n)|lam| the sublaplacian eigenvalue:
 
-    sublaplacian        mu
-    frac_nonconf(s)     mu^s                                   (s > 0)
-    frac_conf(s)        (2|lam|)^s G(w + (1+s)/2) / G(w + (1-s)/2),  w = (2k+n)/2
+    sublaplacian             mu
+    frac_nonconf(s)          mu^s                              (s > 0)
+    frac_conf(s)             (2|lam|)^s G(w + (1+s)/2) / G(w + (1-s)/2),  w = (2k+n)/2
                                                                (0 <= s < n+1)
-    heat(w)             exp(-w mu)                             (w >= 0)
-    poisson_nonconf(r)  exp(-r sqrt(mu))                       (r > 0)
-    riesz_nonconf(s)    mu^{-s/2}                              (0 < s < n+1)
-    equivalence(s)      (2k+n)^{-s} G((2k+n+1+s)/2) / G((2k+n+1-s)/2)
+    heat(w)                  exp(-w mu)                        (w >= 0)
+    poisson_nonconf(r)       exp(-r sqrt(mu))                  (r > 0)
+    poisson_nonconf_drho(r)  -sqrt(mu) exp(-r sqrt(mu)), the r-derivative
+                                                               (r > 0)
+    macdonald((s, r))        (2^{1-s}/G(s)) (r sqrt(mu))^s K_s(r sqrt(mu)), the
+                             non-conformal extension at height r
+                                                               (0 < s < 1, r > 0)
+    riesz_nonconf(s)         mu^{-s/2}                         (0 < s < n+1)
+    equivalence(s)           (2k+n)^{-s} G((2k+n+1+s)/2) / G((2k+n+1-s)/2)
 
 Gamma ratios always go through log-gamma differences; direct quotients
-overflow past k of a few dozen.
+overflow past k of a few dozen.  The Macdonald symbol is set to 0 where
+r sqrt(mu) > 700; it is below 1e-300 there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, kv
 
 from .lagspec import PolyradialSpectrum
 from .report import VerificationReport
@@ -38,8 +44,8 @@ __all__ = [
     "gamma_ratio",
 ]
 
-_KINDS = ("sublaplacian", "frac_nonconf", "frac_conf", "heat",
-          "poisson_nonconf", "riesz_nonconf", "equivalence")
+_KINDS = ("sublaplacian", "frac_nonconf", "frac_conf", "heat", "poisson_nonconf",
+          "poisson_nonconf_drho", "macdonald", "riesz_nonconf", "equivalence")
 
 
 def gamma_ratio(a, b):
@@ -50,7 +56,7 @@ def gamma_ratio(a, b):
 @dataclass(frozen=True)
 class SpectralMultiplier:
     kind: str
-    param: Optional[float] = None
+    param: Union[None, float, tuple] = None    # a tuple (s, rho) for macdonald
     n: int = 1
 
     def __post_init__(self):
@@ -68,15 +74,21 @@ class SpectralMultiplier:
             raise ValueError("frac_conf requires 0 <= s < n+1")
         elif self.kind == "heat" and p < 0:
             raise ValueError("heat requires w >= 0")
-        elif self.kind == "poisson_nonconf" and not p > 0:
-            raise ValueError("poisson_nonconf requires rho > 0")
+        elif self.kind in ("poisson_nonconf", "poisson_nonconf_drho") and not p > 0:
+            raise ValueError(f"{self.kind} requires rho > 0")
+        elif self.kind == "macdonald" and not (
+                isinstance(p, tuple) and len(p) == 2 and 0 < p[0] < 1 and p[1] > 0):
+            raise ValueError("macdonald requires (s, rho) with 0 < s < 1 and rho > 0")
         elif self.kind == "riesz_nonconf" and not (0 < p < self.n + 1):
             raise ValueError("riesz_nonconf requires 0 < s < n+1")
         elif self.kind == "equivalence" and not (0 < p < 1):
             raise ValueError("equivalence requires s in (0, 1)")
 
     def label(self) -> str:
-        return self.kind if self.param is None else f"{self.kind}({self.param:g})"
+        if self.param is None:
+            return self.kind
+        p = self.param if isinstance(self.param, tuple) else (self.param,)
+        return f"{self.kind}({', '.join(f'{v:g}' for v in p)})"
 
     def __call__(self, k, lam):
         return evaluate_multiplier(self, k, lam)
@@ -86,7 +98,7 @@ def evaluate_multiplier(m: SpectralMultiplier, k, lam):
     """Scalar symbol at lattice points; k integer array-like, lam scalar or array."""
     k = np.asarray(k, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam == 0.0):
+    if (lam == 0.0).any():
         raise ValueError("multipliers are not defined at lambda = 0")
     n = m.n
     mu = (2.0 * k + n) * np.abs(lam)
@@ -102,6 +114,13 @@ def evaluate_multiplier(m: SpectralMultiplier, k, lam):
         return np.exp(-s * mu)
     if m.kind == "poisson_nonconf":
         return np.exp(-s * np.sqrt(mu))
+    if m.kind == "poisson_nonconf_drho":
+        return -np.sqrt(mu) * np.exp(-s * np.sqrt(mu))
+    if m.kind == "macdonald":
+        s, rho = m.param
+        pref = 2.0 ** (1.0 - s) / math.exp(gammaln(s))
+        x = rho * np.sqrt(mu)
+        return pref * np.where(x > 700.0, 0.0, x ** s * kv(s, np.minimum(x, 700.0)))
     if m.kind == "riesz_nonconf":
         return mu ** (-s / 2.0)
     if m.kind == "equivalence":
@@ -115,10 +134,6 @@ class OperatorResult:
     spectrum: PolyradialSpectrum
     provenance: str
     tail_fraction: float
-
-    def __iter__(self):
-        # allow "spectrum, tail = apply_operator(...)" style unpacking
-        return iter((self.spectrum, self.tail_fraction))
 
 
 def apply_operator(S: PolyradialSpectrum, m: SpectralMultiplier) -> OperatorResult:

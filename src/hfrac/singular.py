@@ -82,11 +82,6 @@ class SingularQuadrature:
             per_decade=int(round(base / decades * factor)),
             n_theta=int(round(24 * factor)), n_phi=int(round(24 * factor)))
 
-    def ball_volume(self, r: float) -> float:
-        """Quadrature volume of B_r; the exact value is pi^2 r^4 / 8 on H^1."""
-        mask = self.gauge < r
-        return float(np.sum(self.w_haar[mask]))
-
 
 def _require_evaluator(u: GridFunction, who: str):
     if u.evaluator is None:

@@ -17,26 +17,26 @@ keeps every evaluation on the (u, t) half-plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 from scipy.special import roots_legendre
 
-from .group import GridFunction, GridSpec, HeisenbergPoint, apply_vector_field, integrate
-from .kernels import ExtensionField
+from .group import GridFunction, GridSpec, apply_vector_field, sublaplacian_grid
+from .kernels import ExtensionField, _interior_window
 from .lagspec import (
     AnalysisQuadrature,
     LambdaGrid,
     PolyradialSpectrum,
     analyze_polyradial,
-    synthesize,
-    synthesize_at,
+    slices_at_radii_batch,
+    synthesize_batch,
 )
 from .operators import SpectralMultiplier, apply_operator
 from .report import VerificationReport
-from .singular import SingularQuadrature, d_s_values
+from .singular import SingularQuadrature, _right_args, d_s_values
 
 __all__ = [
     "SquareFunctionConfig",
@@ -45,7 +45,6 @@ __all__ = [
     "g_function",
     "g_parts",
     "g_star",
-    "D_s",
     "pointwise_theorem_check",
     "mean_value_check",
     "extended_gauge",
@@ -66,7 +65,6 @@ class SquareFunctionConfig:
     rho_max: float = 2.0 ** 5
     per_octave: int = 2
     lam_param: float = 1.2          # g*-weight exponent; distinct from spectral lambda
-    s: float = 0.2
     table_r_max: float = 25.0
     table_t_max: float = 26.0
     n_table_r: int = 512
@@ -97,13 +95,6 @@ class SquareFunctionConfig:
                        y_per_decade=int(round(self.y_per_decade * factor)),
                        y_n_theta=int(round(self.y_n_theta * factor)),
                        y_n_phi=int(round(self.y_n_phi * factor)))
-
-    def validate_samples(self, samples, spec: GridSpec):
-        margin = spec.R_z / 4.0
-        for x in samples:
-            if abs(x.x[0]) > spec.R_z - margin or abs(x.y[0]) > spec.R_z - margin \
-                    or abs(x.t) > spec.R_t - margin:
-                raise ValueError("g* samples must sit interior by a margin of R/4")
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +143,10 @@ def g_parts(u: GridFunction, cfg: Optional[SquareFunctionConfig] = None,
     lad = cfg.rho_ladder()
     wts = cfg.rho_weights()
     n = u.spec.n
-
-    def dsym(rho):
-        def m(k, lam, _r=rho):
-            mu = (2.0 * np.asarray(k, float) + n) * np.abs(lam)
-            return -np.sqrt(mu) * np.exp(-_r * np.sqrt(mu))
-        return m
-
-    def psym(rho):
-        def m(k, lam, _r=rho):
-            mu = (2.0 * np.asarray(k, float) + n) * np.abs(lam)
-            return np.exp(-_r * np.sqrt(mu))
-        return m
-
-    from .lagspec import synthesize_batch
-    dUs = synthesize_batch(Su, u.spec, [dsym(r) for r in lad])
-    Us = synthesize_batch(Su, u.spec, [psym(r) for r in lad])
+    dUs = synthesize_batch(Su, u.spec, [SpectralMultiplier("poisson_nonconf_drho", r, n=n)
+                                        for r in lad])
+    Us = synthesize_batch(Su, u.spec, [SpectralMultiplier("poisson_nonconf", r, n=n)
+                                       for r in lad])
     g1 = np.zeros(u.spec.shape)
     gx = np.zeros(u.spec.shape)
     last = 0.0
@@ -214,20 +193,11 @@ def extension_gradient_sq_at(Su: PolyradialSpectrum, rho: float,
     the rho-derivative slice together; the t-derivative reuses the same slices
     with a modulated phase.
     """
-    from .lagspec import slices_at_radii_batch
-    n = Su.n
     u_vals = np.atleast_1d(np.asarray(u_vals, dtype=float))
     t_vals = np.atleast_1d(np.asarray(t_vals, dtype=float))
-
-    def psym(k, lam):
-        mu = (2.0 * np.asarray(k, float) + n) * np.abs(lam)
-        return np.exp(-rho * np.sqrt(mu))
-
-    def dsym(k, lam):
-        mu = (2.0 * np.asarray(k, float) + n) * np.abs(lam)
-        return -np.sqrt(mu) * np.exp(-rho * np.sqrt(mu))
-
-    sl, dsl = slices_at_radii_batch(Su, u_vals.ravel(), [psym, dsym], want_du=True)
+    mults = [SpectralMultiplier("poisson_nonconf", rho, n=Su.n),
+             SpectralMultiplier("poisson_nonconf_drho", rho, n=Su.n)]
+    sl, dsl = slices_at_radii_batch(Su, u_vals.ravel(), mults, want_du=True)
     grid = Su.grid
     phases = np.exp(-1j * np.outer(grid.nodes, t_vals.ravel())) * grid.weights[:, None]
     phases_t = phases * (-1j * grid.nodes[:, None])
@@ -257,24 +227,11 @@ class _GradientTable:
         self._build(rho_levels)
 
     def _build(self, rho_levels):
-        from .lagspec import slices_at_radii_batch
         n = self.Su.n
         grid = self.Su.grid
-
-        def psym(rho):
-            def m(k, lam, _r=rho):
-                mu = (2.0 * np.asarray(k, float) + n) * np.abs(lam)
-                return np.exp(-_r * np.sqrt(mu))
-            return m
-
-        def dsym(rho):
-            def m(k, lam, _r=rho):
-                mu = (2.0 * np.asarray(k, float) + n) * np.abs(lam)
-                return -np.sqrt(mu) * np.exp(-_r * np.sqrt(mu))
-            return m
-
         uu = (self.r_axis * self.r_axis)
-        mults = [psym(r) for r in rho_levels] + [dsym(r) for r in rho_levels]
+        mults = [SpectralMultiplier(kind, r, n=n)
+                 for kind in ("poisson_nonconf", "poisson_nonconf_drho") for r in rho_levels]
         sl, dsl = slices_at_radii_batch(self.Su, uu, mults, want_du=True)
         L = len(rho_levels)
         phases = np.exp(-1j * np.outer(grid.nodes, self.t_axis)) * grid.weights[:, None]
@@ -302,29 +259,6 @@ class _GradientTable:
         return np.maximum(out, 0.0)
 
 
-def _y_nodes(cfg: SquareFunctionConfig):
-    decades = math.log10(cfg.y_r_max / cfg.y_r_min)
-    m = max(8, int(round(cfg.y_per_decade * decades)))
-    logr = np.linspace(math.log(cfg.y_r_min), math.log(cfg.y_r_max), m)
-    r = np.exp(logr)
-    wr = np.full(m, logr[1] - logr[0])
-    wr[0] *= 0.5
-    wr[-1] *= 0.5
-    tx, tw = roots_legendre(cfg.y_n_theta)
-    theta = tx * math.pi / 2.0
-    wtheta = tw * math.pi / 2.0
-    phi = 2.0 * math.pi * np.arange(cfg.y_n_phi) / cfg.y_n_phi
-    wphi = np.full(cfg.y_n_phi, 2.0 * math.pi / cfg.y_n_phi)
-    R, TH, PH = np.meshgrid(r, theta, phi, indexing="ij")
-    WR, WT, WP = np.meshgrid(wr, wtheta, wphi, indexing="ij")
-    zabs = R * np.sqrt(np.cos(TH))
-    xs = (zabs * np.cos(PH)).ravel()
-    ys = (zabs * np.sin(PH)).ravel()
-    ts = (R * R * np.sin(TH) / 4.0).ravel()
-    w = (R ** 4 / 4.0 * WR * WT * WP).ravel()
-    return xs, ys, ts, R.ravel(), w
-
-
 def g_star(u_or_spec, cfg: SquareFunctionConfig, samples,
            grid: Optional[LambdaGrid] = None,
            quad: Optional[AnalysisQuadrature] = None,
@@ -334,41 +268,39 @@ def g_star(u_or_spec, cfg: SquareFunctionConfig, samples,
     g*(x)^2 = int_rho int_y (rho/(rho+|y|))^{lam Q} rho^{1-Q}
               |nabla U(x y^{-1}, rho)|^2 dy rho... with the Haar y-measure and
     the rho-ladder quadrature; |nabla U|^2 comes from per-level bicubic tables
-    of the exact spectral gradients.
+    of the exact spectral gradients.  The y-nodes are the singular-quadrature
+    node set on [y_r_min, y_r_max], which like the tables is built for n = 1.
     """
     if isinstance(u_or_spec, GridFunction):
         spec = u_or_spec.spec
+    elif spec is None:
+        raise ValueError("pass the grid spec when handing a spectrum directly")
+    if spec.n != 1:
+        raise NotImplementedError("g* is implemented for n = 1: its y-nodes and "
+                                  "gradient tables live on H^1")
+    spec.require_interior(samples)
+    if isinstance(u_or_spec, GridFunction):
         grid = grid or LambdaGrid.build()
         quad = quad or AnalysisQuadrature.build(spec)
         Su = analyze_polyradial(u_or_spec, grid, quad)
     else:
         Su = u_or_spec
-        if spec is None:
-            raise ValueError("pass the grid spec when handing a spectrum directly")
-    cfg.validate_samples(samples, spec)
     Q = 2 * spec.n + 2
     lad = cfg.rho_ladder()
     wts = cfg.rho_weights()
     table = _GradientTable(Su, cfg, lad)
-    xs, ys, ts, gauges, w_haar = _y_nodes(cfg)
+    yq = SingularQuadrature.build(r_min=cfg.y_r_min, r_max=cfg.y_r_max,
+                                  per_decade=cfg.y_per_decade,
+                                  n_theta=cfg.y_n_theta, n_phi=cfg.y_n_phi)
+    offsets = [_right_args(x, yq) for x in samples]          # x y^{-1} over the y-nodes
     out = np.zeros(len(samples))
     for rho, wrho in zip(lad, wts):
-        weight = (rho / (rho + gauges)) ** (cfg.lam_param * Q) * rho ** (1 - Q)
-        wy = w_haar * weight
-        for i, x in enumerate(samples):
-            X1, Y1, T1 = x.x[0], x.y[0], x.t
-            px = X1 - xs
-            py = Y1 - ys
-            pt = T1 - ts + 0.5 * (xs * Y1 - X1 * ys)
+        weight = (rho / (rho + yq.gauge)) ** (cfg.lam_param * Q) * rho ** (1 - Q)
+        wy = yq.w_haar * weight
+        for i, (px, py, pt) in enumerate(offsets):
             vals = table.eval(rho, px, py, pt)
             out[i] += wrho * rho * float(np.dot(wy, vals))
     return np.sqrt(out)
-
-
-def D_s(u: GridFunction, s: float, samples,
-        squad: Optional[SingularQuadrature] = None) -> np.ndarray:
-    """Square fractional integral at the samples (singular-quadrature route)."""
-    return d_s_values(u, s, samples, squad)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +342,7 @@ def pointwise_theorem_check(u: GridFunction, s: float, lam_param: float, samples
                                      "samples": len(samples)})
     grid = grid or LambdaGrid.build()
     quad = quad or AnalysisQuadrature.build(spec)
-    cfg = cfg or SquareFunctionConfig(s=s, lam_param=lam_param)
+    cfg = cfg or SquareFunctionConfig(lam_param=lam_param)
     squad = squad or SingularQuadrature.build()
 
     def one_pass(grid_, quad_, cfg_, squad_):
@@ -509,21 +441,20 @@ def mean_value_check(fld: ExtensionField, Su: PolyradialSpectrum,
     Q = 2 * spec.n + 2
 
     # discrete subharmonicity on a window around the center level
-    from .group import sublaplacian_grid, _diff_axis
     j0 = int(np.argmin(np.abs(fld.rho_levels - center_rho)))
+    if not 0 < j0 < len(fld.rho_levels) - 1:
+        raise ValueError("center_rho must pick an interior ladder level: d_rho^2 V "
+                         "needs a level on each side")
     grads = gradient_sq(fld)
     V0 = grads[j0]
-    d1, d2 = None, None
-    if j0 - 1 >= 0 and j0 + 1 < len(fld.rho_levels):
-        hp = fld.rho_levels[j0 - 1] - fld.rho_levels[j0]
-        hm = fld.rho_levels[j0] - fld.rho_levels[j0 + 1]
-        vp = grads[j0 - 1].values.real
-        vm = grads[j0 + 1].values.real
-        v0 = V0.values.real
-        d2 = 2.0 * (hm * vp - (hp + hm) * v0 + hp * vm) / (hp * hm * (hp + hm))
+    hp = fld.rho_levels[j0 - 1] - fld.rho_levels[j0]
+    hm = fld.rho_levels[j0] - fld.rho_levels[j0 + 1]
+    vp = grads[j0 - 1].values.real
+    vm = grads[j0 + 1].values.real
+    v0 = V0.values.real
+    d2 = 2.0 * (hm * vp - (hp + hm) * v0 + hp * vm) / (hp * hm * (hp + hm))
     LV = sublaplacian_grid(V0, order=4).values.real
-    win = (slice(spec.N_z // 4, -spec.N_z // 4),) * 2 + (slice(spec.N_t // 4, -spec.N_t // 4),)
-    EV = (-LV + d2)[win]
+    EV = (-LV + d2)[_interior_window(spec)]
     scale = float(np.max(np.abs(EV)))
     worst = float(np.min(EV))
     rep.add("subharmonic_min_over_scale", worst / scale, route="grid")

@@ -120,6 +120,17 @@ def test_grid_spec_layout():
         GridSpec(N_z=63)
 
 
+def test_require_interior_checks_every_component():
+    # margins are a quarter of each half-width, on every x, y component
+    spec = GridSpec(n=2, R_z=10.0, R_t=4.0)
+    spec.require_interior([HeisenbergPoint([1.0, -7.4], [0.5, 7.4], -2.9)])
+    for far in (HeisenbergPoint([0.0, 7.6], [0.0, 0.0], 0.0),
+                HeisenbergPoint([0.0, 0.0], [0.0, -7.6], 0.0),
+                HeisenbergPoint([0.0, 0.0], [0.0, 0.0], 3.1)):
+        with pytest.raises(ValueError):
+            spec.require_interior([far])
+
+
 def test_fd_weights_first_derivative():
     w = fd_weights([-2, -1, 0, 1, 2], 1)
     assert np.allclose(w, [1 / 12, -8 / 12, 0, 8 / 12, -1 / 12])

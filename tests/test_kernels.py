@@ -16,7 +16,6 @@ from hfrac.kernels import (
     kernel_mass,
     kernel_spectrum,
     macdonald_check_integral,
-    macdonald_multiplier,
     nonconformal_extension,
     nonconformal_pde_residual,
     nonconformal_poisson,
@@ -310,8 +309,8 @@ def test_nonconformal_ladder_matches_single_syntheses(setup):
     for j, rho in enumerate(ladder):
         radii = (rho, rho * math.exp(-fld.delta), rho * math.exp(fld.delta))
         for got, r in zip((fld.levels[j],) + fld.companions[j], radii):
-            theta = macdonald_multiplier(s, r)
-            ref = synthesize(Sf.copy_transformed(lambda k, lam: theta(k, lam, n=spec.n)), spec)
+            theta = SpectralMultiplier("macdonald", (s, r), n=spec.n)
+            ref = synthesize(Sf.copy_transformed(theta), spec)
             scale = np.max(np.abs(ref.values))
             assert np.max(np.abs(got.values - ref.values)) <= 1e-13 * scale, (rho, r)
     bare = nonconformal_extension(f, s, ladder, grid, quad, with_companions=False)

@@ -9,6 +9,7 @@ from hfrac.lagspec import (
     CentralSliceField,
     LambdaGrid,
     LaguerreEvaluator,
+    _project,
     analyze_polyradial,
     central_transform,
     group_convolve,
@@ -69,6 +70,24 @@ def test_laguerre_against_mpmath_reference():
             ref = float(ref_l * mpmath.exp(-xm / 2))
             got = table[k, j]
             assert abs(got - ref) <= 1e-10 * max(abs(ref), 1e-12), (k, x)
+
+
+def test_project_matches_full_table():
+    # the chunked, real-arithmetic projection against the plain full table,
+    # with caps that straddle chunk edges, as one batch and as batches of one
+    x = 0.5 * AnalysisQuadrature._sqrt_rule(400.0, 300)[0]
+    caps = np.array([5, 300, 1, 513, 256, 257])
+    W = RNG.normal(size=(caps.size, x.size)) + 1j * RNG.normal(size=(caps.size, x.size))
+    for alpha in (0, 1):
+        table = laguerre_phi_table(int(caps.max()) - 1, alpha, x)
+        batch = _project(x, W, caps, alpha)
+        for i, cap in enumerate(caps):
+            ref = table[:cap] @ W[i]
+            scale = np.max(np.abs(table[:cap]) @ np.abs(W[i]))
+            single, = _project(x, W[i][None, :], [cap], alpha)
+            for got in (batch[i], single):
+                assert got.shape == (cap,) and got.dtype == complex
+                assert np.max(np.abs(got - ref)) <= 1e-13 * scale, (alpha, cap)
 
 
 def test_laguerre_origin_values():

@@ -66,6 +66,38 @@ def test_parameter_ranges_rejected():
         SpectralMultiplier("riesz_nonconf", 2.0)
     with pytest.raises(ValueError):
         SpectralMultiplier("wave", 1.0)
+    with pytest.raises(ValueError):
+        SpectralMultiplier("poisson_nonconf_drho", 0.0)
+    for bad in ((1.0, 1.0), (0.0, 1.0), (0.5, 0.0), (0.5, -1.0), 0.5, (0.5,), (0.5, 1.0, 2.0)):
+        with pytest.raises(ValueError):
+            SpectralMultiplier("macdonald", bad)    # needs (s, rho), 0 < s < 1, rho > 0
+
+
+def test_macdonald_half_is_poisson():
+    # theta_{1/2}(rho, mu) = e^{-rho sqrt(mu)}: K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}
+    grid = LambdaGrid.build()
+    k = np.arange(200)
+    for rho in (0.25, 1.0, 4.0):
+        m = SpectralMultiplier("macdonald", (0.5, rho))
+        p = SpectralMultiplier("poisson_nonconf", rho)
+        for lam in (grid.nodes[0], -0.3, 1.0, 10.0, grid.nodes[-1]):
+            a = evaluate_multiplier(m, k, lam)
+            b = evaluate_multiplier(p, k, lam)
+            keep = b > 1e-300
+            assert keep[0]
+            assert np.max(np.abs(a[keep] - b[keep]) / b[keep]) <= 1e-12, (rho, lam)
+    assert SpectralMultiplier("macdonald", (0.3, 2.0)).label() == "macdonald(0.3, 2)"
+
+
+def test_poisson_drho_is_rho_derivative():
+    k = np.arange(40)
+    h = 1e-5
+    for rho in (0.3, 1.0, 2.5):
+        d = evaluate_multiplier(SpectralMultiplier("poisson_nonconf_drho", rho), k, 0.7)
+        up = evaluate_multiplier(SpectralMultiplier("poisson_nonconf", rho + h), k, 0.7)
+        dn = evaluate_multiplier(SpectralMultiplier("poisson_nonconf", rho - h), k, 0.7)
+        assert np.all(d < 0)
+        assert np.max(np.abs((up - dn) / (2 * h) - d) / np.abs(d)) <= 1e-8, rho
 
 
 def test_poisson_square_vs_subordination_integral():

@@ -1,0 +1,86 @@
+import numpy as np
+import pytest
+
+from hfrac.group import GridFunction, GridSpec, HeisenbergPoint, TestFunctionId, make_test_function
+from hfrac.kernels import ExtensionField
+from hfrac.lagspec import (
+    AnalysisQuadrature,
+    LambdaGrid,
+    PolyradialSpectrum,
+    analyze_polyradial,
+    synthesize_at,
+)
+from hfrac.operators import SpectralMultiplier, apply_operator
+from hfrac.squarefn import (
+    SquareFunctionConfig,
+    _GradientTable,
+    extension_gradient_sq_at,
+    g_parts,
+    g_star,
+    mean_value_check,
+)
+
+# a short ladder (rho = 1/4, 1/2, 1) and small tables keep every test to seconds
+SHORT = SquareFunctionConfig(rho_min=0.25, rho_max=1.0, per_octave=1,
+                             n_table_r=64, n_table_t=96)
+
+
+@pytest.fixture(scope="module")
+def setup():
+    spec = GridSpec()
+    grid = LambdaGrid.build()
+    quad = AnalysisQuadrature.build(spec)
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    return spec, grid, quad, f, analyze_polyradial(f, grid, quad)
+
+
+def test_gradient_table_interpolates_exact_gradient(setup):
+    # a bicubic interpolating spline reproduces its data at the mesh nodes, so
+    # the table must equal the exact spectral |grad U|^2 there
+    Su = setup[4]
+    lad = SHORT.rho_ladder()
+    table = _GradientTable(Su, SHORT, lad)
+    rng = np.random.default_rng(7)
+    ir = rng.integers(0, SHORT.n_table_r, 50)
+    it = rng.integers(0, SHORT.n_table_t, 50)
+    r, t = table.r_axis[ir], table.t_axis[it]
+    for rho in lad:
+        exact = extension_gradient_sq_at(Su, rho, r * r, t)
+        got = table.spline(rho).ev(r, t)
+        assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact)), rho
+
+
+def test_g1_origin_matches_pointwise_rho_quadrature(setup):
+    spec, grid, quad, f, Su = setup
+    g1, gx, _ = g_parts(f, SHORT, grid, quad, Su)
+    assert np.all(g1 >= 0) and np.all(gx >= 0)
+    iz = int(np.argmin(np.abs(spec.z_axis)))
+    it = int(np.argmin(np.abs(spec.t_axis)))
+    assert spec.z_axis[iz] == 0.0 and spec.t_axis[it] == 0.0
+    ref = 0.0
+    for rho, w in zip(SHORT.rho_ladder(), SHORT.rho_weights()):
+        dS = apply_operator(Su, SpectralMultiplier("poisson_nonconf_drho", rho)).spectrum
+        d = synthesize_at(dS, np.array([0.0]), np.array([0.0]))[0]
+        ref += w * rho * rho * abs(d) ** 2
+    assert abs(g1[iz, iz, it] - ref) <= 1e-12 * ref
+
+
+def test_g_star_rejects_boundary_sample_and_n_above_one(setup):
+    spec, grid, quad, f, Su = setup
+    near = [HeisenbergPoint([0.0], [spec.R_z - spec.R_z / 8], 0.0)]
+    with pytest.raises(ValueError):
+        g_star(Su, SHORT, near, spec=spec)
+    spec2 = GridSpec(n=2)
+    S2 = PolyradialSpectrum(grid=grid, n=2, coeffs=[np.ones(int(c)) for c in grid.k_caps])
+    with pytest.raises(NotImplementedError):
+        g_star(S2, SHORT, [HeisenbergPoint.origin(2)], spec=spec2)
+
+
+def test_mean_value_check_rejects_ladder_end_center():
+    spec = GridSpec(N_z=16, N_t=16)
+    levels = [GridFunction(spec=spec, values=np.zeros(spec.shape, complex)) for _ in range(3)]
+    fld = ExtensionField(rho_levels=np.array([2.0, 1.0, 0.5]), levels=levels,
+                         provenance="zeros", s=0.5)
+    for center in (2.0, 0.5):
+        with pytest.raises(ValueError):
+            mean_value_check(fld, None, center_rho=center)
