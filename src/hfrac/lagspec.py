@@ -76,9 +76,9 @@ DEFAULT_COUNTS = (10, 12, 14, 34, 40, 40)
 class LambdaGrid:
     """Symmetric composite Gauss-Legendre grid on [-L, -l0] U [l0, L], 0 excluded."""
 
-    nodes: np.ndarray      # ascending, symmetric under lam -> -lam
+    nodes: np.ndarray      # strictly ascending, symmetric under lam -> -lam
     weights: np.ndarray    # plain d-lam weights
-    k_caps: np.ndarray     # per-node Laguerre truncation
+    k_caps: np.ndarray     # per-node Laguerre truncation, equal at lam and -lam
     K: int = 64
 
     def __post_init__(self):
@@ -86,10 +86,14 @@ class LambdaGrid:
             raise ValueError("lambda grid must exclude 0")
         if np.any(self.weights <= 0.0):
             raise ValueError("lambda weights must be positive")
-        pos = self.nodes[self.nodes > 0]
-        neg = -self.nodes[self.nodes < 0][::-1]
-        if pos.size != neg.size or not np.allclose(pos, neg, rtol=0, atol=0):
+        # mirror_index pairs node i with M-1-i, which is -lam_i only on an
+        # ascending grid; synthesis and analysis rely on that pairing
+        if np.any(np.diff(self.nodes) <= 0.0):
+            raise ValueError("lambda nodes must be strictly ascending")
+        if not np.array_equal(self.nodes, -self.nodes[::-1]):
             raise ValueError("lambda grid must be symmetric under lam -> -lam")
+        if not np.array_equal(self.k_caps, self.k_caps[::-1]):
+            raise ValueError("k_caps must agree at lam and -lam")
 
     @classmethod
     def build(cls, lam_min: float = 1e-3, lam_max: float = 40.0,
@@ -127,6 +131,11 @@ class LambdaGrid:
     def mirror_index(self) -> np.ndarray:
         """Index of -lam for each node."""
         return np.arange(self.M)[::-1]
+
+    def mirror_pairs(self):
+        """(i, j, lam) for every node lam = nodes[i] > 0 and its mirror nodes[j] = -lam."""
+        mirror = self.mirror_index()
+        return [(i, int(mirror[i]), self.nodes[i]) for i in range(self.M // 2, self.M)]
 
     def refine(self, factor: float = 1.25) -> "LambdaGrid":
         per_sign = int(round((self.M // 2) * factor))
@@ -518,7 +527,7 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
     radial profile / evaluator (dense-t quadrature); raw grid samples (grid-t
     trapezoid, aliasing-guarded).  Every route projects through _project: the
     heavy-tail route as one batch over the lattice, the routes whose x-nodes
-    move with lam as batches of one.
+    move with |lam| as batches of two, lam and -lam sharing one recurrence.
     """
     if not u.polyradial:
         raise ValueError("analyze_polyradial requires a polyradial input")
@@ -550,15 +559,17 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
             raw = _project(x, Wmat, grid.k_caps, alpha)
             coeffs = [c / proj_dim(np.arange(len(c)), n) for c in raw]
             return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
-        for i, lam in enumerate(grid.nodes):
-            al = abs(lam)
+        uu = quad.u_nodes
+        coeffs = [None] * grid.M
+        for i, j, lam in grid.mirror_pairs():
             kcap = int(grid.k_caps[i])
-            uu = quad.u_nodes
-            W = ang * quad.u_weights * u.central_profile(uu, lam) * uu ** alpha
-            x = 0.5 * al * uu
-            c, = _project(x, W[None, :], [kcap], alpha)
+            # each sign keeps its own profile: the input need not be even in lam
+            W = np.stack([ang * quad.u_weights * u.central_profile(uu, l) * uu ** alpha
+                          for l in (lam, -lam)])
+            x = 0.5 * lam * uu
             dims = proj_dim(np.arange(kcap), n)
-            coeffs.append(c / dims)
+            cp, cn = _project(x, W, [kcap, kcap], alpha)
+            coeffs[i], coeffs[j] = cp / dims, cn / dims
         return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs,
                                   name=name or u.name)
 
@@ -572,12 +583,14 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
         F = np.asarray(F, dtype=complex)
         phases = np.exp(1j * np.outer(grid.nodes, quad.t_nodes)) * quad.t_weights  # (M, Nt)
         slices = F @ phases.T                                                      # (Nr, M)
-        for i, lam in enumerate(grid.nodes):
+        coeffs = [None] * grid.M
+        for i, j, lam in grid.mirror_pairs():
             kcap = int(grid.k_caps[i])
-            W = ang * quad.u_weights * slices[:, i] * uu ** alpha
-            x = 0.5 * abs(lam) * uu
-            c, = _project(x, W[None, :], [kcap], alpha)
-            coeffs.append(c / proj_dim(np.arange(kcap), n))
+            W = ang * quad.u_weights * slices[:, [i, j]].T * uu ** alpha
+            x = 0.5 * lam * uu
+            dims = proj_dim(np.arange(kcap), n)
+            cp, cn = _project(x, W, [kcap, kcap], alpha)
+            coeffs[i], coeffs[j] = cp / dims, cn / dims
         return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
 
     # grid-sample route; the z-grid resolves the Laguerre oscillation (frequency
@@ -587,24 +600,28 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
     uniq, inv = np.unique(r2.round(12).ravel(), return_inverse=True)
     cell = spec.h_z ** (2 * n)
     limited = False
-    for i, lam in enumerate(grid.nodes):
-        k_lim = max(16, int(math.pi ** 2 / (4.0 * abs(lam) * spec.h_z ** 2)))
+    coeffs = [None] * grid.M
+    for i, j, lam in grid.mirror_pairs():
+        k_lim = max(16, int(math.pi ** 2 / (4.0 * lam * spec.h_z ** 2)))
         kcap = min(int(grid.k_caps[i]), k_lim)
         limited = limited or kcap < int(grid.k_caps[i])
-        sl = field_.slices[i].ravel()
         # aggregate equal-radius nodes first, then project on unique radii
-        Wu = np.bincount(inv, weights=sl.real, minlength=uniq.size).astype(complex)
-        Wu += 1j * np.bincount(inv, weights=sl.imag, minlength=uniq.size)
+        Wu = np.empty((2, uniq.size), dtype=complex)
+        for row, sl in enumerate((field_.slices[i].ravel(), field_.slices[j].ravel())):
+            Wu[row] = np.bincount(inv, weights=sl.real, minlength=uniq.size)
+            Wu[row] += 1j * np.bincount(inv, weights=sl.imag, minlength=uniq.size)
         Wu *= cell
-        x = 0.5 * abs(lam) * uniq
-        c, = _project(x, Wu[None, :], [kcap], alpha)
-        coeffs.append(c / proj_dim(np.arange(kcap), n))
+        x = 0.5 * lam * uniq
+        dims = proj_dim(np.arange(kcap), n)
+        cp, cn = _project(x, Wu, [kcap, kcap], alpha)
+        coeffs[i], coeffs[j] = cp / dims, cn / dims
     out = PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
     out.warnings.extend(field_.warnings)
     if limited:
         out.warnings.append("grid sampling band-limits the Laguerre order below the requested cap")
-    if out.tail_fraction() > 1e-6:
-        out.warnings.append(f"spectral tail energy {out.tail_fraction():.2e} above 1e-6")
+    tail = out.tail_fraction()
+    if tail > 1e-6:
+        out.warnings.append(f"spectral tail energy {tail:.2e} above 1e-6")
     return out
 
 
@@ -612,44 +629,59 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
 # Synthesis
 #
 # slices_at_radii_batch is the one Laguerre expansion: every synthesis, grid or
-# point, single or batched, runs the shared recurrence once per lambda node and
-# contracts it in real arithmetic against all the symbols it was given.  A
-# single synthesis is a batch of one.
+# point, single or batched, runs the shared recurrence once per |lambda| and
+# contracts it in real arithmetic against all the symbols it was given, at
+# lambda and at -lambda together.  A single synthesis is a batch of one.  The
+# pairing needs every symbol to depend on lambda only through |lambda|, which
+# is why symbols must be SpectralMultipliers (see the operators docstring).
 # ---------------------------------------------------------------------------
 
 def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,
                           want_du: bool = False):
     """Per-level slices (L, M, Nu) for a family of diagonal symbols.
 
-    mults is a sequence of callables m(k, lam) (None = identity).  The
-    Laguerre table at the radii u = |z|^2 is built once per lambda node and
-    contracted in real arithmetic against the real and imaginary parts of
-    every level's coefficients, which is what makes rho-ladders cheap.  With
-    want_du the d/du slices come back as well.
+    mults is a sequence of SpectralMultiplier or None (the identity); any
+    other callable raises TypeError.  The Laguerre table at the radii
+    u = |z|^2 is built once per |lambda| and contracted in real arithmetic
+    against the real and imaginary parts of every level's coefficients at
+    lambda and at -lambda, each symbol evaluated once per pair; this is what
+    makes rho-ladders cheap.  With want_du the d/du slices come back as well.
     """
+    from .operators import SpectralMultiplier       # operators imports this module
+    for m in mults:
+        if m is not None and not isinstance(m, SpectralMultiplier):
+            raise TypeError(f"symbols must be SpectralMultiplier or None, not {type(m).__name__}: "
+                            "synthesis evaluates each symbol once for lambda and -lambda")
     grid, n = S.grid, S.n
     alpha = n - 1
     L, M = len(mults), grid.M
     out = np.empty((L, M, u_vals.size), dtype=complex)
     dout = np.empty_like(out) if want_du else None
-    for i, lam in enumerate(grid.nodes):
-        al = abs(lam)
-        pref = (2 * math.pi) ** (-n) * al ** n
-        c = S.coeffs[i]
-        k = np.arange(len(c))
-        C = np.empty((2 * L, len(c)))
+
+    def store(dst, acc, i, j):
+        # rows: re and im at lambda_i, then re and im at its mirror lambda_j
+        for col, rows in ((i, acc[:2 * L]), (j, acc[2 * L:])):
+            dst.real[:, col], dst.imag[:, col] = rows[:L], rows[L:]
+
+    for i, j, lam in grid.mirror_pairs():
+        pref = (2 * math.pi) ** (-n) * lam ** n
+        pair = (S.coeffs[i], S.coeffs[j])
+        k = np.arange(max(len(c) for c in pair))
+        C = np.zeros((4 * L, k.size))                 # a shorter row pads with zeros
         for l, m in enumerate(mults):
-            cl = c if m is None else c * m(k, lam)
-            C[l], C[L + l] = cl.real, cl.imag
-        x = 0.5 * al * u_vals
+            sym = None if m is None else m(k, lam)
+            for r, c in zip((l, 2 * L + l), pair):
+                cl = c if sym is None else c * sym[:len(c)]
+                C[r, :len(c)], C[L + r, :len(c)] = cl.real, cl.imag
+        x = 0.5 * lam * u_vals
         if want_du:
             acc, dacc = _expand_multi(x, C, alpha, want_deriv=True)
-            dacc *= pref * (0.5 * al)                 # d/du = (|lam|/2) d/dx
-            dout.real[:, i], dout.imag[:, i] = dacc[:L], dacc[L:]
+            dacc *= pref * (0.5 * lam)                # d/du = (|lam|/2) d/dx
+            store(dout, dacc, i, j)
         else:
             acc = _expand_multi(x, C, alpha)
         acc *= pref
-        out.real[:, i], out.imag[:, i] = acc[:L], acc[L:]
+        store(out, acc, i, j)
     return (out, dout) if want_du else out
 
 

@@ -17,6 +17,11 @@ mu = (2k+n)|lam| the sublaplacian eigenvalue:
     riesz_nonconf(s)         mu^{-s/2}                         (0 < s < n+1)
     equivalence(s)           (2k+n)^{-s} G((2k+n+1+s)/2) / G((2k+n+1-s)/2)
 
+Every kind is a function of (k, |lam|) alone, never of the sign of lam: the
+synthesis engine (lagspec.slices_at_radii_batch) evaluates each symbol once
+at lam > 0 and applies it to lam and -lam together, and it accepts only
+SpectralMultipliers so that no symbol outside this table can be mirrored.
+
 Gamma ratios always go through log-gamma differences; direct quotients
 overflow past k of a few dozen.  The Macdonald symbol is set to 0 where
 r sqrt(mu) > 700; it is below 1e-300 there.
@@ -133,7 +138,6 @@ def evaluate_multiplier(m: SpectralMultiplier, k, lam):
 class OperatorResult:
     spectrum: PolyradialSpectrum
     provenance: str
-    tail_fraction: float
 
 
 def apply_operator(S: PolyradialSpectrum, m: SpectralMultiplier) -> OperatorResult:
@@ -142,8 +146,7 @@ def apply_operator(S: PolyradialSpectrum, m: SpectralMultiplier) -> OperatorResu
         raise ValueError("multiplier and spectrum dimensions disagree")
     out = S.copy_transformed(lambda k, lam: evaluate_multiplier(m, k, lam),
                              name=f"{m.label()}[{S.name}]")
-    return OperatorResult(spectrum=out, provenance=m.label(),
-                          tail_fraction=out.tail_fraction())
+    return OperatorResult(spectrum=out, provenance=m.label())
 
 
 def equivalence_symbol_check(s: float, K: int = 1024, n: int = 1,

@@ -17,10 +17,13 @@ from hfrac.lagspec import (
     laguerre_phi_table,
     parseval_pair,
     plancherel_check,
+    slices_at_radii_batch,
     synthesize,
     synthesize_at,
+    synthesize_batch,
     twisted_convolve,
 )
+from hfrac.operators import SpectralMultiplier
 
 RNG = np.random.default_rng(7)
 
@@ -50,6 +53,22 @@ def test_lambda_grid_rejects_zero():
     with pytest.raises(ValueError):
         LambdaGrid(nodes=np.array([-1.0, 0.0, 1.0]), weights=np.ones(3),
                    k_caps=np.full(3, 4), K=4)
+
+
+def test_lambda_grid_rejects_bad_mirror_pairing():
+    # symmetric as a set but not ascending: mirror_index would pair 2 with 1
+    with pytest.raises(ValueError, match="ascending"):
+        LambdaGrid(nodes=np.array([2.0, -1.0, -2.0, 1.0]), weights=np.ones(4),
+                   k_caps=np.full(4, 4), K=4)
+    with pytest.raises(ValueError, match="k_caps"):
+        LambdaGrid(nodes=np.array([-2.0, -1.0, 1.0, 2.0]), weights=np.ones(4),
+                   k_caps=np.array([4, 5, 6, 4]), K=4)
+    grid = LambdaGrid.build()
+    pairs = grid.mirror_pairs()
+    assert len(pairs) == grid.M // 2
+    for i, j, lam in pairs:
+        assert lam > 0 and grid.nodes[i] == lam and grid.nodes[j] == -lam
+        assert grid.k_caps[i] == grid.k_caps[j]
 
 
 # ---------------------------------------------------------------------------
@@ -365,49 +384,125 @@ def test_synthesize_at_matches_grid(default_setup):
 
 
 def _expand_node_reference(x, c, alpha):
-    """sum_k c_k l_k(x) and its x-derivative, one node at a time.
+    """sum_k c[..., k] l_k^alpha(x) and its x-derivative, one node at a time.
 
     The per-node recurrence the batched engine replaced, kept as an independent
-    reference: d/dx l_k^a = -l_{k-1}^{a+1} - l_k^a / 2.
+    reference: d/dx l_k^a = -l_{k-1}^{a+1} - l_k^a / 2.  c is one coefficient
+    row or a stack of rows.
     """
+    c = np.asarray(c)[..., None]                # (..., K, 1) against x (Nx,)
     w = np.exp(-0.5 * x)
-    prev, acc = w, c[0] * w
+    prev, acc = w, c[..., 0, :] * w
     prev1, dacc = w, np.zeros_like(acc)
-    if len(c) == 1:
+    if c.shape[-2] == 1:
         return acc, -0.5 * acc
     cur = (1.0 + alpha - x) * w
-    acc = acc + c[1] * cur
-    dacc = dacc - c[1] * prev1
+    acc = acc + c[..., 1, :] * cur
+    dacc = dacc - c[..., 1, :] * prev1
     cur1 = (2.0 + alpha - x) * w
-    for k in range(1, len(c) - 1):
+    for k in range(1, c.shape[-2] - 1):
         prev, cur = cur, ((2 * k + alpha + 1 - x) * cur - (k + alpha) * prev) / (k + 1)
-        acc = acc + c[k + 1] * cur
+        acc = acc + c[..., k + 1, :] * cur
         prev1, cur1 = cur1, ((2 * k + alpha + 2 - x) * cur1 - (k + alpha + 1) * prev1) / (k + 1)
-        dacc = dacc - c[k + 1] * prev1
+        dacc = dacc - c[..., k + 1, :] * prev1
     return acc, dacc - 0.5 * acc
 
 
-def test_synthesize_at_matches_per_node_reference(default_setup):
+def _reference_slices(S, u, mults):
+    """Slices (L, M, Nu) and their d/du node by node, every symbol at the node's own lam."""
+    n = S.n
+    sl = np.empty((len(mults), S.grid.M, u.size), dtype=complex)
+    dsl = np.empty_like(sl)
+    for i, lam in enumerate(S.grid.nodes):
+        c = S.coeffs[i]
+        k = np.arange(len(c))
+        C = np.stack([c if m is None else c * m(k, lam) for m in mults])
+        pref = (2 * math.pi) ** (-n) * abs(lam) ** n
+        acc, dacc = _expand_node_reference(0.5 * abs(lam) * u, C, n - 1)
+        sl[:, i], dsl[:, i] = pref * acc, pref * dacc * (0.5 * abs(lam))
+    return sl, dsl
+
+
+@pytest.fixture(scope="module")
+def skew_spectrum(default_setup):
+    # rows at lam and -lam unrelated (not conjugate-symmetric: the gaussian's
+    # coefficients are real and even in lam, so the factor must not be a
+    # conjugate pair under lam -> -lam), so a synthesis that mixed up the two
+    # halves of a +-lam pair cannot pass
+    spec, grid, quad = default_setup
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    S = analyze_polyradial(f, grid, quad).copy_transformed(
+        lambda k, lam: (1 + 0.5 * np.sign(lam) + 0.3j) * (1 + 0.01 * k))
+    assert S.conj_symmetry_error() > 0.1
+    return S
+
+
+def test_synthesize_at_matches_per_node_reference(default_setup, skew_spectrum):
     # the engine against a per-node expansion and a plain lambda-quadrature
     spec, grid, quad = default_setup
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
     # a t-shift makes the coefficients complex, so both real contraction rows count
-    S = analyze_polyradial(f, grid, quad).copy_transformed(lambda k, lam: np.exp(0.7j * lam))
+    shifted = analyze_polyradial(f, grid, quad).copy_transformed(lambda k, lam: np.exp(0.7j * lam))
     u = np.array([0.0, 0.3, 1.7, 4.0, 9.5])
     t = np.array([0.0, 0.4, -1.1, 2.0, -3.5])
-    n = spec.n
-    sl = np.empty((grid.M, u.size), dtype=complex)
-    dsl = np.empty_like(sl)
-    for i, lam in enumerate(grid.nodes):
-        pref = (2 * math.pi) ** (-n) * abs(lam) ** n
-        acc, dacc = _expand_node_reference(0.5 * abs(lam) * u, S.coeffs[i], n - 1)
-        sl[i], dsl[i] = pref * acc, pref * dacc * (0.5 * abs(lam))
     phases = np.exp(-1j * np.outer(grid.nodes, t)) * grid.weights[:, None] / (2 * math.pi)
-    refs = {None: np.sum(sl * phases, axis=0), "du": np.sum(dsl * phases, axis=0),
-            "dt": np.sum(sl * phases * (-1j * grid.nodes[:, None]), axis=0)}
-    for deriv, ref in refs.items():
-        got = synthesize_at(S, u, t, deriv=deriv)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), deriv
+    for S in (shifted, skew_spectrum):
+        (sl,), (dsl,) = _reference_slices(S, u, [None])
+        refs = {None: np.sum(sl * phases, axis=0), "du": np.sum(dsl * phases, axis=0),
+                "dt": np.sum(sl * phases * (-1j * grid.nodes[:, None]), axis=0)}
+        for deriv, ref in refs.items():
+            got = synthesize_at(S, u, t, deriv=deriv)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), deriv
+
+
+def test_paired_synthesis_matches_per_node_reference(default_setup, skew_spectrum):
+    # one recurrence per |lam| serves lam and -lam: grid synthesis, single and
+    # batched, against the node-by-node expansion
+    spec, grid, _ = default_setup
+    S = skew_spectrum
+    mults = [SpectralMultiplier("heat", 0.2), SpectralMultiplier("poisson_nonconf", 0.5),
+             SpectralMultiplier("frac_conf", 0.3)]
+    uniq, inv = np.unique(spec.z_radius_sq().round(12).ravel(), return_inverse=True)
+    sl, _ = _reference_slices(S, uniq, [None] + mults)
+    phases = np.exp(-1j * np.outer(grid.nodes, spec.t_axis)) * grid.weights[:, None] / (2 * math.pi)
+    refs = [(s.T @ phases)[inv].reshape(spec.shape) for s in sl]
+    got = [synthesize(S, spec)] + synthesize_batch(S, spec, mults)
+    for l, (g, ref) in enumerate(zip(got, refs)):
+        assert np.max(np.abs(g.values - ref)) <= 1e-13 * np.max(np.abs(ref)), l
+
+
+def test_paired_analysis_matches_per_node_project(default_setup):
+    # a profile that is not even in lam: each sign of a +-lam pair keeps its own
+    # weights in the shared recurrence
+    spec, grid, quad = default_setup
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    prof = lambda u, lam: f.central_profile(u, lam) * np.exp(0.7j * lam)
+    g = GridFunction(spec=spec, values=f.values, name="shifted", polyradial=True,
+                     central_profile=prof)
+    S = analyze_polyradial(g, grid, quad)
+    uu = quad.u_nodes
+    worst, scale = 0.0, 0.0
+    for i, lam in enumerate(grid.nodes):
+        kcap = int(grid.k_caps[i])
+        W = math.pi * quad.u_weights * prof(uu, lam)          # n = 1: angular constant pi
+        ref, = _project(0.5 * abs(lam) * uu, W[None, :], [kcap], 0)
+        worst = max(worst, float(np.max(np.abs(S.coeffs[i] - ref))))
+        scale = max(scale, float(np.max(np.abs(ref))))
+    i, j, _ = grid.mirror_pairs()[20]
+    assert np.max(np.abs(S.coeffs[i] - S.coeffs[j])) > 0.1 * scale    # the signs differ
+    assert worst <= 1e-13 * scale
+
+
+def test_synthesis_rejects_plain_callable_symbol(default_setup, skew_spectrum):
+    # the engine mirrors each symbol from lam > 0 to -lam, which only
+    # SpectralMultiplier kinds (functions of |lam|) guarantee
+    spec, _, _ = default_setup
+    plain = lambda k, lam: np.ones(len(k))
+    with pytest.raises(TypeError):
+        synthesize_batch(skew_spectrum, spec, [plain])
+    with pytest.raises(TypeError):
+        slices_at_radii_batch(skew_spectrum, np.array([1.0]),
+                              [SpectralMultiplier("heat", 0.1), plain])
 
 
 def test_synthesize_at_derivatives(default_setup):

@@ -27,3 +27,23 @@ def test_package_imports_resolve():
     assert names
     missing = [n for n in names if not hasattr(hfrac, n)]
     assert not missing, missing
+
+
+def test_project_scripts_resolve():
+    # an installed console script must import its module and find its function
+    tomllib = pytest.importorskip("tomllib")           # standard library from 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text()).get("project", {}).get("scripts", {})
+    broken = []
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        try:
+            obj = importlib.import_module(module)
+            for part in attr.split("."):
+                obj = getattr(obj, part)
+        except (ImportError, AttributeError) as exc:
+            broken.append(f"{name} = {target!r}: {exc}")
+            continue
+        if not callable(obj):
+            broken.append(f"{name} = {target!r}: not callable")
+    assert not broken, broken
