@@ -38,7 +38,7 @@ from .lagspec import (
 )
 from .operators import SpectralMultiplier, apply_operator
 from .report import VerificationReport
-from .singular import SingularQuadrature, ir_values
+from .singular import SIGMA_GAUGE, SingularQuadrature, ir_values
 
 __all__ = [
     "KernelConstants",
@@ -123,7 +123,6 @@ def kernel_mass(n: int, s: float, rho: float, R_box: Optional[float] = None) -> 
     total = 1.0 / (kc.C * rho ** (2 * s))
     if R_box is None:
         return total, 0.0
-    from .singular import SIGMA_GAUGE
     tail = SIGMA_GAUGE * R_box ** (-2 * s) / (2 * s)
     return total, tail
 

@@ -18,15 +18,6 @@ class Measurement:
     tolerance: Optional[float] = None
     passed: Optional[bool] = None
 
-    def as_row(self):
-        return {
-            "name": self.name,
-            "value": self.value,
-            "route": self.route,
-            "tolerance": "" if self.tolerance is None else self.tolerance,
-            "passed": "" if self.passed is None else int(bool(self.passed)),
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -84,12 +75,6 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2, default=_json_default)
-
-    def csv_rows(self):
-        for m in self.measurements:
-            row = m.as_row()
-            row["suite"] = self.suite
-            yield row
 
 
 def _json_default(obj):

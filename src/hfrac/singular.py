@@ -7,9 +7,13 @@ z, the Haar measure is dy = (r^3/4) dr dtheta dphi.  The engine integrates
     difference-combination(y) * |y|^{-Q-gamma}
 
 over a log-radial x Gauss-Legendre(theta) x uniform(phi) node set, adds a
-first-order Taylor model for the ball r < r_min (the differences vanish there
-to the order that makes the kernel integrable), and closes with the exact
-power tail beyond r_max where the test functions have effectively vanished.
+Taylor model for the ball r < r_min (the differences vanish there to the
+order that makes the kernel integrable), and closes with the exact power tail
+beyond r_max where the test functions have effectively vanished.
+
+One group convention throughout: differences are taken at x . y^{-1} and core
+derivatives along the left-invariant flows x . (a).  Both commute with left
+translations, as L_s does, so no result depends on the input being polyradial.
 
 The closed-form ingredients, all for n = 1 (Q = 4):
     |B_1| = pi^2/8,   sigma = Q |B_1| = pi^2/2,
@@ -28,7 +32,7 @@ from scipy.special import roots_legendre
 from .group import GridFunction, HeisenbergPoint
 
 __all__ = ["SingularQuadrature", "BALL_VOLUME_UNIT", "SIGMA_GAUGE",
-           "d_s_values", "t_s_values", "ir_values", "horizontal_derivatives"]
+           "d_s_values", "t_s_values", "ir_values"]
 
 BALL_VOLUME_UNIT = math.pi ** 2 / 8.0       # |B_1| on H^1
 SIGMA_GAUGE = 4.0 * BALL_VOLUME_UNIT        # surface constant: |B_r| = SIGMA r^Q / Q
@@ -45,6 +49,8 @@ class SingularQuadrature:
     w_haar: np.ndarray    # Haar weights (r^3/4 dr dtheta dphi)
     r_min: float
     r_max: float
+    n_theta: int
+    n_phi: int
 
     @classmethod
     def build(cls, r_min: float = 1e-3, r_max: float = 60.0, per_decade: int = 14,
@@ -72,7 +78,7 @@ class SingularQuadrature:
         # dy = (r^3/4) dr dth dph; trapezoid in log r contributes an extra r
         w = (R ** 4 / 4.0 * WR * WT * WP).ravel()
         return cls(xs=xs, ys=ys, ts=ts, gauge=R.ravel(), w_haar=w,
-                   r_min=r_min, r_max=r_max)
+                   r_min=r_min, r_max=r_max, n_theta=n_theta, n_phi=n_phi)
 
     def refine(self, factor: float = 1.4) -> "SingularQuadrature":
         base = len(np.unique(self.gauge))
@@ -80,7 +86,7 @@ class SingularQuadrature:
         return SingularQuadrature.build(
             r_min=self.r_min / 2.0, r_max=self.r_max,
             per_decade=int(round(base / decades * factor)),
-            n_theta=int(round(24 * factor)), n_phi=int(round(24 * factor)))
+            n_theta=int(round(self.n_theta * factor)), n_phi=int(round(self.n_phi * factor)))
 
 
 def _require_evaluator(u: GridFunction, who: str):
@@ -100,65 +106,60 @@ def _right_args(x: HeisenbergPoint, q: SingularQuadrature):
     return px, py, pt
 
 
-def _left_args(x: HeisenbergPoint, q: SingularQuadrature):
-    """Coordinates of (-y) . x over the node set."""
-    X1, Y1, T1 = x.x[0], x.y[0], x.t
-    px = X1 - q.xs
-    py = Y1 - q.ys
-    pt = T1 - q.ts + 0.5 * (X1 * q.ys - q.xs * Y1)
-    return px, py, pt
+def _flow_derivatives(u: GridFunction, X, Y, T, order: int):
+    """Central differences of u along the flows x . (a), all samples per call.
 
-
-def horizontal_derivatives(u: GridFunction, x: HeisenbergPoint, eps: float = 1e-4,
-                           invariance: str = "left"):
-    """(X u, Y u, T u)(x) by central differences of the evaluator.
-
-    'left' gives the left-invariant fields X = d_x - (y/2) d_t,
-    Y = d_y + (x/2) d_t (flows: right multiplication); 'right' the
-    right-invariant ones (flows: left multiplication).
+    Order 1 gives the left-invariant (Xu, Yu, Tu), order 2 (X^2 u, Y^2 u, T^2 u).
     """
-    X1, Y1, T1 = x.x[0], x.y[0], x.t
-    ev = u.evaluator
-
-    def val(p):
-        return complex(np.asarray(ev(np.array([p[0]]), np.array([p[1]]), np.array([p[2]])))[0]).real
-
-    def flow(direction, e):
-        a = (e if direction == 0 else 0.0, e if direction == 1 else 0.0,
-             e if direction == 2 else 0.0)
-        ax, ay, at = a
-        if invariance == "left":   # x . (a)
-            return (X1 + ax, Y1 + ay, T1 + at + 0.5 * (X1 * ay - ax * Y1))
-        return (X1 + ax, Y1 + ay, T1 + at + 0.5 * (ax * Y1 - X1 * ay))   # (a) . x
-
-    out = []
-    for d in range(3):
-        out.append((val(flow(d, eps)) - val(flow(d, -eps))) / (2 * eps))
-    return tuple(out)
-
-
-def _second_flow_derivatives(u: GridFunction, x: HeisenbergPoint, eps: float = 1e-3):
-    """Second derivatives along the right-invariant flows (for the ir core)."""
-    X1, Y1, T1 = x.x[0], x.y[0], x.t
-    ev = u.evaluator
+    eps = 1e-4 if order == 1 else 1e-3
 
     def val(ax, ay, at):
-        px = X1 + ax
-        py = Y1 + ay
-        pt = T1 + at + 0.5 * (ax * Y1 - X1 * ay)
-        return complex(np.asarray(ev(np.array([px]), np.array([py]), np.array([pt])))[0]).real
+        return np.real(u.evaluator(X + ax, Y + ay, T + at + 0.5 * (X * ay - ax * Y)))
 
-    f0 = val(0.0, 0.0, 0.0)
-    xx = (val(eps, 0, 0) - 2 * f0 + val(-eps, 0, 0)) / eps ** 2
-    yy = (val(0, eps, 0) - 2 * f0 + val(0, -eps, 0)) / eps ** 2
-    tt = (val(0, 0, eps) - 2 * f0 + val(0, 0, -eps)) / eps ** 2
-    return xx, yy, tt
+    f0 = val(0.0, 0.0, 0.0) if order == 2 else None
+    out = []
+    for a in np.eye(3) * eps:
+        fp, fm = val(*a), val(*-a)
+        out.append((fp - fm) / (2 * eps) if order == 1 else (fp - 2 * f0 + fm) / eps ** 2)
+    return out
 
 
-def _core_constants(gamma: float, r_min: float):
-    J1 = r_min ** (2.0 - gamma) * (math.pi / 2.0) / (1.0 - gamma / 2.0)
-    J2 = r_min ** (4.0 - gamma) * (math.pi ** 2 / 128.0) / (2.0 - gamma / 2.0)
-    return J1, J2
+def _difference_quadrature(u: GridFunction, v, gamma: float, samples,
+                           quad: SingularQuadrature, who: str) -> np.ndarray:
+    """Difference integrals against |y|^{-Q-gamma} at the samples, core and tail added.
+
+    Two functions: int [u(xy^-1)-u(x)][v(xy^-1)-v(x)] dy, first-order core.
+    One function (v None): int [u(x)-u(xy^-1)] dy, second-order core.
+    """
+    for w in (u, v or u):
+        _require_evaluator(w, who)
+    quad = quad or SingularQuadrature.build()
+    kernel = quad.w_haar * quad.gauge ** (-(4.0 + gamma))
+    J1 = quad.r_min ** (2.0 - gamma) * (math.pi / 2.0) / (1.0 - gamma / 2.0)
+    J2 = quad.r_min ** (4.0 - gamma) * (math.pi ** 2 / 128.0) / (2.0 - gamma / 2.0)
+    tail_c = SIGMA_GAUGE * quad.r_max ** (-gamma) / gamma
+    X, Y, T = np.array([[x.x[0], x.y[0], x.t] for x in samples], dtype=float).reshape(-1, 3).T
+    ux = np.real(u.evaluator(X, Y, T))
+    if v is None:
+        xx, yy, tt = _flow_derivatives(u, X, Y, T, 2)
+        core = -0.5 * ((xx + yy) * J1 / 2.0 + tt * J2)
+        tail = ux * tail_c
+    else:
+        gu = _flow_derivatives(u, X, Y, T, 1)
+        vx, gv = (ux, gu) if v is u else (np.real(v.evaluator(X, Y, T)),
+                                          _flow_derivatives(v, X, Y, T, 1))
+        core = (gu[0] * gv[0] + gu[1] * gv[1]) / 2.0 * J1 + gu[2] * gv[2] * J2
+        tail = ux * vx * tail_c
+    out = np.empty(len(samples))
+    for i, x in enumerate(samples):
+        args = _right_args(x, quad)
+        du = np.real(u.evaluator(*args)) - ux[i]
+        if v is None:
+            out[i] = -float(np.sum(du * kernel))
+        else:
+            dv = du if v is u else np.real(v.evaluator(*args)) - vx[i]
+            out[i] = float(np.sum(du * dv * kernel))
+    return out + core + tail
 
 
 def d_s_values(u: GridFunction, s: float, samples, quad: SingularQuadrature = None) -> np.ndarray:
@@ -169,23 +170,7 @@ def d_s_values(u: GridFunction, s: float, samples, quad: SingularQuadrature = No
     """
     if not (0 < s < 0.5):
         raise ValueError("D_s requires s in (0, 1/2)")
-    _require_evaluator(u, "D_s")
-    quad = quad or SingularQuadrature.build()
-    gamma = 4.0 * s
-    kernel = quad.w_haar * quad.gauge ** (-(4.0 + gamma))
-    J1, J2 = _core_constants(gamma, quad.r_min)
-    tail_c = SIGMA_GAUGE * quad.r_max ** (-gamma) / gamma
-    out = np.empty(len(samples))
-    for i, x in enumerate(samples):
-        px, py, pt = _right_args(x, quad)
-        ux = complex(np.asarray(u.evaluator(np.array([x.x[0]]), np.array([x.y[0]]),
-                                            np.array([x.t])))[0]).real
-        diff = np.real(u.evaluator(px, py, pt)) - ux
-        main = float(np.sum(diff * diff * kernel))
-        gx, gy, gt = horizontal_derivatives(u, x, invariance="left")
-        core = (gx * gx + gy * gy) / 2.0 * J1 + gt * gt * J2
-        out[i] = math.sqrt(max(main + core + ux * ux * tail_c, 0.0))
-    return out
+    return np.sqrt(np.maximum(_difference_quadrature(u, u, 4.0 * s, samples, quad, "D_s"), 0.0))
 
 
 def t_s_values(u: GridFunction, v: GridFunction, s: float, samples,
@@ -193,54 +178,18 @@ def t_s_values(u: GridFunction, v: GridFunction, s: float, samples,
     """Bilinear form T_s(u, v)(x) = int [u(xy^-1)-u(x)][v(xy^-1)-v(x)] |y|^{-Q-2s} dy."""
     if not (0 < s < 0.5):
         raise ValueError("T_s requires s in (0, 1/2)")
-    _require_evaluator(u, "T_s")
-    _require_evaluator(v, "T_s")
-    quad = quad or SingularQuadrature.build()
-    gamma = 2.0 * s
-    kernel = quad.w_haar * quad.gauge ** (-(4.0 + gamma))
-    J1, J2 = _core_constants(gamma, quad.r_min)
-    tail_c = SIGMA_GAUGE * quad.r_max ** (-gamma) / gamma
-    out = np.empty(len(samples))
-    for i, x in enumerate(samples):
-        px, py, pt = _right_args(x, quad)
-        xa = np.array([x.x[0]]); ya = np.array([x.y[0]]); ta = np.array([x.t])
-        ux = complex(np.asarray(u.evaluator(xa, ya, ta))[0]).real
-        vx = complex(np.asarray(v.evaluator(xa, ya, ta))[0]).real
-        du = np.real(u.evaluator(px, py, pt)) - ux
-        dv = np.real(v.evaluator(px, py, pt)) - vx
-        main = float(np.sum(du * dv * kernel))
-        gxu, gyu, gtu = horizontal_derivatives(u, x, invariance="left")
-        gxv, gyv, gtv = horizontal_derivatives(v, x, invariance="left")
-        core = (gxu * gxv + gyu * gyv) / 2.0 * J1 + gtu * gtv * J2
-        out[i] = main + core + ux * vx * tail_c
-    return out
+    return _difference_quadrature(u, v, 2.0 * s, samples, quad, "T_s")
 
 
 def ir_values(f: GridFunction, s: float, samples, quad: SingularQuadrature = None) -> np.ndarray:
-    """The difference integral int (f(x) - f(w^-1 x)) |w|^{-Q-2s} dw, 0 < s < 1/2.
+    """The difference integral int (f(x) - f(x w^-1)) |w|^{-Q-2s} dw, 0 < s < 1/2.
 
     Multiplied by b(n, s) this is the pointwise form of the conformal
     fractional power.  The first-order term of the core integrates to zero by
-    symmetry; the second-order correction along the right-invariant flows is
+    symmetry; the second-order correction along the left-invariant flows is
     kept (the integrand only vanishes linearly, so the core power is lower
     than in D_s).
     """
     if not (0 < s < 0.5):
         raise ValueError("the pointwise representation requires s in (0, 1/2)")
-    _require_evaluator(f, "frac_conf_pointwise")
-    quad = quad or SingularQuadrature.build()
-    gamma = 2.0 * s
-    kernel = quad.w_haar * quad.gauge ** (-(4.0 + gamma))
-    J1, J2 = _core_constants(gamma, quad.r_min)
-    tail_c = SIGMA_GAUGE * quad.r_max ** (-gamma) / gamma
-    out = np.empty(len(samples))
-    for i, x in enumerate(samples):
-        px, py, pt = _left_args(x, quad)
-        fx = complex(np.asarray(f.evaluator(np.array([x.x[0]]), np.array([x.y[0]]),
-                                            np.array([x.t])))[0]).real
-        diff = fx - np.real(f.evaluator(px, py, pt))
-        main = float(np.sum(diff * kernel))
-        xx, yy, tt = _second_flow_derivatives(f, x)
-        core = -0.5 * ((xx + yy) * J1 / 2.0 + tt * J2)
-        out[i] = main + core + fx * tail_c
-    return out
+    return _difference_quadrature(f, None, 2.0 * s, samples, quad, "frac_conf_pointwise")

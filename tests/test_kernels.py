@@ -217,16 +217,19 @@ def test_pointwise_ir_plateau_limit(setup):
 
 
 def test_pointwise_ir_dilation_covariance(setup):
-    # L_s(f o delta_r)(x) = r^{2s} (L_s f)(delta_r x) on the quadrature route
+    # L_s(f o delta_r)(x) = r^{2s} (L_s f)(delta_r x) on the quadrature route,
+    # and D_s(f o delta_r)(x) = r^{2s} (D_s f)(delta_r x) with the same power
     spec, grid, quad, f = setup
     squad = SingularQuadrature.build()
-    s, r = 0.3, 1.5
+    s = 0.3
     pts = sample_points(8, seed=11, span=1.0)
-    fr = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)).dilated(r), spec)
-    from hfrac.singular import ir_values
-    lhs = ir_values(fr, s, pts, squad)
-    rhs = r ** (2 * s) * ir_values(f, s, [dilate(r, p) for p in pts], squad)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-2 * np.max(np.abs(rhs))
+    from hfrac.singular import d_s_values, ir_values
+    for values, bound in ((ir_values, 1e-2), (d_s_values, 1e-3)):
+        for r in (1.5, 0.7):
+            fr = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)).dilated(r), spec)
+            lhs = values(fr, s, pts, squad)
+            rhs = r ** (2 * s) * values(f, s, [dilate(r, p) for p in pts], squad)
+            assert np.max(np.abs(lhs - rhs)) <= bound * np.max(np.abs(rhs)), (values.__name__, r)
 
 
 def test_pointwise_ir_rejects_boundary_sample(setup):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -47,3 +48,15 @@ def test_project_scripts_resolve():
         if not callable(obj):
             broken.append(f"{name} = {target!r}: not callable")
     assert not broken, broken
+
+
+def test_benchmark_targets_resolve():
+    # the benchmark wraps layer functions by module and name; a rename must
+    # fail here, not only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    broken = [f"{module}.{name}" for module, name, _, _ in spans.TARGETS
+              if not callable(getattr(importlib.import_module(module), name, None))]
+    assert spans.TARGETS and not broken, broken
