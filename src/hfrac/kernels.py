@@ -430,6 +430,35 @@ def frac_conf_pointwise(f: GridFunction, s: float, samples,
     return vals, rep.finish()
 
 
+def _residual_report(rep: VerificationReport, fld: ExtensionField, s: float, levels, order: int,
+                     route: str, tolerance, with_tt: bool, ablate_tt: bool = False):
+    """Per-level interior residual of d_rho^2 + (1-2s)/rho d_rho [+ (rho^2/4) d_tt] - L.
+
+    ablate_tt drops the d_tt term from the residual, not from the scale."""
+    idx = levels if levels is not None else [
+        j for j, r in enumerate(fld.rho_levels) if 0.12 <= r <= 2.1]
+    from .group import _diff_axis
+    worst = 0.0
+    for j in idx:
+        rho = fld.rho_levels[j]
+        w = fld.levels[j]
+        d1, d2 = fld.rho_derivatives(j)
+        Lw = sublaplacian_grid(w, order=order).values
+        res = d2 + (1.0 - 2.0 * s) / rho * d1 - Lw
+        scale = np.abs(d2) + np.abs((1.0 - 2.0 * s) / rho * d1) + np.abs(Lw)
+        if with_tt:
+            tt = 0.25 * rho * rho * _diff_axis(w.values, 2 * w.spec.n, w.spec.h_t, 2, order)
+            if not ablate_tt:
+                res = res + tt
+            scale = scale + np.abs(tt)
+        win = _interior_window(w.spec)
+        rel = np.linalg.norm(res[win]) / np.linalg.norm(scale[win])
+        rep.add(f"residual_rho={rho:g}", rel, route=route, tolerance=tolerance)
+        worst = max(worst, rel)
+    rep.add("residual_max", worst, route=route, tolerance=tolerance)
+    return rep.finish()
+
+
 def conformal_pde_residual(fld: ExtensionField, s: float,
                            ablate_tt: bool = False,
                            levels: Optional[list] = None,
@@ -446,55 +475,17 @@ def conformal_pde_residual(fld: ExtensionField, s: float,
                                      "ablate_tt": ablate_tt})
     if len(fld.rho_levels) < 5:
         raise ValueError("need at least 5 rho levels")
-    idx = levels if levels is not None else [
-        j for j, r in enumerate(fld.rho_levels) if 0.12 <= r <= 2.1]
-    from .group import _diff_axis
-    worst = 0.0
-    for j in idx:
-        rho = fld.rho_levels[j]
-        w = fld.levels[j]
-        d1, d2 = fld.rho_derivatives(j)
-        Lw = sublaplacian_grid(w, order=order).values
-        dtt = _diff_axis(w.values, 2 * w.spec.n, w.spec.h_t, 2, order)
-        res = d2 + (1.0 - 2.0 * s) / rho * d1 - Lw
-        if not ablate_tt:
-            res = res + 0.25 * rho * rho * dtt
-        win = _interior_window(w.spec)
-        scale = (np.abs(d2) + np.abs((1.0 - 2.0 * s) / rho * d1)
-                 + np.abs(Lw) + np.abs(0.25 * rho * rho * dtt))
-        rel = np.linalg.norm(res[win]) / np.linalg.norm(scale[win])
-        rep.add(f"residual_rho={rho:g}", rel, route="kernel/grid",
-                tolerance=None if ablate_tt else 5e-3)
-        worst = max(worst, rel)
-    rep.add("residual_max", worst, route="kernel/grid",
-            tolerance=None if ablate_tt else 5e-3)
-    return rep.finish()
+    return _residual_report(rep, fld, s, levels, order, "kernel/grid",
+                            None if ablate_tt else 5e-3, with_tt=True, ablate_tt=ablate_tt)
 
 
 def nonconformal_pde_residual(fld: ExtensionField,
                               levels: Optional[list] = None,
                               order: int = 6) -> VerificationReport:
     """Interior residual of d_rho^2 + (1-2s)/rho d_rho - L on a Macdonald field."""
-    s = fld.s
     rep = VerificationReport(suite="nonconformal-residual",
-                             inputs={"s": s, "provenance": fld.provenance})
-    idx = levels if levels is not None else [
-        j for j, r in enumerate(fld.rho_levels) if 0.12 <= r <= 2.1]
-    from .group import _diff_axis
-    worst = 0.0
-    for j in idx:
-        rho = fld.rho_levels[j]
-        w = fld.levels[j]
-        d1, d2 = fld.rho_derivatives(j)
-        Lw = sublaplacian_grid(w, order=order).values
-        res = d2 + (1.0 - 2.0 * s) / rho * d1 - Lw
-        win = _interior_window(w.spec)
-        scale = np.abs(d2) + np.abs((1.0 - 2.0 * s) / rho * d1) + np.abs(Lw)
-        rel = np.linalg.norm(res[win]) / np.linalg.norm(scale[win])
-        rep.add(f"residual_rho={rho:g}", rel, route="spectral/grid", tolerance=1e-3)
-        worst = max(worst, rel)
-    rep.add("residual_max", worst, route="spectral/grid", tolerance=1e-3)
-    return rep.finish()
+                             inputs={"s": fld.s, "provenance": fld.provenance})
+    return _residual_report(rep, fld, fld.s, levels, order, "spectral/grid", 1e-3, with_tt=False)
 
 
 def nonconformal_trace_fit(f: GridFunction, s: float,

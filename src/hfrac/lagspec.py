@@ -268,13 +268,16 @@ class LaguerreEvaluator:
         x = 0.5 * abs(lam) * np.asarray(r2, dtype=float)
         return laguerre_phi_table(k, self.alpha, x)[k]
 
-    def table(self, K: int, lam: float, r2) -> np.ndarray:
-        x = 0.5 * abs(lam) * np.asarray(r2, dtype=float)
-        return laguerre_phi_table(K, self.alpha, x)
-
 
 # ---------------------------------------------------------------------------
-# Central-variable transform on grid data
+# Central-variable transform
+#
+# _t_transform is the one forward t-transform (central_transform on the grid
+# trapezoid, analyze_polyradial's radial/evaluator route on the dense t-rule);
+# _lambda_phases is the one lambda-inversion, contracted against the slices of
+# every synthesis, grid or point, of inverse_central_transform and of the
+# squarefn gradients.  The lattice omits the band |lam| < lam_min; a
+# correction for it belongs in these two functions and nowhere else.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -293,6 +296,18 @@ class CentralSliceField:
         return float(np.max(err) / scale)
 
 
+def _t_transform(F: np.ndarray, grid: LambdaGrid, t: np.ndarray, w) -> np.ndarray:
+    """int F(..., t) e^{i lam t} dt on the rule (t, w) at every lambda node: (..., M)."""
+    return F @ (np.exp(1j * np.outer(grid.nodes, t)) * w).T
+
+
+def _lambda_phases(grid: LambdaGrid, t: np.ndarray, dt: bool = False) -> np.ndarray:
+    """(M, Nt) matrix (2 pi)^{-1} w_lam e^{-i lam t} of f = (2 pi)^{-1} int f^lam e^{-i lam t} dlam;
+    with dt, times -i lam (the t-derivative)."""
+    ph = np.exp(-1j * np.outer(grid.nodes, t)) * (grid.weights / (2.0 * math.pi))[:, None]
+    return ph * (-1j * grid.nodes[:, None]) if dt else ph
+
+
 def _alias_guard(grid: LambdaGrid, spec: GridSpec):
     lim = math.pi / (2.0 * spec.h_t)
     bad = np.abs(grid.nodes) > lim
@@ -309,10 +324,7 @@ def central_transform(u: GridFunction, grid: LambdaGrid) -> CentralSliceField:
     field_ = CentralSliceField(grid=grid, spec=spec, slices=None)
     if not u.boundary_decay_ok():
         field_.warnings.append("input does not decay at the t-boundary")
-    t = spec.t_axis
-    phases = np.exp(1j * np.outer(grid.nodes, t)) * spec.h_t     # (M, Nt)
-    flat = u.values.reshape(-1, spec.N_t)
-    sl = flat @ phases.T                                          # (Nz^2, M)
+    sl = _t_transform(u.values.reshape(-1, spec.N_t), grid, spec.t_axis, spec.h_t)  # (Nz^2, M)
     field_.slices = np.moveaxis(sl, -1, 0).reshape((grid.M,) + spec.shape[:-1])
     return field_
 
@@ -325,10 +337,7 @@ def inverse_central_transform(F: CentralSliceField) -> GridFunction:
     warnings = list(F.warnings)
     if edge > 1e-8 * peak:
         warnings.append(f"slices at |lam|max carry {edge/peak:.2e} of peak; lambda window may truncate")
-    t = spec.t_axis
-    phases = np.exp(-1j * np.outer(grid.nodes, t)) * grid.weights[:, None]   # (M, Nt)
-    flat = F.slices.reshape(grid.M, -1)
-    vals = (flat.T @ phases) / (2.0 * math.pi)
+    vals = F.slices.reshape(grid.M, -1).T @ _lambda_phases(grid, spec.t_axis)
     out = GridFunction(spec=spec, values=vals.reshape(spec.shape), name="icentral",
                        polyradial=False)
     out.warnings.extend(warnings)
@@ -384,10 +393,6 @@ class PolyradialSpectrum:
     name: str = ""
     warnings: list = field(default_factory=list)
 
-    @property
-    def K(self) -> int:
-        return self.grid.K
-
     def copy_transformed(self, fn: Callable, name: str = None) -> "PolyradialSpectrum":
         """New spectrum with coeffs[i][k] *= fn(k, lam_i) (diagonal action)."""
         new = []
@@ -398,16 +403,20 @@ class PolyradialSpectrum:
                                   name=self.name if name is None else name)
 
     def binary_op(self, other: "PolyradialSpectrum", op) -> "PolyradialSpectrum":
+        """Row-wise op(a, b) on the coefficient rows; op handles unequal lengths."""
         if other.grid is not self.grid and not np.array_equal(other.grid.nodes, self.grid.nodes):
             raise ValueError("spectra live on different lambda grids")
-        new = []
-        for a, b in zip(self.coeffs, other.coeffs):
-            m = min(len(a), len(b))
-            new.append(op(a[:m], b[:m]))
+        new = [op(a, b) for a, b in zip(self.coeffs, other.coeffs)]
         return PolyradialSpectrum(grid=self.grid, n=self.n, coeffs=new, name=self.name)
 
     def __add__(self, other):
-        return self.binary_op(other, lambda a, b: a + b)
+        def add(a, b):
+            # a row cut short (the grid-sample route band-limits k) is zero beyond its end
+            out = np.zeros(max(len(a), len(b)), dtype=np.result_type(a, b))
+            out[:len(a)] += a
+            out[:len(b)] += b
+            return out
+        return self.binary_op(other, add)
 
     def __mul__(self, scalar):
         return PolyradialSpectrum(grid=self.grid, n=self.n,
@@ -415,7 +424,7 @@ class PolyradialSpectrum:
 
     def convolve(self, other: "PolyradialSpectrum") -> "PolyradialSpectrum":
         """Group convolution: plain coefficient product in this normalization."""
-        out = self.binary_op(other, lambda a, b: a * b)
+        out = self.binary_op(other, lambda a, b: a[:len(b)] * b[:len(a)])
         out.name = f"{self.name}*{other.name}"
         return out
 
@@ -429,42 +438,29 @@ class PolyradialSpectrum:
             scale = max(scale, float(np.max(np.abs(a), initial=0.0)))
         return worst / (scale or 1.0)
 
+    def _plancherel_terms(self, other: "PolyradialSpectrum"):
+        """Per node: (w_lam |lam|^n, c_k conj(d_k) dim P_k) over the shared k-range."""
+        for i, (a, b) in enumerate(zip(self.coeffs, other.coeffs)):
+            m = min(len(a), len(b))
+            yield (self.grid.weights[i] * abs(self.grid.nodes[i]) ** self.n,
+                   a[:m] * np.conj(b[:m]) * proj_dim(np.arange(m), self.n))
+
     def l2_norm_sq(self) -> float:
         """Plancherel energy (2 pi)^{-(n+1)} int sum_k |c_k|^2 dim(P_k) |lam|^n dlam."""
-        tot = 0.0
-        for i, c in enumerate(self.coeffs):
-            dims = proj_dim(np.arange(len(c)), self.n)
-            tot += self.grid.weights[i] * abs(self.grid.nodes[i]) ** self.n * float(
-                np.sum(np.abs(c) ** 2 * dims))
-        return hs_constant(self.n) * tot
+        return self.pair(self).real
 
     def pair(self, other: "PolyradialSpectrum") -> complex:
         """Parseval pairing <u, v> = c int tr(u^ v^*) |lam|^n dlam."""
-        tot = 0.0 + 0.0j
-        for i, (a, b) in enumerate(zip(self.coeffs, other.coeffs)):
-            m = min(len(a), len(b))
-            dims = proj_dim(np.arange(m), self.n)
-            tot += self.grid.weights[i] * abs(self.grid.nodes[i]) ** self.n * complex(
-                np.sum(a[:m] * np.conj(b[:m]) * dims))
-        return hs_constant(self.n) * tot
+        return hs_constant(self.n) * sum(w * complex(np.sum(e))
+                                         for w, e in self._plancherel_terms(other))
 
     def tail_fraction(self) -> float:
         """Energy share of the top four resolved modes; large values flag truncation."""
         top, tot = 0.0, 0.0
-        for i, c in enumerate(self.coeffs):
-            w = self.grid.weights[i] * abs(self.grid.nodes[i]) ** self.n
-            dims = proj_dim(np.arange(len(c)), self.n)
-            e = np.abs(c) ** 2 * dims
-            tot += w * float(np.sum(e))
-            top += w * float(np.sum(e[-4:]))
+        for w, e in self._plancherel_terms(self):
+            tot += w * float(np.sum(e.real))
+            top += w * float(np.sum(e.real[-4:]))
         return top / tot if tot > 0 else 0.0
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("lambda,k,re,im\n")
-            for i, lam in enumerate(self.grid.nodes):
-                for k, c in enumerate(self.coeffs[i]):
-                    fh.write(f"{lam!r},{k},{c.real!r},{c.imag!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +519,11 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
     f^lam = (2 pi)^{-n} |lam|^n sum_k c_k phi_k^lam hold, with c_k also equal
     to the twisted-convolution projection eigenvalue f^lam *_lam phi_k = c_k phi_k.
 
-    Input routes, best available first: closed-form central profile; closed-form
-    radial profile / evaluator (dense-t quadrature); raw grid samples (grid-t
-    trapezoid, aliasing-guarded).  Every route projects through _project: the
-    heavy-tail route as one batch over the lattice, the routes whose x-nodes
-    move with |lam| as batches of two, lam and -lam sharing one recurrence.
+    Input routes, best available first: closed-form coefficients, central
+    profile, radial profile / evaluator (dense t-rule), raw grid samples (grid-t
+    trapezoid, aliasing-guarded).  The heavy-tail route projects the lattice in
+    one batch; the others build radii, radial weights and (M, Nr) slices, and
+    one loop projects each lam, -lam pair through one shared recurrence.
     """
     if not u.polyradial:
         raise ValueError("analyze_polyradial requires a polyradial input")
@@ -536,88 +532,66 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
     alpha = n - 1
     quad = quad or AnalysisQuadrature.build(spec)
     ang = _angular_const(n)
-    coeffs = []
 
     if u.coeff_fn is not None:
+        coeffs = [np.asarray(u.coeff_fn(np.arange(int(c)), lam), dtype=complex)
+                  for c, lam in zip(grid.k_caps, grid.nodes)]
+        return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
+
+    if u.central_profile is not None and u.heavy_tail:
+        # v = |lam| u covers the power-law radial tail uniformly in lam and
+        # makes the x-nodes shared across lambda, so the whole lattice
+        # projects through one batched recurrence
+        al = np.abs(grid.nodes)[:, None]
+        uu = quad.v_nodes[None, :] / al
+        Wmat = np.empty((grid.M, quad.v_nodes.size), dtype=complex)
         for i, lam in enumerate(grid.nodes):
-            k = np.arange(int(grid.k_caps[i]))
-            coeffs.append(np.asarray(u.coeff_fn(k, lam), dtype=complex))
+            Wmat[i] = ang * (quad.v_weights / abs(lam)) \
+                * u.central_profile(uu[i], lam) * uu[i] ** alpha
+        raw = _project(0.5 * quad.v_nodes, Wmat, grid.k_caps, alpha)
+        coeffs = [c / proj_dim(np.arange(len(c)), n) for c in raw]
         return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
 
-    if u.central_profile is not None:
-        if u.heavy_tail:
-            # v = |lam| u covers the power-law radial tail uniformly in lam and
-            # makes the x-nodes shared across lambda, so the whole lattice
-            # projects through one batched recurrence
-            al = np.abs(grid.nodes)[:, None]
-            uu = quad.v_nodes[None, :] / al
-            Wmat = np.empty((grid.M, quad.v_nodes.size), dtype=complex)
-            for i, lam in enumerate(grid.nodes):
-                Wmat[i] = ang * (quad.v_weights / abs(lam)) \
-                    * u.central_profile(uu[i], lam) * uu[i] ** alpha
-            x = 0.5 * quad.v_nodes
-            raw = _project(x, Wmat, grid.k_caps, alpha)
-            coeffs = [c / proj_dim(np.arange(len(c)), n) for c in raw]
-            return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
-        uu = quad.u_nodes
-        coeffs = [None] * grid.M
-        for i, j, lam in grid.mirror_pairs():
-            kcap = int(grid.k_caps[i])
+    caps, field_ = grid.k_caps, None
+    if u.central_profile is not None or u.radial_profile is not None or u.evaluator is not None:
+        radii = quad.u_nodes
+        weights = ang * quad.u_weights * radii ** alpha
+        if u.central_profile is not None:
             # each sign keeps its own profile: the input need not be even in lam
-            W = np.stack([ang * quad.u_weights * u.central_profile(uu, l) * uu ** alpha
-                          for l in (lam, -lam)])
-            x = 0.5 * lam * uu
-            dims = proj_dim(np.arange(kcap), n)
-            cp, cn = _project(x, W, [kcap, kcap], alpha)
-            coeffs[i], coeffs[j] = cp / dims, cn / dims
-        return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs,
-                                  name=name or u.name)
-
-    if u.radial_profile is not None or u.evaluator is not None:
-        uu = quad.u_nodes
-        if u.radial_profile is not None:
-            F = u.radial_profile(uu[:, None], quad.t_nodes[None, :])
+            slices = np.stack([u.central_profile(radii, lam) for lam in grid.nodes])
         else:
-            r = np.sqrt(uu)
-            F = u.evaluator(r[:, None], np.zeros_like(r)[:, None], quad.t_nodes[None, :])
-        F = np.asarray(F, dtype=complex)
-        phases = np.exp(1j * np.outer(grid.nodes, quad.t_nodes)) * quad.t_weights  # (M, Nt)
-        slices = F @ phases.T                                                      # (Nr, M)
-        coeffs = [None] * grid.M
-        for i, j, lam in grid.mirror_pairs():
-            kcap = int(grid.k_caps[i])
-            W = ang * quad.u_weights * slices[:, [i, j]].T * uu ** alpha
-            x = 0.5 * lam * uu
-            dims = proj_dim(np.arange(kcap), n)
-            cp, cn = _project(x, W, [kcap, kcap], alpha)
-            coeffs[i], coeffs[j] = cp / dims, cn / dims
-        return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
+            if u.radial_profile is not None:
+                F = u.radial_profile(radii[:, None], quad.t_nodes[None, :])
+            else:
+                r = np.sqrt(radii)
+                F = u.evaluator(r[:, None], np.zeros_like(r)[:, None], quad.t_nodes[None, :])
+            F = np.asarray(F, dtype=complex)
+            slices = _t_transform(F, grid, quad.t_nodes, quad.t_weights).T
+    else:
+        # grid samples, aggregated over equal-radius nodes; the z-grid resolves
+        # the Laguerre oscillation (frequency sqrt(2 k lam) in r) only up to
+        # k ~ pi^2/(4 lam h^2), so deeper modes are cut
+        field_ = central_transform(u, grid)
+        radii, inv = np.unique(spec.z_radius_sq().round(12).ravel(), return_inverse=True)
+        weights = spec.h_z ** (2 * n)
+        slices = np.empty((grid.M, radii.size), dtype=complex)
+        for i, sl in enumerate(field_.slices.reshape(grid.M, -1)):
+            slices[i].real = np.bincount(inv, weights=sl.real, minlength=radii.size)
+            slices[i].imag = np.bincount(inv, weights=sl.imag, minlength=radii.size)
+        k_lim = (math.pi ** 2 / (4.0 * np.abs(grid.nodes) * spec.h_z ** 2)).astype(int)
+        caps = np.minimum(grid.k_caps, np.maximum(16, k_lim))
 
-    # grid-sample route; the z-grid resolves the Laguerre oscillation (frequency
-    # sqrt(2 k lam) in r) only up to k ~ pi^2/(4 lam h^2), so deeper modes are cut
-    field_ = central_transform(u, grid)
-    r2 = spec.z_radius_sq()
-    uniq, inv = np.unique(r2.round(12).ravel(), return_inverse=True)
-    cell = spec.h_z ** (2 * n)
-    limited = False
     coeffs = [None] * grid.M
     for i, j, lam in grid.mirror_pairs():
-        k_lim = max(16, int(math.pi ** 2 / (4.0 * lam * spec.h_z ** 2)))
-        kcap = min(int(grid.k_caps[i]), k_lim)
-        limited = limited or kcap < int(grid.k_caps[i])
-        # aggregate equal-radius nodes first, then project on unique radii
-        Wu = np.empty((2, uniq.size), dtype=complex)
-        for row, sl in enumerate((field_.slices[i].ravel(), field_.slices[j].ravel())):
-            Wu[row] = np.bincount(inv, weights=sl.real, minlength=uniq.size)
-            Wu[row] += 1j * np.bincount(inv, weights=sl.imag, minlength=uniq.size)
-        Wu *= cell
-        x = 0.5 * lam * uniq
+        kcap = int(caps[i])
         dims = proj_dim(np.arange(kcap), n)
-        cp, cn = _project(x, Wu, [kcap, kcap], alpha)
+        cp, cn = _project(0.5 * lam * radii, weights * slices[[i, j]], [kcap, kcap], alpha)
         coeffs[i], coeffs[j] = cp / dims, cn / dims
     out = PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
+    if field_ is None:
+        return out
     out.warnings.extend(field_.warnings)
-    if limited:
+    if np.any(caps < grid.k_caps):
         out.warnings.append("grid sampling band-limits the Laguerre order below the requested cap")
     tail = out.tail_fraction()
     if tail > 1e-6:
@@ -689,10 +663,9 @@ def _synthesized_values(S: PolyradialSpectrum, spec: GridSpec, mults):
     """Grid values per symbol: lambda-quadrature of e^{-i lam t} f^lam(z)."""
     uniq, inv = np.unique(spec.z_radius_sq().round(12).ravel(), return_inverse=True)
     sl = slices_at_radii_batch(S, uniq, mults)                  # (L, M, Nu)
-    phases = np.exp(-1j * np.outer(S.grid.nodes, spec.t_axis)) * S.grid.weights[:, None]
+    ph = _lambda_phases(S.grid, spec.t_axis)
     for l in range(len(mults)):
-        vals_u = (sl[l].T @ phases) / (2.0 * math.pi)           # (Nu, Nt)
-        yield vals_u[inv].reshape(spec.shape)
+        yield (sl[l].T @ ph)[inv].reshape(spec.shape)           # (Nu, Nt) -> grid
 
 
 def synthesize_batch(S: PolyradialSpectrum, spec: GridSpec, mults) -> list:
@@ -715,21 +688,17 @@ def synthesize_at(S: PolyradialSpectrum, u_vals: np.ndarray, t_vals: np.ndarray,
     the square functions and the mean-value checks, which need exact off-grid
     evaluation of spectrally defined fields.
     """
+    if deriv not in (None, "du", "dt"):
+        raise ValueError(f"deriv must be None, 'du' or 'dt', not {deriv!r}")
     u_vals = np.atleast_1d(np.asarray(u_vals, dtype=float))
     t_vals = np.atleast_1d(np.asarray(t_vals, dtype=float))
     if u_vals.shape != t_vals.shape:
         raise ValueError("u and t sample arrays must have the same shape")
-    flat_u = u_vals.ravel()
+    sl = slices_at_radii_batch(S, u_vals.ravel(), [None], want_du=deriv == "du")
     if deriv == "du":
-        _, use = slices_at_radii_batch(S, flat_u, [None], want_du=True)
-    else:
-        use = slices_at_radii_batch(S, flat_u, [None])
-    phases = np.exp(-1j * np.outer(S.grid.nodes, t_vals.ravel()))
-    if deriv == "dt":
-        phases = phases * (-1j * S.grid.nodes[:, None])
-    w = S.grid.weights[:, None]
-    vals = np.sum(use[0] * phases * w, axis=0) / (2.0 * math.pi)
-    return vals.reshape(u_vals.shape)
+        sl = sl[1]
+    ph = _lambda_phases(S.grid, t_vals.ravel(), dt=deriv == "dt")
+    return np.sum(sl[0] * ph, axis=0).reshape(u_vals.shape)
 
 
 def group_convolve(f: GridFunction, g: GridFunction, grid: Optional[LambdaGrid] = None,

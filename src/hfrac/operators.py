@@ -77,7 +77,7 @@ class SpectralMultiplier:
             raise ValueError("frac_nonconf requires s > 0")
         elif self.kind == "frac_conf" and not (0 <= p < self.n + 1):
             raise ValueError("frac_conf requires 0 <= s < n+1")
-        elif self.kind == "heat" and p < 0:
+        elif self.kind == "heat" and not p >= 0:
             raise ValueError("heat requires w >= 0")
         elif self.kind in ("poisson_nonconf", "poisson_nonconf_drho") and not p > 0:
             raise ValueError(f"{self.kind} requires rho > 0")

@@ -350,11 +350,17 @@ def test_synthesize_linearity(default_setup):
     spec, grid, quad = default_setup
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
     g = make_test_function(TestFunctionId("gaussian", (2.0, 0.5)), spec)
-    Sf = analyze_polyradial(f, grid, quad)
-    Sg = analyze_polyradial(g, grid, quad)
-    lhs = synthesize(Sf + Sg, spec).values
-    rhs = synthesize(Sf, spec).values + synthesize(Sg, spec).values
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+    pairs = [(analyze_polyradial(f, grid, quad), analyze_polyradial(g, grid, quad))]
+    # the grid-sample route band-limits its rows, so closed form + grid samples
+    # adds rows of unequal length: the shorter one must count as zero-padded
+    band = LambdaGrid.build(lam_max=0.95 * math.pi / (2.0 * spec.h_t))
+    bare = GridFunction(spec=spec, values=f.values.copy(), polyradial=True)
+    pairs.append((analyze_polyradial(f, band, quad), analyze_polyradial(bare, band, quad)))
+    assert any(len(a) != len(b) for a, b in zip(*(S.coeffs for S in pairs[1])))
+    for Sf, Sg in pairs:
+        lhs = synthesize(Sf + Sg, spec).values
+        rhs = synthesize(Sf, spec).values + synthesize(Sg, spec).values
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 def test_pipeline_dilation_covariance(default_setup):
@@ -519,6 +525,8 @@ def test_synthesize_at_derivatives(default_setup):
     dt_fd = (synthesize_at(S, np.array([u0]), np.array([t0 + eps]))[0]
              - synthesize_at(S, np.array([u0]), np.array([t0 - eps]))[0]) / (2 * eps)
     assert abs(dt - dt_fd) <= 1e-6 * max(1.0, abs(dt))
+    with pytest.raises(ValueError):
+        synthesize_at(S, np.array([u0]), np.array([t0]), deriv="dx")
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,8 @@ def test_parameter_ranges_rejected():
         SpectralMultiplier("wave", 1.0)
     with pytest.raises(ValueError):
         SpectralMultiplier("poisson_nonconf_drho", 0.0)
+    with pytest.raises(ValueError):
+        SpectralMultiplier("heat", float("nan"))      # would make every symbol value NaN
     for bad in ((1.0, 1.0), (0.0, 1.0), (0.5, 0.0), (0.5, -1.0), 0.5, (0.5,), (0.5, 1.0, 2.0)):
         with pytest.raises(ValueError):
             SpectralMultiplier("macdonald", bad)    # needs (s, rho), 0 < s < 1, rho > 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hfrac.group import GridFunction, GridSpec, HeisenbergPoint, TestFunctionId, make_test_function
-from hfrac.kernels import ExtensionField
+from hfrac.kernels import ExtensionField, nonconformal_extension
 from hfrac.lagspec import (
     AnalysisQuadrature,
     LambdaGrid,
@@ -16,6 +16,7 @@ from hfrac.squarefn import (
     _GradientTable,
     extension_gradient_sq_at,
     g_parts,
+    gradient_sq,
     g_star,
     mean_value_check,
 )
@@ -48,6 +49,24 @@ def test_gradient_table_interpolates_exact_gradient(setup):
         exact = extension_gradient_sq_at(Su, rho, r * r, t)
         got = table.spline(rho).ev(r, t)
         assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact)), rho
+
+
+def test_grid_gradient_matches_exact_route(setup):
+    # the Macdonald field at s = 1/2 is the Poisson field, so the grid route
+    # (stencils and e^{+-delta} companions) must reproduce the exact spectral
+    # |grad U|^2 up to its discretization error; the table test above shares
+    # the exact route's formula and cannot see an error in it
+    spec, grid, quad, f, Su = setup
+    ladder = np.array([2.0, 1.0, 0.5, 0.25])
+    grads = gradient_sq(nonconformal_extension(f, 0.5, ladder, grid, quad))
+    rng = np.random.default_rng(11)
+    iz = rng.integers(spec.N_z // 4, 3 * spec.N_z // 4, (64, 2))
+    it = rng.integers(spec.N_t // 4, 3 * spec.N_t // 4, 64)
+    x, y, t = spec.z_axis[iz[:, 0]], spec.z_axis[iz[:, 1]], spec.t_axis[it]
+    for rho, g in zip(ladder, grads):
+        exact = extension_gradient_sq_at(Su, rho, x * x + y * y, t)
+        got = g.values[iz[:, 0], iz[:, 1], it]
+        assert np.max(np.abs(got - exact)) <= 2e-2 * np.max(np.abs(exact)), rho
 
 
 def test_g1_origin_matches_pointwise_rho_quadrature(setup):
