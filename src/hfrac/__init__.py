@@ -27,7 +27,6 @@ from .lagspec import (
     AnalysisQuadrature,
     PolyradialSpectrum,
     CentralSliceField,
-    LaguerreEvaluator,
     central_transform,
     inverse_central_transform,
     twisted_convolve,

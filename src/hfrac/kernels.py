@@ -117,12 +117,16 @@ def kernel_mass(n: int, s: float, rho: float, R_box: Optional[float] = None) -> 
     """(total mass of phi_{s,rho}, mass outside the Koranyi ball of radius R_box).
 
     The total is the exact closed form 1/(C(n,s) rho^{2s}); the outer part uses
-    the tail bound phi <= |y|^{-Q-2s}.
+    the tail bound phi <= |y|^{-Q-2s} with the H^1 gauge-sphere constant, so it
+    exists for n = 1 only.
     """
     kc = constants(n, s)
     total = 1.0 / (kc.C * rho ** (2 * s))
     if R_box is None:
         return total, 0.0
+    if n != 1:
+        raise NotImplementedError("the kernel tail bound uses the H^1 gauge-sphere "
+                                  "constant SIGMA_GAUGE: n = 1 only")
     tail = SIGMA_GAUGE * R_box ** (-2 * s) / (2 * s)
     return total, tail
 
@@ -163,8 +167,7 @@ def conformal_poisson_spectrum(Sf: PolyradialSpectrum, s: float, rho: float,
 
 def conformal_poisson(f: GridFunction, s: float, rho: float,
                       grid: Optional[LambdaGrid] = None,
-                      quad: Optional[AnalysisQuadrature] = None,
-                      Sf: Optional[PolyradialSpectrum] = None) -> GridFunction:
+                      quad: Optional[AnalysisQuadrature] = None) -> GridFunction:
     """w(. , rho) = C(n,s) rho^{2s} (f * phi_{s,rho}) through the Laguerre route.
 
     Records the kernel's box-tail mass as a warning when it exceeds 1e-3 of the
@@ -175,7 +178,7 @@ def conformal_poisson(f: GridFunction, s: float, rho: float,
         raise ValueError("rho must be positive")
     grid = grid or LambdaGrid.build()
     quad = quad or AnalysisQuadrature.build(f.spec)
-    Sf = Sf or analyze_polyradial(f, grid, quad)
+    Sf = analyze_polyradial(f, grid, quad)
     total, tail = kernel_mass(f.spec.n, s, rho, f.spec.R_z)
     out = synthesize(conformal_poisson_spectrum(Sf, s, rho, grid, quad, f.spec), f.spec)
     if tail / total > 1e-3:
@@ -212,17 +215,15 @@ class ExtensionField:
         if np.any(np.diff(self.rho_levels) >= 0):
             raise ValueError("rho levels must be strictly decreasing")
 
-    def radii(self, with_companions: bool) -> list:
+    def radii(self) -> list:
         """Radii to synthesize: each rho_j, then its e^{-delta} and e^{+delta} companions."""
-        e = (1.0, math.exp(-self.delta), math.exp(self.delta)) if with_companions else (1.0,)
+        e = (1.0, math.exp(-self.delta), math.exp(self.delta))
         return [rho * f for rho in self.rho_levels for f in e]
 
     def fill(self, fields: list) -> "ExtensionField":
-        """Place fields synthesized at radii(...) into levels and companions."""
-        step = len(fields) // len(self.rho_levels)
-        self.levels = fields[::step]
-        if step == 3:
-            self.companions = {j: tuple(fields[3 * j + 1:3 * j + 3]) for j in range(len(self.levels))}
+        """Place fields synthesized at radii() into levels and companions."""
+        self.levels = fields[::3]
+        self.companions = {j: tuple(fields[3 * j + 1:3 * j + 3]) for j in range(len(self.levels))}
         return self
 
     def rho_derivatives(self, j: int):
@@ -234,15 +235,17 @@ class ExtensionField:
         hm = rho * (1.0 - math.exp(-self.delta))
         d1 = (hm * hm * hi.values + (hp * hp - hm * hm) * u0 - hp * hp * lo.values) \
             / (hp * hm * (hp + hm))
-        d2 = 2.0 * (hm * hi.values - (hp + hm) * u0 + hp * lo.values) \
-            / (hp * hm * (hp + hm))
-        return d1, d2
+        return d1, _second_difference(lo.values, u0, hi.values, hm, hp)
+
+
+def _second_difference(lo, u0, hi, hm, hp):
+    """Three-point second derivative on the nodes x - hm, x, x + hp."""
+    return 2.0 * (hm * hi - (hp + hm) * u0 + hp * lo) / (hp * hm * (hp + hm))
 
 
 def conformal_extension(f: GridFunction, s: float, rho_levels=None,
                         grid: Optional[LambdaGrid] = None,
-                        quad: Optional[AnalysisQuadrature] = None,
-                        with_companions: bool = True) -> ExtensionField:
+                        quad: Optional[AnalysisQuadrature] = None) -> ExtensionField:
     """Kernel-route extension: every level is a conformal Poisson convolution."""
     grid = grid or LambdaGrid.build()
     quad = quad or AnalysisQuadrature.build(f.spec)
@@ -250,7 +253,7 @@ def conformal_extension(f: GridFunction, s: float, rho_levels=None,
     Sf = analyze_polyradial(f, grid, quad)
     out = ExtensionField(rho_levels=rho_levels, levels=[], provenance=f"conformal(s={s:g})", s=s)
     return out.fill([synthesize(conformal_poisson_spectrum(Sf, s, r, grid, quad, f.spec), f.spec)
-                     for r in out.radii(with_companions)])
+                     for r in out.radii()])
 
 
 def macdonald_check_integral(orders, args, tol: float = 1e-10) -> float:
@@ -275,27 +278,25 @@ def macdonald_check_integral(orders, args, tol: float = 1e-10) -> float:
 
 def nonconformal_poisson(f: GridFunction, rho: float, route: str = "spectral",
                          grid: Optional[LambdaGrid] = None,
-                         quad: Optional[AnalysisQuadrature] = None,
-                         Sf: Optional[PolyradialSpectrum] = None,
-                         n_sub: int = 96) -> GridFunction:
+                         quad: Optional[AnalysisQuadrature] = None) -> GridFunction:
     """e^{-rho L^{1/2}} f, by the spectral symbol or by subordination quadrature.
 
     route 'subordination' integrates rho (4 pi)^{-1/2} w^{-3/2} e^{-rho^2/4w}
-    e^{-w mu} dw on a fixed log-Gauss rule centered at the saddle w = rho/(2
-    sqrt(mu)) -- an independent route through heat symbols only.
+    e^{-w mu} dw on a fixed 96-node log-Gauss rule centered at the saddle
+    w = rho/(2 sqrt(mu)) -- an independent route through heat symbols only.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     grid = grid or LambdaGrid.build()
     quad = quad or AnalysisQuadrature.build(f.spec)
-    Sf = Sf or analyze_polyradial(f, grid, quad)
+    Sf = analyze_polyradial(f, grid, quad)
     if route == "spectral":
         S = apply_operator(Sf, SpectralMultiplier("poisson_nonconf", rho, n=f.spec.n)).spectrum
         return synthesize(S, f.spec)
     if route != "subordination":
         raise ValueError(f"unknown route {route!r}")
     from scipy.special import roots_legendre
-    xg, wg = roots_legendre(n_sub)
+    xg, wg = roots_legendre(96)
     v = xg * 9.0          # log-offsets around the saddle
     wv = wg * 9.0
 
@@ -317,8 +318,7 @@ def nonconformal_poisson(f: GridFunction, rho: float, route: str = "spectral",
 
 def nonconformal_extension(f: GridFunction, s: float, rho_levels=None,
                            grid: Optional[LambdaGrid] = None,
-                           quad: Optional[AnalysisQuadrature] = None,
-                           with_companions: bool = True) -> ExtensionField:
+                           quad: Optional[AnalysisQuadrature] = None) -> ExtensionField:
     """Per-mode Macdonald solution of the pure extension problem.
 
     Every level and its e^{+-delta} companions are Macdonald multipliers of one
@@ -334,7 +334,7 @@ def nonconformal_extension(f: GridFunction, s: float, rho_levels=None,
                          provenance=f"nonconformal(s={s:g})", s=s)
     Sf = analyze_polyradial(f, grid, quad)
     fields = synthesize_batch(Sf, f.spec, [SpectralMultiplier("macdonald", (s, r), n=f.spec.n)
-                                           for r in out.radii(with_companions)])
+                                           for r in out.radii()])
     if not all(np.all(np.isfinite(g.values)) for g in fields):
         raise ValueError("Macdonald evaluation failed on the lattice")
     return out.fill(fields)
@@ -368,7 +368,7 @@ def dirichlet_to_neumann_conformal(f: GridFunction, s: float,
     grid = grid or LambdaGrid.build()
     quad = quad or AnalysisQuadrature.build(f.spec)
     rho_levels = default_rho_ladder() if rho_levels is None else np.asarray(rho_levels, float)
-    fld = conformal_extension(f, s, rho_levels, grid, quad, with_companions=True)
+    fld = conformal_extension(f, s, rho_levels, grid, quad)
     kc = constants(f.spec.n, s)
     Sf = analyze_polyradial(f, grid, quad)
     ref = synthesize(apply_operator(Sf, SpectralMultiplier("frac_conf", s, n=f.spec.n)).spectrum,
@@ -430,11 +430,12 @@ def frac_conf_pointwise(f: GridFunction, s: float, samples,
     return vals, rep.finish()
 
 
-def _residual_report(rep: VerificationReport, fld: ExtensionField, s: float, levels, order: int,
+def _residual_report(rep: VerificationReport, fld: ExtensionField, s: float, levels,
                      route: str, tolerance, with_tt: bool, ablate_tt: bool = False):
     """Per-level interior residual of d_rho^2 + (1-2s)/rho d_rho [+ (rho^2/4) d_tt] - L.
 
-    ablate_tt drops the d_tt term from the residual, not from the scale."""
+    The spatial parts use sixth-order stencils.  ablate_tt drops the d_tt term
+    from the residual, not from the scale."""
     idx = levels if levels is not None else [
         j for j, r in enumerate(fld.rho_levels) if 0.12 <= r <= 2.1]
     from .group import _diff_axis
@@ -443,11 +444,11 @@ def _residual_report(rep: VerificationReport, fld: ExtensionField, s: float, lev
         rho = fld.rho_levels[j]
         w = fld.levels[j]
         d1, d2 = fld.rho_derivatives(j)
-        Lw = sublaplacian_grid(w, order=order).values
+        Lw = sublaplacian_grid(w, order=6).values
         res = d2 + (1.0 - 2.0 * s) / rho * d1 - Lw
         scale = np.abs(d2) + np.abs((1.0 - 2.0 * s) / rho * d1) + np.abs(Lw)
         if with_tt:
-            tt = 0.25 * rho * rho * _diff_axis(w.values, 2 * w.spec.n, w.spec.h_t, 2, order)
+            tt = 0.25 * rho * rho * _diff_axis(w.values, 2 * w.spec.n, w.spec.h_t, 2, 6)
             if not ablate_tt:
                 res = res + tt
             scale = scale + np.abs(tt)
@@ -461,8 +462,7 @@ def _residual_report(rep: VerificationReport, fld: ExtensionField, s: float, lev
 
 def conformal_pde_residual(fld: ExtensionField, s: float,
                            ablate_tt: bool = False,
-                           levels: Optional[list] = None,
-                           order: int = 6) -> VerificationReport:
+                           levels: Optional[list] = None) -> VerificationReport:
     """Interior residual of the conformal extension equation.
 
     Applies d_rho^2 + (1-2s)/rho d_rho + (rho^2/4) d_tt - L to the kernel-route
@@ -475,17 +475,16 @@ def conformal_pde_residual(fld: ExtensionField, s: float,
                                      "ablate_tt": ablate_tt})
     if len(fld.rho_levels) < 5:
         raise ValueError("need at least 5 rho levels")
-    return _residual_report(rep, fld, s, levels, order, "kernel/grid",
+    return _residual_report(rep, fld, s, levels, "kernel/grid",
                             None if ablate_tt else 5e-3, with_tt=True, ablate_tt=ablate_tt)
 
 
 def nonconformal_pde_residual(fld: ExtensionField,
-                              levels: Optional[list] = None,
-                              order: int = 6) -> VerificationReport:
+                              levels: Optional[list] = None) -> VerificationReport:
     """Interior residual of d_rho^2 + (1-2s)/rho d_rho - L on a Macdonald field."""
     rep = VerificationReport(suite="nonconformal-residual",
                              inputs={"s": fld.s, "provenance": fld.provenance})
-    return _residual_report(rep, fld, fld.s, levels, order, "spectral/grid", 1e-3, with_tt=False)
+    return _residual_report(rep, fld, fld.s, levels, "spectral/grid", 1e-3, with_tt=False)
 
 
 def nonconformal_trace_fit(f: GridFunction, s: float,

@@ -31,7 +31,6 @@ __all__ = [
     "AnalysisQuadrature",
     "CentralSliceField",
     "PolyradialSpectrum",
-    "LaguerreEvaluator",
     "laguerre_phi_table",
     "central_transform",
     "inverse_central_transform",
@@ -247,26 +246,6 @@ def _expand_multi(x: np.ndarray, C: np.ndarray, alpha: int,
             last1 = block1[-1].copy()
             dacc += Ck @ dblock
     return (acc, dacc) if want_deriv else acc
-
-
-class LaguerreEvaluator:
-    """phi_k^lam evaluation by the stable three-term recurrence.
-
-    phi_k^lam(z) = L_k^{n-1}(|lam||z|^2/2) e^{-|lam||z|^2/4}; the recurrence is
-    run on the weighted functions so no overflow occurs for k <= 256.
-    """
-
-    def __init__(self, n: int = 1):
-        self.n = n
-        self.alpha = n - 1
-
-    def at_origin(self, k: int) -> float:
-        # L_k^{n-1}(0) = C(k+n-1, k)
-        return float(np.exp(gammaln(k + self.n) - gammaln(k + 1) - gammaln(self.n)))
-
-    def phi(self, k: int, lam: float, r2) -> np.ndarray:
-        x = 0.5 * abs(lam) * np.asarray(r2, dtype=float)
-        return laguerre_phi_table(k, self.alpha, x)[k]
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +681,7 @@ def synthesize_at(S: PolyradialSpectrum, u_vals: np.ndarray, t_vals: np.ndarray,
 
 
 def group_convolve(f: GridFunction, g: GridFunction, grid: Optional[LambdaGrid] = None,
-                   quad: Optional[AnalysisQuadrature] = None,
-                   spectra: Optional[tuple] = None) -> GridFunction:
+                   quad: Optional[AnalysisQuadrature] = None) -> GridFunction:
     """Group convolution f * g.
 
     Polyradial inputs go through the Laguerre route, where the per-lambda
@@ -715,9 +693,8 @@ def group_convolve(f: GridFunction, g: GridFunction, grid: Optional[LambdaGrid] 
         raise ValueError("operands must share a grid")
     if f.polyradial and g.polyradial:
         grid = grid or LambdaGrid.build()
-        Sf, Sg = spectra if spectra is not None else (
-            analyze_polyradial(f, grid, quad), analyze_polyradial(g, grid, quad))
-        out = synthesize(Sf.convolve(Sg), f.spec)
+        S = analyze_polyradial(f, grid, quad).convolve(analyze_polyradial(g, grid, quad))
+        out = synthesize(S, f.spec)
         out.name = f"{f.name}*{g.name}"
         return out
     if grid is None:

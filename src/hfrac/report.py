@@ -58,9 +58,6 @@ class VerificationReport:
                 return m
         raise KeyError(name)
 
-    def values(self, prefix: str):
-        return [m.value for m in self.measurements if m.name.startswith(prefix)]
-
     def to_dict(self) -> dict:
         d = {
             "suite": self.suite,

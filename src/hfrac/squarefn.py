@@ -25,7 +25,7 @@ from scipy.interpolate import RectBivariateSpline
 from scipy.special import roots_legendre
 
 from .group import GridFunction, GridSpec, apply_vector_field, sublaplacian_grid
-from .kernels import ExtensionField, _interior_window
+from .kernels import ExtensionField, _interior_window, _second_difference
 from .lagspec import (
     AnalysisQuadrature,
     LambdaGrid,
@@ -66,8 +66,6 @@ class SquareFunctionConfig:
     rho_max: float = 2.0 ** 5
     per_octave: int = 2
     lam_param: float = 1.2          # g*-weight exponent; distinct from spectral lambda
-    table_r_max: float = 25.0
-    table_t_max: float = 26.0
     n_table_r: int = 512
     n_table_t: int = 768
     y_r_min: float = 1e-4
@@ -102,33 +100,26 @@ class SquareFunctionConfig:
 # gradients of extension fields
 # ---------------------------------------------------------------------------
 
-def gradient_sq(fld: ExtensionField, order: int = 4) -> list:
-    """|nabla U|^2 per level: horizontal stencils, d_rho from the companions
-    (or ladder neighbors when no companions were built)."""
-    if len(fld.rho_levels) < 3:
-        raise ValueError("need at least 3 rho levels")
+def _horizontal_sq(U: GridFunction) -> np.ndarray:
+    """|nabla_H U|^2 = sum_j |X_j U|^2 + |Y_j U|^2 by fourth-order stencils."""
+    return sum(np.abs(apply_vector_field(f"{kind}{j}", U, order=4).values) ** 2
+               for j in range(1, U.spec.n + 1) for kind in "XY")
+
+
+def gradient_sq(fld: ExtensionField) -> list:
+    """|nabla U|^2 per level: horizontal stencils, d_rho from the companions."""
     out = []
     for j, rho in enumerate(fld.rho_levels):
         u = fld.levels[j]
-        xs = apply_vector_field("X1", u, order=order).values
-        ys = apply_vector_field("Y1", u, order=order).values
-        if j in fld.companions:
-            d1, _ = fld.rho_derivatives(j)
-        else:
-            lo = max(j - 1, 0)
-            hi = min(j + 1, len(fld.rho_levels) - 1)
-            d1 = (fld.levels[hi].values - fld.levels[lo].values) \
-                / (fld.rho_levels[hi] - fld.rho_levels[lo])
-        vals = np.abs(xs) ** 2 + np.abs(ys) ** 2 + np.abs(d1) ** 2
+        d1, _ = fld.rho_derivatives(j)
+        vals = _horizontal_sq(u) + np.abs(d1) ** 2
         out.append(u.copy_with(vals.astype(complex), name=f"|grad U|^2@rho={rho:g}"))
     return out
 
 
 def g_parts(u: GridFunction, cfg: Optional[SquareFunctionConfig] = None,
             grid: Optional[LambdaGrid] = None,
-            quad: Optional[AnalysisQuadrature] = None,
-            Su: Optional[PolyradialSpectrum] = None,
-            order: int = 4):
+            quad: Optional[AnalysisQuadrature] = None):
     """(g1^2, gx^2) as grids: rho-quadrature of rho |d_rho U|^2 and rho |grad_x U|^2.
 
     d_rho U is synthesized per level from the exact symbol derivative, the
@@ -140,7 +131,7 @@ def g_parts(u: GridFunction, cfg: Optional[SquareFunctionConfig] = None,
     cfg = cfg or SquareFunctionConfig()
     grid = grid or LambdaGrid.build()
     quad = quad or AnalysisQuadrature.build(u.spec)
-    Su = Su or analyze_polyradial(u, grid, quad)
+    Su = analyze_polyradial(u, grid, quad)
     lad = cfg.rho_ladder()
     wts = cfg.rho_weights()
     n = u.spec.n
@@ -152,11 +143,9 @@ def g_parts(u: GridFunction, cfg: Optional[SquareFunctionConfig] = None,
     gx = np.zeros(u.spec.shape)
     last = 0.0
     for rho, w, dU, Urho in zip(lad, wts, dUs, Us):
-        xs = apply_vector_field("X1", Urho, order=order).values
-        ys = apply_vector_field("Y1", Urho, order=order).values
         last = w * rho * rho * np.abs(dU.values) ** 2
         g1 += last
-        gx += w * rho * rho * (np.abs(xs) ** 2 + np.abs(ys) ** 2)
+        gx += w * rho * rho * _horizontal_sq(Urho)
     tail = float(np.max(last) / max(np.max(g1), 1e-300))
     warn = [f"rho-ladder tail share {tail:.2e}"] if tail > 1e-4 else []
     return g1, gx, warn
@@ -165,12 +154,11 @@ def g_parts(u: GridFunction, cfg: Optional[SquareFunctionConfig] = None,
 def g_function(u: GridFunction, parts: str = "full",
                cfg: Optional[SquareFunctionConfig] = None,
                grid: Optional[LambdaGrid] = None,
-               quad: Optional[AnalysisQuadrature] = None,
-               Su: Optional[PolyradialSpectrum] = None) -> GridFunction:
+               quad: Optional[AnalysisQuadrature] = None) -> GridFunction:
     """g(u), g1(u) or g_x(u) as a grid of point values."""
     if parts not in ("full", "g1", "gx"):
         raise ValueError("parts must be one of full, g1, gx")
-    g1, gx, warn = g_parts(u, cfg, grid, quad, Su)
+    g1, gx, warn = g_parts(u, cfg, grid, quad)
     if parts == "g1":
         vals = np.sqrt(g1)
     elif parts == "gx":
@@ -212,18 +200,21 @@ def extension_gradient_sq_at(Su: PolyradialSpectrum, rho: float,
 
 
 class _GradientTable:
-    """Per-level bicubic tables of |nabla U|^2 over the (r, t) half-plane.
+    """Per-level bicubic tables of |nabla U|^2 over the window 0 <= r <= R_MAX,
+    |t| <= T_MAX of the (r, t) half-plane.
 
     All ladder levels are synthesized in one batched sweep: the Laguerre
     tables at the mesh radii are shared across levels and the three gradient
     components per level.
     """
 
+    R_MAX = 25.0
+    T_MAX = 26.0
+
     def __init__(self, Su: PolyradialSpectrum, cfg: SquareFunctionConfig,
                  rho_levels: np.ndarray):
-        self.cfg = cfg
-        self.r_axis = np.linspace(0.0, cfg.table_r_max, cfg.n_table_r)
-        self.t_axis = np.linspace(-cfg.table_t_max, cfg.table_t_max, cfg.n_table_t)
+        self.r_axis = np.linspace(0.0, self.R_MAX, cfg.n_table_r)
+        self.t_axis = np.linspace(-self.T_MAX, self.T_MAX, cfg.n_table_t)
         self.Su = Su
         self._splines = {}
         self._build(rho_levels)
@@ -254,40 +245,28 @@ class _GradientTable:
     def eval(self, rho: float, zx, zy, t) -> np.ndarray:
         r = np.sqrt(zx * zx + zy * zy)
         sp = self.spline(rho)
-        out = sp.ev(np.minimum(r, self.cfg.table_r_max),
-                    np.clip(t, -self.cfg.table_t_max, self.cfg.table_t_max))
+        out = sp.ev(np.minimum(r, self.R_MAX), np.clip(t, -self.T_MAX, self.T_MAX))
         # clamp to zero outside the tabulated window; the fields have decayed there
-        out = np.where((r > self.cfg.table_r_max)
-                       | (np.abs(t) > self.cfg.table_t_max), 0.0, out)
+        out = np.where((r > self.R_MAX) | (np.abs(t) > self.T_MAX), 0.0, out)
         return np.maximum(out, 0.0)
 
 
-def g_star(u_or_spec, cfg: SquareFunctionConfig, samples,
-           grid: Optional[LambdaGrid] = None,
-           quad: Optional[AnalysisQuadrature] = None,
-           spec: Optional[GridSpec] = None) -> np.ndarray:
-    """Nontangential square function at the samples.
+def g_star(Su: PolyradialSpectrum, cfg: SquareFunctionConfig, samples,
+           spec: GridSpec) -> np.ndarray:
+    """Nontangential square function of the function with spectrum Su, at the
+    samples of the grid spec.
 
-    g*(x)^2 = int_rho int_y (rho/(rho+|y|))^{lam Q} rho^{1-Q}
-              |nabla U(x y^{-1}, rho)|^2 dy rho... with the Haar y-measure and
-    the rho-ladder quadrature; |nabla U|^2 comes from per-level bicubic tables
-    of the exact spectral gradients.  The y-nodes are the singular-quadrature
-    node set on [y_r_min, y_r_max], which like the tables is built for n = 1.
+    g*(x)^2 = int_0^inf int_{H^n} (rho/(rho+|y|))^{lam Q} rho^{1-Q}
+              |nabla U(x y^{-1}, rho)|^2 dy drho,
+    with the Haar y-measure and the rho-ladder quadrature; |nabla U|^2 comes
+    from per-level bicubic tables of the exact spectral gradients.  The
+    y-nodes are the singular-quadrature node set on [y_r_min, y_r_max], which
+    like the tables is built for n = 1.
     """
-    if isinstance(u_or_spec, GridFunction):
-        spec = u_or_spec.spec
-    elif spec is None:
-        raise ValueError("pass the grid spec when handing a spectrum directly")
     if spec.n != 1:
         raise NotImplementedError("g* is implemented for n = 1: its y-nodes and "
                                   "gradient tables live on H^1")
     spec.require_interior(samples)
-    if isinstance(u_or_spec, GridFunction):
-        grid = grid or LambdaGrid.build()
-        quad = quad or AnalysisQuadrature.build(spec)
-        Su = analyze_polyradial(u_or_spec, grid, quad)
-    else:
-        Su = u_or_spec
     Q = 2 * spec.n + 2
     lad = cfg.rho_ladder()
     wts = cfg.rho_weights()
@@ -323,14 +302,14 @@ def pointwise_theorem_check(u: GridFunction, s: float, lam_param: float, samples
                             grid: Optional[LambdaGrid] = None,
                             quad: Optional[AnalysisQuadrature] = None,
                             cfg: Optional[SquareFunctionConfig] = None,
-                            squad: Optional[SingularQuadrature] = None,
-                            refined: bool = True) -> NontangentialReport:
+                            squad: Optional[SingularQuadrature] = None) -> NontangentialReport:
     """Per-sample D_s u against g*_lam(L^s u); reports the empirical constant.
 
     The admissible weight exponents are 1 < lam_param < 1 + 2s/Q.  The ratio
     table never violates the inequality beyond the propagated quadrature
     tolerance by construction of the reported constant; stability of that
-    constant under one refinement step is the pass criterion.
+    constant under one refinement step of every quadrature is the pass
+    criterion.
     """
     spec = u.spec
     Q = 2 * spec.n + 2
@@ -351,7 +330,7 @@ def pointwise_theorem_check(u: GridFunction, s: float, lam_param: float, samples
     def one_pass(grid_, quad_, cfg_, squad_):
         Su = analyze_polyradial(u, grid_, quad_)
         Sw = apply_operator(Su, SpectralMultiplier("frac_nonconf", s, n=spec.n)).spectrum
-        gs = g_star(Sw, cfg_, samples, spec=spec)
+        gs = g_star(Sw, cfg_, samples, spec)
         ds = d_s_values(u, s, samples, squad_)
         return ds, gs
 
@@ -366,13 +345,12 @@ def pointwise_theorem_check(u: GridFunction, s: float, lam_param: float, samples
     rep.require("lambda_hat_finite", math.isfinite(lam_hat) and lam_hat > 0)
     for i in range(len(samples)):
         rep.add(f"ratio_{i}", float(ratios[i]), route="quadrature/spectral")
-    if refined:
-        ds2, gs2 = one_pass(grid.refine(), AnalysisQuadrature.build(
-            spec, n_radial=1920, n_t=2560), cfg.refine(), squad.refine())
-        lam2 = float(np.max(np.where(gs2 > 0, ds2 / np.maximum(gs2, 1e-300), 0.0)))
-        drift = abs(lam2 - lam_hat) / lam_hat
-        rep.add("lambda_hat_refined", lam2, route="quadrature/spectral")
-        rep.add("refinement_drift", drift, route="quadrature/spectral", tolerance=0.10)
+    ds2, gs2 = one_pass(grid.refine(), AnalysisQuadrature.build(
+        spec, n_radial=1920, n_t=2560), cfg.refine(), squad.refine())
+    lam2 = float(np.max(np.where(gs2 > 0, ds2 / np.maximum(gs2, 1e-300), 0.0)))
+    drift = abs(lam2 - lam_hat) / lam_hat
+    rep.add("lambda_hat_refined", lam2, route="quadrature/spectral")
+    rep.add("refinement_drift", drift, route="quadrature/spectral", tolerance=0.10)
     return NontangentialReport(rep.finish(), ds, gs, ratios, lam_hat)
 
 
@@ -391,22 +369,19 @@ def extended_gauge_grad_sq(zx, zy, t, rho):
     return (z2 ** 3 + 16.0 * t * t * z2 + rho ** 6) / d4 ** 1.5
 
 
-EXTENDED_BALL_VOLUME = math.pi ** 2 / 5.0     # |B_r| = pi^2 r^5 / 5 on H^1 x R+
+def _extended_ball_nodes(r: float, center_rho: float):
+    """Quadrature for int_{B_r((0, rho0))} F(u=|z|^2, t, rho) dz dt drho on H^1 x R+.
 
-
-def _extended_ball_nodes(r: float, center_rho: float, n_sigma: int = 24,
-                         n_rr: int = 24, n_theta: int = 16):
-    """Quadrature for int_{B_r((0, rho0))} F(u=|z|^2, t, rho) dz dt drho.
-
-    Slices over sigma = rho - rho0; each slice is a Koranyi ball of radius
-    (r^4 - sigma^4)^{1/4} handled in the (varrho, theta) parametrization with
-    the measure (2 pi / 8) varrho d varrho d theta for z-radial integrands.
+    Slices over sigma = rho - rho0 (24 Gauss nodes); each slice is a Koranyi
+    ball of radius (r^4 - sigma^4)^{1/4} handled in the (varrho, theta)
+    parametrization (24 x 16 Gauss nodes) with the measure
+    (2 pi / 8) varrho d varrho d theta for z-radial integrands.
     """
-    sx, sw = roots_legendre(n_sigma)
+    sx, sw = roots_legendre(24)
     sigma = sx * r
     wsig = sw * r
-    rx, rw = roots_legendre(n_rr)
-    tx, tw = roots_legendre(n_theta)
+    rx, rw = roots_legendre(24)
+    tx, tw = roots_legendre(16)
     theta = tx * math.pi / 2
     wth = tw * math.pi / 2
     us, tts, rhos, wts = [], [], [], []
@@ -428,19 +403,22 @@ def _extended_ball_nodes(r: float, center_rho: float, n_sigma: int = 24,
 
 
 def mean_value_check(fld: ExtensionField, Su: PolyradialSpectrum,
-                     center_rho: float = 2.0, radii=(0.5, 1.0, 2.0),
-                     subharmonic_tol: float = 1e-4) -> VerificationReport:
+                     center_rho: float = 2.0) -> VerificationReport:
     """Mean-value inequality for V = |nabla U|^2 over extended Koranyi balls.
 
-    Verifies E V >= -tol on a grid window (E = -L + d_rho^2), computes the
-    plain and gauge-weighted ball averages by exact spectral evaluation, and
-    reports the smallest constant making V(center) <= C r^{-(Q+1)} int_B V
-    across the radii.  A subharmonicity violation rejects the input rather
-    than failing the inequality.
+    Verifies E V >= -1e-4 max|E V| on a grid window (E = -L + d_rho^2),
+    computes the plain and gauge-weighted ball averages by exact spectral
+    evaluation, and reports the smallest constant making
+    V(center) <= C r^{-(Q+1)} int_B V across the radii r = 1/2, 1, 2.  A
+    subharmonicity violation rejects the input rather than failing the
+    inequality.
     """
+    spec = fld.levels[0].spec
+    if spec.n != 1:
+        raise NotImplementedError("the extended-ball nodes live on H^1 x R+: n = 1 only")
+    radii = (0.5, 1.0, 2.0)
     rep = VerificationReport(suite="mean-value",
                              inputs={"center_rho": center_rho, "radii": list(radii)})
-    spec = fld.levels[0].spec
     Q = 2 * spec.n + 2
 
     # discrete subharmonicity on a window around the center level
@@ -452,16 +430,14 @@ def mean_value_check(fld: ExtensionField, Su: PolyradialSpectrum,
     V0 = grads[j0]
     hp = fld.rho_levels[j0 - 1] - fld.rho_levels[j0]
     hm = fld.rho_levels[j0] - fld.rho_levels[j0 + 1]
-    vp = grads[j0 - 1].values.real
-    vm = grads[j0 + 1].values.real
-    v0 = V0.values.real
-    d2 = 2.0 * (hm * vp - (hp + hm) * v0 + hp * vm) / (hp * hm * (hp + hm))
+    d2 = _second_difference(grads[j0 + 1].values.real, V0.values.real,
+                            grads[j0 - 1].values.real, hm, hp)
     LV = sublaplacian_grid(V0, order=4).values.real
     EV = (-LV + d2)[_interior_window(spec)]
     scale = float(np.max(np.abs(EV)))
     worst = float(np.min(EV))
     rep.add("subharmonic_min_over_scale", worst / scale, route="grid")
-    if worst < -subharmonic_tol * scale:
+    if worst < -1e-4 * scale:
         rep.require("input_E_subharmonic", False)
         rep.note("input rejected: discrete E V dips below tolerance")
         return rep.finish()

@@ -105,6 +105,10 @@ def test_kernel_mass_closed_form_matches():
     total, tail = kernel_mass(1, 0.3, 1.0, 10.0)
     assert total == pytest.approx(1.0 / (constants(1, 0.3).C), rel=1e-13)
     assert tail > 0
+    # the tail bound carries the H^1 gauge-sphere constant
+    assert kernel_mass(2, 0.3, 1.0)[1] == 0.0
+    with pytest.raises(NotImplementedError):
+        kernel_mass(2, 0.3, 1.0, 10.0)
 
 
 def test_kernel_spectrum_against_kummer_oracle(setup):
@@ -140,10 +144,9 @@ def test_kernel_spectrum_against_kummer_oracle(setup):
 def test_conformal_poisson_converges_to_identity(setup):
     spec, grid, quad, f = setup
     s = 0.45
-    Sf = analyze_polyradial(f, grid, quad)
     errs = []
     for rho in (1.0, 0.25, 1 / 16, 1 / 64, 1 / 256):
-        w = conformal_poisson(f, s, rho, grid, quad, Sf=Sf)
+        w = conformal_poisson(f, s, rho, grid, quad)
         errs.append(np.linalg.norm(w.values - f.values) / np.linalg.norm(f.values))
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert errs[-1] <= 2e-2
@@ -262,7 +265,7 @@ def test_poisson_semigroup_fields(setup):
     S1 = apply_operator(Sf, SpectralMultiplier("poisson_nonconf", 0.6)).spectrum
     S12 = apply_operator(S1, SpectralMultiplier("poisson_nonconf", 0.4)).spectrum
     a = synthesize(S12, spec)
-    b = nonconformal_poisson(f, 1.0, "spectral", grid, quad, Sf=Sf)
+    b = nonconformal_poisson(f, 1.0, "spectral", grid, quad)
     assert np.linalg.norm(a.values - b.values) <= 1e-6 * np.linalg.norm(b.values)
 
 
@@ -275,9 +278,8 @@ def test_poisson_kernel_envelope(setup):
 
     def image(eps_a, eps_b, rho):
         d = make_test_function(TestFunctionId("gaussian", (eps_a, eps_b)), spec)
-        Sd = analyze_polyradial(d, grid, quad)
         mass = math.pi / eps_a * math.sqrt(math.pi / eps_b)
-        return nonconformal_poisson(d, rho, "spectral", grid, quad, Sf=Sd).values.real / mass
+        return nonconformal_poisson(d, rho, "spectral", grid, quad).values.real / mass
 
     fitted = {}
     for rho in (0.5, 1.0, 4.0):
@@ -297,8 +299,7 @@ def test_poisson_kernel_envelope(setup):
 
 def test_nonconformal_extension_half_is_poisson(setup):
     spec, grid, quad, f = setup
-    fld = nonconformal_extension(f, 0.5, np.array([1.0, 0.5]), grid, quad,
-                                 with_companions=False)
+    fld = nonconformal_extension(f, 0.5, np.array([1.0, 0.5]), grid, quad)
     P = nonconformal_poisson(f, 1.0, "spectral", grid, quad)
     assert np.max(np.abs(fld.levels[0].values - P.values)) <= 1e-10 * np.max(np.abs(P.values))
 
@@ -316,10 +317,6 @@ def test_nonconformal_ladder_matches_single_syntheses(setup):
             ref = synthesize(Sf.copy_transformed(theta), spec)
             scale = np.max(np.abs(ref.values))
             assert np.max(np.abs(got.values - ref.values)) <= 1e-13 * scale, (rho, r)
-    bare = nonconformal_extension(f, s, ladder, grid, quad, with_companions=False)
-    assert bare.companions == {} and len(bare.levels) == len(ladder)
-    for a, b in zip(bare.levels, fld.levels):
-        assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(b.values))
 
 
 def test_nonconformal_trace_constant(setup):

@@ -8,7 +8,6 @@ from hfrac.lagspec import (
     AnalysisQuadrature,
     CentralSliceField,
     LambdaGrid,
-    LaguerreEvaluator,
     _project,
     analyze_polyradial,
     central_transform,
@@ -110,10 +109,11 @@ def test_project_matches_full_table():
 
 
 def test_laguerre_origin_values():
-    ev = LaguerreEvaluator(n=2)
-    for k in (0, 1, 5, 17):
-        assert ev.at_origin(k) == pytest.approx(math.comb(k + 1, k), rel=1e-12)
-    assert LaguerreEvaluator(n=1).phi(3, 2.0, np.array([0.0]))[0] == pytest.approx(1.0)
+    # l_k(0) = L_k^alpha(0) = C(k + alpha, k)
+    for alpha in (0, 1):
+        table = laguerre_phi_table(17, alpha, np.array([0.0]))
+        for k in (0, 1, 5, 17):
+            assert table[k, 0] == pytest.approx(math.comb(k + alpha, k), rel=1e-12)
 
 
 def test_laguerre_quadrature_orthogonality(default_setup):
@@ -240,11 +240,10 @@ def test_twisted_lambda_to_zero_is_plain_convolution(coarse_z):
 
 
 def test_twisted_laguerre_reproducing(coarse_z):
-    ev = LaguerreEvaluator(1)
     lam = 1.0
-    r2 = coarse_z.z_radius_sq()
+    table = laguerre_phi_table(2, 0, 0.5 * lam * coarse_z.z_radius_sq())
     for k in (0, 1, 2):
-        phik = ev.phi(k, lam, r2).astype(complex)
+        phik = table[k].astype(complex)
         conv = twisted_convolve(phik, phik, lam, coarse_z)
         target = 2 * math.pi / lam * phik
         err = np.max(np.abs(conv - target)) / np.max(np.abs(target))
@@ -332,13 +331,13 @@ def test_projection_against_twisted_convolution_oracle(coarse_z):
     quad = AnalysisQuadrature.build(spec)
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
     S = analyze_polyradial(f, grid, quad)
-    ev = LaguerreEvaluator(1)
     r2 = spec.z_radius_sq()
     i = grid.M - 2
     lam = grid.nodes[i]
     flam = np.exp(-r2).astype(complex) * math.sqrt(math.pi) * math.exp(-lam ** 2 / 4)
+    table = laguerre_phi_table(3, 0, 0.5 * abs(lam) * r2)
     for k in (0, 1, 3):
-        phik = ev.phi(k, lam, r2).astype(complex)
+        phik = table[k].astype(complex)
         lhs = twisted_convolve(flam, phik, lam, spec)
         rhs = S.coeffs[i][k] * phik
         mask = np.abs(rhs) > 1e-3 * np.max(np.abs(rhs))

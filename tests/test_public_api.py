@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -11,6 +12,14 @@ import pytest
 import hfrac
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hfrac.__path__))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -53,10 +62,63 @@ def test_project_scripts_resolve():
 def test_benchmark_targets_resolve():
     # the benchmark wraps layer functions by module and name; a rename must
     # fail here, not only in a traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_perfbench("spans")
     broken = [f"{module}.{name}" for module, name, _, _ in spans.TARGETS
               if not callable(getattr(importlib.import_module(module), name, None))]
     assert spans.TARGETS and not broken, broken
+
+
+def test_benchmark_counters_read_target_parameters():
+    # a counter reads the bound arguments of its target by parameter name,
+    # a["name"]; renaming or dropping that parameter must fail here
+    spans = _load_perfbench("spans")
+    counters = {node.name: node for node in ast.walk(ast.parse((PERFBENCH / "spans.py").read_text()))
+                if isinstance(node, ast.FunctionDef)}
+    broken, checked = [], 0
+    for module, name, _, count in spans.TARGETS:
+        if count is None:
+            continue
+        params = inspect.signature(getattr(importlib.import_module(module), name)).parameters
+        for node in ast.walk(counters[count.__name__]):
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                    and node.value.id == "a" and isinstance(node.slice, ast.Constant)):
+                checked += 1
+                if node.slice.value not in params:
+                    broken.append(f"{count.__name__} reads {node.slice.value!r}, "
+                                  f"not a parameter of {module}.{name}")
+    assert checked and not broken, broken
+
+
+def test_benchmark_calls_bind():
+    # every hfrac call of the benchmark's workloads, direct or through
+    # Checks.call(suite, fn, *args), must bind to the callee's signature
+    workloads = _load_perfbench("workloads")
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    hfrac_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "hfrac"
+                   for alias in node.names}
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return getattr(workloads, node.id) if node.id in hfrac_names else None
+        if isinstance(node, ast.Attribute):
+            base = resolve(node.value)
+            return None if base is None else getattr(base, node.attr)
+        return None
+
+    broken, checked = [], 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn, args = node.func, node.args
+        if isinstance(fn, ast.Attribute) and fn.attr == "call":
+            fn, args = args[1], args[2:]
+        target = resolve(fn)
+        if target is None:
+            continue
+        checked += 1
+        try:
+            inspect.signature(target).bind(*args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            broken.append(f"workloads.py:{node.lineno} {ast.unparse(fn)}: {exc}")
+    assert checked and not broken, broken

@@ -15,6 +15,7 @@ from hfrac.squarefn import (
     SquareFunctionConfig,
     _GradientTable,
     extension_gradient_sq_at,
+    g_function,
     g_parts,
     gradient_sq,
     g_star,
@@ -71,7 +72,7 @@ def test_grid_gradient_matches_exact_route(setup):
 
 def test_g1_origin_matches_pointwise_rho_quadrature(setup):
     spec, grid, quad, f, Su = setup
-    g1, gx, _ = g_parts(f, SHORT, grid, quad, Su)
+    g1, gx, _ = g_parts(f, SHORT, grid, quad)
     assert np.all(g1 >= 0) and np.all(gx >= 0)
     iz = int(np.argmin(np.abs(spec.z_axis)))
     it = int(np.argmin(np.abs(spec.t_axis)))
@@ -88,11 +89,34 @@ def test_g_star_rejects_boundary_sample_and_n_above_one(setup):
     spec, grid, quad, f, Su = setup
     near = [HeisenbergPoint([0.0], [spec.R_z - spec.R_z / 8], 0.0)]
     with pytest.raises(ValueError):
-        g_star(Su, SHORT, near, spec=spec)
+        g_star(Su, SHORT, near, spec)
     spec2 = GridSpec(n=2)
     S2 = PolyradialSpectrum(grid=grid, n=2, coeffs=[np.ones(int(c)) for c in grid.k_caps])
     with pytest.raises(NotImplementedError):
-        g_star(S2, SHORT, [HeisenbergPoint.origin(2)], spec=spec2)
+        g_star(S2, SHORT, [HeisenbergPoint.origin(2)], spec2)
+
+
+def test_g_function_parts_add_in_squares(setup):
+    # g1, g_x and g share one rho-ladder, so g^2 = g1^2 + g_x^2 pointwise
+    spec, grid, quad, f, Su = setup
+    g, g1, gx = (g_function(f, parts, SHORT, grid, quad).values.real
+                 for parts in ("full", "g1", "gx"))
+    assert np.max(np.abs(g * g - (g1 * g1 + gx * gx))) <= 1e-12 * np.max(g * g)
+    assert np.max(g1) > 0 and np.max(gx) > 0
+    with pytest.raises(ValueError):
+        g_function(f, "bad", SHORT, grid, quad)
+
+
+def test_gradient_sq_sums_every_horizontal_pair():
+    # U = x_2 on H^2 at every level: X_2 U = 1, every other X_j, Y_j and d_rho vanish
+    spec = GridSpec(n=2, N_z=8, N_t=8)
+    x2 = spec.meshgrid()[1].astype(complex)
+    levels = [GridFunction(spec=spec, values=x2) for _ in range(3)]
+    fld = ExtensionField(rho_levels=np.array([2.0, 1.0, 0.5]), levels=levels,
+                         provenance="x_2", s=0.5,
+                         companions={j: (lvl, lvl) for j, lvl in enumerate(levels)})
+    for g in gradient_sq(fld):
+        assert np.max(np.abs(g.values - 1.0)) <= 1e-12
 
 
 def test_mean_value_check_rejects_ladder_end_center():
@@ -103,3 +127,13 @@ def test_mean_value_check_rejects_ladder_end_center():
     for center in (2.0, 0.5):
         with pytest.raises(ValueError):
             mean_value_check(fld, None, center_rho=center)
+
+
+def test_mean_value_check_rejects_n_above_one():
+    # the extended-ball nodes live on H^1 x R+; no work may start for n = 2
+    spec = GridSpec(n=2, N_z=8, N_t=8)
+    levels = [GridFunction(spec=spec, values=np.zeros(spec.shape, complex)) for _ in range(3)]
+    fld = ExtensionField(rho_levels=np.array([4.0, 2.0, 1.0]), levels=levels,
+                         provenance="zeros", s=0.5)
+    with pytest.raises(NotImplementedError):
+        mean_value_check(fld, None)
