@@ -503,6 +503,12 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
     trapezoid, aliasing-guarded).  The heavy-tail route projects the lattice in
     one batch; the others build radii, radial weights and (M, Nr) slices, and
     one loop projects each lam, -lam pair through one shared recurrence.
+
+    A heavy-tail central profile must depend on lam only through |lam|, the
+    way synthesis needs symbols to (see the operators docstring): it is
+    evaluated and projected once per pair and both rows get its coefficients.
+    The profile at -lam is compared with the one at +lam on the outermost
+    pair, and a difference above 1e-12 of scale raises ValueError.
     """
     if not u.polyradial:
         raise ValueError("analyze_polyradial requires a polyradial input")
@@ -520,15 +526,22 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
     if u.central_profile is not None and u.heavy_tail:
         # v = |lam| u covers the power-law radial tail uniformly in lam and
         # makes the x-nodes shared across lambda, so the whole lattice
-        # projects through one batched recurrence
-        al = np.abs(grid.nodes)[:, None]
-        uu = quad.v_nodes[None, :] / al
-        Wmat = np.empty((grid.M, quad.v_nodes.size), dtype=complex)
-        for i, lam in enumerate(grid.nodes):
-            Wmat[i] = ang * (quad.v_weights / abs(lam)) \
-                * u.central_profile(uu[i], lam) * uu[i] ** alpha
-        raw = _project(0.5 * quad.v_nodes, Wmat, grid.k_caps, alpha)
-        coeffs = [c / proj_dim(np.arange(len(c)), n) for c in raw]
+        # projects through one batched recurrence; the profile depends on
+        # |lam| only, so each lam, -lam pair is evaluated and projected once
+        pairs = grid.mirror_pairs()
+        lams = np.array([lam for _, _, lam in pairs])
+        uu = quad.v_nodes[None, :] / lams[:, None]
+        prof = np.array([u.central_profile(x, lam) for x, lam in zip(uu, lams)])
+        odd = u.central_profile(uu[-1], -lams[-1]) - prof[-1]
+        if np.max(np.abs(odd)) > 1e-12 * np.max(np.abs(prof[-1])):
+            raise ValueError("a heavy-tail central profile must depend on |lambda| only: "
+                             f"it differs between lambda = +-{lams[-1]:g}")
+        Wmat = ang * (quad.v_weights / lams[:, None]) * prof * uu ** alpha
+        raw = _project(0.5 * quad.v_nodes, Wmat, [grid.k_caps[i] for i, _, _ in pairs], alpha)
+        coeffs = [None] * grid.M
+        for (i, j, _), c in zip(pairs, raw):
+            coeffs[i] = c / proj_dim(np.arange(len(c)), n)
+            coeffs[j] = coeffs[i].copy()
         return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
 
     caps, field_ = grid.k_caps, None

@@ -226,12 +226,17 @@ class _GradientTable:
                  for kind in ("poisson_nonconf", "poisson_nonconf_drho") for r in rho_levels]
         sl, dsl = slices_at_radii_batch(self.Su, uu, mults, want_du=True)
         L = len(rho_levels)
-        ph, ph_t = (_lambda_phases(self.Su.grid, self.t_axis, dt=d) for d in (False, True))
+        # Re(s^T ph) = [Re s; -Im s]^T [Re ph; Im ph]: one real product per
+        # inversion, half the flops of the complex one whose imaginary half
+        # would be thrown away
+        def stacked(dt):
+            ph = _lambda_phases(self.Su.grid, self.t_axis, dt=dt)
+            return np.concatenate([ph.real, ph.imag])
+
+        ph, ph_t = stacked(False), stacked(True)
 
         def inverted(slices, phases):
-            # a real copy frees the complex product at once; views of it kept beside the
-            # growing spline tables fragment the heap (~70 MB peak on the refined ladder)
-            return np.tensordot(slices, phases, axes=(0, 0)).real.copy()
+            return np.concatenate([slices.real, -slices.imag]).T @ phases
 
         for l, rho in enumerate(rho_levels):
             V = _gradient_sq(uu[:, None], inverted(dsl[l], ph), inverted(sl[l], ph_t),

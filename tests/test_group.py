@@ -9,6 +9,7 @@ from hfrac.group import (
     GridSpec,
     HeisenbergPoint,
     TestFunctionId,
+    _diff_axis,
     apply_vector_field,
     dilate,
     fd_weights,
@@ -135,6 +136,68 @@ def test_fd_weights_first_derivative():
     w = fd_weights([-2, -1, 0, 1, 2], 1)
     assert np.allclose(w, [1 / 12, -8 / 12, 0, 8 / 12, -1 / 12])
     assert abs(w.sum()) < 1e-14
+
+
+def _diff_axis_reference(values, axis, h, deriv, order):
+    # the shifted-slice accumulation loop: central stencils inside, one-sided
+    # closures of the same width at the edges
+    npts = order + deriv
+    npts += 1 - npts % 2
+    half = npts // 2
+    N = values.shape[axis]
+    v = np.moveaxis(values, axis, 0)
+    out = np.empty_like(v)
+    wc = fd_weights(np.arange(-half, half + 1), deriv)
+    acc = np.zeros_like(v[half:N - half])
+    for j, w in enumerate(wc):
+        if w != 0.0:
+            acc = acc + w * v[j:N - npts + j + 1]
+    out[half:N - half] = acc
+    for i in range(half):
+        out[i] = np.tensordot(fd_weights(np.arange(npts) - i, deriv), v[:npts], axes=(0, 0))
+        out[N - 1 - i] = np.tensordot(fd_weights(np.arange(-npts + 1, 1) + i, deriv),
+                                      v[N - npts:], axes=(0, 0))
+    return np.moveaxis(out, 0, axis) / h ** deriv
+
+
+def test_diff_axis_matches_accumulation_reference():
+    rng = np.random.default_rng(5)
+    real = rng.normal(size=(12, 10, 16))
+    for values in (real, real + 1j * rng.normal(size=real.shape)):
+        for axis in range(3):
+            for deriv in (1, 2):
+                for order in (4, 6):
+                    ref = _diff_axis_reference(values, axis, 0.3, deriv, order)
+                    got = _diff_axis(values, axis, 0.3, deriv, order)
+                    assert got.dtype == values.dtype
+                    err = np.max(np.abs(got - ref))
+                    assert err <= 1e-14 * np.max(np.abs(ref)), (values.dtype, axis, deriv, order)
+
+
+def test_diff_axis_exact_on_polynomials():
+    # every stencil, central or one-sided, spans at least order + 1 points,
+    # so a polynomial of degree <= order is differentiated exactly, edges included
+    h = 0.125
+    x = h * np.arange(16) - 1.0
+    for deriv in (1, 2):
+        for order in (4, 6):
+            p = np.polynomial.Polynomial(np.arange(1.0, order + 2.0))
+            exact = p.deriv(deriv)(x)
+            for axis in range(3):
+                shape = [1, 1, 1]
+                shape[axis] = x.size
+                values = np.broadcast_to(p(x).reshape(shape), (16, 16, 16)).copy()
+                got = np.moveaxis(_diff_axis(values, axis, h, deriv, order), axis, 0)
+                err = np.max(np.abs(got - exact[:, None, None]))
+                assert err <= 1e-10 * np.max(np.abs(exact)), (axis, deriv, order)
+
+
+def test_diff_axis_too_coarse():
+    # deriv 2 at order 6 needs 9 points along the axis
+    values = np.ones((9, 9, 8))
+    _diff_axis(values, 0, 1.0, 2, 6)
+    with pytest.raises(ValueError):
+        _diff_axis(values, 2, 1.0, 2, 6)
 
 
 def test_vector_field_annihilates_constants():

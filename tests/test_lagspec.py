@@ -498,6 +498,49 @@ def test_paired_analysis_matches_per_node_project(default_setup):
     assert worst <= 1e-13 * scale
 
 
+def _heavy_tail_reference(u, grid, quad):
+    # the per-node route: every lattice row keeps its own profile evaluation
+    al = np.abs(grid.nodes)[:, None]
+    uu = quad.v_nodes[None, :] / al
+    W = np.stack([math.pi * (quad.v_weights / abs(lam)) * u.central_profile(uu[i], lam)
+                  for i, lam in enumerate(grid.nodes)])          # n = 1: angular constant pi
+    return _project(0.5 * quad.v_nodes, W, grid.k_caps, 0)          # and dim P_k = 1
+
+
+def test_paired_heavy_tail_matches_per_node_reference(default_setup):
+    # one profile evaluation and one projected row per |lam|, shared by the pair
+    spec, grid, quad = default_setup
+    fid = TestFunctionId("conformal-kernel", (0.3, 1.4))
+    for f in (make_test_function(fid, spec), make_test_function(fid.dilated(0.7), spec)):
+        calls = []
+
+        def counted(u, lam, _p=f.central_profile):
+            calls.append(lam)
+            return _p(u, lam)
+
+        g = GridFunction(spec=spec, values=f.values, name=f.name, polyradial=True,
+                         central_profile=counted, heavy_tail=True)
+        S = analyze_polyradial(g, grid, quad)
+        assert len(calls) == grid.M // 2 + 1           # the extra call checks -lam
+        ref = _heavy_tail_reference(f, grid, quad)
+        scale = max(float(np.max(np.abs(r))) for r in ref)
+        for c, r in zip(S.coeffs, ref):
+            assert c.shape == r.shape
+            assert np.max(np.abs(c - r)) <= 1e-14 * scale, f.name
+        for i, j, _ in grid.mirror_pairs():
+            assert np.array_equal(S.coeffs[i], S.coeffs[j])
+
+
+def test_heavy_tail_rejects_odd_profile(default_setup):
+    spec, grid, quad = default_setup
+    f = make_test_function(TestFunctionId("conformal-kernel", (0.3, 1.4)), spec)
+    odd = lambda u, lam: f.central_profile(u, lam) * (1 + 0.5 * np.sign(lam))
+    g = GridFunction(spec=spec, values=f.values, polyradial=True, central_profile=odd,
+                     heavy_tail=True)
+    with pytest.raises(ValueError, match=r"\|lambda\|"):
+        analyze_polyradial(g, grid, quad)
+
+
 def test_synthesis_rejects_plain_callable_symbol(default_setup, skew_spectrum):
     # the engine mirrors each symbol from lam > 0 to -lam, which only
     # SpectralMultiplier kinds (functions of |lam|) guarantee
