@@ -335,7 +335,13 @@ def _diff_axis(values: np.ndarray, axis: int, h: float, deriv: int, order: int) 
     if N < npts:
         raise ValueError("grid too coarse for the requested stencil")
     wc = fd_weights(np.arange(-half, half + 1), deriv)
-    out = correlate1d(values, wc, axis=axis, mode="constant")
+    if values.dtype == np.complex128:
+        # correlate1d would split complex input into a real and an imaginary
+        # pass over strided lines; the float64 view, read as (..., 2), is one
+        pairs = np.ascontiguousarray(values).view(np.float64).reshape(values.shape + (2,))
+        out = correlate1d(pairs, wc, axis=axis, mode="constant").view(complex).reshape(values.shape)
+    else:
+        out = correlate1d(values, wc, axis=axis, mode="constant")
     v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
     # one-sided edges, same formal order
     for i in range(half):

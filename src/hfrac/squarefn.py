@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import BSpline, NdBSpline
+from scipy.sparse import csr_array
 from scipy.special import roots_legendre
 
 from .group import GridFunction, GridSpec, apply_vector_field, sublaplacian_grid
@@ -199,33 +200,57 @@ def extension_gradient_sq_at(Su: PolyradialSpectrum, rho: float,
     return _gradient_sq(u_vals.ravel(), du, dt, dr).reshape(u_vals.shape)
 
 
-class _GradientTable:
-    """Per-level bicubic tables of |nabla U|^2 over the window 0 <= r <= R_MAX,
-    |t| <= T_MAX of the (r, t) half-plane.
+def _interp_knots(x: np.ndarray) -> np.ndarray:
+    """Cubic not-a-knot knots on the mesh x, the ones fitpack places for s = 0."""
+    return np.concatenate([np.repeat(x[0], 4), x[2:-2], np.repeat(x[-1], 4)])
 
-    All ladder levels are synthesized in one batched sweep: the Laguerre
-    tables at the mesh radii are shared across levels and the three gradient
-    components per level.
+
+def _collocation_inverse(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """A^{-1} of the cubic collocation matrix A[i, j] = B_j(x_i).
+
+    The inverse decays geometrically away from its diagonal; entries below
+    1e-20 of its largest are set to zero, since left in they underflow to
+    subnormals in the fits and slow every GEMM about fivefold.
+    """
+    inv = np.linalg.inv(BSpline.design_matrix(x, knots, 3).toarray())
+    inv[np.abs(inv) < 1e-20 * np.max(np.abs(inv))] = 0.0
+    return inv
+
+
+class _GradientTable:
+    """Cubic interpolating splines of |nabla U|^2 over the window 0 <= r <= R_MAX,
+    |t| <= T_MAX of the (r, t) half-plane, one ladder level at a time.
+
+    Nothing but the mesh values depends on rho: the (r, t) mesh, its
+    not-a-knot knots, the collocation inverses of both axes and the
+    evaluation matrix at any point set are shared by every level.  A level's
+    spline coefficients are A_r^{-1} V A_t^{-T} of its mesh values V (two
+    GEMMs) and its values at the points are one sparse mat-vec, so no spline
+    object and no stack of levels is kept.  The Laguerre slices of all levels
+    come from two batched sweeps over the mesh radii: U with its u-derivative,
+    and d_rho U.
     """
 
     R_MAX = 25.0
     T_MAX = 26.0
 
-    def __init__(self, Su: PolyradialSpectrum, cfg: SquareFunctionConfig,
-                 rho_levels: np.ndarray):
+    def __init__(self, Su: PolyradialSpectrum, cfg: SquareFunctionConfig):
         self.r_axis = np.linspace(0.0, self.R_MAX, cfg.n_table_r)
         self.t_axis = np.linspace(-self.T_MAX, self.T_MAX, cfg.n_table_t)
         self.Su = Su
-        self._splines = {}
-        self._build(rho_levels)
+        self.knots = (_interp_knots(self.r_axis), _interp_knots(self.t_axis))
+        self._inv_r, self._inv_t = (_collocation_inverse(x, k)
+                                    for x, k in zip((self.r_axis, self.t_axis), self.knots))
 
-    def _build(self, rho_levels):
+    def mesh_values(self, rho_levels):
+        """|nabla U|^2 on the (r, t) mesh, one (N_r, N_t) array per level."""
         n = self.Su.n
-        uu = (self.r_axis * self.r_axis)
-        mults = [SpectralMultiplier(kind, r, n=n)
-                 for kind in ("poisson_nonconf", "poisson_nonconf_drho") for r in rho_levels]
-        sl, dsl = slices_at_radii_batch(self.Su, uu, mults, want_du=True)
-        L = len(rho_levels)
+        uu = self.r_axis * self.r_axis
+        sl, dsl = slices_at_radii_batch(
+            self.Su, uu, [SpectralMultiplier("poisson_nonconf", r, n=n) for r in rho_levels],
+            want_du=True)
+        rsl = slices_at_radii_batch(
+            self.Su, uu, [SpectralMultiplier("poisson_nonconf_drho", r, n=n) for r in rho_levels])
         # Re(s^T ph) = [Re s; -Im s]^T [Re ph; Im ph]: one real product per
         # inversion, half the flops of the complex one whose imaginary half
         # would be thrown away
@@ -238,22 +263,33 @@ class _GradientTable:
         def inverted(slices, phases):
             return np.concatenate([slices.real, -slices.imag]).T @ phases
 
-        for l, rho in enumerate(rho_levels):
-            V = _gradient_sq(uu[:, None], inverted(dsl[l], ph), inverted(sl[l], ph_t),
-                             inverted(sl[L + l], ph))
-            self._splines[round(math.log(rho), 12)] = RectBivariateSpline(
-                self.r_axis, self.t_axis, V, kx=3, ky=3)
+        for l in range(len(rho_levels)):
+            yield _gradient_sq(uu[:, None], inverted(dsl[l], ph), inverted(sl[l], ph_t),
+                               inverted(rsl[l], ph))
 
-    def spline(self, rho: float) -> RectBivariateSpline:
-        return self._splines[round(math.log(rho), 12)]
+    def design_matrix(self, zx, zy, t) -> csr_array:
+        """(P, N_r N_t) B-spline evaluation matrix at the points (zx, zy, t).
 
-    def eval(self, rho: float, zx, zy, t) -> np.ndarray:
+        Rows of points outside the tabulated window are zero: the fields have
+        decayed there.
+        """
         r = np.sqrt(zx * zx + zy * zy)
-        sp = self.spline(rho)
-        out = sp.ev(np.minimum(r, self.R_MAX), np.clip(t, -self.T_MAX, self.T_MAX))
-        # clamp to zero outside the tabulated window; the fields have decayed there
-        out = np.where((r > self.R_MAX) | (np.abs(t) > self.T_MAX), 0.0, out)
-        return np.maximum(out, 0.0)
+        pts = np.column_stack([np.minimum(r, self.R_MAX), np.clip(t, -self.T_MAX, self.T_MAX)])
+        D = NdBSpline.design_matrix(pts, self.knots, 3)
+        # scipy sizes the columns by the largest index present, and the
+        # points never reach r = R_MAX
+        D = csr_array((D.data, D.indices, D.indptr),
+                      shape=(len(pts), self.r_axis.size * self.t_axis.size))
+        outside = (r > self.R_MAX) | (np.abs(t) > self.T_MAX)
+        D.data[np.repeat(outside, np.diff(D.indptr))] = 0.0
+        return D
+
+    def values(self, rho_levels, D: csr_array) -> np.ndarray:
+        """(L, P) values, clamped at 0, of every level's spline at the rows of D."""
+        out = np.empty((len(rho_levels), D.shape[0]))
+        for l, V in enumerate(self.mesh_values(rho_levels)):
+            out[l] = D @ (self._inv_r @ V @ self._inv_t.T).ravel()
+        return np.maximum(out, 0.0, out=out)
 
 
 def g_star(Su: PolyradialSpectrum, cfg: SquareFunctionConfig, samples,
@@ -264,9 +300,11 @@ def g_star(Su: PolyradialSpectrum, cfg: SquareFunctionConfig, samples,
     g*(x)^2 = int_0^inf int_{H^n} (rho/(rho+|y|))^{lam Q} rho^{1-Q}
               |nabla U(x y^{-1}, rho)|^2 dy drho,
     with the Haar y-measure and the rho-ladder quadrature; |nabla U|^2 comes
-    from per-level bicubic tables of the exact spectral gradients.  The
-    y-nodes are the singular-quadrature node set on [y_r_min, y_r_max], which
-    like the tables is built for n = 1.
+    from cubic-spline tables of the exact spectral gradients.  The y-nodes
+    are the singular-quadrature node set on [y_r_min, y_r_max], which like
+    the tables is built for n = 1.  One evaluation matrix at every offset
+    x y^{-1} serves all levels, and the (level, offset) values meet the
+    (level, y-node) weights in one contraction.
     """
     if spec.n != 1:
         raise NotImplementedError("g* is implemented for n = 1: its y-nodes and "
@@ -275,19 +313,17 @@ def g_star(Su: PolyradialSpectrum, cfg: SquareFunctionConfig, samples,
     Q = 2 * spec.n + 2
     lad = cfg.rho_ladder()
     wts = cfg.rho_weights()
-    table = _GradientTable(Su, cfg, lad)
+    table = _GradientTable(Su, cfg)
     yq = SingularQuadrature.build(r_min=cfg.y_r_min, r_max=cfg.y_r_max,
                                   per_decade=cfg.y_per_decade,
                                   n_theta=cfg.y_n_theta, n_phi=cfg.y_n_phi)
-    offsets = [_right_args(x, yq) for x in samples]          # x y^{-1} over the y-nodes
-    out = np.zeros(len(samples))
-    for rho, wrho in zip(lad, wts):
-        weight = (rho / (rho + yq.gauge)) ** (cfg.lam_param * Q) * rho ** (1 - Q)
-        wy = yq.w_haar * weight
-        for i, (px, py, pt) in enumerate(offsets):
-            vals = table.eval(rho, px, py, pt)
-            out[i] += wrho * rho * float(np.dot(wy, vals))
-    return np.sqrt(out)
+    # x y^{-1} over the y-nodes, sample after sample
+    px, py, pt = (np.concatenate(c) for c in zip(*(_right_args(x, yq) for x in samples)))
+    vals = table.values(lad, table.design_matrix(px, py, pt))
+    rho = lad[:, None]
+    weight = (rho / (rho + yq.gauge)) ** (cfg.lam_param * Q) * rho ** (1 - Q)   # (L, y-nodes)
+    wy = (wts * lad)[:, None] * yq.w_haar * weight
+    return np.sqrt(np.einsum("lsy,ly->s", vals.reshape(len(lad), len(samples), -1), wy))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +358,9 @@ def pointwise_theorem_check(u: GridFunction, s: float, lam_param: float, samples
         raise ValueError("the pointwise bound requires s in (0, 1/2)")
     if not (1.0 < lam_param < 1.0 + 2.0 * s / Q):
         raise ValueError(f"lam_param must lie in (1, 1 + 2s/Q) = (1, {1 + 2*s/Q:g})")
+    if cfg is not None and cfg.lam_param != lam_param:
+        raise ValueError(f"cfg.lam_param = {cfg.lam_param:g} differs from lam_param = "
+                         f"{lam_param:g}: g* would use the one the check did not admit")
     if not u.polyradial:
         raise ValueError("polyradial input required")
     rep = VerificationReport(suite="gstar-pointwise-thm",

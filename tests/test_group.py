@@ -174,6 +174,30 @@ def test_diff_axis_matches_accumulation_reference():
                     assert err <= 1e-14 * np.max(np.abs(ref)), (values.dtype, axis, deriv, order)
 
 
+def test_diff_axis_interior_is_complex_correlate1d_bitwise():
+    # complex input runs as one real pass over its float64 view; inside the
+    # one-sided edges that must be bitwise the complex correlate1d, for
+    # contiguous and strided input alike (h = 1 keeps the scaling exact)
+    from scipy.ndimage import correlate1d
+
+    rng = np.random.default_rng(9)
+    base = rng.normal(size=(14, 12, 40)) + 1j * rng.normal(size=(14, 12, 40))
+    for values in (base, base[:, :, ::2], np.transpose(base, (1, 0, 2))):
+        for axis in range(3):
+            for deriv in (1, 2):
+                for order in (4, 6):
+                    npts = order + deriv
+                    npts += 1 - npts % 2
+                    half = npts // 2
+                    wc = fd_weights(np.arange(-half, half + 1), deriv)
+                    ref = correlate1d(values, wc, axis=axis, mode="constant")
+                    got = _diff_axis(values, axis, 1.0, deriv, order)
+                    inner = [slice(None)] * 3
+                    inner[axis] = slice(half, values.shape[axis] - half)
+                    assert got.dtype == np.complex128
+                    assert np.array_equal(got[tuple(inner)], ref[tuple(inner)]), (axis, deriv, order)
+
+
 def test_diff_axis_exact_on_polynomials():
     # every stencil, central or one-sided, spans at least order + 1 points,
     # so a polynomial of degree <= order is differentiated exactly, edges included

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
 from hfrac.group import GridFunction, GridSpec, HeisenbergPoint, TestFunctionId, make_test_function
 from hfrac.kernels import ExtensionField, nonconformal_extension
@@ -11,6 +12,7 @@ from hfrac.lagspec import (
     synthesize_at,
 )
 from hfrac.operators import SpectralMultiplier, apply_operator
+from hfrac.singular import SingularQuadrature, _right_args
 from hfrac.squarefn import (
     SquareFunctionConfig,
     _GradientTable,
@@ -20,6 +22,7 @@ from hfrac.squarefn import (
     gradient_sq,
     g_star,
     mean_value_check,
+    pointwise_theorem_check,
 )
 
 # a short ladder (rho = 1/4, 1/2, 1) and small tables keep every test to seconds
@@ -37,19 +40,65 @@ def setup():
 
 
 def test_gradient_table_interpolates_exact_gradient(setup):
-    # a bicubic interpolating spline reproduces its data at the mesh nodes, so
+    # a cubic interpolating spline reproduces its data at the mesh nodes, so
     # the table must equal the exact spectral |grad U|^2 there
     Su = setup[4]
     lad = SHORT.rho_ladder()
-    table = _GradientTable(Su, SHORT, lad)
+    table = _GradientTable(Su, SHORT)
     rng = np.random.default_rng(7)
     ir = rng.integers(0, SHORT.n_table_r, 50)
     it = rng.integers(0, SHORT.n_table_t, 50)
     r, t = table.r_axis[ir], table.t_axis[it]
-    for rho in lad:
+    got = table.values(lad, table.design_matrix(r, np.zeros_like(r), t))
+    for rho, g in zip(lad, got):
         exact = extension_gradient_sq_at(Su, rho, r * r, t)
-        got = table.spline(rho).ev(r, t)
-        assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact)), rho
+        assert np.max(np.abs(g - exact)) <= 1e-10 * np.max(np.abs(exact)), rho
+
+
+def _fitpack_eval(table, V, zx, zy, t):
+    # one fitpack spline per level, evaluated the way the per-level tables did:
+    # clamped into the window, zero outside it, clamped at 0
+    sp = RectBivariateSpline(table.r_axis, table.t_axis, V, kx=3, ky=3)
+    r = np.sqrt(zx * zx + zy * zy)
+    out = sp.ev(np.minimum(r, table.R_MAX), np.clip(t, -table.T_MAX, table.T_MAX))
+    out = np.where((r > table.R_MAX) | (np.abs(t) > table.T_MAX), 0.0, out)
+    return np.maximum(out, 0.0)
+
+
+def test_gradient_table_matches_fitpack_splines(setup):
+    # off the mesh, and outside the window, the shared evaluation matrix and
+    # the GEMM fits give what a per-level fitpack spline of the same data gives
+    Su = setup[4]
+    lad = SHORT.rho_ladder()
+    table = _GradientTable(Su, SHORT)
+    rng = np.random.default_rng(13)
+    zx, zy = rng.uniform(-20.0, 20.0, (2, 400))
+    t = rng.uniform(-30.0, 30.0, 400)
+    assert np.any(np.hypot(zx, zy) > table.R_MAX) and np.any(np.abs(t) > table.T_MAX)
+    got = table.values(lad, table.design_matrix(zx, zy, t))
+    for l, V in enumerate(table.mesh_values(lad)):
+        ref = _fitpack_eval(table, V, zx, zy, t)
+        assert np.max(np.abs(got[l] - ref)) <= 1e-13 * np.max(ref), lad[l]
+
+
+def test_g_star_matches_per_sample_level_loop(setup):
+    # the (level, sample) loop over per-level fitpack splines that the one
+    # evaluation matrix and the one contraction replace
+    spec, Su = setup[0], setup[4]
+    samples = [HeisenbergPoint([0.3], [-0.5], 0.2), HeisenbergPoint([-1.1], [0.4], -0.7)]
+    got = g_star(Su, SHORT, samples, spec)
+    Q = 2 * spec.n + 2
+    lad, wts = SHORT.rho_ladder(), SHORT.rho_weights()
+    table = _GradientTable(Su, SHORT)
+    yq = SingularQuadrature.build(r_min=SHORT.y_r_min, r_max=SHORT.y_r_max,
+                                  per_decade=SHORT.y_per_decade,
+                                  n_theta=SHORT.y_n_theta, n_phi=SHORT.y_n_phi)
+    ref = np.zeros(len(samples))
+    for rho, wrho, V in zip(lad, wts, table.mesh_values(lad)):
+        wy = yq.w_haar * (rho / (rho + yq.gauge)) ** (SHORT.lam_param * Q) * rho ** (1 - Q)
+        for i, x in enumerate(samples):
+            ref[i] += wrho * rho * float(np.dot(wy, _fitpack_eval(table, V, *_right_args(x, yq))))
+    assert np.max(np.abs(got - np.sqrt(ref))) <= 1e-13 * np.max(np.sqrt(ref))
 
 
 def test_grid_gradient_matches_exact_route(setup):
@@ -137,3 +186,17 @@ def test_mean_value_check_rejects_n_above_one():
                          provenance="zeros", s=0.5)
     with pytest.raises(NotImplementedError):
         mean_value_check(fld, None)
+
+
+def test_pointwise_theorem_check_rejects_cfg_with_other_lam_param(setup, monkeypatch):
+    # g* reads cfg.lam_param; a cfg that disagrees with the admitted lam_param
+    # must be refused before any analysis runs
+    spec, grid, quad, f, Su = setup
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("analysis ran before the lam_param check")
+
+    monkeypatch.setattr("hfrac.squarefn.analyze_polyradial", no_work)
+    with pytest.raises(ValueError, match="lam_param"):
+        pointwise_theorem_check(f, 0.2, 1.05, [HeisenbergPoint.origin(1)], grid, quad,
+                                SquareFunctionConfig())
