@@ -2,12 +2,14 @@
 
 Spectral calculus on the (k, lambda) Laguerre lattice, the pure (L^s) and
 conformally invariant (L_s) fractional powers, extension problems and their
-Dirichlet-to-Neumann traces, Littlewood-Paley square functions, and a
-verification harness for the commutator and square-function estimates.
+Dirichlet-to-Neumann traces, singular-integral quadrature and Littlewood-Paley
+square functions.  Verification suites check Plancherel, the pointwise
+representation of L_s, the Dirichlet-to-Neumann traces, the extension PDE
+residuals and the pointwise bound of D_s u by g*(L^s u), each as a report of
+numbers with tolerances.  No commutator or L^p estimate is formed yet.
 """
 
 from .group import (
-    GroupContext,
     HeisenbergPoint,
     GridSpec,
     GridFunction,

@@ -10,16 +10,14 @@ and the anisotropic dilations are delta_r(z, t) = (r z, r^2 t).
 
 from __future__ import annotations
 
-import io
-import json
 import math
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "GroupContext",
     "HeisenbergPoint",
     "GridSpec",
     "GridFunction",
@@ -37,21 +35,6 @@ __all__ = [
 ]
 
 BOUNDARY_DECAY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class GroupContext:
-    """Dimensional bookkeeping: complex dimension n and homogeneous dimension Q = 2n+2."""
-
-    n: int = 1
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("complex dimension n must be a positive integer")
-
-    @property
-    def Q(self) -> int:
-        return 2 * self.n + 2
 
 
 @dataclass(frozen=True)
@@ -188,10 +171,12 @@ class GridFunction:
     """Complex samples on a GridSpec, with optional closed-form backing.
 
     ``evaluator(x, y, t)`` gives exact off-grid values when the function comes
-    from the catalog; ``radial_profile(u, t)`` (u = |z|^2) and
-    ``central_profile(u, lam)`` = integral of f e^{i lam t} dt are used by the
-    spectral analysis to avoid grid-resolution limits.  Grid-only functions
-    (products of computations) simply leave them None.
+    from the catalog (the singular quadrature and left translation read it),
+    and ``radial_profile(u, t)`` (u = |z|^2) is the closed form it is built
+    on; the spectral analysis reads neither.  It reads ``coeff_fn`` when
+    present, else ``central_profile(u, lam)`` = integral of f e^{i lam t} dt,
+    else the grid samples.  Grid-only functions (products of computations)
+    simply leave them None.
     """
 
     spec: GridSpec
@@ -205,7 +190,6 @@ class GridFunction:
     # power-law radial decay: use extended-domain analysis, which needs
     # central_profile(u, lam) to depend on lam only through |lam|
     heavy_tail: bool = False
-    warnings: list = field(default_factory=list)
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -250,55 +234,6 @@ class GridFunction:
             if np.max(np.abs(w - cand)) > rtol * scale:
                 return False
         return True
-
-    # -- serialization ------------------------------------------------------
-
-    MAGIC = b"HFGF1\n"
-
-    def to_bytes(self) -> bytes:
-        header = {
-            "n": self.spec.n,
-            "R_z": self.spec.R_z,
-            "R_t": self.spec.R_t,
-            "N_z": self.spec.N_z,
-            "N_t": self.spec.N_t,
-            "name": self.name,
-            "polyradial": bool(self.polyradial),
-            "dtype": "complex128",
-        }
-        buf = io.BytesIO()
-        buf.write(self.MAGIC)
-        buf.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        buf.write(np.ascontiguousarray(self.values, dtype=np.complex128).tobytes())
-        return buf.getvalue()
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "GridFunction":
-        buf = io.BytesIO(raw)
-        if buf.readline() != cls.MAGIC:
-            raise ValueError("not a grid-function container")
-        header = json.loads(buf.readline().decode())
-        spec = GridSpec(n=header["n"], R_z=header["R_z"], R_t=header["R_t"],
-                        N_z=header["N_z"], N_t=header["N_t"])
-        dtype = header.get("dtype")
-        if dtype not in ("complex64", "complex128"):
-            raise ValueError(f"unsupported container dtype {dtype!r}")
-        data = np.frombuffer(buf.read(), dtype=dtype).reshape(spec.shape)
-        return cls(spec=spec, values=data.astype(np.complex128), name=header["name"],
-                   polyradial=header["polyradial"])
-
-    def to_csv(self, path) -> None:
-        if self.spec.n != 1:
-            raise NotImplementedError("CSV export implemented for n=1")
-        xs = self.spec.z_axis
-        ts = self.spec.t_axis
-        with open(path, "w") as fh:
-            fh.write("x,y,t,re,im\n")
-            for i, xv in enumerate(xs):
-                for j, yv in enumerate(xs):
-                    for k, tv in enumerate(ts):
-                        val = self.values[i, j, k]
-                        fh.write(f"{xv!r},{yv!r},{tv!r},{val.real!r},{val.imag!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +353,10 @@ def sublaplacian_grid(u: GridFunction, order: int = 4) -> GridFunction:
 
 def integrate(u: GridFunction) -> complex:
     """Haar integral (Lebesgue dz dt): trapezoid rule = cell-volume sum on the
-    endpoint-free layout.  Records a warning when the boundary has not decayed."""
+    endpoint-free layout.  Warns (UserWarning) when the boundary has not decayed."""
     if not u.boundary_decay_ok():
-        u.warnings.append(
-            f"boundary decay {u.boundary_max():.3e} exceeds {BOUNDARY_DECAY_TOL:.0e} of peak")
+        warnings.warn(f"boundary decay {u.boundary_max():.3e} exceeds "
+                      f"{BOUNDARY_DECAY_TOL:.0e} of peak", stacklevel=2)
     return complex(np.sum(u.values) * u.spec.cell_volume)
 
 
@@ -634,7 +569,7 @@ def left_translate(u: GridFunction, a: HeisenbergPoint) -> GridFunction:
     if spec.n != 1:
         raise NotImplementedError("left_translate implemented for n=1")
     if koranyi_norm(a) > spec.R_z / 4.0:
-        u.warnings.append("translation exceeds R/4; boundary loss may be significant")
+        warnings.warn("translation exceeds R/4; boundary loss may be significant", stacklevel=2)
     if u.evaluator is not None:
         X, Y, T = spec.meshgrid()
         px = a.x[0] + X

@@ -20,6 +20,7 @@ exactly 2^{1-2s} Gamma(1-s)/Gamma(s) mu^s.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -170,7 +171,7 @@ def conformal_poisson(f: GridFunction, s: float, rho: float,
                       quad: Optional[AnalysisQuadrature] = None) -> GridFunction:
     """w(. , rho) = C(n,s) rho^{2s} (f * phi_{s,rho}) through the Laguerre route.
 
-    Records the kernel's box-tail mass as a warning when it exceeds 1e-3 of the
+    Warns (UserWarning) when the kernel's box-tail mass exceeds 1e-3 of the
     total: the convolution itself integrates the kernel on an extended radial
     domain, so the warning flags the sampled-kernel picture, not this result.
     """
@@ -180,12 +181,10 @@ def conformal_poisson(f: GridFunction, s: float, rho: float,
     quad = quad or AnalysisQuadrature.build(f.spec)
     Sf = analyze_polyradial(f, grid, quad)
     total, tail = kernel_mass(f.spec.n, s, rho, f.spec.R_z)
-    out = synthesize(conformal_poisson_spectrum(Sf, s, rho, grid, quad, f.spec), f.spec)
     if tail / total > 1e-3:
-        out.warnings.append(
-            f"kernel tail outside the box carries {tail/total:.2e} of its mass "
-            f"(analysis domain extends beyond the box)")
-    return out
+        warnings.warn(f"kernel tail outside the box carries {tail/total:.2e} of its mass "
+                      "(analysis domain extends beyond the box)", stacklevel=2)
+    return synthesize(conformal_poisson_spectrum(Sf, s, rho, grid, quad, f.spec), f.spec)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ node carries its own cap  k_cap = max(K, k_energy_cap/|lam|).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,6 +70,7 @@ def proj_dim(k: np.ndarray, n: int) -> np.ndarray:
 # nodes, which makes ~150 per sign the floor for lam_max = 40.
 DEFAULT_PANELS = (1e-3, 0.1, 0.5, 2.5, 10.0, 25.0, 40.0)
 DEFAULT_COUNTS = (10, 12, 14, 34, 40, 40)
+K_CAP_MAX = 12000          # deepest Laguerre truncation of any lambda node
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,7 @@ class LambdaGrid:
     @classmethod
     def build(cls, lam_min: float = 1e-3, lam_max: float = 40.0,
               nodes_per_sign: int = 150, K: int = 64,
-              k_energy_cap: float = 36.0, k_cap_max: int = 12000,
-              panels=None) -> "LambdaGrid":
+              k_energy_cap: float = 36.0, panels=None) -> "LambdaGrid":
         if panels is None:
             edges = [e for e in DEFAULT_PANELS if lam_min < e < lam_max]
             edges = [lam_min] + edges + [lam_max]
@@ -120,7 +121,7 @@ class LambdaGrid:
         full = np.concatenate([-pos[::-1], pos])
         wfull = np.concatenate([wts[::-1], wts])
         # caps count coefficients: k runs over 0..cap-1, so the base block is K+1 deep
-        caps = np.maximum(K + 1, np.minimum(k_cap_max, np.ceil(k_energy_cap / np.abs(full)))).astype(int)
+        caps = np.maximum(K + 1, np.minimum(K_CAP_MAX, np.ceil(k_energy_cap / np.abs(full)))).astype(int)
         return cls(nodes=full, weights=wfull, k_caps=caps, K=K)
 
     @property
@@ -251,8 +252,8 @@ def _expand_multi(x: np.ndarray, C: np.ndarray, alpha: int,
 # ---------------------------------------------------------------------------
 # Central-variable transform
 #
-# _t_transform is the one forward t-transform (central_transform on the grid
-# trapezoid, analyze_polyradial's radial/evaluator route on the dense t-rule);
+# _t_transform is the one forward t-transform, the grid trapezoid of
+# central_transform, which analyze_polyradial's grid route reads;
 # _lambda_phases is the one lambda-inversion, contracted against the slices of
 # every synthesis, grid or point, of inverse_central_transform and of the
 # squarefn gradients.  The lattice omits the band |lam| < lam_min; a
@@ -266,7 +267,6 @@ class CentralSliceField:
     grid: LambdaGrid
     spec: GridSpec
     slices: np.ndarray        # (M,) + z-grid shape
-    warnings: list = field(default_factory=list)
 
     def conj_symmetry_error(self) -> float:
         mirror = self.grid.mirror_index()
@@ -297,30 +297,31 @@ def _alias_guard(grid: LambdaGrid, spec: GridSpec):
 
 
 def central_transform(u: GridFunction, grid: LambdaGrid) -> CentralSliceField:
-    """f^lam(z) = integral of f(z, t) e^{i lam t} dt by trapezoid over the t-grid."""
+    """f^lam(z) = integral of f(z, t) e^{i lam t} dt by trapezoid over the t-grid.
+
+    Warns (UserWarning) when the input has not decayed at the box boundary."""
     spec = u.spec
     _alias_guard(grid, spec)
-    field_ = CentralSliceField(grid=grid, spec=spec, slices=None)
     if not u.boundary_decay_ok():
-        field_.warnings.append("input does not decay at the t-boundary")
+        warnings.warn("input does not decay at the t-boundary", stacklevel=2)
     sl = _t_transform(u.values.reshape(-1, spec.N_t), grid, spec.t_axis, spec.h_t)  # (Nz^2, M)
-    field_.slices = np.moveaxis(sl, -1, 0).reshape((grid.M,) + spec.shape[:-1])
-    return field_
+    return CentralSliceField(grid=grid, spec=spec,
+                             slices=np.moveaxis(sl, -1, 0).reshape((grid.M,) + spec.shape[:-1]))
 
 
 def inverse_central_transform(F: CentralSliceField) -> GridFunction:
-    """f(z,t) = (2 pi)^{-1} integral of e^{-i lam t} f^lam(z) d lam on the node set."""
+    """f(z,t) = (2 pi)^{-1} integral of e^{-i lam t} f^lam(z) d lam on the node set.
+
+    Warns (UserWarning) when the slices at |lam|max still carry 1e-8 of peak."""
     grid, spec = F.grid, F.spec
     edge = np.max(np.abs(F.slices[[0, -1]]))
     peak = np.max(np.abs(F.slices)) or 1.0
-    warnings = list(F.warnings)
     if edge > 1e-8 * peak:
-        warnings.append(f"slices at |lam|max carry {edge/peak:.2e} of peak; lambda window may truncate")
+        warnings.warn(f"slices at |lam|max carry {edge/peak:.2e} of peak; "
+                      "lambda window may truncate", stacklevel=2)
     vals = F.slices.reshape(grid.M, -1).T @ _lambda_phases(grid, spec.t_axis)
-    out = GridFunction(spec=spec, values=vals.reshape(spec.shape), name="icentral",
-                       polyradial=False)
-    out.warnings.extend(warnings)
-    return out
+    return GridFunction(spec=spec, values=vals.reshape(spec.shape), name="icentral",
+                        polyradial=False)
 
 
 def twisted_convolve(F: np.ndarray, G: np.ndarray, lam: float, spec: GridSpec) -> np.ndarray:
@@ -370,7 +371,6 @@ class PolyradialSpectrum:
     n: int
     coeffs: list
     name: str = ""
-    warnings: list = field(default_factory=list)
 
     def copy_transformed(self, fn: Callable, name: str = None) -> "PolyradialSpectrum":
         """New spectrum with coeffs[i][k] *= fn(k, lam_i) (diagonal action)."""
@@ -446,9 +446,12 @@ class PolyradialSpectrum:
 # Analysis
 # ---------------------------------------------------------------------------
 
+V_SPAN = 400.0             # v = |lam| u range of the heavy-tail radial rule
+
+
 @dataclass(frozen=True)
 class AnalysisQuadrature:
-    """Dedicated quadrature nodes for the analysis integrals.
+    """Dedicated radial quadrature nodes for the analysis integrals.
 
     The radial rules are Gauss-Legendre in xi = sqrt(u/U) (so nodes cluster
     quadratically at the origin): Laguerre modes oscillate like cos(2 sqrt(kx))
@@ -460,8 +463,6 @@ class AnalysisQuadrature:
 
     u_nodes: np.ndarray
     u_weights: np.ndarray
-    t_nodes: np.ndarray
-    t_weights: np.ndarray
     v_nodes: np.ndarray
     v_weights: np.ndarray
 
@@ -474,15 +475,11 @@ class AnalysisQuadrature:
         return nodes, weights
 
     @classmethod
-    def build(cls, spec: GridSpec, n_radial: int = 1536, n_t: int = 2048,
-              t_span: Optional[float] = None, v_span: float = 400.0,
+    def build(cls, spec: GridSpec, n_radial: int = 1536,
               n_radial_v: int = 3072) -> "AnalysisQuadrature":
         u_nodes, u_weights = cls._sqrt_rule(spec.R_z ** 2, n_radial)
-        T = t_span if t_span is not None else max(12.0, spec.R_t)
-        t_nodes = np.linspace(-T, T, n_t, endpoint=False)
-        t_weights = np.full(n_t, 2 * T / n_t)
-        v_nodes, v_weights = cls._sqrt_rule(v_span, n_radial_v)
-        return cls(u_nodes, u_weights, t_nodes, t_weights, v_nodes, v_weights)
+        v_nodes, v_weights = cls._sqrt_rule(V_SPAN, n_radial_v)
+        return cls(u_nodes, u_weights, v_nodes, v_weights)
 
 
 def _angular_const(n: int) -> float:
@@ -499,10 +496,13 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
     to the twisted-convolution projection eigenvalue f^lam *_lam phi_k = c_k phi_k.
 
     Input routes, best available first: closed-form coefficients, central
-    profile, radial profile / evaluator (dense t-rule), raw grid samples (grid-t
-    trapezoid, aliasing-guarded).  The heavy-tail route projects the lattice in
-    one batch; the others build radii, radial weights and (M, Nr) slices, and
-    one loop projects each lam, -lam pair through one shared recurrence.
+    profile (the heavy-tail one on the v-rule, the other on the u-rule), raw
+    grid samples (grid-t trapezoid, aliasing-guarded).  The heavy-tail route
+    projects the lattice in one batch; the others build radii, radial weights
+    and (M, Nr) slices, and one loop projects each lam, -lam pair through one
+    shared recurrence.  The grid route warns (UserWarning) when the grid
+    band-limits the Laguerre order below the lattice caps and when the
+    spectrum's tail energy exceeds 1e-6.
 
     A heavy-tail central profile must depend on lam only through |lam|, the
     way synthesis needs symbols to (see the operators docstring): it is
@@ -544,21 +544,12 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
             coeffs[j] = coeffs[i].copy()
         return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
 
-    caps, field_ = grid.k_caps, None
-    if u.central_profile is not None or u.radial_profile is not None or u.evaluator is not None:
+    caps = grid.k_caps
+    if u.central_profile is not None:
         radii = quad.u_nodes
         weights = ang * quad.u_weights * radii ** alpha
-        if u.central_profile is not None:
-            # each sign keeps its own profile: the input need not be even in lam
-            slices = np.stack([u.central_profile(radii, lam) for lam in grid.nodes])
-        else:
-            if u.radial_profile is not None:
-                F = u.radial_profile(radii[:, None], quad.t_nodes[None, :])
-            else:
-                r = np.sqrt(radii)
-                F = u.evaluator(r[:, None], np.zeros_like(r)[:, None], quad.t_nodes[None, :])
-            F = np.asarray(F, dtype=complex)
-            slices = _t_transform(F, grid, quad.t_nodes, quad.t_weights).T
+        # each sign keeps its own profile: the input need not be even in lam
+        slices = np.stack([u.central_profile(radii, lam) for lam in grid.nodes])
     else:
         # grid samples, aggregated over equal-radius nodes; the z-grid resolves
         # the Laguerre oscillation (frequency sqrt(2 k lam) in r) only up to
@@ -580,14 +571,14 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
         cp, cn = _project(0.5 * lam * radii, weights * slices[[i, j]], [kcap, kcap], alpha)
         coeffs[i], coeffs[j] = cp / dims, cn / dims
     out = PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
-    if field_ is None:
+    if u.central_profile is not None:
         return out
-    out.warnings.extend(field_.warnings)
     if np.any(caps < grid.k_caps):
-        out.warnings.append("grid sampling band-limits the Laguerre order below the requested cap")
+        warnings.warn("grid sampling band-limits the Laguerre order below the requested cap",
+                      stacklevel=2)
     tail = out.tail_fraction()
     if tail > 1e-6:
-        out.warnings.append(f"spectral tail energy {tail:.2e} above 1e-6")
+        warnings.warn(f"spectral tail energy {tail:.2e} above 1e-6", stacklevel=2)
     return out
 
 

@@ -17,6 +17,7 @@ keeps every evaluation on the (u, t) half-plane.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -66,7 +67,6 @@ class SquareFunctionConfig:
     rho_min: float = 2.0 ** -9
     rho_max: float = 2.0 ** 5
     per_octave: int = 2
-    lam_param: float = 1.2          # g*-weight exponent; distinct from spectral lambda
     n_table_r: int = 512
     n_table_t: int = 768
     y_r_min: float = 1e-4
@@ -125,7 +125,8 @@ def g_parts(u: GridFunction, cfg: Optional[SquareFunctionConfig] = None,
 
     d_rho U is synthesized per level from the exact symbol derivative, the
     horizontal parts from grid stencils.  Shares one ladder, so g^2 = g1^2 +
-    gx^2 holds exactly by construction.
+    gx^2 holds exactly by construction.  Warns (UserWarning) when the last
+    ladder level still carries over 1e-4 of g1^2's peak.
     """
     if not u.polyradial:
         raise ValueError("g-functions are built spectrally: polyradial input required")
@@ -148,8 +149,9 @@ def g_parts(u: GridFunction, cfg: Optional[SquareFunctionConfig] = None,
         g1 += last
         gx += w * rho * rho * _horizontal_sq(Urho)
     tail = float(np.max(last) / max(np.max(g1), 1e-300))
-    warn = [f"rho-ladder tail share {tail:.2e}"] if tail > 1e-4 else []
-    return g1, gx, warn
+    if tail > 1e-4:
+        warnings.warn(f"rho-ladder tail share {tail:.2e}", stacklevel=2)
+    return g1, gx
 
 
 def g_function(u: GridFunction, parts: str = "full",
@@ -159,16 +161,14 @@ def g_function(u: GridFunction, parts: str = "full",
     """g(u), g1(u) or g_x(u) as a grid of point values."""
     if parts not in ("full", "g1", "gx"):
         raise ValueError("parts must be one of full, g1, gx")
-    g1, gx, warn = g_parts(u, cfg, grid, quad)
+    g1, gx = g_parts(u, cfg, grid, quad)
     if parts == "g1":
         vals = np.sqrt(g1)
     elif parts == "gx":
         vals = np.sqrt(gx)
     else:
         vals = np.sqrt(g1 + gx)
-    out = u.copy_with(vals.astype(complex), name=f"{parts}[{u.name}]", polyradial=True)
-    out.warnings.extend(warn)
-    return out
+    return u.copy_with(vals.astype(complex), name=f"{parts}[{u.name}]", polyradial=True)
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +293,14 @@ class _GradientTable:
 
 
 def g_star(Su: PolyradialSpectrum, cfg: SquareFunctionConfig, samples,
-           spec: GridSpec) -> np.ndarray:
+           spec: GridSpec, lam_param: float) -> np.ndarray:
     """Nontangential square function of the function with spectrum Su, at the
     samples of the grid spec.
 
     g*(x)^2 = int_0^inf int_{H^n} (rho/(rho+|y|))^{lam Q} rho^{1-Q}
               |nabla U(x y^{-1}, rho)|^2 dy drho,
-    with the Haar y-measure and the rho-ladder quadrature; |nabla U|^2 comes
+    with lam = lam_param (the weight exponent, not a spectral lambda), the
+    Haar y-measure and the rho-ladder quadrature; |nabla U|^2 comes
     from cubic-spline tables of the exact spectral gradients.  The y-nodes
     are the singular-quadrature node set on [y_r_min, y_r_max], which like
     the tables is built for n = 1.  One evaluation matrix at every offset
@@ -321,7 +322,7 @@ def g_star(Su: PolyradialSpectrum, cfg: SquareFunctionConfig, samples,
     px, py, pt = (np.concatenate(c) for c in zip(*(_right_args(x, yq) for x in samples)))
     vals = table.values(lad, table.design_matrix(px, py, pt))
     rho = lad[:, None]
-    weight = (rho / (rho + yq.gauge)) ** (cfg.lam_param * Q) * rho ** (1 - Q)   # (L, y-nodes)
+    weight = (rho / (rho + yq.gauge)) ** (lam_param * Q) * rho ** (1 - Q)   # (L, y-nodes)
     wy = (wts * lad)[:, None] * yq.w_haar * weight
     return np.sqrt(np.einsum("lsy,ly->s", vals.reshape(len(lad), len(samples), -1), wy))
 
@@ -358,9 +359,6 @@ def pointwise_theorem_check(u: GridFunction, s: float, lam_param: float, samples
         raise ValueError("the pointwise bound requires s in (0, 1/2)")
     if not (1.0 < lam_param < 1.0 + 2.0 * s / Q):
         raise ValueError(f"lam_param must lie in (1, 1 + 2s/Q) = (1, {1 + 2*s/Q:g})")
-    if cfg is not None and cfg.lam_param != lam_param:
-        raise ValueError(f"cfg.lam_param = {cfg.lam_param:g} differs from lam_param = "
-                         f"{lam_param:g}: g* would use the one the check did not admit")
     if not u.polyradial:
         raise ValueError("polyradial input required")
     rep = VerificationReport(suite="gstar-pointwise-thm",
@@ -368,13 +366,13 @@ def pointwise_theorem_check(u: GridFunction, s: float, lam_param: float, samples
                                      "samples": len(samples)})
     grid = grid or LambdaGrid.build()
     quad = quad or AnalysisQuadrature.build(spec)
-    cfg = cfg or SquareFunctionConfig(lam_param=lam_param)
+    cfg = cfg or SquareFunctionConfig()
     squad = squad or SingularQuadrature.build()
 
     def one_pass(grid_, quad_, cfg_, squad_):
         Su = analyze_polyradial(u, grid_, quad_)
         Sw = apply_operator(Su, SpectralMultiplier("frac_nonconf", s, n=spec.n)).spectrum
-        gs = g_star(Sw, cfg_, samples, spec)
+        gs = g_star(Sw, cfg_, samples, spec, lam_param)
         ds = d_s_values(u, s, samples, squad_)
         return ds, gs
 
@@ -389,8 +387,8 @@ def pointwise_theorem_check(u: GridFunction, s: float, lam_param: float, samples
     rep.require("lambda_hat_finite", math.isfinite(lam_hat) and lam_hat > 0)
     for i in range(len(samples)):
         rep.add(f"ratio_{i}", float(ratios[i]), route="quadrature/spectral")
-    ds2, gs2 = one_pass(grid.refine(), AnalysisQuadrature.build(
-        spec, n_radial=1920, n_t=2560), cfg.refine(), squad.refine())
+    ds2, gs2 = one_pass(grid.refine(), AnalysisQuadrature.build(spec, n_radial=1920),
+                        cfg.refine(), squad.refine())
     lam2 = float(np.max(np.where(gs2 > 0, ds2 / np.maximum(gs2, 1e-300), 0.0)))
     drift = abs(lam2 - lam_hat) / lam_hat
     rep.add("lambda_hat_refined", lam2, route="quadrature/spectral")

@@ -1,10 +1,12 @@
 """Every exported name resolves: guards deletions against stale exports."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import typing
 from pathlib import Path
 
 import pytest
@@ -86,6 +88,84 @@ def test_benchmark_counters_read_target_parameters():
                 if node.slice.value not in params:
                     broken.append(f"{count.__name__} reads {node.slice.value!r}, "
                                   f"not a parameter of {module}.{name}")
+    assert checked and not broken, broken
+
+
+def _bound_argument(node, local):
+    """The parameter name p when node is a["p"] or a local bound to it, else None."""
+    if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "a" and isinstance(node.slice, ast.Constant)):
+        return node.slice.value
+    if isinstance(node, ast.Name):
+        return local.get(node.id)
+    return None
+
+
+def _attribute_reads(fn, helpers):
+    """(parameter, attribute) pairs a counter reads off its bound arguments:
+    a["p"].x, x off a local bound to a["p"], and x that a spans helper reads
+    off the argument a["p"] is passed as."""
+    local = {}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                names = target.elts if isinstance(target, ast.Tuple) else [target]
+                values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+                for name, value in zip(names, values):
+                    param = _bound_argument(value, {})
+                    if isinstance(name, ast.Name) and param is not None:
+                        local[name.id] = param
+    reads = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute):
+            param = _bound_argument(node.value, local)
+            if param is not None:
+                reads.append((param, node.attr))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in helpers:
+            helper = helpers[node.func.id]
+            for arg, hparam in zip(node.args, helper.args.args):
+                param = _bound_argument(arg, local)
+                if param is not None:
+                    reads += [(param, sub.attr) for sub in ast.walk(helper)
+                              if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                              and sub.value.id == hparam.arg]
+    return reads
+
+
+def _has_attribute(tp, attr):
+    if typing.get_origin(tp) is typing.Union:          # Optional[X] reads as X
+        members = [t for t in typing.get_args(tp) if t is not type(None)]
+        if len(members) != 1:
+            return False
+        tp = members[0]
+    fields = {f.name for f in dataclasses.fields(tp)} if dataclasses.is_dataclass(tp) else set()
+    return hasattr(tp, attr) or attr in fields
+
+
+def test_benchmark_counters_read_existing_attributes():
+    # a counter reads attributes off its target's arguments (u.radial_profile,
+    # a["quad"].gauge); each must exist on the parameter's annotated type, so
+    # deleting a field the benchmark counts fails here, not only in a traced run
+    spans = _load_perfbench("spans")
+    functions = {node.name: node for node in ast.walk(ast.parse((PERFBENCH / "spans.py").read_text()))
+                 if isinstance(node, ast.FunctionDef)}
+    counters = {count.__name__ for _, _, _, count in spans.TARGETS if count is not None}
+    helpers = {name: node for name, node in functions.items()
+               if name.startswith("_") and name not in counters}
+    broken, checked = [], 0
+    for module, name, _, count in spans.TARGETS:
+        if count is None:
+            continue
+        hints = typing.get_type_hints(getattr(importlib.import_module(module), name))
+        for param, attr in _attribute_reads(functions[count.__name__], helpers):
+            checked += 1
+            if param not in hints:
+                broken.append(f"{count.__name__} reads {param}.{attr}, but {module}.{name} "
+                              f"does not annotate {param!r}")
+            elif not _has_attribute(hints[param], attr):
+                broken.append(f"{count.__name__} reads {param}.{attr}, which "
+                              f"{hints[param]} of {module}.{name} lacks")
     assert checked and not broken, broken
 
 
