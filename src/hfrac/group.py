@@ -333,6 +333,11 @@ def sublaplacian_grid(u: GridFunction, order: int = 4) -> GridFunction:
     L = -[ sum_j (d_xj^2 + d_yj^2) - sum_j (y_j d_xj - x_j d_yj) d_t + |z|^2/4 d_t^2 ];
     the mixed term vanishes identically on polyradial data.
     """
+    return u.copy_with(_sublaplacian_parts(u, order)[0], polyradial=u.polyradial)
+
+
+def _sublaplacian_parts(u: GridFunction, order: int):
+    """(values of sublaplacian_grid(u, order), the d_tt pass inside it)."""
     spec = u.spec
     n = spec.n
     taxis = 2 * n
@@ -348,7 +353,7 @@ def sublaplacian_grid(u: GridFunction, order: int = 4) -> GridFunction:
         acc = acc + _diff_axis(vals, n + j, spec.h_z, 2, order)
         acc = acc - mesh[n + j][..., None] * _diff_axis(dt, j, spec.h_z, 1, order)
         acc = acc + mesh[j][..., None] * _diff_axis(dt, n + j, spec.h_z, 1, order)
-    return u.copy_with(-acc, polyradial=u.polyradial)
+    return -acc, dtt
 
 
 def integrate(u: GridFunction) -> complex:

@@ -6,8 +6,10 @@ Its Laguerre coefficients factor over dilation,
 
     c_k(phi_{s,rho})(lam) = rho^{-2s} c_k(phi_{s,1})(rho^2 lam),
 
-and the convolution is a plain coefficient product, so every level of a
-rho-ladder is one kernel analysis plus one synthesis.
+and the convolution is a plain coefficient product.  So a whole rho-ladder
+of kernels is one analysis of phi_{s,1} on the dilated lattices (the v-rule's
+x-nodes do not depend on lam, so the identity holds for the discrete
+coefficients too), and each level is one synthesis.
 
 The non-conformal extension uses the Macdonald multiplier, the operators
 kind macdonald((s, rho)):
@@ -27,7 +29,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln, kv
 
-from .group import GridFunction, GridSpec, TestFunctionId, make_test_function, sublaplacian_grid
+from .group import GridFunction, GridSpec, TestFunctionId, _sublaplacian_parts, make_test_function
 from .lagspec import (
     AnalysisQuadrature,
     LambdaGrid,
@@ -139,31 +141,80 @@ def kernel_mass(n: int, s: float, rho: float, R_box: Optional[float] = None) -> 
 _KERNEL_CACHE: dict = {}
 
 
-def kernel_spectrum(s: float, rho: float, grid: LambdaGrid, quad: AnalysisQuadrature,
-                    spec: GridSpec) -> PolyradialSpectrum:
+def _dilated_lattice(grid: LambdaGrid, radii: list):
+    """The lattice of phi_{s,1} that carries the rows of every phi_{s,rho_j}.
+
+    Row i of phi_{s,rho_j} is rho_j^{-2s} times the row of phi_{s,1} at
+    rho_j^2 lam_i, truncated at k_caps[i].  Returns that lattice (nodes
+    +-rho_j^2 lam_i, weights rho_j^2 w_i, caps k_caps[i]; nodes that coincide
+    exactly are merged and keep the larger cap) and, per radius, the lattice
+    index of each row.
+    """
+    half = grid.M // 2
+    r2 = np.asarray(radii, dtype=float)[:, None] ** 2
+    pos, inv = np.unique((r2 * grid.nodes[half:]).ravel(), return_inverse=True)
+    caps = np.zeros(pos.size, dtype=int)
+    np.maximum.at(caps, inv, np.tile(grid.k_caps[half:], len(radii)))
+    wts = np.empty(pos.size)
+    wts[inv] = (r2 * grid.weights[half:]).ravel()
+    lattice = LambdaGrid(nodes=np.concatenate([-pos[::-1], pos]),
+                         weights=np.concatenate([wts[::-1], wts]),
+                         k_caps=np.concatenate([caps[::-1], caps]), K=grid.K)
+    # the heavy-tail route gives node -lam the row of +lam, so row i < half
+    # reads the positive node of its mirror M-1-i
+    fold = np.concatenate([np.arange(half)[::-1], np.arange(half)])
+    return lattice, pos.size + inv.reshape(len(radii), half)[:, fold]
+
+
+def kernel_spectrum(s: float, rho: float | np.ndarray, grid: LambdaGrid,
+                    quad: AnalysisQuadrature, spec: GridSpec) -> PolyradialSpectrum | list:
     """Laguerre coefficients of phi_{s,rho} on the lattice, cached by content:
-    (s, rho, n) and the lattice and v-quadrature arrays the analysis reads."""
-    key = (round(s, 12), round(rho, 12), spec.n, grid.nodes.tobytes(), grid.k_caps.tobytes(),
-           quad.v_nodes.tobytes(), quad.v_weights.tobytes())
-    hit = _KERNEL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    ker = make_test_function(TestFunctionId("conformal-kernel", (s, rho)), spec)
-    S = analyze_polyradial(ker, grid, quad)
-    if len(_KERNEL_CACHE) > 256:
-        _KERNEL_CACHE.clear()
-    _KERNEL_CACHE[key] = S
-    return S
+    (s, rho, n) and the lattice and v-quadrature arrays the analysis reads.
+
+    rho is a radius, which returns one spectrum, or a 1-D array of radii,
+    which returns a list.  A ladder is one heavy-tail analysis of phi_{s,1} on
+    the dilated lattices of the radii not yet cached: on the v-rule the
+    x-nodes do not depend on lam, so c_k(phi_{s,rho})(lam) =
+    rho^{-2s} c_k(phi_{s,1})(rho^2 lam) holds for the discrete coefficients
+    too, and the unit kernel is sampled, and the Laguerre recurrence run,
+    once per ladder.
+    """
+    radii = np.atleast_1d(np.asarray(rho, dtype=float))
+    if radii.ndim != 1 or np.any(radii <= 0):
+        raise ValueError("kernel radii must be positive, one radius or a 1-D array")
+    base = (spec.n, grid.nodes.tobytes(), grid.k_caps.tobytes(),
+            quad.v_nodes.tobytes(), quad.v_weights.tobytes())
+    keys = [(round(s, 12), round(float(r), 12)) + base for r in radii]
+    found = {key: _KERNEL_CACHE.get(key) for key in keys}
+    todo = {key: float(r) for key, r in zip(keys, radii) if found[key] is None}
+    if todo:
+        lattice, rows = _dilated_lattice(grid, list(todo.values()))
+        unit = make_test_function(TestFunctionId("conformal-kernel", (s, 1.0)), spec)
+        S1 = analyze_polyradial(unit, lattice, quad)
+        if len(_KERNEL_CACHE) + len(todo) > 256:
+            _KERNEL_CACHE.clear()
+        for (key, r), idx in zip(todo.items(), rows):
+            scale = r ** (-2.0 * s)
+            coeffs = [scale * S1.coeffs[j][:cap] for j, cap in zip(idx, grid.k_caps)]
+            found[key] = _KERNEL_CACHE[key] = PolyradialSpectrum(
+                grid=grid, n=spec.n, coeffs=coeffs,
+                name=TestFunctionId("conformal-kernel", (s, r)).label())
+    out = [found[key] for key in keys]
+    return out if np.ndim(rho) else out[0]
+
+
+def _poisson_level(Sf: PolyradialSpectrum, Sk: PolyradialSpectrum, s: float,
+                   rho: float) -> PolyradialSpectrum:
+    """C(n,s) rho^{2s} f * phi_{s,rho} on the lattice, given phi_{s,rho}'s spectrum."""
+    out = Sf.convolve(Sk) * (constants(Sf.n, s).C * rho ** (2 * s))
+    out.name = f"P^conf_{rho:g}[{Sf.name}]"
+    return out
 
 
 def conformal_poisson_spectrum(Sf: PolyradialSpectrum, s: float, rho: float,
                                grid: LambdaGrid, quad: AnalysisQuadrature,
                                spec: GridSpec) -> PolyradialSpectrum:
-    kc = constants(Sf.n, s)
-    Sk = kernel_spectrum(s, rho, grid, quad, spec)
-    out = Sf.convolve(Sk) * (kc.C * rho ** (2 * s))
-    out.name = f"P^conf_{rho:g}[{Sf.name}]"
-    return out
+    return _poisson_level(Sf, kernel_spectrum(s, rho, grid, quad, spec), s, rho)
 
 
 def conformal_poisson(f: GridFunction, s: float, rho: float,
@@ -245,14 +296,19 @@ def _second_difference(lo, u0, hi, hm, hp):
 def conformal_extension(f: GridFunction, s: float, rho_levels=None,
                         grid: Optional[LambdaGrid] = None,
                         quad: Optional[AnalysisQuadrature] = None) -> ExtensionField:
-    """Kernel-route extension: every level is a conformal Poisson convolution."""
+    """Kernel-route extension: every level is a conformal Poisson convolution.
+
+    The kernel spectra of every level and companion come from one ladder call
+    of kernel_spectrum, so one analysis of phi_{s,1} serves them all.
+    """
     grid = grid or LambdaGrid.build()
     quad = quad or AnalysisQuadrature.build(f.spec)
     rho_levels = default_rho_ladder() if rho_levels is None else np.asarray(rho_levels, float)
     Sf = analyze_polyradial(f, grid, quad)
     out = ExtensionField(rho_levels=rho_levels, levels=[], provenance=f"conformal(s={s:g})", s=s)
-    return out.fill([synthesize(conformal_poisson_spectrum(Sf, s, r, grid, quad, f.spec), f.spec)
-                     for r in out.radii()])
+    radii = out.radii()
+    Sks = kernel_spectrum(s, np.array(radii), grid, quad, f.spec)
+    return out.fill([synthesize(_poisson_level(Sf, Sk, s, r), f.spec) for r, Sk in zip(radii, Sks)])
 
 
 def macdonald_check_integral(orders, args, tol: float = 1e-10) -> float:
@@ -429,31 +485,41 @@ def frac_conf_pointwise(f: GridFunction, s: float, samples,
     return vals, rep.finish()
 
 
+def _level_residual(fld: ExtensionField, j: int, s: float, with_tt: bool,
+                    ablate_tt: bool) -> float:
+    """Relative interior residual at level j; its full-grid arrays die on return."""
+    rho = fld.rho_levels[j]
+    w = fld.levels[j]
+    d1, d2 = fld.rho_derivatives(j)
+    Lw, tt = _sublaplacian_parts(w, order=6)
+    drho = (1.0 - 2.0 * s) / rho * d1
+    res = d2 + drho
+    res -= Lw
+    scale = np.abs(d2)
+    scale += np.abs(drho)
+    scale += np.abs(Lw)
+    if with_tt:
+        tt *= 0.25 * rho * rho
+        if not ablate_tt:
+            res += tt
+        scale += np.abs(tt)
+    win = _interior_window(w.spec)
+    return np.linalg.norm(res[win]) / np.linalg.norm(scale[win])
+
+
 def _residual_report(rep: VerificationReport, fld: ExtensionField, s: float, levels,
                      route: str, tolerance, with_tt: bool, ablate_tt: bool = False):
     """Per-level interior residual of d_rho^2 + (1-2s)/rho d_rho [+ (rho^2/4) d_tt] - L.
 
-    The spatial parts use sixth-order stencils.  ablate_tt drops the d_tt term
-    from the residual, not from the scale."""
+    The spatial parts use sixth-order stencils; the d_tt term reuses the d_tt
+    pass of L.  ablate_tt drops the d_tt term from the residual, not from the
+    scale."""
     idx = levels if levels is not None else [
         j for j, r in enumerate(fld.rho_levels) if 0.12 <= r <= 2.1]
-    from .group import _diff_axis
     worst = 0.0
     for j in idx:
-        rho = fld.rho_levels[j]
-        w = fld.levels[j]
-        d1, d2 = fld.rho_derivatives(j)
-        Lw = sublaplacian_grid(w, order=6).values
-        res = d2 + (1.0 - 2.0 * s) / rho * d1 - Lw
-        scale = np.abs(d2) + np.abs((1.0 - 2.0 * s) / rho * d1) + np.abs(Lw)
-        if with_tt:
-            tt = 0.25 * rho * rho * _diff_axis(w.values, 2 * w.spec.n, w.spec.h_t, 2, 6)
-            if not ablate_tt:
-                res = res + tt
-            scale = scale + np.abs(tt)
-        win = _interior_window(w.spec)
-        rel = np.linalg.norm(res[win]) / np.linalg.norm(scale[win])
-        rep.add(f"residual_rho={rho:g}", rel, route=route, tolerance=tolerance)
+        rel = _level_residual(fld, j, s, with_tt, ablate_tt)
+        rep.add(f"residual_rho={fld.rho_levels[j]:g}", rel, route=route, tolerance=tolerance)
         worst = max(worst, rel)
     rep.add("residual_max", worst, route=route, tolerance=tolerance)
     return rep.finish()

@@ -57,6 +57,36 @@ def test_kernel_spectrum_cache_keyed_by_content():
     assert kernel_spectrum(s, rho, deeper, quad, spec) is not a
 
 
+@pytest.mark.parametrize("lattice, radii", [
+    ("default", [1.3, 1.3 * math.exp(-0.05), 1.3 * math.exp(0.05), 0.45]),
+    # 2^2 * 0.5 = 1^2 * 2 exactly: the ladder analyses that node once, with the
+    # larger of the two caps, and each radius keeps its own truncation
+    ("coinciding", [1.0, 2.0]),
+])
+def test_kernel_ladder_is_dilation_of_unit_kernel(lattice, radii):
+    # c_k(phi_{s,rho})(lam) = rho^{-2s} c_k(phi_{s,1})(rho^2 lam): a ladder call
+    # analyses phi_{s,1} once on the dilated lattices; each spectrum must match
+    # an independent analysis of phi_{s,rho} on the original lattice
+    spec = GridSpec(N_z=16, N_t=16, R_z=4, R_t=4)
+    grid = LambdaGrid.build() if lattice == "default" else LambdaGrid(
+        nodes=np.array([-2.0, -0.5, 0.5, 2.0]), weights=np.ones(4), k_caps=np.array([10, 40, 40, 10]))
+    quad = AnalysisQuadrature.build(spec)
+    s = 0.3
+    ladder = kernel_spectrum(s, np.array(radii), grid, quad, spec)
+    assert isinstance(ladder, list) and len(ladder) == len(radii)
+    for rho, S in zip(radii, ladder):
+        ref = analyze_polyradial(make_test_function(TestFunctionId("conformal-kernel", (s, rho)),
+                                                    spec), grid, quad)
+        assert [len(c) for c in S.coeffs] == list(grid.k_caps)
+        scale = max(np.max(np.abs(c)) for c in ref.coeffs)
+        err = max(np.max(np.abs(a - b)) for a, b in zip(S.coeffs, ref.coeffs))
+        assert err <= 1e-13 * scale
+    for rho, S in zip(radii, ladder):
+        assert kernel_spectrum(s, rho, grid, quad, spec) is S
+    with pytest.raises(ValueError):
+        kernel_spectrum(s, np.array([1.0, -1.0]), grid, quad, spec)
+
+
 def test_phi_kernel_origin():
     assert phi_kernel(0.5, 1.0, (0.0, 0.0, 0.0)) == pytest.approx(1.0)
     p = HeisenbergPoint([0.3], [0.1], -0.2)

@@ -202,3 +202,34 @@ def test_benchmark_calls_bind():
         except TypeError as exc:
             broken.append(f"workloads.py:{node.lineno} {ast.unparse(fn)}: {exc}")
     assert checked and not broken, broken
+
+
+def test_conformal_ladder_reaches_required_layers():
+    # the benchmark's traced conformal-ladder run fails unless each of its
+    # required layers does work; dropping one must fail here too
+    from hfrac.group import GridSpec, TestFunctionId, make_test_function
+    from hfrac.lagspec import AnalysisQuadrature, LambdaGrid
+
+    spans, run = _load_perfbench("spans"), _load_perfbench("run")
+    # the tracer wraps its targets in every hfrac module, so all are imported
+    for name in MODULES:
+        importlib.import_module(f"hfrac.{name}")
+    kernels = importlib.import_module("hfrac.kernels")
+    spec = GridSpec(N_z=32, N_t=64, R_z=8, R_t=8)
+    # a lattice and v-rule of this test's own, so no cached kernel spectrum
+    # can stand in for the analysis
+    grid = LambdaGrid.build(nodes_per_sign=20, K=8, k_energy_cap=2.0)
+    quad = AnalysisQuadrature.build(spec, n_radial_v=224)
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    s = 0.3
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # reached through the module attribute, which the tracer patches
+        fld = kernels.conformal_extension(f, s, [2.0, 1.4, 1.0, 0.7, 0.5], grid, quad)
+        kernels.conformal_pde_residual(fld, s)
+    finally:
+        tracer.uninstall()
+    layers = tracer.layer_metrics(0.0)
+    counts = {name: layers[name] for name in run.LAYERS_USED["conformal-ladder"]}
+    assert all(v > 0 for v in counts.values()), counts
