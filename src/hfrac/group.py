@@ -159,12 +159,6 @@ class GridSpec:
                     or abs(p.t) > self.R_t - self.R_t / 4.0):
                 raise ValueError("samples must sit interior to the box by a margin of R/4")
 
-    def refine(self, factor: float = 1.25) -> "GridSpec":
-        def bump(N):
-            m = int(round(N * factor / 2)) * 2
-            return max(m, N + 2)
-        return replace(self, N_z=bump(self.N_z), N_t=bump(self.N_t))
-
 
 @dataclass
 class GridFunction:
@@ -212,17 +206,18 @@ class GridFunction:
             faces.append(np.max(np.take(v, v.shape[ax] - 1, axis=ax)))
         return float(max(faces))
 
-    def boundary_decay_ok(self, tol: float = BOUNDARY_DECAY_TOL) -> bool:
+    def boundary_decay_ok(self) -> bool:
+        """The largest boundary value is at most BOUNDARY_DECAY_TOL of peak."""
         peak = float(np.max(np.abs(self.values)))
         if peak == 0.0:
             return True
-        return self.boundary_max() <= tol * peak
+        return self.boundary_max() <= BOUNDARY_DECAY_TOL * peak
 
-    def check_polyradial(self, rtol: float = 1e-12) -> bool:
+    def check_polyradial(self) -> bool:
         """Dihedral-symmetry test: values at grid nodes with equal |z| must agree.
 
         Checks the full reflection/swap orbit of the z-coordinates, which is
-        what the node set realizes exactly.
+        what the node set realizes exactly, to 1e-12 of peak.
         """
         if self.spec.n != 1:
             raise NotImplementedError("polyradial validation implemented for n=1")
@@ -231,7 +226,7 @@ class GridFunction:
         # interior block excluding the -R face, which has no mirror node
         w = v[1:, 1:, :]
         for cand in (w[::-1, :, :], w[:, ::-1, :], np.swapaxes(w, 0, 1)):
-            if np.max(np.abs(w - cand)) > rtol * scale:
+            if np.max(np.abs(w - cand)) > 1e-12 * scale:
                 return False
         return True
 
@@ -296,9 +291,9 @@ def apply_vector_field(field_id: str, u: GridFunction, order: int = 4) -> GridFu
 
         X_j = d/dx_j - (y_j/2) d/dt,    Y_j = d/dy_j + (x_j/2) d/dt,
 
-    which satisfy [X_j, Y_j] = T and commute with left translations.  Stencils
-    are central of the given order with one-sided closures at the box edges
-    (no periodic wrap).
+    which satisfy [X_j, Y_j] = T and commute with left translations.  field_id
+    is "T", "Xj" or "Yj" with 1 <= j <= n.  Stencils are central of the given
+    order with one-sided closures at the box edges (no periodic wrap).
     """
     spec = u.spec
     if spec.N_z < 8 or spec.N_t < 8:
@@ -306,12 +301,9 @@ def apply_vector_field(field_id: str, u: GridFunction, order: int = 4) -> GridFu
     n = spec.n
     if field_id == "T":
         return u.copy_with(_diff_axis(u.values, 2 * n, spec.h_t, 1, order), polyradial=False)
-    # accept "X1", "X_1", "Y2", ...
-    kind = field_id[0]
-    idx = int(field_id.replace("_", "")[1:]) if len(field_id) > 1 else 1
-    if kind not in ("X", "Y") or not (1 <= idx <= n):
+    if field_id not in {f"{kind}{j}" for kind in "XY" for j in range(1, n + 1)}:
         raise ValueError(f"unknown vector field {field_id!r}")
-    j = idx - 1
+    kind, j = field_id[0], int(field_id[1:]) - 1
     dt = _diff_axis(u.values, 2 * n, spec.h_t, 1, order)
     axes = [spec.z_axis] * (2 * n)
     mesh = np.meshgrid(*axes, indexing="ij")

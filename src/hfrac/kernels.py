@@ -49,7 +49,6 @@ __all__ = [
     "phi_kernel",
     "constants",
     "kernel_spectrum",
-    "conformal_poisson_spectrum",
     "conformal_poisson",
     "conformal_extension",
     "dirichlet_to_neumann_conformal",
@@ -138,9 +137,6 @@ def kernel_mass(n: int, s: float, rho: float, R_box: Optional[float] = None) -> 
 # kernel spectra and the conformal Poisson operator
 # ---------------------------------------------------------------------------
 
-_KERNEL_CACHE: dict = {}
-
-
 def _dilated_lattice(grid: LambdaGrid, radii: list):
     """The lattice of phi_{s,1} that carries the rows of every phi_{s,rho_j}.
 
@@ -168,38 +164,27 @@ def _dilated_lattice(grid: LambdaGrid, radii: list):
 
 def kernel_spectrum(s: float, rho: float | np.ndarray, grid: LambdaGrid,
                     quad: AnalysisQuadrature, spec: GridSpec) -> PolyradialSpectrum | list:
-    """Laguerre coefficients of phi_{s,rho} on the lattice, cached by content:
-    (s, rho, n) and the lattice and v-quadrature arrays the analysis reads.
+    """Laguerre coefficients of phi_{s,rho} on the lattice.
 
     rho is a radius, which returns one spectrum, or a 1-D array of radii,
     which returns a list.  A ladder is one heavy-tail analysis of phi_{s,1} on
-    the dilated lattices of the radii not yet cached: on the v-rule the
-    x-nodes do not depend on lam, so c_k(phi_{s,rho})(lam) =
-    rho^{-2s} c_k(phi_{s,1})(rho^2 lam) holds for the discrete coefficients
-    too, and the unit kernel is sampled, and the Laguerre recurrence run,
-    once per ladder.
+    the dilated lattices of its radii: on the v-rule the x-nodes do not depend
+    on lam, so c_k(phi_{s,rho})(lam) = rho^{-2s} c_k(phi_{s,1})(rho^2 lam)
+    holds for the discrete coefficients too, and the unit kernel is sampled,
+    and the Laguerre recurrence run, once per call.
     """
     radii = np.atleast_1d(np.asarray(rho, dtype=float))
     if radii.ndim != 1 or np.any(radii <= 0):
         raise ValueError("kernel radii must be positive, one radius or a 1-D array")
-    base = (spec.n, grid.nodes.tobytes(), grid.k_caps.tobytes(),
-            quad.v_nodes.tobytes(), quad.v_weights.tobytes())
-    keys = [(round(s, 12), round(float(r), 12)) + base for r in radii]
-    found = {key: _KERNEL_CACHE.get(key) for key in keys}
-    todo = {key: float(r) for key, r in zip(keys, radii) if found[key] is None}
-    if todo:
-        lattice, rows = _dilated_lattice(grid, list(todo.values()))
-        unit = make_test_function(TestFunctionId("conformal-kernel", (s, 1.0)), spec)
-        S1 = analyze_polyradial(unit, lattice, quad)
-        if len(_KERNEL_CACHE) + len(todo) > 256:
-            _KERNEL_CACHE.clear()
-        for (key, r), idx in zip(todo.items(), rows):
-            scale = r ** (-2.0 * s)
-            coeffs = [scale * S1.coeffs[j][:cap] for j, cap in zip(idx, grid.k_caps)]
-            found[key] = _KERNEL_CACHE[key] = PolyradialSpectrum(
-                grid=grid, n=spec.n, coeffs=coeffs,
-                name=TestFunctionId("conformal-kernel", (s, r)).label())
-    out = [found[key] for key in keys]
+    lattice, rows = _dilated_lattice(grid, radii.tolist())
+    unit = make_test_function(TestFunctionId("conformal-kernel", (s, 1.0)), spec)
+    S1 = analyze_polyradial(unit, lattice, quad)
+    out = []
+    for r, idx in zip(radii.tolist(), rows):
+        scale = r ** (-2.0 * s)
+        coeffs = [scale * S1.coeffs[j][:cap] for j, cap in zip(idx, grid.k_caps)]
+        out.append(PolyradialSpectrum(grid=grid, n=spec.n, coeffs=coeffs,
+                                      name=TestFunctionId("conformal-kernel", (s, r)).label()))
     return out if np.ndim(rho) else out[0]
 
 
@@ -209,12 +194,6 @@ def _poisson_level(Sf: PolyradialSpectrum, Sk: PolyradialSpectrum, s: float,
     out = Sf.convolve(Sk) * (constants(Sf.n, s).C * rho ** (2 * s))
     out.name = f"P^conf_{rho:g}[{Sf.name}]"
     return out
-
-
-def conformal_poisson_spectrum(Sf: PolyradialSpectrum, s: float, rho: float,
-                               grid: LambdaGrid, quad: AnalysisQuadrature,
-                               spec: GridSpec) -> PolyradialSpectrum:
-    return _poisson_level(Sf, kernel_spectrum(s, rho, grid, quad, spec), s, rho)
 
 
 def conformal_poisson(f: GridFunction, s: float, rho: float,
@@ -235,15 +214,17 @@ def conformal_poisson(f: GridFunction, s: float, rho: float,
     if tail / total > 1e-3:
         warnings.warn(f"kernel tail outside the box carries {tail/total:.2e} of its mass "
                       "(analysis domain extends beyond the box)", stacklevel=2)
-    return synthesize(conformal_poisson_spectrum(Sf, s, rho, grid, quad, f.spec), f.spec)
+    return synthesize(_poisson_level(Sf, kernel_spectrum(s, rho, grid, quad, f.spec), s, rho),
+                      f.spec)
 
 
 # ---------------------------------------------------------------------------
 # extension fields
 # ---------------------------------------------------------------------------
 
-def default_rho_ladder(rho0: float = 2.0, J: int = 8) -> np.ndarray:
-    return rho0 * 2.0 ** (-np.arange(J + 1, dtype=float))
+def default_rho_ladder() -> np.ndarray:
+    """rho_j = 2^{1-j}, j = 0..8."""
+    return 2.0 * 2.0 ** (-np.arange(9, dtype=float))
 
 
 @dataclass
@@ -311,11 +292,11 @@ def conformal_extension(f: GridFunction, s: float, rho_levels=None,
     return out.fill([synthesize(_poisson_level(Sf, Sk, s, r), f.spec) for r, Sk in zip(radii, Sks)])
 
 
-def macdonald_check_integral(orders, args, tol: float = 1e-10) -> float:
+def macdonald_check_integral(orders, args) -> float:
     """Largest relative deviation of K_nu against its integral representation.
 
     K_nu(x) = int_0^inf e^{-x cosh t} cosh(nu t) dt, evaluated adaptively;
-    raises if any spot point misses the tolerance.
+    raises if any spot point misses 1e-10.
     """
     from scipy.integrate import quad as spquad
     worst = 0.0
@@ -326,7 +307,7 @@ def macdonald_check_integral(orders, args, tol: float = 1e-10) -> float:
             ref = float(kv(nu, x))
             rel = abs(val - ref) / abs(ref)
             worst = max(worst, rel)
-            if rel > tol:
+            if rel > 1e-10:
                 raise ValueError(f"Macdonald evaluation off by {rel:.2e} at nu={nu}, x={x}")
     return worst
 
@@ -406,14 +387,14 @@ def _interior_window(spec: GridSpec):
 
 
 def dirichlet_to_neumann_conformal(f: GridFunction, s: float,
-                                   rho_levels=None,
                                    grid: Optional[LambdaGrid] = None,
                                    quad: Optional[AnalysisQuadrature] = None) -> VerificationReport:
     """Kernel-route Neumann trace against dtn(s) . spectral L_s f.
 
-    N_j = -rho_j^{1-2s} d/drho w(., rho_j) (centered differences in log rho on
-    tight companions), Richardson-extrapolated in the known secondary power
-    rho^{2-2s}, compared in relative L2 on the interior window.
+    N_j = -rho_j^{1-2s} d/drho w(., rho_j) on default_rho_ladder() (centered
+    differences in log rho on tight companions), Richardson-extrapolated in the
+    known secondary power rho^{2-2s}, compared in relative L2 on the interior
+    window.
     """
     if not (0 < s < 0.5):
         raise ValueError("the D-to-N trace requires s in (0, 1/2)")
@@ -422,7 +403,7 @@ def dirichlet_to_neumann_conformal(f: GridFunction, s: float,
     rep = VerificationReport(suite="kernels-dtn", inputs={"f": f.name, "s": s})
     grid = grid or LambdaGrid.build()
     quad = quad or AnalysisQuadrature.build(f.spec)
-    rho_levels = default_rho_ladder() if rho_levels is None else np.asarray(rho_levels, float)
+    rho_levels = default_rho_ladder()
     fld = conformal_extension(f, s, rho_levels, grid, quad)
     kc = constants(f.spec.n, s)
     Sf = analyze_polyradial(f, grid, quad)
@@ -544,28 +525,27 @@ def conformal_pde_residual(fld: ExtensionField, s: float,
                             None if ablate_tt else 5e-3, with_tt=True, ablate_tt=ablate_tt)
 
 
-def nonconformal_pde_residual(fld: ExtensionField,
-                              levels: Optional[list] = None) -> VerificationReport:
+def nonconformal_pde_residual(fld: ExtensionField) -> VerificationReport:
     """Interior residual of d_rho^2 + (1-2s)/rho d_rho - L on a Macdonald field."""
     rep = VerificationReport(suite="nonconformal-residual",
                              inputs={"s": fld.s, "provenance": fld.provenance})
-    return _residual_report(rep, fld, fld.s, levels, "spectral/grid", 1e-3, with_tt=False)
+    return _residual_report(rep, fld, fld.s, None, "spectral/grid", 1e-3, with_tt=False)
 
 
 def nonconformal_trace_fit(f: GridFunction, s: float,
                            grid: Optional[LambdaGrid] = None,
-                           quad: Optional[AnalysisQuadrature] = None,
-                           rho_levels=None) -> VerificationReport:
+                           quad: Optional[AnalysisQuadrature] = None) -> VerificationReport:
     """Fit of the proportionality -rho^{1-2s} d_rho U -> c_hat . L^s f.
 
-    The constant is reported, not asserted; it lands on the same
-    2^{1-2s} G(1-s)/G(s) as the conformal trace, which the Macdonald form
-    makes explicit.
+    The fit reads the two smallest radii of default_rho_ladder(), so only
+    those two levels and their companions are synthesized.  The constant is
+    reported, not asserted; it lands on the same 2^{1-2s} G(1-s)/G(s) as the
+    conformal trace, which the Macdonald form makes explicit.
     """
     rep = VerificationReport(suite="nonconformal-trace", inputs={"f": f.name, "s": s})
     grid = grid or LambdaGrid.build()
     quad = quad or AnalysisQuadrature.build(f.spec)
-    rho_levels = default_rho_ladder() if rho_levels is None else np.asarray(rho_levels, float)
+    rho_levels = default_rho_ladder()[-2:]
     fld = nonconformal_extension(f, s, rho_levels, grid, quad)
     Sf = analyze_polyradial(f, grid, quad)
     ref = synthesize(apply_operator(Sf, SpectralMultiplier("frac_nonconf", s, n=f.spec.n)).spectrum,
@@ -573,11 +553,11 @@ def nonconformal_trace_fit(f: GridFunction, s: float,
     win = _interior_window(f.spec)
     rv = ref.values[win].real.ravel()
     fits = []
-    for j in (len(rho_levels) - 2, len(rho_levels) - 1):
+    for j, rho in enumerate(rho_levels):
         d1, _ = fld.rho_derivatives(j)
-        Nj = (-rho_levels[j] ** (1.0 - 2.0 * s) * d1)[win].real.ravel()
+        Nj = (-rho ** (1.0 - 2.0 * s) * d1)[win].real.ravel()
         fits.append(float(np.dot(Nj, rv) / np.dot(rv, rv)))
-        rep.add(f"c_hat_rho={rho_levels[j]:g}", fits[-1], route="spectral")
+        rep.add(f"c_hat_rho={rho:g}", fits[-1], route="spectral")
     drift = abs(fits[-1] - fits[-2]) / abs(fits[-1])
     rep.add("c_hat_drift", drift, route="spectral", tolerance=1e-2)
     kc = constants(f.spec.n, s)

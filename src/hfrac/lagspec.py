@@ -11,7 +11,7 @@ eigenvalue parameter mu = (2k+n)|lam|.
 
 The k-truncation is adaptive: a slice at small |lam| needs k up to O(1/|lam|)
 to resolve unit-scale profiles (the basis widens like |lam|^{-1/2}), so each
-node carries its own cap  k_cap = max(K, k_energy_cap/|lam|).
+node carries its own cap  k_cap = max(K+1, min(K_CAP_MAX, ceil(k_energy_cap/|lam|))).
 """
 
 from __future__ import annotations
@@ -38,7 +38,9 @@ __all__ = [
     "twisted_convolve",
     "analyze_polyradial",
     "synthesize",
+    "synthesize_batch",
     "synthesize_at",
+    "slices_at_radii_batch",
     "group_convolve",
     "plancherel_check",
     "parseval_pair",
@@ -137,7 +139,9 @@ class LambdaGrid:
         mirror = self.mirror_index()
         return [(i, int(mirror[i]), self.nodes[i]) for i in range(self.M // 2, self.M)]
 
-    def refine(self, factor: float = 1.25) -> "LambdaGrid":
+    def refine(self) -> "LambdaGrid":
+        """1.25 times the nodes per sign and the base depth K."""
+        factor = 1.25
         per_sign = int(round((self.M // 2) * factor))
         lam_min = float(np.min(np.abs(self.nodes)))
         lam_max = float(np.max(np.abs(self.nodes)))
@@ -381,10 +385,16 @@ class PolyradialSpectrum:
         return PolyradialSpectrum(grid=self.grid, n=self.n, coeffs=new,
                                   name=self.name if name is None else name)
 
-    def binary_op(self, other: "PolyradialSpectrum", op) -> "PolyradialSpectrum":
-        """Row-wise op(a, b) on the coefficient rows; op handles unequal lengths."""
+    def _require_same_lattice(self, other: "PolyradialSpectrum") -> None:
+        """Raise ValueError unless other has this dimension n and these lambda nodes."""
+        if other.n != self.n:
+            raise ValueError(f"spectra of dimensions n = {self.n} and n = {other.n} do not combine")
         if other.grid is not self.grid and not np.array_equal(other.grid.nodes, self.grid.nodes):
             raise ValueError("spectra live on different lambda grids")
+
+    def binary_op(self, other: "PolyradialSpectrum", op) -> "PolyradialSpectrum":
+        """Row-wise op(a, b) on the coefficient rows; op handles unequal lengths."""
+        self._require_same_lattice(other)
         new = [op(a, b) for a, b in zip(self.coeffs, other.coeffs)]
         return PolyradialSpectrum(grid=self.grid, n=self.n, coeffs=new, name=self.name)
 
@@ -419,6 +429,7 @@ class PolyradialSpectrum:
 
     def _plancherel_terms(self, other: "PolyradialSpectrum"):
         """Per node: (w_lam |lam|^n, c_k conj(d_k) dim P_k) over the shared k-range."""
+        self._require_same_lattice(other)
         for i, (a, b) in enumerate(zip(self.coeffs, other.coeffs)):
             m = min(len(a), len(b))
             yield (self.grid.weights[i] * abs(self.grid.nodes[i]) ** self.n,
@@ -487,8 +498,8 @@ def _angular_const(n: int) -> float:
     return math.pi ** n / math.gamma(n)
 
 
-def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[AnalysisQuadrature] = None,
-                       name: Optional[str] = None) -> PolyradialSpectrum:
+def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
+                       quad: Optional[AnalysisQuadrature] = None) -> PolyradialSpectrum:
     """Project a polyradial function onto the (k, lam) lattice.
 
     c_k(lam) = <f^lam, phi_k^lam> / dim(P_k); the normalization makes
@@ -521,7 +532,7 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
     if u.coeff_fn is not None:
         coeffs = [np.asarray(u.coeff_fn(np.arange(int(c)), lam), dtype=complex)
                   for c, lam in zip(grid.k_caps, grid.nodes)]
-        return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
+        return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=u.name)
 
     if u.central_profile is not None and u.heavy_tail:
         # v = |lam| u covers the power-law radial tail uniformly in lam and
@@ -542,7 +553,7 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
         for (i, j, _), c in zip(pairs, raw):
             coeffs[i] = c / proj_dim(np.arange(len(c)), n)
             coeffs[j] = coeffs[i].copy()
-        return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
+        return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=u.name)
 
     caps = grid.k_caps
     if u.central_profile is not None:
@@ -570,7 +581,7 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid, quad: Optional[Analysi
         dims = proj_dim(np.arange(kcap), n)
         cp, cn = _project(0.5 * lam * radii, weights * slices[[i, j]], [kcap, kcap], alpha)
         coeffs[i], coeffs[j] = cp / dims, cn / dims
-    out = PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=name or u.name)
+    out = PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=u.name)
     if u.central_profile is not None:
         return out
     if np.any(caps < grid.k_caps):
@@ -603,12 +614,15 @@ def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,
     against the real and imaginary parts of every level's coefficients at
     lambda and at -lambda, each symbol evaluated once per pair; this is what
     makes rho-ladders cheap.  With want_du the d/du slices come back as well.
+    A symbol of another dimension n than the spectrum's raises ValueError.
     """
     from .operators import SpectralMultiplier       # operators imports this module
     for m in mults:
         if m is not None and not isinstance(m, SpectralMultiplier):
             raise TypeError(f"symbols must be SpectralMultiplier or None, not {type(m).__name__}: "
                             "synthesis evaluates each symbol once for lambda and -lambda")
+        if m is not None and m.n != S.n:
+            raise ValueError("multiplier and spectrum dimensions disagree")
     grid, n = S.grid, S.n
     alpha = n - 1
     L, M = len(mults), grid.M
@@ -644,6 +658,8 @@ def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,
 
 def _synthesized_values(S: PolyradialSpectrum, spec: GridSpec, mults):
     """Grid values per symbol: lambda-quadrature of e^{-i lam t} f^lam(z)."""
+    if spec.n != S.n:
+        raise ValueError(f"a spectrum of dimension n = {S.n} cannot fill a grid of n = {spec.n}")
     uniq, inv = np.unique(spec.z_radius_sq().round(12).ravel(), return_inverse=True)
     sl = slices_at_radii_batch(S, uniq, mults)                  # (L, M, Nu)
     ph = _lambda_phases(S.grid, spec.t_axis)

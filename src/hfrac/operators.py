@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import gammaln, kv
@@ -149,18 +149,17 @@ def apply_operator(S: PolyradialSpectrum, m: SpectralMultiplier) -> OperatorResu
     return OperatorResult(spectrum=out, provenance=m.label())
 
 
-def equivalence_symbol_check(s: float, K: int = 1024, n: int = 1,
-                             order: Optional[int] = None) -> VerificationReport:
+def equivalence_symbol_check(s: float, K: int = 1024, n: int = 1) -> VerificationReport:
     """Boundedness and discrete-derivative decay of the L^{-s} L_s multiplier.
 
     M(k) = (2k+n)^{-s} G((2k+n+1+s)/2)/G((2k+n+1-s)/2) tends to 2^{-s}; the
     forward differences must satisfy sup_k k^j |D^j M(k)| < inf for j up to
-    order (default n+1), the discrete rendering of the multiplier-theorem
+    n+1, the discrete rendering of the multiplier-theorem
     hypothesis.
     """
     if K < 64:
         raise ValueError("K >= 64 required for a meaningful tail")
-    order = (n + 1) if order is None else order
+    order = n + 1
     rep = VerificationReport(suite="equivalence-symbol", inputs={"s": s, "K": K, "n": n})
     m = SpectralMultiplier("equivalence", s, n=n)
     k = np.arange(K + order + 1)

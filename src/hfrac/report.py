@@ -29,9 +29,8 @@ class VerificationReport:
     wall_time: float = 0.0
     _t0: float = field(default_factory=time.perf_counter, repr=False)
 
-    def add(self, name, value, route="", tolerance=None, passed=None) -> Measurement:
-        if tolerance is not None and passed is None:
-            passed = bool(abs(value) <= tolerance)
+    def add(self, name, value, route="", tolerance=None) -> Measurement:
+        passed = None if tolerance is None else bool(abs(value) <= tolerance)
         m = Measurement(name, float(value), route, tolerance, passed)
         self.measurements.append(m)
         return m

@@ -80,7 +80,9 @@ class SingularQuadrature:
         return cls(xs=xs, ys=ys, ts=ts, gauge=R.ravel(), w_haar=w,
                    r_min=r_min, r_max=r_max, n_theta=n_theta, n_phi=n_phi)
 
-    def refine(self, factor: float = 1.4) -> "SingularQuadrature":
+    def refine(self) -> "SingularQuadrature":
+        """Half the inner radius, and 1.4 times the shells per decade and the angles."""
+        factor = 1.4
         base = len(np.unique(self.gauge))
         decades = math.log10(self.r_max / self.r_min)
         return SingularQuadrature.build(

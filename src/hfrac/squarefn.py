@@ -87,7 +87,9 @@ class SquareFunctionConfig:
         w[-1] *= 0.5
         return w
 
-    def refine(self, factor: float = 1.25) -> "SquareFunctionConfig":
+    def refine(self) -> "SquareFunctionConfig":
+        """One more rho-node per octave, 1.25 times every table and Haar-rule size."""
+        factor = 1.25
         return replace(self,
                        per_octave=self.per_octave + 1,
                        n_table_r=int(self.n_table_r * factor),

@@ -222,6 +222,15 @@ def test_vector_field_annihilates_constants():
         assert np.max(np.abs(out.values)) < 1e-13
 
 
+def test_vector_field_names():
+    # exactly "T", "Xj" and "Yj" with 1 <= j <= n
+    u = GridFunction(spec=GridSpec(N_z=8, N_t=8, R_z=4, R_t=4),
+                     values=np.ones((8, 8, 8), dtype=complex))
+    for fid in ("X", "Y", "X_1", "X2", "Y0", "Z1", "t", "X01", ""):
+        with pytest.raises(ValueError):
+            apply_vector_field(fid, u)
+
+
 def test_vector_field_too_coarse():
     spec = GridSpec(N_z=8, N_t=8, R_z=4, R_t=4)
     u = GridFunction(spec=spec, values=np.ones(spec.shape, dtype=complex))

@@ -8,6 +8,7 @@ from hfrac.lagspec import (
     AnalysisQuadrature,
     CentralSliceField,
     LambdaGrid,
+    PolyradialSpectrum,
     _project,
     analyze_polyradial,
     central_transform,
@@ -551,6 +552,26 @@ def test_synthesis_rejects_plain_callable_symbol(default_setup, skew_spectrum):
     with pytest.raises(TypeError):
         slices_at_radii_batch(skew_spectrum, np.array([1.0]),
                               [SpectralMultiplier("heat", 0.1), plain])
+
+
+def test_spectra_of_another_lattice_or_dimension_rejected(skew_spectrum):
+    # rows combine only between spectra on the same lambda nodes and of the
+    # same n, and synthesis only onto a grid of that n
+    S = skew_spectrum
+    grid = S.grid
+    wider = LambdaGrid(nodes=1.5 * grid.nodes, weights=grid.weights, k_caps=grid.k_caps, K=grid.K)
+    for other in (PolyradialSpectrum(grid=grid, n=2, coeffs=S.coeffs),
+                  PolyradialSpectrum(grid=wider, n=S.n, coeffs=S.coeffs)):
+        for combine in (S.__add__, S.convolve, S.pair):
+            with pytest.raises(ValueError):
+                combine(other)
+    with pytest.raises(ValueError):
+        slices_at_radii_batch(S, np.array([1.0]), [SpectralMultiplier("heat", 0.1, n=2)])
+    spec2 = GridSpec(n=2, N_z=8, N_t=8)
+    with pytest.raises(ValueError):
+        synthesize(S, spec2)
+    with pytest.raises(ValueError):
+        synthesize_batch(S, spec2, [None])
 
 
 def test_synthesize_at_derivatives(default_setup):

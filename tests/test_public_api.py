@@ -216,8 +216,7 @@ def test_conformal_ladder_reaches_required_layers():
         importlib.import_module(f"hfrac.{name}")
     kernels = importlib.import_module("hfrac.kernels")
     spec = GridSpec(N_z=32, N_t=64, R_z=8, R_t=8)
-    # a lattice and v-rule of this test's own, so no cached kernel spectrum
-    # can stand in for the analysis
+    # a small lattice and v-rule of this test's own keep the ladder cheap
     grid = LambdaGrid.build(nodes_per_sign=20, K=8, k_energy_cap=2.0)
     quad = AnalysisQuadrature.build(spec, n_radial_v=224)
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
