@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import gammaln, kv
 
 __all__ = [
     "HeisenbergPoint",
@@ -158,6 +159,13 @@ class GridSpec:
             if (np.max(np.abs(np.concatenate([p.x, p.y]))) > self.R_z - self.R_z / 4.0
                     or abs(p.t) > self.R_t - self.R_t / 4.0):
                 raise ValueError("samples must sit interior to the box by a margin of R/4")
+
+    def interior_window(self) -> tuple:
+        """Index of the interior block N//4 nodes, a quarter of the box, in from
+        every face; the verification suites measure their errors there."""
+        iz = slice(self.N_z // 4, -self.N_z // 4)
+        it = slice(self.N_t // 4, -self.N_t // 4)
+        return (iz,) * (2 * self.n) + (it,)
 
 
 @dataclass
@@ -303,19 +311,14 @@ def apply_vector_field(field_id: str, u: GridFunction, order: int = 4) -> GridFu
         return u.copy_with(_diff_axis(u.values, 2 * n, spec.h_t, 1, order), polyradial=False)
     if field_id not in {f"{kind}{j}" for kind in "XY" for j in range(1, n + 1)}:
         raise ValueError(f"unknown vector field {field_id!r}")
-    kind, j = field_id[0], int(field_id[1:]) - 1
+    j = int(field_id[1:]) - 1
+    # (axis differentiated, axis of the d/dt coefficient, its sign)
+    axis, coord, sign = (j, n + j, -0.5) if field_id[0] == "X" else (n + j, j, 0.5)
     dt = _diff_axis(u.values, 2 * n, spec.h_t, 1, order)
-    axes = [spec.z_axis] * (2 * n)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    if kind == "X":
-        dz = _diff_axis(u.values, j, spec.h_z, 1, order)
-        coef = -0.5 * mesh[n + j][..., None]       # - y_j/2 * d/dt
-        vals = dz + coef * dt
-    else:
-        dz = _diff_axis(u.values, n + j, spec.h_z, 1, order)
-        coef = 0.5 * mesh[j][..., None]            # + x_j/2 * d/dt
-        vals = dz + coef * dt
-    return u.copy_with(vals, polyradial=False)
+    shape = [1] * (2 * n + 1)
+    shape[coord] = spec.N_z
+    coef = sign * spec.z_axis.reshape(shape)
+    return u.copy_with(_diff_axis(u.values, axis, spec.h_z, 1, order) + coef * dt, polyradial=False)
 
 
 def sublaplacian_grid(u: GridFunction, order: int = 4) -> GridFunction:
@@ -437,8 +440,6 @@ def _gaussian_coeffs(a: float, b: float):
 
 
 def _conformal_kernel_profiles(s0: float, rho0: float, n: int):
-    from scipy.special import gammaln, kv
-
     beta = 0.5 * (n + 1 + s0)
     nu = beta - 0.5
     cbeta = 2.0 * math.sqrt(math.pi) / math.exp(gammaln(beta))
@@ -452,8 +453,7 @@ def _conformal_kernel_profiles(s0: float, rho0: float, n: int):
         A = rho0 * rho0 + np.asarray(u, dtype=float)
         al = np.abs(lam)
         if al == 0.0:
-            from scipy.special import gammaln as _gl
-            c0 = math.sqrt(math.pi) * math.exp(_gl(beta - 0.5) - _gl(beta)) / 4.0
+            c0 = math.sqrt(math.pi) * math.exp(gammaln(beta - 0.5) - gammaln(beta)) / 4.0
             return c0 * A ** (1.0 - 2.0 * beta)
         w = al * A / 4.0
         return A ** (1.0 - 2.0 * beta) / 4.0 * cbeta * (w / 2.0) ** nu * kv(nu, w)
@@ -500,12 +500,7 @@ def make_test_function(fid: TestFunctionId, spec: GridSpec) -> GridFunction:
         def evaluator(x, y, t, _f=radial):
             return _f(x * x + y * y, t)
 
-        mesh = spec.meshgrid()
-        if n == 1:
-            vals = evaluator(mesh[0], mesh[1], mesh[2])
-        else:
-            u = sum(m * m for m in mesh[:2 * n])
-            vals = radial(u, mesh[2 * n])
+        vals = radial(spec.z_radius_sq()[..., None], spec.t_axis)
         return GridFunction(spec=spec, values=np.asarray(vals, dtype=np.complex128),
                             name=fid.label(), polyradial=True, evaluator=evaluator,
                             radial_profile=radial, central_profile=central,
@@ -577,25 +572,19 @@ def left_translate(u: GridFunction, a: HeisenbergPoint) -> GridFunction:
                             name=u.name + "∘τ", polyradial=False)
 
     xs, ts = spec.z_axis, spec.t_axis
-    # target x, y coordinates are uniform shifts: interpolate axis by axis
+    # the target x and y coordinates a.x + x, a.y + y are uniform shifts:
+    # interpolate axis by axis
     vals = u.values
-    # x axis: coordinate a.x + x
-    fx = (a.x[0] + xs - xs[0]) / spec.h_z
-    ix = np.floor(fx).astype(int)
-    frac = fx - ix
-    wx = _cubic_kernel_1d(frac)
-    acc = np.zeros_like(vals)
-    for m in range(4):
-        acc += wx[m][:, None, None] * _gather_axis(vals, 0, ix + (m - 1))
-    vals = acc
-    fy = (a.y[0] + xs - xs[0]) / spec.h_z
-    iy = np.floor(fy).astype(int)
-    frac = fy - iy
-    wy = _cubic_kernel_1d(frac)
-    acc = np.zeros_like(vals)
-    for m in range(4):
-        acc += wy[m][None, :, None] * _gather_axis(vals, 1, iy + (m - 1))
-    vals = acc
+    for axis, shift in ((0, a.x[0]), (1, a.y[0])):
+        fz = (shift + xs - xs[0]) / spec.h_z
+        iz = np.floor(fz).astype(int)
+        wz = _cubic_kernel_1d(fz - iz)
+        shape = [1, 1, 1]
+        shape[axis] = spec.N_z
+        acc = np.zeros_like(vals)
+        for m in range(4):
+            acc += wz[m].reshape(shape) * _gather_axis(vals, axis, iz + (m - 1))
+        vals = acc
     # t axis: shift depends on (x, y) through the group twist
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     shift = a.t + 0.5 * (a.x[0] * Y - X * a.y[0])          # value added to t

@@ -23,13 +23,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, kv
+from scipy.special import gammaln, kv, roots_legendre
 
-from .group import GridFunction, GridSpec, TestFunctionId, _sublaplacian_parts, make_test_function
+from .group import (
+    GridFunction,
+    GridSpec,
+    TestFunctionId,
+    _conformal_kernel_profiles,
+    _sublaplacian_parts,
+    make_test_function,
+)
 from .lagspec import (
     AnalysisQuadrature,
     LambdaGrid,
@@ -59,6 +66,7 @@ __all__ = [
     "macdonald_check_integral",
     "kernel_mass",
     "default_rho_ladder",
+    "LADDER_DELTA",
 ]
 
 
@@ -71,15 +79,11 @@ def phi_kernel(s: float, rho: float, p) -> float:
     if s <= 0 or rho <= 0:
         raise ValueError("phi_kernel requires s > 0 and rho > 0")
     try:
-        x, y, t = p.x, p.y, p.t
-        z2 = float(np.dot(x, x) + np.dot(y, y))
-        n = len(np.atleast_1d(x))
+        z2, t, n = p.z_abs_sq, p.t, p.n
     except AttributeError:
         x, y, t = p
-        z2 = float(x * x + y * y)
-        n = 1
-    beta = 0.5 * (n + 1 + s)
-    return ((rho * rho + z2) ** 2 + 16.0 * t * t) ** (-beta)
+        z2, n = float(x * x + y * y), 1
+    return _conformal_kernel_profiles(s, rho, n)[0](z2, t)
 
 
 @dataclass(frozen=True)
@@ -137,29 +141,22 @@ def kernel_mass(n: int, s: float, rho: float, R_box: Optional[float] = None) -> 
 # kernel spectra and the conformal Poisson operator
 # ---------------------------------------------------------------------------
 
-def _dilated_lattice(grid: LambdaGrid, radii: list):
+def _dilated_lattice(grid: LambdaGrid, radii: np.ndarray) -> LambdaGrid:
     """The lattice of phi_{s,1} that carries the rows of every phi_{s,rho_j}.
 
     Row i of phi_{s,rho_j} is rho_j^{-2s} times the row of phi_{s,1} at
-    rho_j^2 lam_i, truncated at k_caps[i].  Returns that lattice (nodes
-    +-rho_j^2 lam_i, weights rho_j^2 w_i, caps k_caps[i]; nodes that coincide
-    exactly are merged and keep the larger cap) and, per radius, the lattice
-    index of each row.
+    rho_j^2 lam_i, truncated at k_caps[i].  The lattice has the nodes
+    +-rho_j^2 lam_i, weights rho_j^2 w_i and caps k_caps[i]; nodes that
+    coincide exactly are merged and keep the larger cap.
     """
     half = grid.M // 2
-    r2 = np.asarray(radii, dtype=float)[:, None] ** 2
+    r2 = radii[:, None] ** 2
     pos, inv = np.unique((r2 * grid.nodes[half:]).ravel(), return_inverse=True)
     caps = np.zeros(pos.size, dtype=int)
     np.maximum.at(caps, inv, np.tile(grid.k_caps[half:], len(radii)))
     wts = np.empty(pos.size)
     wts[inv] = (r2 * grid.weights[half:]).ravel()
-    lattice = LambdaGrid(nodes=np.concatenate([-pos[::-1], pos]),
-                         weights=np.concatenate([wts[::-1], wts]),
-                         k_caps=np.concatenate([caps[::-1], caps]), K=grid.K)
-    # the heavy-tail route gives node -lam the row of +lam, so row i < half
-    # reads the positive node of its mirror M-1-i
-    fold = np.concatenate([np.arange(half)[::-1], np.arange(half)])
-    return lattice, pos.size + inv.reshape(len(radii), half)[:, fold]
+    return LambdaGrid.mirrored(pos, wts, caps, grid.K)
 
 
 def kernel_spectrum(s: float, rho: float | np.ndarray, grid: LambdaGrid,
@@ -176,13 +173,14 @@ def kernel_spectrum(s: float, rho: float | np.ndarray, grid: LambdaGrid,
     radii = np.atleast_1d(np.asarray(rho, dtype=float))
     if radii.ndim != 1 or np.any(radii <= 0):
         raise ValueError("kernel radii must be positive, one radius or a 1-D array")
-    lattice, rows = _dilated_lattice(grid, radii.tolist())
+    lattice = _dilated_lattice(grid, radii)
     unit = make_test_function(TestFunctionId("conformal-kernel", (s, 1.0)), spec)
     S1 = analyze_polyradial(unit, lattice, quad)
     out = []
-    for r, idx in zip(radii.tolist(), rows):
+    for r in radii.tolist():
         scale = r ** (-2.0 * s)
-        coeffs = [scale * S1.coeffs[j][:cap] for j, cap in zip(idx, grid.k_caps)]
+        rows = np.searchsorted(lattice.nodes, r * r * grid.nodes)
+        coeffs = [scale * S1.coeffs[j][:cap] for j, cap in zip(rows, grid.k_caps)]
         out.append(PolyradialSpectrum(grid=grid, n=spec.n, coeffs=coeffs,
                                       name=TestFunctionId("conformal-kernel", (s, r)).label()))
     return out if np.ndim(rho) else out[0]
@@ -227,46 +225,48 @@ def default_rho_ladder() -> np.ndarray:
     return 2.0 * 2.0 ** (-np.arange(9, dtype=float))
 
 
+LADDER_DELTA = 0.05     # log-offset of the companions rho_j e^{-delta}, rho_j e^{+delta}
+
+
+def _ladder_radii(rho_levels) -> list:
+    """Radii to synthesize: each rho_j, then its e^{-delta} and e^{+delta} companions."""
+    if np.any(np.diff(rho_levels) >= 0):
+        raise ValueError("rho levels must be strictly decreasing")
+    e = (1.0, math.exp(-LADDER_DELTA), math.exp(LADDER_DELTA))
+    return [rho * f for rho in rho_levels for f in e]
+
+
 @dataclass
 class ExtensionField:
-    """Solution levels U(., rho_j) of an extension problem on a rho-ladder.
+    """Solution of an extension problem on a rho-ladder, at the _ladder_radii.
 
-    companions[j] = (U at rho_j e^{-delta}, U at rho_j e^{+delta}) supports
-    rho-derivatives without touching the ladder spacing.
+    fields[3j] is U(., rho_j); fields[3j+1] and fields[3j+2] are U at
+    rho_j e^{-delta} and rho_j e^{+delta}, which support rho-derivatives
+    without touching the ladder spacing.
     """
 
     rho_levels: np.ndarray
-    levels: list
+    fields: list
     provenance: str
     s: float
-    delta: float = 0.05
-    companions: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if np.any(np.diff(self.rho_levels) >= 0):
-            raise ValueError("rho levels must be strictly decreasing")
+        if len(self.fields) != len(_ladder_radii(self.rho_levels)):
+            raise ValueError("an extension field holds U and its two companions at every level")
 
-    def radii(self) -> list:
-        """Radii to synthesize: each rho_j, then its e^{-delta} and e^{+delta} companions."""
-        e = (1.0, math.exp(-self.delta), math.exp(self.delta))
-        return [rho * f for rho in self.rho_levels for f in e]
-
-    def fill(self, fields: list) -> "ExtensionField":
-        """Place fields synthesized at radii() into levels and companions."""
-        self.levels = fields[::3]
-        self.companions = {j: tuple(fields[3 * j + 1:3 * j + 3]) for j in range(len(self.levels))}
-        return self
+    @property
+    def levels(self) -> list:
+        """U(., rho_j) for every level j."""
+        return self.fields[::3]
 
     def rho_derivatives(self, j: int):
         """(d/drho U, d2/drho2 U) at level j from the e^{±delta} companions."""
-        lo, hi = self.companions[j]
+        u0, lo, hi = (g.values for g in self.fields[3 * j:3 * j + 3])
         rho = self.rho_levels[j]
-        u0 = self.levels[j].values
-        hp = rho * (math.exp(self.delta) - 1.0)
-        hm = rho * (1.0 - math.exp(-self.delta))
-        d1 = (hm * hm * hi.values + (hp * hp - hm * hm) * u0 - hp * hp * lo.values) \
-            / (hp * hm * (hp + hm))
-        return d1, _second_difference(lo.values, u0, hi.values, hm, hp)
+        hp = rho * (math.exp(LADDER_DELTA) - 1.0)
+        hm = rho * (1.0 - math.exp(-LADDER_DELTA))
+        d1 = (hm * hm * hi + (hp * hp - hm * hm) * u0 - hp * hp * lo) / (hp * hm * (hp + hm))
+        return d1, _second_difference(lo, u0, hi, hm, hp)
 
 
 def _second_difference(lo, u0, hi, hm, hp):
@@ -285,11 +285,11 @@ def conformal_extension(f: GridFunction, s: float, rho_levels=None,
     grid = grid or LambdaGrid.build()
     quad = quad or AnalysisQuadrature.build(f.spec)
     rho_levels = default_rho_ladder() if rho_levels is None else np.asarray(rho_levels, float)
+    radii = _ladder_radii(rho_levels)
     Sf = analyze_polyradial(f, grid, quad)
-    out = ExtensionField(rho_levels=rho_levels, levels=[], provenance=f"conformal(s={s:g})", s=s)
-    radii = out.radii()
     Sks = kernel_spectrum(s, np.array(radii), grid, quad, f.spec)
-    return out.fill([synthesize(_poisson_level(Sf, Sk, s, r), f.spec) for r, Sk in zip(radii, Sks)])
+    fields = [synthesize(_poisson_level(Sf, Sk, s, r), f.spec) for r, Sk in zip(radii, Sks)]
+    return ExtensionField(rho_levels, fields, f"conformal(s={s:g})", s)
 
 
 def macdonald_check_integral(orders, args) -> float:
@@ -324,14 +324,12 @@ def nonconformal_poisson(f: GridFunction, rho: float, route: str = "spectral",
     if rho <= 0:
         raise ValueError("rho must be positive")
     grid = grid or LambdaGrid.build()
-    quad = quad or AnalysisQuadrature.build(f.spec)
     Sf = analyze_polyradial(f, grid, quad)
     if route == "spectral":
         S = apply_operator(Sf, SpectralMultiplier("poisson_nonconf", rho, n=f.spec.n)).spectrum
         return synthesize(S, f.spec)
     if route != "subordination":
         raise ValueError(f"unknown route {route!r}")
-    from scipy.special import roots_legendre
     xg, wg = roots_legendre(96)
     v = xg * 9.0          # log-offsets around the saddle
     wv = wg * 9.0
@@ -364,27 +362,19 @@ def nonconformal_extension(f: GridFunction, s: float, rho_levels=None,
     if not (0 < s < 1):
         raise ValueError("nonconformal extension requires s in (0, 1)")
     grid = grid or LambdaGrid.build()
-    quad = quad or AnalysisQuadrature.build(f.spec)
     rho_levels = default_rho_ladder() if rho_levels is None else np.asarray(rho_levels, float)
-    out = ExtensionField(rho_levels=rho_levels, levels=[],
-                         provenance=f"nonconformal(s={s:g})", s=s)
+    radii = _ladder_radii(rho_levels)
     Sf = analyze_polyradial(f, grid, quad)
     fields = synthesize_batch(Sf, f.spec, [SpectralMultiplier("macdonald", (s, r), n=f.spec.n)
-                                           for r in out.radii()])
+                                           for r in radii])
     if not all(np.all(np.isfinite(g.values)) for g in fields):
         raise ValueError("Macdonald evaluation failed on the lattice")
-    return out.fill(fields)
+    return ExtensionField(rho_levels, fields, f"nonconformal(s={s:g})", s)
 
 
 # ---------------------------------------------------------------------------
 # verification operations
 # ---------------------------------------------------------------------------
-
-def _interior_window(spec: GridSpec):
-    iz = slice(spec.N_z // 4, -spec.N_z // 4)
-    it = slice(spec.N_t // 4, -spec.N_t // 4)
-    return (iz, iz, it)
-
 
 def dirichlet_to_neumann_conformal(f: GridFunction, s: float,
                                    grid: Optional[LambdaGrid] = None,
@@ -410,7 +400,7 @@ def dirichlet_to_neumann_conformal(f: GridFunction, s: float,
     ref = synthesize(apply_operator(Sf, SpectralMultiplier("frac_conf", s, n=f.spec.n)).spectrum,
                      f.spec)
     target = kc.dtn * ref.values
-    win = _interior_window(f.spec)
+    win = f.spec.interior_window()
     scale = np.linalg.norm(target[win])
     traces = []
     errs = []
@@ -429,7 +419,7 @@ def dirichlet_to_neumann_conformal(f: GridFunction, s: float,
     mono = all(errs[i] > errs[i + 1] for i in range(len(errs) - 3, len(errs) - 1))
     rep.require("monotone_last_3", mono)
     rep.add("dtn_constant", kc.dtn, route="exact")
-    rep.quadrature = {"levels": len(rho_levels), "delta": fld.delta}
+    rep.quadrature = {"levels": len(rho_levels), "delta": LADDER_DELTA}
     return rep.finish()
 
 
@@ -450,7 +440,6 @@ def frac_conf_pointwise(f: GridFunction, s: float, samples,
     rep = VerificationReport(suite="pointwise-ir", inputs={"f": f.name, "s": s,
                                                            "samples": len(samples)})
     grid = grid or LambdaGrid.build()
-    quad = quad or AnalysisQuadrature.build(spec)
     squad = squad or SingularQuadrature.build()
     kc = constants(spec.n, s)
     vals = kc.b * ir_values(f, s, samples, squad)
@@ -484,7 +473,7 @@ def _level_residual(fld: ExtensionField, j: int, s: float, with_tt: bool,
         if not ablate_tt:
             res += tt
         scale += np.abs(tt)
-    win = _interior_window(w.spec)
+    win = w.spec.interior_window()
     return np.linalg.norm(res[win]) / np.linalg.norm(scale[win])
 
 
@@ -494,9 +483,13 @@ def _residual_report(rep: VerificationReport, fld: ExtensionField, s: float, lev
 
     The spatial parts use sixth-order stencils; the d_tt term reuses the d_tt
     pass of L.  ablate_tt drops the d_tt term from the residual, not from the
-    scale."""
+    scale.  A selection of no level raises ValueError: its maximum would be
+    an empty 0 that passes."""
     idx = levels if levels is not None else [
         j for j, r in enumerate(fld.rho_levels) if 0.12 <= r <= 2.1]
+    if not idx:
+        raise ValueError("the residual selects no ladder level (by default those with "
+                         "0.12 <= rho <= 2.1)")
     worst = 0.0
     for j in idx:
         rel = _level_residual(fld, j, s, with_tt, ablate_tt)
@@ -550,7 +543,7 @@ def nonconformal_trace_fit(f: GridFunction, s: float,
     Sf = analyze_polyradial(f, grid, quad)
     ref = synthesize(apply_operator(Sf, SpectralMultiplier("frac_nonconf", s, n=f.spec.n)).spectrum,
                      f.spec)
-    win = _interior_window(f.spec)
+    win = f.spec.interior_window()
     rv = ref.values[win].real.ravel()
     fits = []
     for j, rho in enumerate(rho_levels):

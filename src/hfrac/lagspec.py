@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gammaln, roots_legendre
 
-from .group import GridFunction, GridSpec
+from .group import GridFunction, GridSpec, integrate
 from .report import VerificationReport
 
 __all__ = [
@@ -120,11 +120,16 @@ class LambdaGrid:
         wts = np.concatenate(weights)
         order = np.argsort(pos)
         pos, wts = pos[order], wts[order]
-        full = np.concatenate([-pos[::-1], pos])
-        wfull = np.concatenate([wts[::-1], wts])
         # caps count coefficients: k runs over 0..cap-1, so the base block is K+1 deep
-        caps = np.maximum(K + 1, np.minimum(K_CAP_MAX, np.ceil(k_energy_cap / np.abs(full)))).astype(int)
-        return cls(nodes=full, weights=wfull, k_caps=caps, K=K)
+        caps = np.maximum(K + 1, np.minimum(K_CAP_MAX, np.ceil(k_energy_cap / pos))).astype(int)
+        return cls.mirrored(pos, wts, caps, K)
+
+    @classmethod
+    def mirrored(cls, pos: np.ndarray, wts: np.ndarray, caps: np.ndarray, K: int) -> "LambdaGrid":
+        """The symmetric grid whose positive half is the ascending nodes pos,
+        with their weights and caps."""
+        return cls(nodes=np.concatenate([-pos[::-1], pos]), weights=np.concatenate([wts[::-1], wts]),
+                   k_caps=np.concatenate([caps[::-1], caps]), K=K)
 
     @property
     def M(self) -> int:
@@ -307,7 +312,7 @@ def central_transform(u: GridFunction, grid: LambdaGrid) -> CentralSliceField:
     spec = u.spec
     _alias_guard(grid, spec)
     if not u.boundary_decay_ok():
-        warnings.warn("input does not decay at the t-boundary", stacklevel=2)
+        warnings.warn("input does not decay at the box boundary", stacklevel=2)
     sl = _t_transform(u.values.reshape(-1, spec.N_t), grid, spec.t_axis, spec.h_t)  # (Nz^2, M)
     return CentralSliceField(grid=grid, spec=spec,
                              slices=np.moveaxis(sl, -1, 0).reshape((grid.M,) + spec.shape[:-1]))
@@ -742,7 +747,6 @@ def plancherel_check(u: GridFunction, grid: Optional[LambdaGrid] = None,
     const * int sum_k |c_k|^2 dim(P_k) |lam|^n dlam with const = (2 pi)^{-(n+1)},
     using u^(lam) = sum_k c_k P_k for polyradial u.
     """
-    from .group import integrate
     rep = VerificationReport(suite="plancherel", inputs={"u": u.name})
     if not u.polyradial:
         raise ValueError("plancherel_check requires a polyradial input")
@@ -764,7 +768,6 @@ def plancherel_check(u: GridFunction, grid: Optional[LambdaGrid] = None,
 def parseval_pair(u: GridFunction, v: GridFunction, grid: Optional[LambdaGrid] = None,
                   quad: Optional[AnalysisQuadrature] = None) -> tuple:
     """(grid-side, spectral-side) of the Parseval pairing <u, v>."""
-    from .group import integrate
     grid = grid or LambdaGrid.build()
     Su = analyze_polyradial(u, grid, quad)
     Sv = analyze_polyradial(v, grid, quad)

@@ -27,7 +27,7 @@ from scipy.sparse import csr_array
 from scipy.special import roots_legendre
 
 from .group import GridFunction, GridSpec, apply_vector_field, sublaplacian_grid
-from .kernels import ExtensionField, _interior_window, _second_difference
+from .kernels import ExtensionField, _second_difference
 from .lagspec import (
     AnalysisQuadrature,
     LambdaGrid,
@@ -75,8 +75,15 @@ class SquareFunctionConfig:
     y_n_theta: int = 16
     y_n_phi: int = 16
 
+    def __post_init__(self):
+        if not 0 < self.rho_min < self.rho_max or self._ladder_size() < 2:
+            raise ValueError("the rho-ladder needs 0 < rho_min < rho_max and at least two levels")
+
+    def _ladder_size(self) -> int:
+        return int(round(self.per_octave * math.log2(self.rho_max / self.rho_min))) + 1
+
     def rho_ladder(self):
-        m = int(round(self.per_octave * math.log2(self.rho_max / self.rho_min))) + 1
+        m = self._ladder_size()
         return self.rho_min * (self.rho_max / self.rho_min) ** (np.arange(m) / (m - 1))
 
     def rho_weights(self):
@@ -134,7 +141,6 @@ def g_parts(u: GridFunction, cfg: Optional[SquareFunctionConfig] = None,
         raise ValueError("g-functions are built spectrally: polyradial input required")
     cfg = cfg or SquareFunctionConfig()
     grid = grid or LambdaGrid.build()
-    quad = quad or AnalysisQuadrature.build(u.spec)
     Su = analyze_polyradial(u, grid, quad)
     lad = cfg.rho_ladder()
     wts = cfg.rho_weights()
@@ -367,7 +373,6 @@ def pointwise_theorem_check(u: GridFunction, s: float, lam_param: float, samples
                              inputs={"u": u.name, "s": s, "lam_param": lam_param,
                                      "samples": len(samples)})
     grid = grid or LambdaGrid.build()
-    quad = quad or AnalysisQuadrature.build(spec)
     cfg = cfg or SquareFunctionConfig()
     squad = squad or SingularQuadrature.build()
 
@@ -477,7 +482,7 @@ def mean_value_check(fld: ExtensionField, Su: PolyradialSpectrum,
     d2 = _second_difference(grads[j0 + 1].values.real, V0.values.real,
                             grads[j0 - 1].values.real, hm, hp)
     LV = sublaplacian_grid(V0, order=4).values.real
-    EV = (-LV + d2)[_interior_window(spec)]
+    EV = (-LV + d2)[spec.interior_window()]
     scale = float(np.max(np.abs(EV)))
     worst = float(np.min(EV))
     rep.add("subharmonic_min_over_scale", worst / scale, route="grid")

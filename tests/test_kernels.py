@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from hfrac.group import GridSpec, HeisenbergPoint, TestFunctionId, dilate, make_test_function
+from hfrac.group import (
+    GridFunction,
+    GridSpec,
+    HeisenbergPoint,
+    TestFunctionId,
+    dilate,
+    make_test_function,
+)
 from hfrac.kernels import (
+    LADDER_DELTA,
+    ExtensionField,
     conformal_extension,
     conformal_pde_residual,
     conformal_poisson,
@@ -327,8 +336,8 @@ def test_nonconformal_ladder_matches_single_syntheses(setup):
     fld = nonconformal_extension(f, s, ladder, grid, quad)
     Sf = analyze_polyradial(f, grid, quad)
     for j, rho in enumerate(ladder):
-        radii = (rho, rho * math.exp(-fld.delta), rho * math.exp(fld.delta))
-        for got, r in zip((fld.levels[j],) + fld.companions[j], radii):
+        radii = (rho, rho * math.exp(-LADDER_DELTA), rho * math.exp(LADDER_DELTA))
+        for got, r in zip(fld.fields[3 * j:3 * j + 3], radii):
             theta = SpectralMultiplier("macdonald", (s, r), n=spec.n)
             ref = synthesize(Sf.copy_transformed(theta), spec)
             scale = np.max(np.abs(ref.values))
@@ -409,3 +418,27 @@ def test_extension_requires_decreasing_ladder(setup):
         nonconformal_extension(f, 0.3, np.array([0.5, 1.0]), grid, quad)
     with pytest.raises(ValueError):
         nonconformal_extension(f, 1.3, np.array([1.0, 0.5]), grid, quad)
+
+
+def test_extension_field_holds_three_fields_per_level():
+    spec = GridSpec(N_z=8, N_t=8)
+    fields = [GridFunction(spec=spec, values=np.zeros(spec.shape, complex)) for _ in range(5)]
+    with pytest.raises(ValueError):
+        ExtensionField(rho_levels=np.array([2.0, 1.0]), fields=fields, provenance="zeros", s=0.3)
+    fld = ExtensionField(rho_levels=np.array([2.0, 1.0]), fields=fields + fields[:1],
+                         provenance="zeros", s=0.3)
+    assert fld.levels[0] is fields[0] and fld.levels[1] is fields[3]
+
+
+def test_residual_rejects_empty_level_selection():
+    # the default selection keeps 0.12 <= rho <= 2.1, which this ladder misses
+    # entirely; no suite may report the empty maximum 0 as a pass
+    spec = GridSpec(N_z=16, N_t=32)
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    fld = nonconformal_extension(f, 0.3, np.array([8.0, 6.0, 5.0, 4.0, 3.0]))
+    with pytest.raises(ValueError):
+        nonconformal_pde_residual(fld)
+    with pytest.raises(ValueError):
+        conformal_pde_residual(fld, 0.3)
+    with pytest.raises(ValueError):
+        conformal_pde_residual(fld, 0.3, levels=[])

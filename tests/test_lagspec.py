@@ -657,6 +657,17 @@ def test_convolution_preserves_realness(default_setup):
     assert np.max(np.abs(conv.values.imag)) <= 1e-12 * np.max(np.abs(conv.values.real))
 
 
+def test_convolution_direct_route_matches_laguerre_route():
+    # inputs that do not claim polyradiality take the per-lambda twisted
+    # convolution of their central slices; it must agree with the Laguerre route
+    spec = GridSpec(N_z=24, N_t=64, R_z=6, R_t=6)
+    f, g = (make_test_function(TestFunctionId("gaussian", p), spec) for p in ((1.0, 1.0), (2.0, 1.5)))
+    ref = group_convolve(f, g)
+    plain = [GridFunction(spec=spec, values=h.values, name=h.name) for h in (f, g)]
+    conv = group_convolve(*plain)
+    assert np.max(np.abs(conv.values - ref.values)) <= 1e-4 * np.max(np.abs(ref.values))
+
+
 # ---------------------------------------------------------------------------
 # Plancherel / Parseval
 # ---------------------------------------------------------------------------

@@ -161,18 +161,17 @@ def test_gradient_sq_sums_every_horizontal_pair():
     # U = x_2 on H^2 at every level: X_2 U = 1, every other X_j, Y_j and d_rho vanish
     spec = GridSpec(n=2, N_z=8, N_t=8)
     x2 = spec.meshgrid()[1].astype(complex)
-    levels = [GridFunction(spec=spec, values=x2) for _ in range(3)]
-    fld = ExtensionField(rho_levels=np.array([2.0, 1.0, 0.5]), levels=levels,
-                         provenance="x_2", s=0.5,
-                         companions={j: (lvl, lvl) for j, lvl in enumerate(levels)})
+    fields = [GridFunction(spec=spec, values=x2) for _ in range(9)]   # levels and companions
+    fld = ExtensionField(rho_levels=np.array([2.0, 1.0, 0.5]), fields=fields,
+                         provenance="x_2", s=0.5)
     for g in gradient_sq(fld):
         assert np.max(np.abs(g.values - 1.0)) <= 1e-12
 
 
 def test_mean_value_check_rejects_ladder_end_center():
     spec = GridSpec(N_z=16, N_t=16)
-    levels = [GridFunction(spec=spec, values=np.zeros(spec.shape, complex)) for _ in range(3)]
-    fld = ExtensionField(rho_levels=np.array([2.0, 1.0, 0.5]), levels=levels,
+    fields = [GridFunction(spec=spec, values=np.zeros(spec.shape, complex)) for _ in range(9)]
+    fld = ExtensionField(rho_levels=np.array([2.0, 1.0, 0.5]), fields=fields,
                          provenance="zeros", s=0.5)
     for center in (2.0, 0.5):
         with pytest.raises(ValueError):
@@ -182,8 +181,17 @@ def test_mean_value_check_rejects_ladder_end_center():
 def test_mean_value_check_rejects_n_above_one():
     # the extended-ball nodes live on H^1 x R+; no work may start for n = 2
     spec = GridSpec(n=2, N_z=8, N_t=8)
-    levels = [GridFunction(spec=spec, values=np.zeros(spec.shape, complex)) for _ in range(3)]
-    fld = ExtensionField(rho_levels=np.array([4.0, 2.0, 1.0]), levels=levels,
+    fields = [GridFunction(spec=spec, values=np.zeros(spec.shape, complex)) for _ in range(9)]
+    fld = ExtensionField(rho_levels=np.array([4.0, 2.0, 1.0]), fields=fields,
                          provenance="zeros", s=0.5)
     with pytest.raises(NotImplementedError):
         mean_value_check(fld, None)
+
+
+def test_config_rejects_ladders_below_two_levels():
+    # equal ends or no node per octave give a one-level (NaN) ladder, reversed
+    # ends an empty one
+    for kw in ({"rho_min": 1.0, "rho_max": 1.0}, {"per_octave": 0},
+               {"rho_min": 2.0, "rho_max": 1.0}):
+        with pytest.raises(ValueError):
+            SquareFunctionConfig(**kw)
