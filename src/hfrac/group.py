@@ -304,8 +304,6 @@ def apply_vector_field(field_id: str, u: GridFunction, order: int = 4) -> GridFu
     order with one-sided closures at the box edges (no periodic wrap).
     """
     spec = u.spec
-    if spec.N_z < 8 or spec.N_t < 8:
-        raise ValueError("grid too coarse for vector fields (need N >= 8)")
     n = spec.n
     if field_id == "T":
         return u.copy_with(_diff_axis(u.values, 2 * n, spec.h_t, 1, order), polyradial=False)

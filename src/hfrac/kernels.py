@@ -32,6 +32,7 @@ from scipy.special import gammaln, kv, roots_legendre
 from .group import (
     GridFunction,
     GridSpec,
+    HeisenbergPoint,
     TestFunctionId,
     _conformal_kernel_profiles,
     _sublaplacian_parts,
@@ -74,16 +75,11 @@ __all__ = [
 # kernel and constants
 # ---------------------------------------------------------------------------
 
-def phi_kernel(s: float, rho: float, p) -> float:
-    """Pointwise kernel value; p is a HeisenbergPoint or an (x, y, t) triple."""
+def phi_kernel(s: float, rho: float, p: HeisenbergPoint) -> float:
+    """Pointwise kernel value at the point p."""
     if s <= 0 or rho <= 0:
         raise ValueError("phi_kernel requires s > 0 and rho > 0")
-    try:
-        z2, t, n = p.z_abs_sq, p.t, p.n
-    except AttributeError:
-        x, y, t = p
-        z2, n = float(x * x + y * y), 1
-    return _conformal_kernel_profiles(s, rho, n)[0](z2, t)
+    return _conformal_kernel_profiles(s, rho, p.n)[0](p.z_abs_sq, p.t)
 
 
 @dataclass(frozen=True)

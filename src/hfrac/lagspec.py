@@ -52,7 +52,7 @@ def hs_constant(n: int) -> float:
 
     This is the value consistent with the Schroedinger representation and the
     Weyl-transform normalization W(phi_k) = (2 pi)^n |lam|^{-n} P_k used
-    throughout; see the repo docs for the convention audit.
+    throughout.
     """
     return (2.0 * math.pi) ** (-(n + 1))
 
@@ -497,6 +497,15 @@ class AnalysisQuadrature:
         v_nodes, v_weights = cls._sqrt_rule(V_SPAN, n_radial_v)
         return cls(u_nodes, u_weights, v_nodes, v_weights)
 
+    def refine(self) -> "AnalysisQuadrature":
+        """1.25 times the nodes of both rules, on the same spans."""
+        factor = 1.25
+        # each rule integrates 1 exactly, so its weights sum to its span
+        u_rule, v_rule = (self._sqrt_rule(float(np.sum(w)), int(round(x.size * factor)))
+                          for x, w in ((self.u_nodes, self.u_weights),
+                                       (self.v_nodes, self.v_weights)))
+        return AnalysisQuadrature(*u_rule, *v_rule)
+
 
 def _angular_const(n: int) -> float:
     # integral over C^n of a radial g(|z|^2): (pi^n / Gamma(n)) * int g(u) u^{n-1} du
@@ -689,8 +698,8 @@ def synthesize_at(S: PolyradialSpectrum, u_vals: np.ndarray, t_vals: np.ndarray,
     """Point values at scattered (|z|^2, t) pairs.
 
     deriv: None for the function, 'du' for d/d(|z|^2), 'dt' for d/dt.  Used by
-    the square functions and the mean-value checks, which need exact off-grid
-    evaluation of spectrally defined fields.
+    `kernels.frac_conf_pointwise`, which needs exact off-grid values of the
+    spectral L_s.
     """
     if deriv not in (None, "du", "dt"):
         raise ValueError(f"deriv must be None, 'du' or 'dt', not {deriv!r}")

@@ -1,5 +1,5 @@
-"""Littlewood-Paley square functions, the square fractional integral and the
-mean-value machinery on the half-space H^n x R+.
+"""Littlewood-Paley square functions g, g1, g_x and g* on the half-space
+H^n x R+, and the pointwise theorem check of D_s u against g*(L^s u).
 
 All vertical objects are built on the non-conformal Poisson extension
 U(., rho) = e^{-rho L^{1/2}} u, whose per-mode profile and rho-derivative are
@@ -24,10 +24,9 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import BSpline, NdBSpline
 from scipy.sparse import csr_array
-from scipy.special import roots_legendre
 
-from .group import GridFunction, GridSpec, apply_vector_field, sublaplacian_grid
-from .kernels import ExtensionField, _second_difference
+from .group import GridFunction, GridSpec, apply_vector_field
+from .kernels import ExtensionField
 from .lagspec import (
     AnalysisQuadrature,
     LambdaGrid,
@@ -49,9 +48,6 @@ __all__ = [
     "g_parts",
     "g_star",
     "pointwise_theorem_check",
-    "mean_value_check",
-    "extended_gauge",
-    "extended_gauge_grad_sq",
     "extension_gradient_sq_at",
 ]
 
@@ -394,145 +390,10 @@ def pointwise_theorem_check(u: GridFunction, s: float, lam_param: float, samples
     rep.require("lambda_hat_finite", math.isfinite(lam_hat) and lam_hat > 0)
     for i in range(len(samples)):
         rep.add(f"ratio_{i}", float(ratios[i]), route="quadrature/spectral")
-    ds2, gs2 = one_pass(grid.refine(), AnalysisQuadrature.build(spec, n_radial=1920),
+    ds2, gs2 = one_pass(grid.refine(), (quad or AnalysisQuadrature.build(spec)).refine(),
                         cfg.refine(), squad.refine())
     lam2 = float(np.max(np.where(gs2 > 0, ds2 / np.maximum(gs2, 1e-300), 0.0)))
     drift = abs(lam2 - lam_hat) / lam_hat
     rep.add("lambda_hat_refined", lam2, route="quadrature/spectral")
     rep.add("refinement_drift", drift, route="quadrature/spectral", tolerance=0.10)
     return NontangentialReport(rep.finish(), ds, gs, ratios, lam_hat)
-
-
-# ---------------------------------------------------------------------------
-# extended gauge and the mean-value inequality
-# ---------------------------------------------------------------------------
-
-def extended_gauge(zx, zy, t, rho):
-    return (rho ** 4 + (zx * zx + zy * zy) ** 2 + 16.0 * t * t) ** 0.25
-
-
-def extended_gauge_grad_sq(zx, zy, t, rho):
-    """|nabla d~|^2 = (|z|^6 + 16 t^2 |z|^2 + rho^6) / d~^6, closed form <= 1."""
-    z2 = zx * zx + zy * zy
-    d4 = rho ** 4 + z2 * z2 + 16.0 * t * t
-    return (z2 ** 3 + 16.0 * t * t * z2 + rho ** 6) / d4 ** 1.5
-
-
-def _extended_ball_nodes(r: float, center_rho: float):
-    """Quadrature for int_{B_r((0, rho0))} F(u=|z|^2, t, rho) dz dt drho on H^1 x R+.
-
-    Slices over sigma = rho - rho0 (24 Gauss nodes); each slice is a Koranyi
-    ball of radius (r^4 - sigma^4)^{1/4} handled in the (varrho, theta)
-    parametrization (24 x 16 Gauss nodes) with the measure
-    (2 pi / 8) varrho d varrho d theta for z-radial integrands.
-    """
-    sx, sw = roots_legendre(24)
-    sigma = sx * r
-    wsig = sw * r
-    rx, rw = roots_legendre(24)
-    tx, tw = roots_legendre(16)
-    theta = tx * math.pi / 2
-    wth = tw * math.pi / 2
-    us, tts, rhos, wts = [], [], [], []
-    for sg, ws in zip(sigma, wsig):
-        ry4 = r ** 4 - sg ** 4
-        if ry4 <= 0:
-            continue
-        vmax = math.sqrt(ry4)          # varrho ranges over (0, r_y^2]
-        vr = (rx + 1) * vmax / 2
-        wv = rw * vmax / 2
-        V, TH = np.meshgrid(vr, theta, indexing="ij")
-        WV, WTH = np.meshgrid(wv, wth, indexing="ij")
-        us.append((V * np.cos(TH)).ravel())
-        tts.append((V * np.sin(TH) / 4.0).ravel())
-        rhos.append(np.full(V.size, center_rho + sg))
-        wts.append((2 * math.pi / 8.0 * V * WV * WTH).ravel() * ws)
-    return (np.concatenate(us), np.concatenate(tts),
-            np.concatenate(rhos), np.concatenate(wts))
-
-
-def mean_value_check(fld: ExtensionField, Su: PolyradialSpectrum,
-                     center_rho: float = 2.0) -> VerificationReport:
-    """Mean-value inequality for V = |nabla U|^2 over extended Koranyi balls.
-
-    Verifies E V >= -1e-4 max|E V| on a grid window (E = -L + d_rho^2),
-    computes the plain and gauge-weighted ball averages by exact spectral
-    evaluation, and reports the smallest constant making
-    V(center) <= C r^{-(Q+1)} int_B V across the radii r = 1/2, 1, 2.  A
-    subharmonicity violation rejects the input rather than failing the
-    inequality.
-    """
-    spec = fld.levels[0].spec
-    if spec.n != 1:
-        raise NotImplementedError("the extended-ball nodes live on H^1 x R+: n = 1 only")
-    radii = (0.5, 1.0, 2.0)
-    rep = VerificationReport(suite="mean-value",
-                             inputs={"center_rho": center_rho, "radii": list(radii)})
-    Q = 2 * spec.n + 2
-
-    # discrete subharmonicity on a window around the center level
-    j0 = int(np.argmin(np.abs(fld.rho_levels - center_rho)))
-    if not 0 < j0 < len(fld.rho_levels) - 1:
-        raise ValueError("center_rho must pick an interior ladder level: d_rho^2 V "
-                         "needs a level on each side")
-    grads = gradient_sq(fld)
-    V0 = grads[j0]
-    hp = fld.rho_levels[j0 - 1] - fld.rho_levels[j0]
-    hm = fld.rho_levels[j0] - fld.rho_levels[j0 + 1]
-    d2 = _second_difference(grads[j0 + 1].values.real, V0.values.real,
-                            grads[j0 - 1].values.real, hm, hp)
-    LV = sublaplacian_grid(V0, order=4).values.real
-    EV = (-LV + d2)[spec.interior_window()]
-    scale = float(np.max(np.abs(EV)))
-    worst = float(np.min(EV))
-    rep.add("subharmonic_min_over_scale", worst / scale, route="grid")
-    if worst < -1e-4 * scale:
-        rep.require("input_E_subharmonic", False)
-        rep.note("input rejected: discrete E V dips below tolerance")
-        return rep.finish()
-    rep.require("input_E_subharmonic", True)
-
-    # gauge bound
-    rng = np.random.default_rng(20240812)
-    zr = rng.uniform(-2, 2, (10000, 2))
-    tr = rng.uniform(-1, 1, 10000)
-    rr = rng.uniform(1e-3, 3, 10000)
-    K = extended_gauge_grad_sq(zr[:, 0], zr[:, 1], tr, rr)
-    rep.add("gauge_grad_sq_max", float(np.max(K)), route="exact", tolerance=1.0 + 1e-8)
-
-    # finite-difference spot check of the closed-form gradient
-    p = (0.7, -0.4, 0.3, 1.2)
-    eps = 1e-6
-    gx = (extended_gauge(p[0] + eps, p[1], p[2], p[3])
-          - extended_gauge(p[0] - eps, p[1], p[2], p[3])) / (2 * eps)
-    gt = (extended_gauge(p[0], p[1], p[2] + eps, p[3])
-          - extended_gauge(p[0], p[1], p[2] - eps, p[3])) / (2 * eps)
-    gr = (extended_gauge(p[0], p[1], p[2], p[3] + eps)
-          - extended_gauge(p[0], p[1], p[2], p[3] - eps)) / (2 * eps)
-    X = gx - p[1] / 2 * gt
-    Y = (extended_gauge(p[0], p[1] + eps, p[2], p[3])
-         - extended_gauge(p[0], p[1] - eps, p[2], p[3])) / (2 * eps) + p[0] / 2 * gt
-    fd = X * X + Y * Y + gr * gr
-    cf = extended_gauge_grad_sq(*p)
-    rep.add("gauge_grad_fd_dev", abs(fd - cf) / cf, route="quadrature", tolerance=1e-6)
-
-    # ball averages with exact evaluation of V
-    vc = float(extension_gradient_sq_at(Su, center_rho, np.array([0.0]), np.array([0.0]))[0])
-    consts, consts_K = [], []
-    for r in radii:
-        us, ts, rhos, wts = _extended_ball_nodes(r, center_rho)
-        vals = np.empty_like(wts)
-        for rho in np.unique(rhos):      # exact evaluation, one slice per rho node
-            m = rhos == rho
-            vals[m] = extension_gradient_sq_at(Su, rho, us[m], ts[m])
-        plain = float(np.dot(wts, vals))
-        zz = np.sqrt(us)
-        Kw = extended_gauge_grad_sq(zz, np.zeros_like(zz), ts, np.abs(rhos - center_rho))
-        weighted = float(np.dot(wts * Kw, vals))
-        consts.append(vc * r ** (Q + 1) / plain)
-        consts_K.append(vc * r ** (Q + 1) / weighted)
-        rep.add(f"C_hat_r={r:g}", consts[-1], route="quadrature")
-        rep.add(f"C_hat_gauge_r={r:g}", consts_K[-1], route="quadrature")
-    spread = max(consts) / min(consts) - 1.0
-    rep.add("C_hat_spread", spread, route="quadrature", tolerance=0.20)
-    return rep.finish()

@@ -83,11 +83,11 @@ def test_kernel_ladder_is_dilation_of_unit_kernel(lattice, radii):
 
 
 def test_phi_kernel_origin():
-    assert phi_kernel(0.5, 1.0, (0.0, 0.0, 0.0)) == pytest.approx(1.0)
+    assert phi_kernel(0.5, 1.0, HeisenbergPoint.origin()) == pytest.approx(1.0)
     p = HeisenbergPoint([0.3], [0.1], -0.2)
     assert phi_kernel(0.3, 2.0, p) > 0
     with pytest.raises(ValueError):
-        phi_kernel(-0.1, 1.0, (0, 0, 0))
+        phi_kernel(-0.1, 1.0, HeisenbergPoint.origin())
 
 
 def test_phi_kernel_dilation_scaling():

@@ -91,6 +91,17 @@ def test_laguerre_against_mpmath_reference():
             assert abs(got - ref) <= 1e-10 * max(abs(ref), 1e-12), (k, x)
 
 
+def test_analysis_quadrature_refine_grows_both_rules_on_their_spans():
+    # 1.25 times the u- and v-nodes, the spans the coarse rules were built on
+    spec = GridSpec()
+    fine = AnalysisQuadrature.build(spec, n_radial=64, n_radial_v=128).refine()
+    ref = AnalysisQuadrature.build(spec, n_radial=80, n_radial_v=160)
+    for got, want in ((fine.u_nodes, ref.u_nodes), (fine.u_weights, ref.u_weights),
+                      (fine.v_nodes, ref.v_nodes), (fine.v_weights, ref.v_weights)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_project_matches_full_table():
     # the chunked, real-arithmetic projection against the plain full table,
     # with caps that straddle chunk edges, as one batch and as batches of one

@@ -12,7 +12,8 @@ from hfrac.lagspec import (
     synthesize_at,
 )
 from hfrac.operators import SpectralMultiplier, apply_operator
-from hfrac.singular import SingularQuadrature, _right_args
+from hfrac import squarefn
+from hfrac.singular import SingularQuadrature, _right_args, d_s_values
 from hfrac.squarefn import (
     SquareFunctionConfig,
     _GradientTable,
@@ -21,7 +22,7 @@ from hfrac.squarefn import (
     g_parts,
     gradient_sq,
     g_star,
-    mean_value_check,
+    pointwise_theorem_check,
 )
 
 # a short ladder (rho = 1/4, 1/2, 1) and small tables keep every test to seconds
@@ -168,26 +169,6 @@ def test_gradient_sq_sums_every_horizontal_pair():
         assert np.max(np.abs(g.values - 1.0)) <= 1e-12
 
 
-def test_mean_value_check_rejects_ladder_end_center():
-    spec = GridSpec(N_z=16, N_t=16)
-    fields = [GridFunction(spec=spec, values=np.zeros(spec.shape, complex)) for _ in range(9)]
-    fld = ExtensionField(rho_levels=np.array([2.0, 1.0, 0.5]), fields=fields,
-                         provenance="zeros", s=0.5)
-    for center in (2.0, 0.5):
-        with pytest.raises(ValueError):
-            mean_value_check(fld, None, center_rho=center)
-
-
-def test_mean_value_check_rejects_n_above_one():
-    # the extended-ball nodes live on H^1 x R+; no work may start for n = 2
-    spec = GridSpec(n=2, N_z=8, N_t=8)
-    fields = [GridFunction(spec=spec, values=np.zeros(spec.shape, complex)) for _ in range(9)]
-    fld = ExtensionField(rho_levels=np.array([4.0, 2.0, 1.0]), fields=fields,
-                         provenance="zeros", s=0.5)
-    with pytest.raises(NotImplementedError):
-        mean_value_check(fld, None)
-
-
 def test_config_rejects_ladders_below_two_levels():
     # equal ends or no node per octave give a one-level (NaN) ladder, reversed
     # ends an empty one
@@ -195,3 +176,36 @@ def test_config_rejects_ladders_below_two_levels():
                {"rho_min": 2.0, "rho_max": 1.0}):
         with pytest.raises(ValueError):
             SquareFunctionConfig(**kw)
+
+
+def test_pointwise_theorem_check_compares_d_s_with_g_star_of_L_s(setup):
+    # the report's columns are D_s u and g*(L^s u), each as its own routine
+    # gives it, and the empirical constant is their largest ratio
+    spec, grid, quad, f, Su = setup
+    s = 0.2
+    samples = [HeisenbergPoint([0.3], [-0.5], 0.2), HeisenbergPoint([-1.1], [0.4], -0.7)]
+    squad = SingularQuadrature.build()
+    res = pointwise_theorem_check(f, s, LAM_PARAM, samples, grid, quad, SHORT, squad)
+    assert res.report.passed
+    Sw = apply_operator(Su, SpectralMultiplier("frac_nonconf", s)).spectrum
+    for got, ref in ((res.ds, d_s_values(f, s, samples, squad)),
+                     (res.gstar, g_star(Sw, SHORT, samples, spec, LAM_PARAM))):
+        assert np.all(ref > 0)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-13
+    assert res.lam_hat == np.max(res.ds / res.gstar)
+
+
+def test_pointwise_theorem_check_rejects_before_any_analysis(setup, monkeypatch):
+    spec, grid, quad, f, Su = setup
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analysis ran before the input was checked")
+
+    monkeypatch.setattr(squarefn, "analyze_polyradial", no_analysis)
+    samples = [HeisenbergPoint.origin()]
+    Q = 2 * spec.n + 2
+    flat = f.copy_with(f.values, polyradial=False)
+    for u, s, lam in ((f, 0.0, LAM_PARAM), (f, 0.5, LAM_PARAM), (f, 0.2, 1.0),
+                      (f, 0.2, 1.0 + 2.0 * 0.2 / Q), (flat, 0.2, LAM_PARAM)):
+        with pytest.raises(ValueError):
+            pointwise_theorem_check(u, s, lam, samples, grid, quad, SHORT)
