@@ -167,6 +167,10 @@ class GridSpec:
         it = slice(self.N_t // 4, -self.N_t // 4)
         return (iz,) * (2 * self.n) + (it,)
 
+    def full_window(self) -> tuple:
+        """Index of the whole grid, in the form of interior_window()."""
+        return (slice(None),) * (2 * self.n + 1)
+
 
 @dataclass
 class GridFunction:
@@ -256,6 +260,33 @@ def fd_weights(offsets: Sequence[int], deriv: int) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
+def _stencil_half(order: int, deriv: int) -> int:
+    """Half-width of _diff_axis's stencils: order + deriv points, made odd (the
+    classical central widths for deriv 1 and 2), and as wide one-sided."""
+    return (order + deriv) // 2
+
+
+def _widen(box: tuple, shape: tuple, halo: int) -> tuple:
+    """(wide, crop): box grown by halo nodes per side, and the index of box in it.
+
+    A box that comes within halo of a grid face gets the whole grid: the
+    one-sided closures there are matrix products whose rounding can depend on
+    the extent of the other axes, so only the whole grid reproduces them bit
+    for bit.  Slices are read through slice.indices, so the negative stops of
+    interior_window() widen like any other."""
+    if len(box) != len(shape):
+        raise ValueError("a box takes one slice per grid axis")
+    bounds = [sl.indices(N) for sl, N in zip(box, shape)]
+    if any(step != 1 or start >= stop for start, stop, step in bounds):
+        raise ValueError("a box takes non-empty unit-step slices")
+    whole = any(start < halo or stop > N - halo for (start, stop, _), N in zip(bounds, shape))
+    lo = [0 if whole else start - halo for start, _, _ in bounds]
+    wide = tuple(slice(a, N if whole else stop + halo)
+                 for a, (_, stop, _), N in zip(lo, bounds, shape))
+    crop = tuple(slice(start - a, stop - a) for a, (start, stop, _) in zip(lo, bounds))
+    return wide, crop
+
+
 def _diff_axis(values: np.ndarray, axis: int, h: float, deriv: int, order: int) -> np.ndarray:
     """Derivative along one axis: central stencils inside, one-sided at the box edges.
 
@@ -265,10 +296,8 @@ def _diff_axis(values: np.ndarray, axis: int, h: float, deriv: int, order: int) 
     """
     from scipy.ndimage import correlate1d
 
-    npts = order + deriv  # matches classical central-stencil widths for deriv 1, 2
-    if npts % 2 == 0:
-        npts += 1
-    half = npts // 2
+    half = _stencil_half(order, deriv)
+    npts = 2 * half + 1
     N = values.shape[axis]
     if N < npts:
         raise ValueError("grid too coarse for the requested stencil")
@@ -326,19 +355,30 @@ def sublaplacian_grid(u: GridFunction, order: int = 4) -> GridFunction:
     L = -[ sum_j (d_xj^2 + d_yj^2) - sum_j (y_j d_xj - x_j d_yj) d_t + |z|^2/4 d_t^2 ];
     the mixed term vanishes identically on polyradial data.
     """
-    return u.copy_with(_sublaplacian_parts(u, order)[0], polyradial=u.polyradial)
+    return u.copy_with(_sublaplacian_parts(u, order, u.spec.full_window())[0],
+                       polyradial=u.polyradial)
 
 
-def _sublaplacian_parts(u: GridFunction, order: int):
-    """(values of sublaplacian_grid(u, order), the d_tt pass inside it)."""
+def _sublaplacian_parts(u: GridFunction, order: int, box: tuple):
+    """(sublaplacian_grid(u, order) values, the d_tt pass inside it) on box.
+
+    box is an index of u's grid, one unit-step slice per axis (interior_window()
+    or full_window()).  Every stencil pass runs on box widened by the widest
+    half-width (_widen: the whole grid when that reaches past a face), and
+    the result is cropped to box.  Central stencils there read the same
+    neighbours in the same order as on the whole grid, so every value is the
+    whole-grid value bit for bit.
+    """
     spec = u.spec
     n = spec.n
     taxis = 2 * n
-    vals = u.values
+    # d_xj d_t reaches a first-derivative half-width along x_j and along t
+    halo = max(_stencil_half(order, 1), _stencil_half(order, 2))
+    wide, crop = _widen(box, spec.shape, halo)
+    vals = np.ascontiguousarray(u.values[wide])
     dt = _diff_axis(vals, taxis, spec.h_t, 1, order)
     dtt = _diff_axis(vals, taxis, spec.h_t, 2, order)
-    axes = [spec.z_axis] * (2 * n)
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*(spec.z_axis[sl] for sl in wide[:taxis]), indexing="ij")
     r2 = sum(m * m for m in mesh)
     acc = 0.25 * r2[..., None] * dtt
     for j in range(n):
@@ -346,7 +386,7 @@ def _sublaplacian_parts(u: GridFunction, order: int):
         acc = acc + _diff_axis(vals, n + j, spec.h_z, 2, order)
         acc = acc - mesh[n + j][..., None] * _diff_axis(dt, j, spec.h_z, 1, order)
         acc = acc + mesh[j][..., None] * _diff_axis(dt, n + j, spec.h_z, 1, order)
-    return -acc, dtt
+    return -acc[crop], dtt[crop]
 
 
 def integrate(u: GridFunction) -> complex:

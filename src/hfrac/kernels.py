@@ -255,9 +255,13 @@ class ExtensionField:
         """U(., rho_j) for every level j."""
         return self.fields[::3]
 
-    def rho_derivatives(self, j: int):
-        """(d/drho U, d2/drho2 U) at level j from the e^{±delta} companions."""
-        u0, lo, hi = (g.values for g in self.fields[3 * j:3 * j + 3])
+    def rho_derivatives(self, j: int, box: tuple):
+        """(d/drho U, d2/drho2 U) at level j from the e^{±delta} companions, on
+        box: an index of the grid such as interior_window() or full_window().
+
+        The differences are pointwise in the grid, so only box is read and
+        every value is the whole-grid value bit for bit."""
+        u0, lo, hi = (g.values[box] for g in self.fields[3 * j:3 * j + 3])
         rho = self.rho_levels[j]
         hp = rho * (math.exp(LADDER_DELTA) - 1.0)
         hm = rho * (1.0 - math.exp(-LADDER_DELTA))
@@ -380,7 +384,8 @@ def dirichlet_to_neumann_conformal(f: GridFunction, s: float,
     N_j = -rho_j^{1-2s} d/drho w(., rho_j) on default_rho_ladder() (centered
     differences in log rho on tight companions), Richardson-extrapolated in the
     known secondary power rho^{2-2s}, compared in relative L2 on the interior
-    window.
+    window.  The target, the traces and the extrapolation are formed on that
+    window only.
     """
     if not (0 < s < 0.5):
         raise ValueError("the D-to-N trace requires s in (0, 1/2)")
@@ -395,22 +400,22 @@ def dirichlet_to_neumann_conformal(f: GridFunction, s: float,
     Sf = analyze_polyradial(f, grid, quad)
     ref = synthesize(apply_operator(Sf, SpectralMultiplier("frac_conf", s, n=f.spec.n)).spectrum,
                      f.spec)
-    target = kc.dtn * ref.values
     win = f.spec.interior_window()
-    scale = np.linalg.norm(target[win])
+    target = kc.dtn * ref.values[win]
+    scale = np.linalg.norm(target)
     traces = []
     errs = []
     for j, rho in enumerate(rho_levels):
-        d1, _ = fld.rho_derivatives(j)
+        d1, _ = fld.rho_derivatives(j, win)
         Nj = -rho ** (1.0 - 2.0 * s) * d1
         traces.append(Nj)
-        err = np.linalg.norm(Nj[win] - target[win]) / scale
+        err = np.linalg.norm(Nj - target) / scale
         errs.append(err)
         rep.add(f"ladder_err_rho={rho:g}", err, route="kernel")
     p = 2.0 - 2.0 * s
     r_ratio = (rho_levels[-2] / rho_levels[-1]) ** p
     extrap = (r_ratio * traces[-1] - traces[-2]) / (r_ratio - 1.0)
-    final = np.linalg.norm(extrap[win] - target[win]) / scale
+    final = np.linalg.norm(extrap - target) / scale
     rep.add("richardson_err", final, route="kernel", tolerance=5e-2)
     mono = all(errs[i] > errs[i + 1] for i in range(len(errs) - 3, len(errs) - 1))
     rep.require("monotone_last_3", mono)
@@ -453,11 +458,15 @@ def frac_conf_pointwise(f: GridFunction, s: float, samples,
 
 def _level_residual(fld: ExtensionField, j: int, s: float, with_tt: bool,
                     ablate_tt: bool) -> float:
-    """Relative interior residual at level j; its full-grid arrays die on return."""
+    """Relative residual at level j on the interior window.
+
+    Every array is the window's: the rho-derivatives read the window, the
+    stencils the window widened by their half-width."""
     rho = fld.rho_levels[j]
     w = fld.levels[j]
-    d1, d2 = fld.rho_derivatives(j)
-    Lw, tt = _sublaplacian_parts(w, order=6)
+    win = w.spec.interior_window()
+    d1, d2 = fld.rho_derivatives(j, win)
+    Lw, tt = _sublaplacian_parts(w, 6, win)
     drho = (1.0 - 2.0 * s) / rho * d1
     res = d2 + drho
     res -= Lw
@@ -469,16 +478,17 @@ def _level_residual(fld: ExtensionField, j: int, s: float, with_tt: bool,
         if not ablate_tt:
             res += tt
         scale += np.abs(tt)
-    win = w.spec.interior_window()
-    return np.linalg.norm(res[win]) / np.linalg.norm(scale[win])
+    return np.linalg.norm(res) / np.linalg.norm(scale)
 
 
 def _residual_report(rep: VerificationReport, fld: ExtensionField, s: float, levels,
                      route: str, tolerance, with_tt: bool, ablate_tt: bool = False):
     """Per-level interior residual of d_rho^2 + (1-2s)/rho d_rho [+ (rho^2/4) d_tt] - L.
 
-    The spatial parts use sixth-order stencils; the d_tt term reuses the d_tt
-    pass of L.  ablate_tt drops the d_tt term from the residual, not from the
+    Each level is computed on the interior window alone (_level_residual): the
+    rho-derivatives there, the spatial parts by sixth-order stencils on the
+    window widened by their half-width; the d_tt term reuses the d_tt pass of
+    L.  ablate_tt drops the d_tt term from the residual, not from the
     scale.  A selection of no level raises ValueError: its maximum would be
     an empty 0 that passes."""
     idx = levels if levels is not None else [
@@ -501,8 +511,9 @@ def conformal_pde_residual(fld: ExtensionField, s: float,
     """Interior residual of the conformal extension equation.
 
     Applies d_rho^2 + (1-2s)/rho d_rho + (rho^2/4) d_tt - L to the kernel-route
-    levels; rho-derivatives come from the companions, the spatial parts from
-    grid stencils.  ablate_tt drops the (rho^2/4) d_tt term, which must inflate
+    levels on the interior window; rho-derivatives come from the companions,
+    the spatial parts from grid stencils on the window widened by their
+    half-width.  ablate_tt drops the (rho^2/4) d_tt term, which must inflate
     the residual by an order of magnitude at rho ~ 2.
     """
     rep = VerificationReport(suite="conformal-residual",
@@ -543,8 +554,8 @@ def nonconformal_trace_fit(f: GridFunction, s: float,
     rv = ref.values[win].real.ravel()
     fits = []
     for j, rho in enumerate(rho_levels):
-        d1, _ = fld.rho_derivatives(j)
-        Nj = (-rho ** (1.0 - 2.0 * s) * d1)[win].real.ravel()
+        d1, _ = fld.rho_derivatives(j, win)
+        Nj = (-rho ** (1.0 - 2.0 * s) * d1).real.ravel()
         fits.append(float(np.dot(Nj, rv) / np.dot(rv, rv)))
         rep.add(f"c_hat_rho={rho:g}", fits[-1], route="spectral")
     drift = abs(fits[-1] - fits[-2]) / abs(fits[-1])

@@ -117,7 +117,7 @@ def gradient_sq(fld: ExtensionField) -> list:
     out = []
     for j, rho in enumerate(fld.rho_levels):
         u = fld.levels[j]
-        d1, _ = fld.rho_derivatives(j)
+        d1, _ = fld.rho_derivatives(j, u.spec.full_window())
         vals = _horizontal_sq(u) + np.abs(d1) ** 2
         out.append(u.copy_with(vals.astype(complex), name=f"|grad U|^2@rho={rho:g}"))
     return out

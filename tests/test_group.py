@@ -7,6 +7,7 @@ from hfrac.group import (
     HeisenbergPoint,
     TestFunctionId,
     _diff_axis,
+    _sublaplacian_parts,
     apply_vector_field,
     dilate,
     fd_weights,
@@ -294,6 +295,38 @@ def test_sublaplacian_matches_composed_fields():
     sl = (slice(10, -10), slice(10, -10), slice(10, -10))
     scale = np.max(np.abs(direct.values[sl]))
     assert np.max(np.abs(direct.values[sl] - composed[sl])) <= 5e-4 * scale
+
+
+def test_sublaplacian_parts_on_a_box_are_the_cropped_whole_grid():
+    # the stencils run on the box widened by their half-width (4 at order 6,
+    # 3 at order 4), or on the whole grid when that passes a face: bit for bit
+    # the whole-grid parts cropped to the box, whether the halo stays inside,
+    # ends on a face or passes it, or the box is a face node
+    rng = np.random.default_rng(11)
+    for spec in (GridSpec(N_z=24, N_t=40, R_z=5, R_t=5),
+                 GridSpec(n=2, N_z=10, N_t=20, R_z=5, R_t=5)):
+        u = GridFunction(spec=spec, values=rng.normal(size=spec.shape)
+                         + 1j * rng.normal(size=spec.shape))
+        d = 2 * spec.n + 1
+        boxes = (spec.interior_window(),
+                 (slice(4, -4),) * d,
+                 (slice(3, 9),) * d,
+                 (slice(0, 1),) + (slice(5, 7),) * (d - 2) + (slice(-1, None),))
+        for order in (4, 6):
+            Lw, tt = _sublaplacian_parts(u, order, spec.full_window())
+            assert np.array_equal(Lw, sublaplacian_grid(u, order).values)
+            for box in boxes:
+                Lb, tb = _sublaplacian_parts(u, order, box)
+                assert np.array_equal(Lb, Lw[box]), (spec.n, order, box)
+                assert np.array_equal(tb, tt[box]), (spec.n, order, box)
+
+
+def test_sublaplacian_parts_reject_bad_boxes():
+    spec = GridSpec(N_z=16, N_t=16)
+    u = GridFunction(spec=spec, values=np.ones(spec.shape, dtype=complex))
+    for box in ((slice(None),) * 2, (slice(None, None, 2),) * 3, (slice(4, 4),) * 3):
+        with pytest.raises(ValueError):
+            _sublaplacian_parts(u, 6, box)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ from hfrac.group import (
     GridSpec,
     HeisenbergPoint,
     TestFunctionId,
+    _diff_axis,
     dilate,
     make_test_function,
+    sublaplacian_grid,
 )
 from hfrac.kernels import (
     LADDER_DELTA,
@@ -362,11 +364,11 @@ def test_nonconformal_trace_fit_reads_last_two_levels(setup):
     fld = nonconformal_extension(f, s, ladder, grid, quad)
     Sf = analyze_polyradial(f, grid, quad)
     ref = synthesize(apply_operator(Sf, SpectralMultiplier("frac_nonconf", s)).spectrum, spec)
-    win = (slice(spec.N_z // 4, -spec.N_z // 4),) * 2 + (slice(spec.N_t // 4, -spec.N_t // 4),)
+    win = spec.interior_window()
     rv = ref.values[win].real.ravel()
     for j in (len(ladder) - 2, len(ladder) - 1):
-        d1, _ = fld.rho_derivatives(j)
-        Nj = (-ladder[j] ** (1.0 - 2.0 * s) * d1)[win].real.ravel()
+        d1, _ = fld.rho_derivatives(j, win)
+        Nj = (-ladder[j] ** (1.0 - 2.0 * s) * d1).real.ravel()
         expected = float(np.dot(Nj, rv) / np.dot(rv, rv))
         got = rep.get(f"c_hat_rho={ladder[j]:g}").value
         assert abs(got - expected) <= 1e-12 * abs(expected), ladder[j]
@@ -442,3 +444,53 @@ def test_residual_rejects_empty_level_selection():
         conformal_pde_residual(fld, 0.3)
     with pytest.raises(ValueError):
         conformal_pde_residual(fld, 0.3, levels=[])
+
+
+def _whole_grid_residuals(fld, s, with_tt):
+    # the residual of every level formed on the whole grid, then read on the
+    # interior window: what the window-only residual must reproduce
+    out = []
+    for j, rho in enumerate(fld.rho_levels):
+        w = fld.levels[j]
+        spec = w.spec
+        d1, d2 = fld.rho_derivatives(j, spec.full_window())
+        Lw = sublaplacian_grid(w, order=6).values
+        drho = (1.0 - 2.0 * s) / rho * d1
+        res = d2 + drho - Lw
+        scale = np.abs(d2) + np.abs(drho) + np.abs(Lw)
+        if with_tt:
+            tt = 0.25 * rho * rho * _diff_axis(w.values, 2 * spec.n, spec.h_t, 2, 6)
+            res += tt
+            scale += np.abs(tt)
+        win = spec.interior_window()
+        out.append(np.linalg.norm(res[win]) / np.linalg.norm(scale[win]))
+    return out
+
+
+@pytest.mark.parametrize("N_z, N_t", [(16, 32), (10, 12), (8, 8)])
+def test_window_residuals_match_whole_grid_on_small_grids(N_z, N_t):
+    # on small grids the interior window widened by the stencil half-width
+    # (4) reaches or passes the faces, where the negative stops of
+    # interior_window() must not turn into empty or shifted slices
+    spec = GridSpec(N_z=N_z, N_t=N_t)
+    rng = np.random.default_rng(N_z)
+    levels = np.array([2.0, 1.0, 0.5, 0.25, 0.125])
+    fields = [GridFunction(spec=spec, values=rng.normal(size=spec.shape)
+                           + 1j * rng.normal(size=spec.shape)) for _ in range(3 * len(levels))]
+    fld = ExtensionField(levels, fields, provenance="random", s=0.3)
+    if min(N_z, N_t) < 9:
+        # the order-6 second difference needs 9 nodes: the whole grid is
+        # rejected, and so is its window
+        with pytest.raises(ValueError):
+            _whole_grid_residuals(fld, 0.3, True)
+        with pytest.raises(ValueError):
+            conformal_pde_residual(fld, 0.3)
+        with pytest.raises(ValueError):
+            nonconformal_pde_residual(fld)
+        return
+    for rep, with_tt in ((conformal_pde_residual(fld, 0.3), True),
+                         (nonconformal_pde_residual(fld), False)):
+        ref = _whole_grid_residuals(fld, 0.3, with_tt)
+        got = [rep.get(f"residual_rho={rho:g}").value for rho in levels]
+        assert np.all(np.isfinite(got)) and min(got) > 0
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
