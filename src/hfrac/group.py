@@ -77,6 +77,11 @@ def group_mul(a: HeisenbergPoint, b: HeisenbergPoint) -> HeisenbergPoint:
     return HeisenbergPoint(a.x + b.x, a.y + b.y, a.t + b.t + twist)
 
 
+def _compose(ax, ay, at, bx, by, bt):
+    """Coordinates of (ax, ay, at)(bx, by, bt) for n = 1, elementwise over arrays."""
+    return ax + bx, ay + by, at + bt + 0.5 * (ax * by - bx * ay)
+
+
 def group_inv(a: HeisenbergPoint) -> HeisenbergPoint:
     return HeisenbergPoint(-a.x, -a.y, -a.t)
 
@@ -163,8 +168,8 @@ class GridSpec:
     def interior_window(self) -> tuple:
         """Index of the interior block N//4 nodes, a quarter of the box, in from
         every face; the verification suites measure their errors there."""
-        iz = slice(self.N_z // 4, -self.N_z // 4)
-        it = slice(self.N_t // 4, -self.N_t // 4)
+        iz = slice(self.N_z // 4, self.N_z - self.N_z // 4)
+        it = slice(self.N_t // 4, self.N_t - self.N_t // 4)
         return (iz,) * (2 * self.n) + (it,)
 
     def full_window(self) -> tuple:
@@ -272,8 +277,8 @@ def _widen(box: tuple, shape: tuple, halo: int) -> tuple:
     A box that comes within halo of a grid face gets the whole grid: the
     one-sided closures there are matrix products whose rounding can depend on
     the extent of the other axes, so only the whole grid reproduces them bit
-    for bit.  Slices are read through slice.indices, so the negative stops of
-    interior_window() widen like any other."""
+    for bit.  Slices are read through slice.indices, so open or negative
+    bounds widen like any other."""
     if len(box) != len(shape):
         raise ValueError("a box takes one slice per grid axis")
     bounds = [sl.indices(N) for sl, N in zip(box, shape)]
@@ -502,6 +507,8 @@ def _conformal_kernel_profiles(s0: float, rho0: float, n: int):
 def make_test_function(fid: TestFunctionId, spec: GridSpec) -> GridFunction:
     """Sample a catalog function on the grid, attaching its closed forms."""
     n = spec.n
+    if fid.translation is not None and n != 1:
+        raise NotImplementedError("translated catalog members implemented for n=1")
     coeffs = None
     if fid.family == "gaussian":
         a, b = fid.params
@@ -534,31 +541,19 @@ def make_test_function(fid: TestFunctionId, spec: GridSpec) -> GridFunction:
         else:
             coeffs = None
 
+    def evaluator(x, y, t):
+        return radial(x * x + y * y, t)
+
+    vals = radial(spec.z_radius_sq()[..., None], spec.t_axis)
+    base = GridFunction(spec=spec, values=np.asarray(vals, dtype=np.complex128),
+                        name=replace(fid, translation=None).label(), polyradial=True,
+                        evaluator=evaluator, radial_profile=radial, central_profile=central,
+                        coeff_fn=coeffs, heavy_tail=heavy)
     if fid.translation is None:
-        def evaluator(x, y, t, _f=radial):
-            return _f(x * x + y * y, t)
-
-        vals = radial(spec.z_radius_sq()[..., None], spec.t_axis)
-        return GridFunction(spec=spec, values=np.asarray(vals, dtype=np.complex128),
-                            name=fid.label(), polyradial=True, evaluator=evaluator,
-                            radial_profile=radial, central_profile=central,
-                            coeff_fn=coeffs, heavy_tail=heavy)
-
+        return base
     # translated member: (tau_a f)(p) = f(a p); not z-radial any more
-    if n != 1:
-        raise NotImplementedError("translated catalog members implemented for n=1")
     ax, ay, at = fid.translation
-
-    def evaluator(x, y, t, _f=radial):
-        px = ax + x
-        py = ay + y
-        pt = at + t + 0.5 * (ax * y - x * ay)
-        return _f(px * px + py * py, pt)
-
-    mesh = spec.meshgrid()
-    vals = evaluator(mesh[0], mesh[1], mesh[2])
-    return GridFunction(spec=spec, values=np.asarray(vals, dtype=np.complex128),
-                        name=fid.label(), polyradial=False, evaluator=evaluator)
+    return left_translate(base, HeisenbergPoint([ax], [ay], at))
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +586,8 @@ def _gather_axis(values: np.ndarray, axis: int, idx: np.ndarray) -> np.ndarray:
 def left_translate(u: GridFunction, a: HeisenbergPoint) -> GridFunction:
     """(tau_a u)(p) = u(a p), resampled on u's grid.
 
-    Catalog members are re-evaluated exactly; grid-only data uses separable
+    Catalog members are re-evaluated exactly, and the result keeps the composed
+    evaluator for the singular quadrature; grid-only data uses separable
     cubic (tricubic) interpolation with zero extension outside the box.  The
     translation amount should stay below R/4 to keep the boundary loss small.
     """
@@ -601,13 +597,14 @@ def left_translate(u: GridFunction, a: HeisenbergPoint) -> GridFunction:
     if koranyi_norm(a) > spec.R_z / 4.0:
         warnings.warn("translation exceeds R/4; boundary loss may be significant", stacklevel=2)
     if u.evaluator is not None:
-        X, Y, T = spec.meshgrid()
-        px = a.x[0] + X
-        py = a.y[0] + Y
-        pt = a.t + T + 0.5 * (a.x[0] * Y - X * a.y[0])
-        vals = u.evaluator(px, py, pt)
+        f = u.evaluator
+
+        def evaluator(x, y, t):
+            return f(*_compose(a.x[0], a.y[0], a.t, x, y, t))
+
+        vals = evaluator(*spec.meshgrid())
         return GridFunction(spec=spec, values=np.asarray(vals, dtype=np.complex128),
-                            name=u.name + "∘τ", polyradial=False)
+                            name=u.name + "∘τ", polyradial=False, evaluator=evaluator)
 
     xs, ts = spec.z_axis, spec.t_axis
     # the target x and y coordinates a.x + x, a.y + y are uniform shifts:
@@ -625,7 +622,7 @@ def left_translate(u: GridFunction, a: HeisenbergPoint) -> GridFunction:
         vals = acc
     # t axis: shift depends on (x, y) through the group twist
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    shift = a.t + 0.5 * (a.x[0] * Y - X * a.y[0])          # value added to t
+    shift = _compose(a.x[0], a.y[0], a.t, X, Y, 0.0)[2]     # value added to t
     ft = (shift[..., None] + ts[None, None, :] - ts[0]) / spec.h_t
     it = np.floor(ft).astype(int)
     frac = ft - it

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, kv, roots_legendre
+from scipy.special import gammaln, kv
 
 from .group import (
     GridFunction,
@@ -317,37 +317,16 @@ def nonconformal_poisson(f: GridFunction, rho: float, route: str = "spectral",
                          quad: Optional[AnalysisQuadrature] = None) -> GridFunction:
     """e^{-rho L^{1/2}} f, by the spectral symbol or by subordination quadrature.
 
-    route 'subordination' integrates rho (4 pi)^{-1/2} w^{-3/2} e^{-rho^2/4w}
-    e^{-w mu} dw on a fixed 96-node log-Gauss rule centered at the saddle
-    w = rho/(2 sqrt(mu)) -- an independent route through heat symbols only.
+    route 'spectral' applies the kind poisson_nonconf, route 'subordination'
+    the kind poisson_subordination, an independent route through heat symbols
+    only (see the operators docstring).
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    grid = grid or LambdaGrid.build()
-    Sf = analyze_polyradial(f, grid, quad)
-    if route == "spectral":
-        S = apply_operator(Sf, SpectralMultiplier("poisson_nonconf", rho, n=f.spec.n)).spectrum
-        return synthesize(S, f.spec)
-    if route != "subordination":
+    kinds = {"spectral": "poisson_nonconf", "subordination": "poisson_subordination"}
+    if route not in kinds:
         raise ValueError(f"unknown route {route!r}")
-    xg, wg = roots_legendre(96)
-    v = xg * 9.0          # log-offsets around the saddle
-    wv = wg * 9.0
-
-    def symbol(k, lam, n=1):
-        mu = (2.0 * np.asarray(k, float) + n) * np.abs(lam)
-        w0 = rho / (2.0 * np.sqrt(mu))
-        w = w0[..., None] * np.exp(v)
-        integrand = rho / math.sqrt(4 * math.pi) * w ** -1.5 \
-            * np.exp(-rho * rho / (4 * w) - w * mu[..., None])
-        vals = np.sum(integrand * (w * wv), axis=-1)    # dw = w dv on the log scale
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("subordination quadrature failed to converge")
-        return vals
-
-    S = Sf.copy_transformed(lambda k, lam: symbol(k, lam, n=f.spec.n),
-                            name=f"P^sub_{rho:g}[{Sf.name}]")
-    return synthesize(S, f.spec)
+    m = SpectralMultiplier(kinds[route], rho, n=f.spec.n)
+    grid = grid or LambdaGrid.build()
+    return synthesize(apply_operator(analyze_polyradial(f, grid, quad), m).spectrum, f.spec)
 
 
 def nonconformal_extension(f: GridFunction, s: float, rho_levels=None,

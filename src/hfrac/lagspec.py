@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln, roots_legendre
@@ -145,15 +145,23 @@ class LambdaGrid:
         return [(i, int(mirror[i]), self.nodes[i]) for i in range(self.M // 2, self.M)]
 
     def refine(self) -> "LambdaGrid":
-        """1.25 times the nodes per sign and the base depth K."""
+        """1.25 times the nodes per sign and the base depth K, on the default template.
+
+        Raises ValueError unless the grid is build()'s layout on the default
+        panels over [1e-3, 40] (any count per panel, any K) with the
+        k_energy_cap = 36 caps: rebuilding another grid would change its
+        window or its caps.
+        """
+        counts = np.histogram(self.nodes[self.M // 2:], DEFAULT_PANELS)[0]
+        # an empty panel gets a node, which the template has and this grid lacks
+        template = LambdaGrid.build(K=self.K, panels=(DEFAULT_PANELS, np.maximum(counts, 1)))
+        if not all(np.array_equal(getattr(template, a), getattr(self, a))
+                   for a in ("nodes", "weights", "k_caps")):
+            raise ValueError("refine rebuilds the default lambda template: the grid must be "
+                             "LambdaGrid.build()'s layout on [1e-3, 40] with its k-caps")
         factor = 1.25
         per_sign = int(round((self.M // 2) * factor))
-        lam_min = float(np.min(np.abs(self.nodes)))
-        lam_max = float(np.max(np.abs(self.nodes)))
-        # rebuild from the panel template with more nodes; endpoints are kept
-        return LambdaGrid.build(lam_min=min(lam_min, DEFAULT_PANELS[0]),
-                                lam_max=max(lam_max, DEFAULT_PANELS[-1]),
-                                nodes_per_sign=per_sign, K=int(round(self.K * factor)))
+        return LambdaGrid.build(nodes_per_sign=per_sign, K=int(round(self.K * factor)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +174,10 @@ class LambdaGrid:
 # laguerre_phi_table stays a plain full-table recurrence, the independent
 # reference the tests compare against.
 # ---------------------------------------------------------------------------
+
+PROJECT_CHUNK = 256        # k-rows per table block of the analysis contraction
+EXPAND_CHUNK = 384         # k-rows per table block of the synthesis contraction
+
 
 def laguerre_phi_table(K: int, alpha: int, x: np.ndarray) -> np.ndarray:
     """Table of l_k(x) = L_k^alpha(x) e^{-x/2} for k = 0..K; shape (K+1,) + x.shape."""
@@ -204,7 +216,7 @@ def _laguerre_blocks(x: np.ndarray, alpha: int, kmax: int, chunk: int):
         yield k0, block[:klen]
 
 
-def _project(x: np.ndarray, Wmat: np.ndarray, kcaps, alpha: int, chunk: int = 256) -> list:
+def _project(x: np.ndarray, Wmat: np.ndarray, kcaps, alpha: int) -> list:
     """c_i[k] = sum_j Wmat[i, j] l_k(x_j) for k < kcaps[i], every row in one recurrence.
 
     The real and imaginary parts of each row are interleaved into one real
@@ -218,7 +230,7 @@ def _project(x: np.ndarray, Wmat: np.ndarray, kcaps, alpha: int, chunk: int = 25
     W = np.empty((2 * caps.size, x.size))
     W[0::2], W[1::2] = Wmat[order].real, Wmat[order].imag
     cols = [np.empty(int(c), dtype=complex) for c in caps]
-    for k0, block in _laguerre_blocks(x, alpha, int(caps[0]), chunk):
+    for k0, block in _laguerre_blocks(x, alpha, int(caps[0]), PROJECT_CHUNK):
         active = int(np.count_nonzero(caps > k0))
         vals = (block @ W[:2 * active].T).view(complex)      # (klen, active)
         for i in range(active):
@@ -230,8 +242,7 @@ def _project(x: np.ndarray, Wmat: np.ndarray, kcaps, alpha: int, chunk: int = 25
     return out
 
 
-def _expand_multi(x: np.ndarray, C: np.ndarray, alpha: int,
-                  want_deriv: bool = False, chunk: int = 384):
+def _expand_multi(x: np.ndarray, C: np.ndarray, alpha: int, want_deriv: bool = False):
     """sum_k C[r, k] l_k(x) for every real row r at once, k-chunked.
 
     Returns (R, len(x)) [and the x-derivative when asked]: each table block is
@@ -243,9 +254,9 @@ def _expand_multi(x: np.ndarray, C: np.ndarray, alpha: int,
     acc = np.zeros((R, x.size))
     if want_deriv:
         dacc = np.zeros_like(acc)
-        blocks1 = _laguerre_blocks(x, alpha + 1, kcap, chunk)
+        blocks1 = _laguerre_blocks(x, alpha + 1, kcap, EXPAND_CHUNK)
         last1 = np.zeros(x.size)                 # l_{k0-1}^{a+1}; l_{-1} = 0
-    for k0, block in _laguerre_blocks(x, alpha, kcap, chunk):
+    for k0, block in _laguerre_blocks(x, alpha, kcap, EXPAND_CHUNK):
         Ck = C[:, k0:k0 + len(block)]
         acc += Ck @ block
         if want_deriv:
@@ -380,15 +391,6 @@ class PolyradialSpectrum:
     n: int
     coeffs: list
     name: str = ""
-
-    def copy_transformed(self, fn: Callable, name: str = None) -> "PolyradialSpectrum":
-        """New spectrum with coeffs[i][k] *= fn(k, lam_i) (diagonal action)."""
-        new = []
-        for i, c in enumerate(self.coeffs):
-            k = np.arange(len(c))
-            new.append(c * fn(k, self.grid.nodes[i]))
-        return PolyradialSpectrum(grid=self.grid, n=self.n, coeffs=new,
-                                  name=self.name if name is None else name)
 
     def _require_same_lattice(self, other: "PolyradialSpectrum") -> None:
         """Raise ValueError unless other has this dimension n and these lambda nodes."""

@@ -11,16 +11,22 @@ mu = (2k+n)|lam| the sublaplacian eigenvalue:
     poisson_nonconf(r)       exp(-r sqrt(mu))                  (r > 0)
     poisson_nonconf_drho(r)  -sqrt(mu) exp(-r sqrt(mu)), the r-derivative
                                                                (r > 0)
+    poisson_subordination(r) exp(-r sqrt(mu)) as the subordination integral
+                             r (4 pi)^{-1/2} int w^{-3/2} e^{-r^2/4w} e^{-w mu} dw
+                             on a 96-node log-Gauss rule centred at the saddle
+                             w = r/(2 sqrt(mu)): a route through heat symbols
+                                                               (r > 0)
     macdonald((s, r))        (2^{1-s}/G(s)) (r sqrt(mu))^s K_s(r sqrt(mu)), the
                              non-conformal extension at height r
                                                                (0 < s < 1, r > 0)
     riesz_nonconf(s)         mu^{-s/2}                         (0 < s < n+1)
     equivalence(s)           (2k+n)^{-s} G((2k+n+1+s)/2) / G((2k+n+1-s)/2)
 
-Every kind is a function of (k, |lam|) alone, never of the sign of lam: the
-synthesis engine (lagspec.slices_at_radii_batch) evaluates each symbol once
-at lam > 0 and applies it to lam and -lam together, and it accepts only
-SpectralMultipliers so that no symbol outside this table can be mirrored.
+Every kind is a function of (k, |lam|) alone, never of the sign of lam:
+apply_operator and the synthesis engine (lagspec.slices_at_radii_batch)
+evaluate each symbol once at lam > 0 and apply it to lam and -lam together.
+The engine accepts only SpectralMultipliers, so that no symbol outside this
+table can be mirrored.
 
 Gamma ratios always go through log-gamma differences; direct quotients
 overflow past k of a few dozen.  The Macdonald symbol is set to 0 where
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln, kv
+from scipy.special import gammaln, kv, roots_legendre
 
 from .lagspec import PolyradialSpectrum
 from .report import VerificationReport
@@ -50,7 +56,8 @@ __all__ = [
 ]
 
 _KINDS = ("sublaplacian", "frac_nonconf", "frac_conf", "heat", "poisson_nonconf",
-          "poisson_nonconf_drho", "macdonald", "riesz_nonconf", "equivalence")
+          "poisson_nonconf_drho", "poisson_subordination", "macdonald", "riesz_nonconf",
+          "equivalence")
 
 
 def gamma_ratio(a, b):
@@ -79,7 +86,7 @@ class SpectralMultiplier:
             raise ValueError("frac_conf requires 0 <= s < n+1")
         elif self.kind == "heat" and not p >= 0:
             raise ValueError("heat requires w >= 0")
-        elif self.kind in ("poisson_nonconf", "poisson_nonconf_drho") and not p > 0:
+        elif self.kind.startswith("poisson") and not p > 0:
             raise ValueError(f"{self.kind} requires rho > 0")
         elif self.kind == "macdonald" and not (
                 isinstance(p, tuple) and len(p) == 2 and 0 < p[0] < 1 and p[1] > 0):
@@ -121,6 +128,16 @@ def evaluate_multiplier(m: SpectralMultiplier, k, lam):
         return np.exp(-s * np.sqrt(mu))
     if m.kind == "poisson_nonconf_drho":
         return -np.sqrt(mu) * np.exp(-s * np.sqrt(mu))
+    if m.kind == "poisson_subordination":
+        xg, wg = roots_legendre(96)
+        v, wv = xg * 9.0, wg * 9.0        # log-offsets around the saddle
+        w = (s / (2.0 * np.sqrt(mu)))[..., None] * np.exp(v)
+        integrand = s / math.sqrt(4 * math.pi) * w ** -1.5 \
+            * np.exp(-s * s / (4 * w) - w * mu[..., None])
+        vals = np.sum(integrand * (w * wv), axis=-1)    # dw = w dv on the log scale
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("subordination quadrature failed to converge")
+        return vals
     if m.kind == "macdonald":
         s, rho = m.param
         pref = 2.0 ** (1.0 - s) / math.exp(gammaln(s))
@@ -141,11 +158,18 @@ class OperatorResult:
 
 
 def apply_operator(S: PolyradialSpectrum, m: SpectralMultiplier) -> OperatorResult:
-    """c_k(lam) <- m(k, lam) c_k(lam) on the lattice."""
+    """c_k(lam) <- m(k, lam) c_k(lam) on the lattice.
+
+    The symbol is evaluated once per lam, -lam pair, on the longer row's k,
+    and scales both rows: every kind depends on |lam| only.
+    """
     if m.n != S.n:
         raise ValueError("multiplier and spectrum dimensions disagree")
-    out = S.copy_transformed(lambda k, lam: evaluate_multiplier(m, k, lam),
-                             name=f"{m.label()}[{S.name}]")
+    coeffs = [None] * S.grid.M
+    for i, j, lam in S.grid.mirror_pairs():
+        sym = evaluate_multiplier(m, np.arange(max(len(S.coeffs[i]), len(S.coeffs[j]))), lam)
+        coeffs[i], coeffs[j] = (S.coeffs[r] * sym[:len(S.coeffs[r])] for r in (i, j))
+    out = PolyradialSpectrum(grid=S.grid, n=S.n, coeffs=coeffs, name=f"{m.label()}[{S.name}]")
     return OperatorResult(spectrum=out, provenance=m.label())
 
 

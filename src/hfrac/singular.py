@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_legendre
 
-from .group import GridFunction, HeisenbergPoint
+from .group import GridFunction, HeisenbergPoint, _compose
 
 __all__ = ["SingularQuadrature", "BALL_VOLUME_UNIT", "SIGMA_GAUGE",
            "d_s_values", "t_s_values", "ir_values"]
@@ -101,11 +101,7 @@ def _require_evaluator(u: GridFunction, who: str):
 
 def _right_args(x: HeisenbergPoint, q: SingularQuadrature):
     """Coordinates of x . (-y) over the node set."""
-    X1, Y1, T1 = x.x[0], x.y[0], x.t
-    px = X1 - q.xs
-    py = Y1 - q.ys
-    pt = T1 - q.ts + 0.5 * (q.xs * Y1 - X1 * q.ys)
-    return px, py, pt
+    return _compose(x.x[0], x.y[0], x.t, -q.xs, -q.ys, -q.ts)
 
 
 def _flow_derivatives(u: GridFunction, X, Y, T, order: int):
@@ -116,7 +112,7 @@ def _flow_derivatives(u: GridFunction, X, Y, T, order: int):
     eps = 1e-4 if order == 1 else 1e-3
 
     def val(ax, ay, at):
-        return np.real(u.evaluator(X + ax, Y + ay, T + at + 0.5 * (X * ay - ax * Y)))
+        return np.real(u.evaluator(*_compose(X, Y, T, ax, ay, at)))
 
     f0 = val(0.0, 0.0, 0.0) if order == 2 else None
     out = []

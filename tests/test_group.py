@@ -112,6 +112,15 @@ def test_grid_spec_layout():
         GridSpec(N_z=63)
 
 
+@pytest.mark.parametrize("N_z, N_t", [(10, 12), (14, 18), (64, 128)])
+def test_interior_window_is_symmetric(N_z, N_t):
+    # N//4 nodes in from both faces of every axis, also when 4 does not divide N
+    spec = GridSpec(N_z=N_z, N_t=N_t)
+    for sl, N in zip(spec.interior_window(), spec.shape):
+        start, stop, step = sl.indices(N)
+        assert (start, start + stop, step) == (N // 4, N, 1)
+
+
 def test_require_interior_checks_every_component():
     # margins are a quarter of each half-width, on every x, y component
     spec = GridSpec(n=2, R_z=10.0, R_t=4.0)

@@ -286,6 +286,16 @@ def test_subordination_route_agrees(setup):
     assert np.linalg.norm(a.values - b.values) <= 1e-4 * np.linalg.norm(a.values)
 
 
+def test_nonconformal_poisson_rejects_bad_route_and_radius(setup):
+    spec, grid, quad, f = setup
+    with pytest.raises(ValueError, match="unknown route"):
+        nonconformal_poisson(f, 1.0, "heat", grid, quad)
+    for route in ("spectral", "subordination"):
+        for rho in (0.0, -1.0):
+            with pytest.raises(ValueError, match="rho > 0"):
+                nonconformal_poisson(f, rho, route, grid, quad)
+
+
 def test_poisson_semigroup_fields(setup):
     spec, grid, quad, f = setup
     Sf = analyze_polyradial(f, grid, quad)
@@ -341,7 +351,7 @@ def test_nonconformal_ladder_matches_single_syntheses(setup):
         radii = (rho, rho * math.exp(-LADDER_DELTA), rho * math.exp(LADDER_DELTA))
         for got, r in zip(fld.fields[3 * j:3 * j + 3], radii):
             theta = SpectralMultiplier("macdonald", (s, r), n=spec.n)
-            ref = synthesize(Sf.copy_transformed(theta), spec)
+            ref = synthesize(apply_operator(Sf, theta).spectrum, spec)
             scale = np.max(np.abs(ref.values))
             assert np.max(np.abs(got.values - ref.values)) <= 1e-13 * scale, (rho, r)
 

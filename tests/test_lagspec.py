@@ -75,6 +75,27 @@ def test_lambda_grid_rejects_bad_mirror_pairing():
 # Laguerre evaluator against a 50-digit reference
 # ---------------------------------------------------------------------------
 
+def test_lambda_grid_refine_keeps_the_default_template():
+    fine = LambdaGrid.build().refine()
+    ref = LambdaGrid.build(nodes_per_sign=188, K=80)
+    for attr in ("nodes", "weights", "k_caps", "K"):
+        assert np.array_equal(getattr(fine, attr), getattr(ref, attr)), attr
+    assert fine.refine().M > fine.M              # a refined grid refines again
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"lam_max": 10.0},
+    {"lam_min": 0.05, "lam_max": 5.0, "nodes_per_sign": 40},
+    {"panels": ([0.5, 2.0], [4])},
+    {"k_energy_cap": 20.0},
+], ids=["lam_max=10", "narrow-window", "custom-panels", "k_energy_cap=20"])
+def test_lambda_grid_refine_rejects_other_layouts(kwargs):
+    # rebuilding these from the default template would widen the window or
+    # reset the caps, so refinement drift would compare two different grids
+    with pytest.raises(ValueError, match="template"):
+        LambdaGrid.build(**kwargs).refine()
+
+
 def test_laguerre_against_mpmath_reference():
     # 50-digit oracle from the explicit finite sum L_k(x) = sum (-1)^j C(k,j) x^j / j!
     mpmath = pytest.importorskip("mpmath")
@@ -440,6 +461,13 @@ def _reference_slices(S, u, mults):
     return sl, dsl
 
 
+def _scale_rows(S, fn):
+    """S with row i scaled by fn(k, lam_i): unlike a SpectralMultiplier, fn may
+    depend on the sign of lam."""
+    coeffs = [c * fn(np.arange(len(c)), lam) for c, lam in zip(S.coeffs, S.grid.nodes)]
+    return PolyradialSpectrum(grid=S.grid, n=S.n, coeffs=coeffs, name=S.name)
+
+
 @pytest.fixture(scope="module")
 def skew_spectrum(default_setup):
     # rows at lam and -lam unrelated (not conjugate-symmetric: the gaussian's
@@ -448,8 +476,8 @@ def skew_spectrum(default_setup):
     # halves of a +-lam pair cannot pass
     spec, grid, quad = default_setup
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
-    S = analyze_polyradial(f, grid, quad).copy_transformed(
-        lambda k, lam: (1 + 0.5 * np.sign(lam) + 0.3j) * (1 + 0.01 * k))
+    S = _scale_rows(analyze_polyradial(f, grid, quad),
+                    lambda k, lam: (1 + 0.5 * np.sign(lam) + 0.3j) * (1 + 0.01 * k))
     assert S.conj_symmetry_error() > 0.1
     return S
 
@@ -459,7 +487,7 @@ def test_synthesize_at_matches_per_node_reference(default_setup, skew_spectrum):
     spec, grid, quad = default_setup
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
     # a t-shift makes the coefficients complex, so both real contraction rows count
-    shifted = analyze_polyradial(f, grid, quad).copy_transformed(lambda k, lam: np.exp(0.7j * lam))
+    shifted = _scale_rows(analyze_polyradial(f, grid, quad), lambda k, lam: np.exp(0.7j * lam))
     u = np.array([0.0, 0.3, 1.7, 4.0, 9.5])
     t = np.array([0.0, 0.4, -1.1, 2.0, -3.5])
     phases = np.exp(-1j * np.outer(grid.nodes, t)) * grid.weights[:, None] / (2 * math.pi)

@@ -5,14 +5,36 @@ import pytest
 from scipy.integrate import quad as spquad
 
 from hfrac.group import GridSpec, TestFunctionId, integrate, make_test_function
-from hfrac.lagspec import AnalysisQuadrature, LambdaGrid, analyze_polyradial, synthesize
+from hfrac.lagspec import (
+    AnalysisQuadrature,
+    LambdaGrid,
+    PolyradialSpectrum,
+    analyze_polyradial,
+    synthesize,
+)
 from hfrac.operators import (
+    _KINDS,
     SpectralMultiplier,
     apply_operator,
     equivalence_symbol_check,
     evaluate_multiplier,
     gamma_ratio_asymptotic_check,
 )
+
+
+EVERY_KIND = [SpectralMultiplier("sublaplacian"), SpectralMultiplier("frac_nonconf", 0.3),
+              SpectralMultiplier("frac_conf", 0.3), SpectralMultiplier("heat", 0.2),
+              SpectralMultiplier("poisson_nonconf", 0.5),
+              SpectralMultiplier("poisson_nonconf_drho", 0.5),
+              SpectralMultiplier("poisson_subordination", 0.5),
+              SpectralMultiplier("macdonald", (0.3, 0.7)), SpectralMultiplier("riesz_nonconf", 0.4),
+              SpectralMultiplier("equivalence", 0.3)]
+
+
+def _positive_lattice(grid):
+    """(k, lam) over every lattice point with lam > 0, flattened."""
+    caps = grid.k_caps[grid.M // 2:]
+    return np.concatenate([np.arange(c) for c in caps]), np.repeat(grid.nodes[grid.M // 2:], caps)
 
 
 @pytest.fixture(scope="module")
@@ -70,9 +92,29 @@ def test_parameter_ranges_rejected():
         SpectralMultiplier("poisson_nonconf_drho", 0.0)
     with pytest.raises(ValueError):
         SpectralMultiplier("heat", float("nan"))      # would make every symbol value NaN
+    for rho in (0.0, -0.5):
+        with pytest.raises(ValueError, match="rho > 0"):
+            SpectralMultiplier("poisson_subordination", rho)
     for bad in ((1.0, 1.0), (0.0, 1.0), (0.5, 0.0), (0.5, -1.0), 0.5, (0.5,), (0.5, 1.0, 2.0)):
         with pytest.raises(ValueError):
             SpectralMultiplier("macdonald", bad)    # needs (s, rho), 0 < s < 1, rho > 0
+
+
+def test_every_kind_is_even_in_lambda():
+    # synthesis and apply_operator evaluate each symbol once per +-lam pair
+    assert {m.kind for m in EVERY_KIND} == set(_KINDS)
+    k, lam = _positive_lattice(LambdaGrid.build())
+    for m in EVERY_KIND:
+        assert np.array_equal(evaluate_multiplier(m, k, lam), evaluate_multiplier(m, k, -lam)), m.kind
+
+
+def test_subordination_symbol_matches_poisson_on_lattice():
+    # the 96-node log-Gauss subordination integral against exp(-rho sqrt(mu))
+    k, lam = _positive_lattice(LambdaGrid.build())
+    for rho in (0.1, 0.5, 1.0, 2.0, 8.0):
+        sub = evaluate_multiplier(SpectralMultiplier("poisson_subordination", rho), k, lam)
+        ref = evaluate_multiplier(SpectralMultiplier("poisson_nonconf", rho), k, lam)
+        assert np.max(np.abs(sub - ref)) <= 1e-9, rho
 
 
 def test_macdonald_half_is_poisson():
@@ -148,6 +190,22 @@ def test_apply_identity(setup):
     out = apply_operator(S, SpectralMultiplier("heat", 0.0)).spectrum
     for a, b in zip(S.coeffs, out.coeffs):
         assert np.array_equal(a, b)
+
+
+def test_apply_operator_matches_row_by_row_evaluation(setup):
+    # one evaluation per +-lam pair on the longer row's k scales both rows
+    # bit for bit as a per-row evaluation does, on rows at lam and -lam that
+    # differ in values and in length
+    spec, grid, quad = setup
+    Sf = analyze_polyradial(make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec),
+                            grid, quad)
+    coeffs = [c[:len(c) // 2 + 1] * (0.7 - 0.2j) if lam < 0 else c
+              for c, lam in zip(Sf.coeffs, grid.nodes)]
+    S = PolyradialSpectrum(grid=grid, n=1, coeffs=coeffs)
+    for m in EVERY_KIND:
+        out = apply_operator(S, m).spectrum
+        for c, got, lam in zip(S.coeffs, out.coeffs, grid.nodes):
+            assert np.array_equal(got, c * evaluate_multiplier(m, np.arange(len(c)), lam)), m.kind
 
 
 def test_heat_semigroup_exact_on_symbols(setup):
