@@ -176,6 +176,25 @@ class GridSpec:
         """Index of the whole grid, in the form of interior_window()."""
         return (slice(None),) * (2 * self.n + 1)
 
+    def window(self, box: tuple) -> "GridSpec":
+        """The grid of box, a centred unit-step index of this grid.
+
+        It keeps the steps h_z and h_t, takes N' = the box's length per axis
+        and R' = N' h / 2, so its axes are this grid's axes sliced by box to
+        within a few ulp.  The whole grid returns self.  ValueError for a box
+        off the centre, with different slices on the z axes, or too small for
+        a grid (GridSpec's rules: even N' of at least 8)."""
+        bounds = _box_bounds(box, self.shape)
+        if len(set(bounds[:-1])) != 1:
+            raise ValueError("a window takes the same slice on every z axis")
+        (az, bz), (at, bt) = bounds[0], bounds[-1]
+        if az + bz != self.N_z or at + bt != self.N_t:
+            raise ValueError("a window must be centred on the grid")
+        if (az, at) == (0, 0):
+            return self
+        return GridSpec(self.n, (bz - az) * self.h_z / 2.0, (bt - at) * self.h_t / 2.0,
+                        bz - az, bt - at)
+
 
 @dataclass
 class GridFunction:
@@ -271,24 +290,41 @@ def _stencil_half(order: int, deriv: int) -> int:
     return (order + deriv) // 2
 
 
+def _sublaplacian_halo(order: int) -> int:
+    """Nodes _sublaplacian_parts reads beyond its box on every side: d_xj d_t
+    reaches a first-derivative half-width along x_j and along t."""
+    return max(_stencil_half(order, 1), _stencil_half(order, 2))
+
+
+def _box_bounds(box: tuple, shape: tuple) -> list:
+    """[(start, stop)] per axis of box, which takes one non-empty unit-step
+    slice per grid axis, inside the grid; ValueError otherwise.  Slices are
+    read through slice.indices, so open or negative bounds count like any
+    other."""
+    if len(box) != len(shape) or not all(isinstance(sl, slice) for sl in box):
+        raise ValueError("a box takes one slice per grid axis")
+    if any(v is not None and not -N <= v <= N
+           for sl, N in zip(box, shape) for v in (sl.start, sl.stop)):
+        raise ValueError("a box lies inside its grid")
+    bounds = [sl.indices(N) for sl, N in zip(box, shape)]
+    if any(step != 1 or start >= stop for start, stop, step in bounds):
+        raise ValueError("a box takes non-empty unit-step slices")
+    return [(start, stop) for start, stop, _ in bounds]
+
+
 def _widen(box: tuple, shape: tuple, halo: int) -> tuple:
     """(wide, crop): box grown by halo nodes per side, and the index of box in it.
 
     A box that comes within halo of a grid face gets the whole grid: the
     one-sided closures there are matrix products whose rounding can depend on
     the extent of the other axes, so only the whole grid reproduces them bit
-    for bit.  Slices are read through slice.indices, so open or negative
-    bounds widen like any other."""
-    if len(box) != len(shape):
-        raise ValueError("a box takes one slice per grid axis")
-    bounds = [sl.indices(N) for sl, N in zip(box, shape)]
-    if any(step != 1 or start >= stop for start, stop, step in bounds):
-        raise ValueError("a box takes non-empty unit-step slices")
-    whole = any(start < halo or stop > N - halo for (start, stop, _), N in zip(bounds, shape))
-    lo = [0 if whole else start - halo for start, _, _ in bounds]
+    for bit.  box is checked and read by _box_bounds."""
+    bounds = _box_bounds(box, shape)
+    whole = any(start < halo or stop > N - halo for (start, stop), N in zip(bounds, shape))
+    lo = [0 if whole else start - halo for start, _ in bounds]
     wide = tuple(slice(a, N if whole else stop + halo)
-                 for a, (_, stop, _), N in zip(lo, bounds, shape))
-    crop = tuple(slice(start - a, stop - a) for a, (start, stop, _) in zip(lo, bounds))
+                 for a, (_, stop), N in zip(lo, bounds, shape))
+    crop = tuple(slice(start - a, stop - a) for a, (start, stop) in zip(lo, bounds))
     return wide, crop
 
 
@@ -377,9 +413,7 @@ def _sublaplacian_parts(u: GridFunction, order: int, box: tuple):
     spec = u.spec
     n = spec.n
     taxis = 2 * n
-    # d_xj d_t reaches a first-derivative half-width along x_j and along t
-    halo = max(_stencil_half(order, 1), _stencil_half(order, 2))
-    wide, crop = _widen(box, spec.shape, halo)
+    wide, crop = _widen(box, spec.shape, _sublaplacian_halo(order))
     vals = np.ascontiguousarray(u.values[wide])
     dt = _diff_axis(vals, taxis, spec.h_t, 1, order)
     dtt = _diff_axis(vals, taxis, spec.h_t, 2, order)

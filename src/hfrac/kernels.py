@@ -34,8 +34,11 @@ from .group import (
     GridSpec,
     HeisenbergPoint,
     TestFunctionId,
+    _box_bounds,
     _conformal_kernel_profiles,
+    _sublaplacian_halo,
     _sublaplacian_parts,
+    _widen,
     make_test_function,
 )
 from .lagspec import (
@@ -222,6 +225,7 @@ def default_rho_ladder() -> np.ndarray:
 
 
 LADDER_DELTA = 0.05     # log-offset of the companions rho_j e^{-delta}, rho_j e^{+delta}
+_RESIDUAL_ORDER = 6     # stencil order of the PDE residuals' spatial parts
 
 
 def _ladder_radii(rho_levels) -> list:
@@ -232,23 +236,44 @@ def _ladder_radii(rho_levels) -> list:
     return [rho * f for rho in rho_levels for f in e]
 
 
+def _measured_window(spec: GridSpec):
+    """(grid, box): what the builders synthesize on, and where the suites measure.
+
+    The grid is spec's interior window widened by the residual's stencil halo,
+    and box is the window's index in it.  Where that halo reaches a face
+    (_widen), the grid is spec itself and box its interior window."""
+    wide, crop = _widen(spec.interior_window(), spec.shape, _sublaplacian_halo(_RESIDUAL_ORDER))
+    return spec.window(wide), crop
+
+
 @dataclass
 class ExtensionField:
     """Solution of an extension problem on a rho-ladder, at the _ladder_radii.
 
     fields[3j] is U(., rho_j); fields[3j+1] and fields[3j+2] are U at
     rho_j e^{-delta} and rho_j e^{+delta}, which support rho-derivatives
-    without touching the ladder spacing.
+    without touching the ladder spacing.  Every field is on one grid, and
+    box is the index of that grid the suites measure on; it defaults to the
+    grid's interior_window().  The builders' fields cover only the measured
+    window plus the residual's stencil halo (_measured_window), so their box
+    is the window inside that smaller grid.
     """
 
     rho_levels: np.ndarray
     fields: list
     provenance: str
     s: float
+    box: Optional[tuple] = None
 
     def __post_init__(self):
-        if len(self.fields) != len(_ladder_radii(self.rho_levels)):
+        if not self.fields or len(self.fields) != len(_ladder_radii(self.rho_levels)):
             raise ValueError("an extension field holds U and its two companions at every level")
+        spec = self.fields[0].spec
+        if any(g.spec != spec for g in self.fields):
+            raise ValueError("the fields of an extension field share one grid")
+        if self.box is None:
+            self.box = spec.interior_window()
+        _box_bounds(self.box, spec.shape)
 
     @property
     def levels(self) -> list:
@@ -257,7 +282,7 @@ class ExtensionField:
 
     def rho_derivatives(self, j: int, box: tuple):
         """(d/drho U, d2/drho2 U) at level j from the e^{±delta} companions, on
-        box: an index of the grid such as interior_window() or full_window().
+        box: an index of the fields' grid such as self.box or full_window().
 
         The differences are pointwise in the grid, so only box is read and
         every value is the whole-grid value bit for bit."""
@@ -280,7 +305,9 @@ def conformal_extension(f: GridFunction, s: float, rho_levels=None,
     """Kernel-route extension: every level is a conformal Poisson convolution.
 
     The kernel spectra of every level and companion come from one ladder call
-    of kernel_spectrum, so one analysis of phi_{s,1} serves them all.
+    of kernel_spectrum, so one analysis of phi_{s,1} serves them all.  Each
+    level is synthesized on the measured window plus the residual's stencil
+    halo only (_measured_window), not on the whole box.
     """
     grid = grid or LambdaGrid.build()
     quad = quad or AnalysisQuadrature.build(f.spec)
@@ -288,8 +315,9 @@ def conformal_extension(f: GridFunction, s: float, rho_levels=None,
     radii = _ladder_radii(rho_levels)
     Sf = analyze_polyradial(f, grid, quad)
     Sks = kernel_spectrum(s, np.array(radii), grid, quad, f.spec)
-    fields = [synthesize(_poisson_level(Sf, Sk, s, r), f.spec) for r, Sk in zip(radii, Sks)]
-    return ExtensionField(rho_levels, fields, f"conformal(s={s:g})", s)
+    spec, box = _measured_window(f.spec)
+    fields = [synthesize(_poisson_level(Sf, Sk, s, r), spec) for r, Sk in zip(radii, Sks)]
+    return ExtensionField(rho_levels, fields, f"conformal(s={s:g})", s, box)
 
 
 def macdonald_check_integral(orders, args) -> float:
@@ -337,6 +365,8 @@ def nonconformal_extension(f: GridFunction, s: float, rho_levels=None,
     Every level and its e^{+-delta} companions are Macdonald multipliers of one
     spectrum, so the whole ladder is synthesized in one batch: the Laguerre
     recurrence runs once per lambda node, not once per level and companion.
+    The batch covers the measured window plus the residual's stencil halo
+    only (_measured_window), not the whole box.
     """
     if not (0 < s < 1):
         raise ValueError("nonconformal extension requires s in (0, 1)")
@@ -344,11 +374,12 @@ def nonconformal_extension(f: GridFunction, s: float, rho_levels=None,
     rho_levels = default_rho_ladder() if rho_levels is None else np.asarray(rho_levels, float)
     radii = _ladder_radii(rho_levels)
     Sf = analyze_polyradial(f, grid, quad)
-    fields = synthesize_batch(Sf, f.spec, [SpectralMultiplier("macdonald", (s, r), n=f.spec.n)
-                                           for r in radii])
+    spec, box = _measured_window(f.spec)
+    fields = synthesize_batch(Sf, spec, [SpectralMultiplier("macdonald", (s, r), n=f.spec.n)
+                                         for r in radii])
     if not all(np.all(np.isfinite(g.values)) for g in fields):
         raise ValueError("Macdonald evaluation failed on the lattice")
-    return ExtensionField(rho_levels, fields, f"nonconformal(s={s:g})", s)
+    return ExtensionField(rho_levels, fields, f"nonconformal(s={s:g})", s, box)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +394,8 @@ def dirichlet_to_neumann_conformal(f: GridFunction, s: float,
     N_j = -rho_j^{1-2s} d/drho w(., rho_j) on default_rho_ladder() (centered
     differences in log rho on tight companions), Richardson-extrapolated in the
     known secondary power rho^{2-2s}, compared in relative L2 on the interior
-    window.  The target, the traces and the extrapolation are formed on that
-    window only.
+    window (the field's box).  The target, the traces and the extrapolation
+    are formed on that window only.
     """
     if not (0 < s < 0.5):
         raise ValueError("the D-to-N trace requires s in (0, 1/2)")
@@ -378,8 +409,8 @@ def dirichlet_to_neumann_conformal(f: GridFunction, s: float,
     kc = constants(f.spec.n, s)
     Sf = analyze_polyradial(f, grid, quad)
     ref = synthesize(apply_operator(Sf, SpectralMultiplier("frac_conf", s, n=f.spec.n)).spectrum,
-                     f.spec)
-    win = f.spec.interior_window()
+                     fld.fields[0].spec)
+    win = fld.box
     target = kc.dtn * ref.values[win]
     scale = np.linalg.norm(target)
     traces = []
@@ -437,15 +468,13 @@ def frac_conf_pointwise(f: GridFunction, s: float, samples,
 
 def _level_residual(fld: ExtensionField, j: int, s: float, with_tt: bool,
                     ablate_tt: bool) -> float:
-    """Relative residual at level j on the interior window.
+    """Relative residual at level j on the field's box, the interior window.
 
     Every array is the window's: the rho-derivatives read the window, the
     stencils the window widened by their half-width."""
     rho = fld.rho_levels[j]
-    w = fld.levels[j]
-    win = w.spec.interior_window()
-    d1, d2 = fld.rho_derivatives(j, win)
-    Lw, tt = _sublaplacian_parts(w, 6, win)
+    d1, d2 = fld.rho_derivatives(j, fld.box)
+    Lw, tt = _sublaplacian_parts(fld.levels[j], _RESIDUAL_ORDER, fld.box)
     drho = (1.0 - 2.0 * s) / rho * d1
     res = d2 + drho
     res -= Lw
@@ -528,8 +557,8 @@ def nonconformal_trace_fit(f: GridFunction, s: float,
     fld = nonconformal_extension(f, s, rho_levels, grid, quad)
     Sf = analyze_polyradial(f, grid, quad)
     ref = synthesize(apply_operator(Sf, SpectralMultiplier("frac_nonconf", s, n=f.spec.n)).spectrum,
-                     f.spec)
-    win = f.spec.interior_window()
+                     fld.fields[0].spec)
+    win = fld.box
     rv = ref.values[win].real.ravel()
     fits = []
     for j, rho in enumerate(rho_levels):

@@ -113,7 +113,10 @@ def _horizontal_sq(U: GridFunction) -> np.ndarray:
 
 
 def gradient_sq(fld: ExtensionField) -> list:
-    """|nabla U|^2 per level: horizontal stencils, d_rho from the companions."""
+    """|nabla U|^2 per level: horizontal stencils, d_rho from the companions.
+
+    Each is on the fields' whole grid, which for the builders' fields is the
+    measured window plus the residual's stencil halo, not the whole box."""
     out = []
     for j, rho in enumerate(fld.rho_levels):
         u = fld.levels[j]

@@ -17,6 +17,7 @@ from hfrac.group import (
 from hfrac.kernels import (
     LADDER_DELTA,
     ExtensionField,
+    _ladder_radii,
     conformal_extension,
     conformal_pde_residual,
     conformal_poisson,
@@ -334,11 +335,19 @@ def test_poisson_kernel_envelope(setup):
         assert np.max(vals - bound) <= 0.0, rho
 
 
+def _centred(spec, sub):
+    # index of sub's grid, a centred window of spec's grid, in spec's grid
+    return tuple(slice((N - m) // 2, (N + m) // 2) for N, m in zip(spec.shape, sub.shape))
+
+
 def test_nonconformal_extension_half_is_poisson(setup):
     spec, grid, quad, f = setup
     fld = nonconformal_extension(f, 0.5, np.array([1.0, 0.5]), grid, quad)
     P = nonconformal_poisson(f, 1.0, "spectral", grid, quad)
-    assert np.max(np.abs(fld.levels[0].values - P.values)) <= 1e-10 * np.max(np.abs(P.values))
+    got = fld.levels[0].values
+    assert got.size < P.values.size
+    ref = P.values[_centred(spec, got)]
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(P.values))
 
 
 def test_nonconformal_ladder_matches_single_syntheses(setup):
@@ -353,7 +362,8 @@ def test_nonconformal_ladder_matches_single_syntheses(setup):
             theta = SpectralMultiplier("macdonald", (s, r), n=spec.n)
             ref = synthesize(apply_operator(Sf, theta).spectrum, spec)
             scale = np.max(np.abs(ref.values))
-            assert np.max(np.abs(got.values - ref.values)) <= 1e-13 * scale, (rho, r)
+            cropped = ref.values[_centred(spec, got.values)]
+            assert np.max(np.abs(got.values - cropped)) <= 1e-13 * scale, (rho, r)
 
 
 def test_nonconformal_trace_constant(setup):
@@ -377,7 +387,7 @@ def test_nonconformal_trace_fit_reads_last_two_levels(setup):
     win = spec.interior_window()
     rv = ref.values[win].real.ravel()
     for j in (len(ladder) - 2, len(ladder) - 1):
-        d1, _ = fld.rho_derivatives(j, win)
+        d1, _ = fld.rho_derivatives(j, fld.box)
         Nj = (-ladder[j] ** (1.0 - 2.0 * s) * d1).real.ravel()
         expected = float(np.dot(Nj, rv) / np.dot(rv, rv))
         got = rep.get(f"c_hat_rho={ladder[j]:g}").value
@@ -440,6 +450,18 @@ def test_extension_field_holds_three_fields_per_level():
     fld = ExtensionField(rho_levels=np.array([2.0, 1.0]), fields=fields + fields[:1],
                          provenance="zeros", s=0.3)
     assert fld.levels[0] is fields[0] and fld.levels[1] is fields[3]
+    assert fld.box == spec.interior_window()
+    # fields on two grids fail here, not as a broadcast error in rho_derivatives
+    other = GridSpec(N_z=8, N_t=10)
+    mixed = fields + [GridFunction(spec=other, values=np.zeros(other.shape, complex))]
+    with pytest.raises(ValueError, match="one grid"):
+        ExtensionField(rho_levels=np.array([2.0, 1.0]), fields=mixed, provenance="zeros", s=0.3)
+    for box in ((slice(2, 6),) * 2, (slice(2, 6),) * 2 + (slice(0, 8, 2),),
+                (slice(2, 6),) * 2 + (slice(5, 5),), (slice(2, 6),) * 2 + (slice(4, 12),),
+                (slice(2, 6),) * 2 + (3,)):
+        with pytest.raises(ValueError):
+            ExtensionField(rho_levels=np.array([2.0, 1.0]), fields=fields + fields[:1],
+                           provenance="zeros", s=0.3, box=box)
 
 
 def test_residual_rejects_empty_level_selection():
@@ -504,3 +526,82 @@ def test_window_residuals_match_whole_grid_on_small_grids(N_z, N_t):
         got = [rep.get(f"residual_rho={rho:g}").value for rho in levels]
         assert np.all(np.isfinite(got)) and min(got) > 0
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
+
+def _whole_grid_extension(f, s, levels, grid, quad, conformal):
+    # the builders' level spectra synthesized on the whole grid, with the
+    # default box (the interior window): what the suites measured before the
+    # builders kept to the measured window
+    radii = np.array(_ladder_radii(levels))
+    Sf = analyze_polyradial(f, grid, quad)
+    if conformal:
+        C = constants(f.spec.n, s).C
+        spectra = [Sf.convolve(Sk) * (C * r ** (2 * s))
+                   for r, Sk in zip(radii, kernel_spectrum(s, radii, grid, quad, f.spec))]
+    else:
+        spectra = [apply_operator(Sf, SpectralMultiplier("macdonald", (s, r))).spectrum
+                   for r in radii]
+    return ExtensionField(levels, [synthesize(S, f.spec) for S in spectra], "whole grid", s)
+
+
+def _traces(fld, s, f, kind, grid, quad):
+    # (-rho^{1-2s} d_rho U per level, the spectral reference) on fld.box, as
+    # the DtN and the trace fit form them
+    ref = synthesize(apply_operator(analyze_polyradial(f, grid, quad),
+                                    SpectralMultiplier(kind, s)).spectrum, fld.fields[0].spec)
+    return ([-rho ** (1.0 - 2.0 * s) * fld.rho_derivatives(j, fld.box)[0]
+             for j, rho in enumerate(fld.rho_levels)], ref.values[fld.box])
+
+
+def test_builder_fields_measure_what_whole_grid_fields_measured():
+    spec = GridSpec(N_z=32, N_t=64, R_z=8, R_t=8)
+    grid = LambdaGrid.build(nodes_per_sign=20, K=8, k_energy_cap=2.0)
+    quad = AnalysisQuadrature.build(spec, n_radial_v=224)
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    s, levels = 0.3, default_rho_ladder()
+    kc = constants(spec.n, s)
+
+    def close(got, ref, what):
+        assert abs(got - ref) <= 1e-12 * abs(ref), (what, got, ref)
+
+    conf = conformal_extension(f, s, levels, grid, quad)
+    assert conf.fields[0].spec.shape != spec.shape and conf.box != spec.interior_window()
+    whole = _whole_grid_extension(f, s, levels, grid, quad, conformal=True)
+    got, ref = conformal_pde_residual(conf, s), conformal_pde_residual(whole, s)
+    for rho in levels[(levels >= 0.12) & (levels <= 2.1)]:
+        close(got.get(f"residual_rho={rho:g}").value, ref.get(f"residual_rho={rho:g}").value, rho)
+    rep = dirichlet_to_neumann_conformal(f, s, grid, quad)
+    traces, target = _traces(whole, s, f, "frac_conf", grid, quad)
+    target = kc.dtn * target
+    for rho, Nj in zip(levels, traces):
+        close(rep.get(f"ladder_err_rho={rho:g}").value,
+              np.linalg.norm(Nj - target) / np.linalg.norm(target), rho)
+    r_ratio = (levels[-2] / levels[-1]) ** (2.0 - 2.0 * s)
+    extrap = (r_ratio * traces[-1] - traces[-2]) / (r_ratio - 1.0)
+    close(rep.get("richardson_err").value,
+          np.linalg.norm(extrap - target) / np.linalg.norm(target), "richardson")
+
+    nonc = nonconformal_extension(f, s, levels, grid, quad)
+    whole = _whole_grid_extension(f, s, levels, grid, quad, conformal=False)
+    got, ref = nonconformal_pde_residual(nonc), nonconformal_pde_residual(whole)
+    for rho in levels[(levels >= 0.12) & (levels <= 2.1)]:
+        close(got.get(f"residual_rho={rho:g}").value, ref.get(f"residual_rho={rho:g}").value, rho)
+    rep = nonconformal_trace_fit(f, s, grid, quad)
+    traces, rv = _traces(whole, s, f, "frac_nonconf", grid, quad)
+    rv = rv.real.ravel()
+    for rho, Nj in list(zip(levels, traces))[-2:]:
+        close(rep.get(f"c_hat_rho={rho:g}").value,
+              float(np.dot(Nj.real.ravel(), rv) / np.dot(rv, rv)), rho)
+
+
+def test_builder_fields_keep_the_whole_small_grid():
+    # where the window's stencil halo reaches the faces, the builders keep
+    # the whole grid and measure its interior window
+    spec = GridSpec(N_z=12, N_t=32)
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    grid = LambdaGrid.build(nodes_per_sign=20, K=8, k_energy_cap=2.0)
+    quad = AnalysisQuadrature.build(spec, n_radial_v=224)
+    for fld in (nonconformal_extension(f, 0.3, np.array([1.0, 0.5]), grid, quad),
+                conformal_extension(f, 0.3, np.array([1.0, 0.5]), grid, quad)):
+        assert all(g.spec is spec for g in fld.fields)
+        assert fld.box == spec.interior_window()

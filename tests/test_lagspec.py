@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from hfrac.group import GridFunction, GridSpec, HeisenbergPoint, TestFunctionId, integrate, make_test_function
+from hfrac.group import (
+    GridFunction,
+    GridSpec,
+    HeisenbergPoint,
+    TestFunctionId,
+    _sublaplacian_halo,
+    _widen,
+    integrate,
+    make_test_function,
+)
 from hfrac.lagspec import (
     AnalysisQuadrature,
     CentralSliceField,
@@ -406,6 +415,22 @@ def test_pipeline_dilation_covariance(default_setup):
     exact = fr.values
     err = np.linalg.norm(g.values - exact) / np.linalg.norm(exact)
     assert err <= 1e-2
+
+
+@pytest.mark.parametrize("N_z, N_t, R_z, R_t", [(96, 256, 10, 10), (64, 128, 10, 10),
+                                                (48, 96, 8, 8)])
+def test_synthesis_on_a_window_is_the_cropped_synthesis(N_z, N_t, R_z, R_t):
+    # the extension builders synthesize on spec.window(wide); the values are
+    # the whole-grid synthesis cropped to wide, up to the rounding of the
+    # phase product, whose shape changes with the window
+    spec = GridSpec(N_z=N_z, N_t=N_t, R_z=R_z, R_t=R_t)
+    grid = LambdaGrid.build()
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    S = analyze_polyradial(f, grid, AnalysisQuadrature.build(spec))
+    wide, _ = _widen(spec.interior_window(), spec.shape, _sublaplacian_halo(6))
+    full = synthesize(S, spec).values
+    got = synthesize(S, spec.window(wide)).values
+    assert np.max(np.abs(got - full[wide])) <= 1e-14 * np.max(np.abs(full))
 
 
 def test_synthesize_at_matches_grid(default_setup):
