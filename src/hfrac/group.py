@@ -172,29 +172,6 @@ class GridSpec:
         it = slice(self.N_t // 4, self.N_t - self.N_t // 4)
         return (iz,) * (2 * self.n) + (it,)
 
-    def full_window(self) -> tuple:
-        """Index of the whole grid, in the form of interior_window()."""
-        return (slice(None),) * (2 * self.n + 1)
-
-    def window(self, box: tuple) -> "GridSpec":
-        """The grid of box, a centred unit-step index of this grid.
-
-        It keeps the steps h_z and h_t, takes N' = the box's length per axis
-        and R' = N' h / 2, so its axes are this grid's axes sliced by box to
-        within a few ulp.  The whole grid returns self.  ValueError for a box
-        off the centre, with different slices on the z axes, or too small for
-        a grid (GridSpec's rules: even N' of at least 8)."""
-        bounds = _box_bounds(box, self.shape)
-        if len(set(bounds[:-1])) != 1:
-            raise ValueError("a window takes the same slice on every z axis")
-        (az, bz), (at, bt) = bounds[0], bounds[-1]
-        if az + bz != self.N_z or at + bt != self.N_t:
-            raise ValueError("a window must be centred on the grid")
-        if (az, at) == (0, 0):
-            return self
-        return GridSpec(self.n, (bz - az) * self.h_z / 2.0, (bt - at) * self.h_t / 2.0,
-                        bz - az, bt - at)
-
 
 @dataclass
 class GridFunction:
@@ -291,8 +268,9 @@ def _stencil_half(order: int, deriv: int) -> int:
 
 
 def _sublaplacian_halo(order: int) -> int:
-    """Nodes _sublaplacian_parts reads beyond its box on every side: d_xj d_t
-    reaches a first-derivative half-width along x_j and along t."""
+    """Widest half-width of _sublaplacian_parts' stencils: d_xj d_t reaches a
+    first-derivative half-width along x_j and along t.  Nodes this far from
+    every face read no one-sided closure."""
     return max(_stencil_half(order, 1), _stencil_half(order, 2))
 
 
@@ -310,22 +288,6 @@ def _box_bounds(box: tuple, shape: tuple) -> list:
     if any(step != 1 or start >= stop for start, stop, step in bounds):
         raise ValueError("a box takes non-empty unit-step slices")
     return [(start, stop) for start, stop, _ in bounds]
-
-
-def _widen(box: tuple, shape: tuple, halo: int) -> tuple:
-    """(wide, crop): box grown by halo nodes per side, and the index of box in it.
-
-    A box that comes within halo of a grid face gets the whole grid: the
-    one-sided closures there are matrix products whose rounding can depend on
-    the extent of the other axes, so only the whole grid reproduces them bit
-    for bit.  box is checked and read by _box_bounds."""
-    bounds = _box_bounds(box, shape)
-    whole = any(start < halo or stop > N - halo for (start, stop), N in zip(bounds, shape))
-    lo = [0 if whole else start - halo for start, _ in bounds]
-    wide = tuple(slice(a, N if whole else stop + halo)
-                 for a, (_, stop), N in zip(lo, bounds, shape))
-    crop = tuple(slice(start - a, stop - a) for a, (start, stop) in zip(lo, bounds))
-    return wide, crop
 
 
 def _diff_axis(values: np.ndarray, axis: int, h: float, deriv: int, order: int) -> np.ndarray:
@@ -396,28 +358,21 @@ def sublaplacian_grid(u: GridFunction, order: int = 4) -> GridFunction:
     L = -[ sum_j (d_xj^2 + d_yj^2) - sum_j (y_j d_xj - x_j d_yj) d_t + |z|^2/4 d_t^2 ];
     the mixed term vanishes identically on polyradial data.
     """
-    return u.copy_with(_sublaplacian_parts(u, order, u.spec.full_window())[0],
-                       polyradial=u.polyradial)
+    return u.copy_with(_sublaplacian_parts(u, order)[0], polyradial=u.polyradial)
 
 
-def _sublaplacian_parts(u: GridFunction, order: int, box: tuple):
-    """(sublaplacian_grid(u, order) values, the d_tt pass inside it) on box.
+def _sublaplacian_parts(u: GridFunction, order: int):
+    """(values of sublaplacian_grid(u, order), the d_tt pass inside it) on u's grid.
 
-    box is an index of u's grid, one unit-step slice per axis (interior_window()
-    or full_window()).  Every stencil pass runs on box widened by the widest
-    half-width (_widen: the whole grid when that reaches past a face), and
-    the result is cropped to box.  Central stencils there read the same
-    neighbours in the same order as on the whole grid, so every value is the
-    whole-grid value bit for bit.
-    """
+    Callers that measure on a box of the grid crop both; values further than
+    _sublaplacian_halo(order) from every face are central-stencil values."""
     spec = u.spec
     n = spec.n
     taxis = 2 * n
-    wide, crop = _widen(box, spec.shape, _sublaplacian_halo(order))
-    vals = np.ascontiguousarray(u.values[wide])
+    vals = u.values
     dt = _diff_axis(vals, taxis, spec.h_t, 1, order)
     dtt = _diff_axis(vals, taxis, spec.h_t, 2, order)
-    mesh = np.meshgrid(*(spec.z_axis[sl] for sl in wide[:taxis]), indexing="ij")
+    mesh = np.meshgrid(*[spec.z_axis] * taxis, indexing="ij")
     r2 = sum(m * m for m in mesh)
     acc = 0.25 * r2[..., None] * dtt
     for j in range(n):
@@ -425,7 +380,7 @@ def _sublaplacian_parts(u: GridFunction, order: int, box: tuple):
         acc = acc + _diff_axis(vals, n + j, spec.h_z, 2, order)
         acc = acc - mesh[n + j][..., None] * _diff_axis(dt, j, spec.h_z, 1, order)
         acc = acc + mesh[j][..., None] * _diff_axis(dt, n + j, spec.h_z, 1, order)
-    return -acc[crop], dtt[crop]
+    return -acc, dtt
 
 
 def integrate(u: GridFunction) -> complex:

@@ -38,7 +38,6 @@ from .group import (
     _conformal_kernel_profiles,
     _sublaplacian_halo,
     _sublaplacian_parts,
-    _widen,
     make_test_function,
 )
 from .lagspec import (
@@ -239,11 +238,17 @@ def _ladder_radii(rho_levels) -> list:
 def _measured_window(spec: GridSpec):
     """(grid, box): what the builders synthesize on, and where the suites measure.
 
-    The grid is spec's interior window widened by the residual's stencil halo,
-    and box is the window's index in it.  Where that halo reaches a face
-    (_widen), the grid is spec itself and box its interior window."""
-    wide, crop = _widen(spec.interior_window(), spec.shape, _sublaplacian_halo(_RESIDUAL_ORDER))
-    return spec.window(wide), crop
+    The grid is spec's interior window widened by h, the residual's stencil
+    halo: it keeps the steps and takes N' = N - 2(N//4 - h) nodes per axis,
+    centred, so its axes are spec's to within a few ulp.  box, the window's
+    index in it, is inset by h on every axis.  Where the halo reaches a face
+    (N//4 < h), the grid is spec itself and box its interior window."""
+    h = _sublaplacian_halo(_RESIDUAL_ORDER)
+    if min(spec.N_z, spec.N_t) // 4 < h:
+        return spec, spec.interior_window()
+    nz, nt = (N - 2 * (N // 4 - h) for N in (spec.N_z, spec.N_t))
+    window = GridSpec(spec.n, nz * spec.h_z / 2.0, nt * spec.h_t / 2.0, nz, nt)
+    return window, (slice(h, nz - h),) * (2 * spec.n) + (slice(h, nt - h),)
 
 
 @dataclass
@@ -256,7 +261,8 @@ class ExtensionField:
     box is the index of that grid the suites measure on; it defaults to the
     grid's interior_window().  The builders' fields cover only the measured
     window plus the residual's stencil halo (_measured_window), so their box
-    is the window inside that smaller grid.
+    is the window inside that smaller grid.  The suites compute on the whole
+    grid and crop to box.
     """
 
     rho_levels: np.ndarray
@@ -280,13 +286,10 @@ class ExtensionField:
         """U(., rho_j) for every level j."""
         return self.fields[::3]
 
-    def rho_derivatives(self, j: int, box: tuple):
+    def rho_derivatives(self, j: int):
         """(d/drho U, d2/drho2 U) at level j from the e^{±delta} companions, on
-        box: an index of the fields' grid such as self.box or full_window().
-
-        The differences are pointwise in the grid, so only box is read and
-        every value is the whole-grid value bit for bit."""
-        u0, lo, hi = (g.values[box] for g in self.fields[3 * j:3 * j + 3])
+        the fields' grid."""
+        u0, lo, hi = (g.values for g in self.fields[3 * j:3 * j + 3])
         rho = self.rho_levels[j]
         hp = rho * (math.exp(LADDER_DELTA) - 1.0)
         hm = rho * (1.0 - math.exp(-LADDER_DELTA))
@@ -394,8 +397,8 @@ def dirichlet_to_neumann_conformal(f: GridFunction, s: float,
     N_j = -rho_j^{1-2s} d/drho w(., rho_j) on default_rho_ladder() (centered
     differences in log rho on tight companions), Richardson-extrapolated in the
     known secondary power rho^{2-2s}, compared in relative L2 on the interior
-    window (the field's box).  The target, the traces and the extrapolation
-    are formed on that window only.
+    window (the field's box), where the target, the traces and the
+    extrapolation are formed.
     """
     if not (0 < s < 0.5):
         raise ValueError("the D-to-N trace requires s in (0, 1/2)")
@@ -416,8 +419,7 @@ def dirichlet_to_neumann_conformal(f: GridFunction, s: float,
     traces = []
     errs = []
     for j, rho in enumerate(rho_levels):
-        d1, _ = fld.rho_derivatives(j, win)
-        Nj = -rho ** (1.0 - 2.0 * s) * d1
+        Nj = -rho ** (1.0 - 2.0 * s) * fld.rho_derivatives(j)[0][win]
         traces.append(Nj)
         err = np.linalg.norm(Nj - target) / scale
         errs.append(err)
@@ -470,11 +472,12 @@ def _level_residual(fld: ExtensionField, j: int, s: float, with_tt: bool,
                     ablate_tt: bool) -> float:
     """Relative residual at level j on the field's box, the interior window.
 
-    Every array is the window's: the rho-derivatives read the window, the
-    stencils the window widened by their half-width."""
+    The rho-derivatives and the stencils run on the field's grid and are
+    cropped to the box."""
     rho = fld.rho_levels[j]
-    d1, d2 = fld.rho_derivatives(j, fld.box)
-    Lw, tt = _sublaplacian_parts(fld.levels[j], _RESIDUAL_ORDER, fld.box)
+    box = fld.box
+    d1, d2 = (d[box] for d in fld.rho_derivatives(j))
+    Lw, tt = (p[box] for p in _sublaplacian_parts(fld.levels[j], _RESIDUAL_ORDER))
     drho = (1.0 - 2.0 * s) / rho * d1
     res = d2 + drho
     res -= Lw
@@ -493,12 +496,12 @@ def _residual_report(rep: VerificationReport, fld: ExtensionField, s: float, lev
                      route: str, tolerance, with_tt: bool, ablate_tt: bool = False):
     """Per-level interior residual of d_rho^2 + (1-2s)/rho d_rho [+ (rho^2/4) d_tt] - L.
 
-    Each level is computed on the interior window alone (_level_residual): the
-    rho-derivatives there, the spatial parts by sixth-order stencils on the
-    window widened by their half-width; the d_tt term reuses the d_tt pass of
-    L.  ablate_tt drops the d_tt term from the residual, not from the
-    scale.  A selection of no level raises ValueError: its maximum would be
-    an empty 0 that passes."""
+    Each level is measured on the field's box, the interior window
+    (_level_residual): the rho-derivatives from the companions, the spatial
+    parts by sixth-order stencils; the d_tt term reuses the d_tt pass of L.
+    ablate_tt drops the d_tt term from the residual, not from the scale.  A
+    selection of no level raises ValueError: its maximum would be an empty 0
+    that passes."""
     idx = levels if levels is not None else [
         j for j, r in enumerate(fld.rho_levels) if 0.12 <= r <= 2.1]
     if not idx:
@@ -520,9 +523,8 @@ def conformal_pde_residual(fld: ExtensionField, s: float,
 
     Applies d_rho^2 + (1-2s)/rho d_rho + (rho^2/4) d_tt - L to the kernel-route
     levels on the interior window; rho-derivatives come from the companions,
-    the spatial parts from grid stencils on the window widened by their
-    half-width.  ablate_tt drops the (rho^2/4) d_tt term, which must inflate
-    the residual by an order of magnitude at rho ~ 2.
+    the spatial parts from grid stencils.  ablate_tt drops the (rho^2/4) d_tt
+    term, which must inflate the residual by an order of magnitude at rho ~ 2.
     """
     rep = VerificationReport(suite="conformal-residual",
                              inputs={"s": s, "provenance": fld.provenance,
@@ -562,8 +564,7 @@ def nonconformal_trace_fit(f: GridFunction, s: float,
     rv = ref.values[win].real.ravel()
     fits = []
     for j, rho in enumerate(rho_levels):
-        d1, _ = fld.rho_derivatives(j, win)
-        Nj = (-rho ** (1.0 - 2.0 * s) * d1).real.ravel()
+        Nj = (-rho ** (1.0 - 2.0 * s) * fld.rho_derivatives(j)[0][win]).real.ravel()
         fits.append(float(np.dot(Nj, rv) / np.dot(rv, rv)))
         rep.add(f"c_hat_rho={rho:g}", fits[-1], route="spectral")
     drift = abs(fits[-1] - fits[-2]) / abs(fits[-1])

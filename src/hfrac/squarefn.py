@@ -120,7 +120,7 @@ def gradient_sq(fld: ExtensionField) -> list:
     out = []
     for j, rho in enumerate(fld.rho_levels):
         u = fld.levels[j]
-        d1, _ = fld.rho_derivatives(j, u.spec.full_window())
+        d1, _ = fld.rho_derivatives(j)
         vals = _horizontal_sq(u) + np.abs(d1) ** 2
         out.append(u.copy_with(vals.astype(complex), name=f"|grad U|^2@rho={rho:g}"))
     return out
@@ -374,6 +374,10 @@ def pointwise_theorem_check(u: GridFunction, s: float, lam_param: float, samples
     grid = grid or LambdaGrid.build()
     cfg = cfg or SquareFunctionConfig()
     squad = squad or SingularQuadrature.build()
+    # the refined pass's inputs, built before any work: refine() raises on
+    # inputs it cannot refine
+    refined = (grid.refine(), (quad or AnalysisQuadrature.build(spec)).refine(),
+               cfg.refine(), squad.refine())
 
     def one_pass(grid_, quad_, cfg_, squad_):
         Su = analyze_polyradial(u, grid_, quad_)
@@ -393,8 +397,7 @@ def pointwise_theorem_check(u: GridFunction, s: float, lam_param: float, samples
     rep.require("lambda_hat_finite", math.isfinite(lam_hat) and lam_hat > 0)
     for i in range(len(samples)):
         rep.add(f"ratio_{i}", float(ratios[i]), route="quadrature/spectral")
-    ds2, gs2 = one_pass(grid.refine(), (quad or AnalysisQuadrature.build(spec)).refine(),
-                        cfg.refine(), squad.refine())
+    ds2, gs2 = one_pass(*refined)
     lam2 = float(np.max(np.where(gs2 > 0, ds2 / np.maximum(gs2, 1e-300), 0.0)))
     drift = abs(lam2 - lam_hat) / lam_hat
     rep.add("lambda_hat_refined", lam2, route="quadrature/spectral")

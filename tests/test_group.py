@@ -7,9 +7,6 @@ from hfrac.group import (
     HeisenbergPoint,
     TestFunctionId,
     _diff_axis,
-    _sublaplacian_halo,
-    _sublaplacian_parts,
-    _widen,
     apply_vector_field,
     dilate,
     fd_weights,
@@ -121,38 +118,6 @@ def test_interior_window_is_symmetric(N_z, N_t):
     for sl, N in zip(spec.interior_window(), spec.shape):
         start, stop, step = sl.indices(N)
         assert (start, start + stop, step) == (N // 4, N, 1)
-
-
-def test_grid_window_is_the_sliced_grid():
-    # the window of a centred box keeps the steps; its axes are the parent's
-    # sliced axes to within a few ulp, not always bit for bit
-    for spec in (GridSpec(N_z=96, N_t=256, R_z=10, R_t=10), GridSpec(),
-                 GridSpec(N_z=48, N_t=96, R_z=8, R_t=8), GridSpec(n=2, N_z=24, N_t=40, R_z=5, R_t=7)):
-        assert spec.window(spec.full_window()) is spec
-        assert spec.window((slice(0, spec.N_z),) * (2 * spec.n) + (slice(None),)) is spec
-        wide, _ = _widen(spec.interior_window(), spec.shape, _sublaplacian_halo(6))
-        w = spec.window(wide)
-        assert w.shape == tuple(sl.stop - sl.start for sl in wide) != spec.shape
-        assert (w.n, w.h_z, w.h_t) == (spec.n, spec.h_z, spec.h_t)
-        ulp = np.spacing(max(spec.R_z, spec.R_t))
-        assert np.max(np.abs(w.z_axis - spec.z_axis[wide[0]])) <= 4 * ulp
-        assert np.max(np.abs(w.t_axis - spec.t_axis[wide[-1]])) <= 4 * ulp
-
-
-def test_grid_window_rejects_other_boxes():
-    spec = GridSpec(N_z=32, N_t=64)
-    ok = (slice(4, 28),) * 2
-    for box in (ok,                                             # too few slices
-                ok + (slice(10, 60),),                          # off the centre
-                (slice(4, 28), slice(6, 26), slice(8, 56)),     # different z slices
-                ok + (slice(8, 56, 2),),                        # not unit-step
-                ok + (slice(8, 8),),                            # empty
-                ok + (slice(8, 57),),                           # odd length (never centred)
-                ok + (slice(29, 35),),                          # centred, below 8 nodes
-                (slice(13, 19),) * 2 + (slice(8, 56),),         # below 8 z nodes
-                ok + (slice(-70, 70),)):                        # outside the grid
-        with pytest.raises(ValueError):
-            spec.window(box)
 
 
 def test_require_interior_checks_every_component():
@@ -338,38 +303,6 @@ def test_sublaplacian_matches_composed_fields():
     sl = (slice(10, -10), slice(10, -10), slice(10, -10))
     scale = np.max(np.abs(direct.values[sl]))
     assert np.max(np.abs(direct.values[sl] - composed[sl])) <= 5e-4 * scale
-
-
-def test_sublaplacian_parts_on_a_box_are_the_cropped_whole_grid():
-    # the stencils run on the box widened by their half-width (4 at order 6,
-    # 3 at order 4), or on the whole grid when that passes a face: bit for bit
-    # the whole-grid parts cropped to the box, whether the halo stays inside,
-    # ends on a face or passes it, or the box is a face node
-    rng = np.random.default_rng(11)
-    for spec in (GridSpec(N_z=24, N_t=40, R_z=5, R_t=5),
-                 GridSpec(n=2, N_z=10, N_t=20, R_z=5, R_t=5)):
-        u = GridFunction(spec=spec, values=rng.normal(size=spec.shape)
-                         + 1j * rng.normal(size=spec.shape))
-        d = 2 * spec.n + 1
-        boxes = (spec.interior_window(),
-                 (slice(4, -4),) * d,
-                 (slice(3, 9),) * d,
-                 (slice(0, 1),) + (slice(5, 7),) * (d - 2) + (slice(-1, None),))
-        for order in (4, 6):
-            Lw, tt = _sublaplacian_parts(u, order, spec.full_window())
-            assert np.array_equal(Lw, sublaplacian_grid(u, order).values)
-            for box in boxes:
-                Lb, tb = _sublaplacian_parts(u, order, box)
-                assert np.array_equal(Lb, Lw[box]), (spec.n, order, box)
-                assert np.array_equal(tb, tt[box]), (spec.n, order, box)
-
-
-def test_sublaplacian_parts_reject_bad_boxes():
-    spec = GridSpec(N_z=16, N_t=16)
-    u = GridFunction(spec=spec, values=np.ones(spec.shape, dtype=complex))
-    for box in ((slice(None),) * 2, (slice(None, None, 2),) * 3, (slice(4, 4),) * 3):
-        with pytest.raises(ValueError):
-            _sublaplacian_parts(u, 6, box)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hfrac.group import (
     HeisenbergPoint,
     TestFunctionId,
     _diff_axis,
+    _sublaplacian_halo,
     dilate,
     make_test_function,
     sublaplacian_grid,
@@ -18,6 +19,7 @@ from hfrac.kernels import (
     LADDER_DELTA,
     ExtensionField,
     _ladder_radii,
+    _measured_window,
     conformal_extension,
     conformal_pde_residual,
     conformal_poisson,
@@ -387,7 +389,7 @@ def test_nonconformal_trace_fit_reads_last_two_levels(setup):
     win = spec.interior_window()
     rv = ref.values[win].real.ravel()
     for j in (len(ladder) - 2, len(ladder) - 1):
-        d1, _ = fld.rho_derivatives(j, fld.box)
+        d1 = fld.rho_derivatives(j)[0][fld.box]
         Nj = (-ladder[j] ** (1.0 - 2.0 * s) * d1).real.ravel()
         expected = float(np.dot(Nj, rv) / np.dot(rv, rv))
         got = rep.get(f"c_hat_rho={ladder[j]:g}").value
@@ -485,7 +487,7 @@ def _whole_grid_residuals(fld, s, with_tt):
     for j, rho in enumerate(fld.rho_levels):
         w = fld.levels[j]
         spec = w.spec
-        d1, d2 = fld.rho_derivatives(j, spec.full_window())
+        d1, d2 = fld.rho_derivatives(j)
         Lw = sublaplacian_grid(w, order=6).values
         drho = (1.0 - 2.0 * s) / rho * d1
         res = d2 + drho - Lw
@@ -549,7 +551,7 @@ def _traces(fld, s, f, kind, grid, quad):
     # the DtN and the trace fit form them
     ref = synthesize(apply_operator(analyze_polyradial(f, grid, quad),
                                     SpectralMultiplier(kind, s)).spectrum, fld.fields[0].spec)
-    return ([-rho ** (1.0 - 2.0 * s) * fld.rho_derivatives(j, fld.box)[0]
+    return ([-rho ** (1.0 - 2.0 * s) * fld.rho_derivatives(j)[0][fld.box]
              for j, rho in enumerate(fld.rho_levels)], ref.values[fld.box])
 
 
@@ -605,3 +607,42 @@ def test_builder_fields_keep_the_whole_small_grid():
                 conformal_extension(f, 0.3, np.array([1.0, 0.5]), grid, quad)):
         assert all(g.spec is spec for g in fld.fields)
         assert fld.box == spec.interior_window()
+
+
+@pytest.mark.parametrize("spec", [GridSpec(N_z=96, N_t=256, R_z=10, R_t=10), GridSpec(),
+                                  GridSpec(N_z=48, N_t=96, R_z=8, R_t=8),
+                                  GridSpec(n=2, N_z=24, N_t=40, R_z=5, R_t=7)])
+def test_measured_window_is_the_centred_window_plus_halo(spec):
+    # the window grid keeps the steps; its axes are the whole grid's centred
+    # slice to within a few ulp, not always bit for bit
+    h = _sublaplacian_halo(6)
+    window, box = _measured_window(spec)
+    assert (window.n, window.h_z, window.h_t) == (spec.n, spec.h_z, spec.h_t)
+    wide = tuple(slice(sl.start - h, sl.stop + h) for sl in spec.interior_window())
+    assert window.shape == tuple(sl.stop - sl.start for sl in wide) != spec.shape
+    ulp = np.spacing(max(spec.R_z, spec.R_t))
+    assert np.max(np.abs(window.z_axis - spec.z_axis[wide[0]])) <= 4 * ulp
+    assert np.max(np.abs(window.t_axis - spec.t_axis[wide[-1]])) <= 4 * ulp
+    # box is inset by h and as long as the interior window on every axis
+    assert box == tuple(slice(h, N - h) for N in window.shape)
+    assert all(b.stop - b.start == w.stop - w.start for b, w in zip(box, spec.interior_window()))
+
+
+def test_builder_fields_sit_on_the_measured_window():
+    spec = GridSpec(N_z=48, N_t=96, R_z=8, R_t=8)
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    grid = LambdaGrid.build(nodes_per_sign=20, K=8, k_energy_cap=2.0)
+    quad = AnalysisQuadrature.build(spec, n_radial_v=224)
+    window, box = _measured_window(spec)
+    for fld in (nonconformal_extension(f, 0.3, np.array([1.0, 0.5]), grid, quad),
+                conformal_extension(f, 0.3, np.array([1.0, 0.5]), grid, quad)):
+        assert all(g.spec == window for g in fld.fields)
+        assert fld.box == box
+
+
+@pytest.mark.parametrize("N_z, N_t", [(12, 32), (10, 12)])
+def test_measured_window_keeps_grids_the_halo_outreaches(N_z, N_t):
+    spec = GridSpec(N_z=N_z, N_t=N_t)
+    window, box = _measured_window(spec)
+    assert window is spec and box == spec.interior_window()
+

@@ -8,11 +8,10 @@ from hfrac.group import (
     GridSpec,
     HeisenbergPoint,
     TestFunctionId,
-    _sublaplacian_halo,
-    _widen,
     integrate,
     make_test_function,
 )
+from hfrac.kernels import _measured_window
 from hfrac.lagspec import (
     AnalysisQuadrature,
     CentralSliceField,
@@ -420,16 +419,18 @@ def test_pipeline_dilation_covariance(default_setup):
 @pytest.mark.parametrize("N_z, N_t, R_z, R_t", [(96, 256, 10, 10), (64, 128, 10, 10),
                                                 (48, 96, 8, 8)])
 def test_synthesis_on_a_window_is_the_cropped_synthesis(N_z, N_t, R_z, R_t):
-    # the extension builders synthesize on spec.window(wide); the values are
-    # the whole-grid synthesis cropped to wide, up to the rounding of the
-    # phase product, whose shape changes with the window
+    # the extension builders synthesize on _measured_window's grid, the
+    # interior window widened by the residual's stencil halo; the values are
+    # the whole-grid synthesis cropped to that grid, up to the rounding of
+    # the phase product, whose shape changes with the window
     spec = GridSpec(N_z=N_z, N_t=N_t, R_z=R_z, R_t=R_t)
     grid = LambdaGrid.build()
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
     S = analyze_polyradial(f, grid, AnalysisQuadrature.build(spec))
-    wide, _ = _widen(spec.interior_window(), spec.shape, _sublaplacian_halo(6))
+    window, _ = _measured_window(spec)
+    wide = tuple(slice((N - M) // 2, (N + M) // 2) for N, M in zip(spec.shape, window.shape))
     full = synthesize(S, spec).values
-    got = synthesize(S, spec.window(wide)).values
+    got = synthesize(S, window).values
     assert np.max(np.abs(got - full[wide])) <= 1e-14 * np.max(np.abs(full))
 
 

@@ -213,3 +213,7 @@ def test_pointwise_theorem_check_rejects_before_any_analysis(setup, monkeypatch)
                       (f, 0.2, 1.0 + 2.0 * 0.2 / Q), (flat, 0.2, LAM_PARAM)):
         with pytest.raises(ValueError):
             pointwise_theorem_check(u, s, lam, samples, grid, quad, SHORT)
+    # a grid that refine() cannot rebuild fails before the first pass too
+    coarse = LambdaGrid.build(lam_max=10.0)
+    with pytest.raises(ValueError, match="refine"):
+        pointwise_theorem_check(f, 0.2, LAM_PARAM, samples, coarse, quad, SHORT)
