@@ -337,18 +337,26 @@ def apply_vector_field(field_id: str, u: GridFunction, order: int = 4) -> GridFu
     """
     spec = u.spec
     n = spec.n
-    if field_id == "T":
-        return u.copy_with(_diff_axis(u.values, 2 * n, spec.h_t, 1, order), polyradial=False)
-    if field_id not in {f"{kind}{j}" for kind in "XY" for j in range(1, n + 1)}:
+    if field_id not in {"T"} | {f"{kind}{j}" for kind in "XY" for j in range(1, n + 1)}:
         raise ValueError(f"unknown vector field {field_id!r}")
+    dt = _diff_axis(u.values, 2 * n, spec.h_t, 1, order)
+    if field_id == "T":
+        return u.copy_with(dt, polyradial=False)
+    return u.copy_with(_horizontal_field(u, field_id, dt, order), polyradial=False)
+
+
+def _horizontal_field(u: GridFunction, field_id: str, dt: np.ndarray, order: int) -> np.ndarray:
+    """Values of X_j u or Y_j u (field_id "Xj" or "Yj") given dt, u's d/dt
+    pass of the same order: callers that apply several fields share one."""
+    spec = u.spec
+    n = spec.n
     j = int(field_id[1:]) - 1
     # (axis differentiated, axis of the d/dt coefficient, its sign)
     axis, coord, sign = (j, n + j, -0.5) if field_id[0] == "X" else (n + j, j, 0.5)
-    dt = _diff_axis(u.values, 2 * n, spec.h_t, 1, order)
     shape = [1] * (2 * n + 1)
     shape[coord] = spec.N_z
     coef = sign * spec.z_axis.reshape(shape)
-    return u.copy_with(_diff_axis(u.values, axis, spec.h_z, 1, order) + coef * dt, polyradial=False)
+    return _diff_axis(u.values, axis, spec.h_z, 1, order) + coef * dt
 
 
 def sublaplacian_grid(u: GridFunction, order: int = 4) -> GridFunction:

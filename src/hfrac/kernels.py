@@ -286,15 +286,18 @@ class ExtensionField:
         """U(., rho_j) for every level j."""
         return self.fields[::3]
 
-    def rho_derivatives(self, j: int):
-        """(d/drho U, d2/drho2 U) at level j from the e^{±delta} companions, on
-        the fields' grid."""
+    def companions(self, j: int):
+        """(lo, u0, hi, hm, hp): U at rho_j e^{-delta}, rho_j and rho_j e^{+delta},
+        and the steps hm, hp from rho_j down and up to its companions."""
         u0, lo, hi = (g.values for g in self.fields[3 * j:3 * j + 3])
         rho = self.rho_levels[j]
-        hp = rho * (math.exp(LADDER_DELTA) - 1.0)
-        hm = rho * (1.0 - math.exp(-LADDER_DELTA))
-        d1 = (hm * hm * hi + (hp * hp - hm * hm) * u0 - hp * hp * lo) / (hp * hm * (hp + hm))
-        return d1, _second_difference(lo, u0, hi, hm, hp)
+        hm, hp = rho * (1.0 - math.exp(-LADDER_DELTA)), rho * (math.exp(LADDER_DELTA) - 1.0)
+        return lo, u0, hi, hm, hp
+
+    def rho_derivative(self, j: int) -> np.ndarray:
+        """d/drho U at level j from the e^{±delta} companions, on the fields' grid."""
+        lo, u0, hi, hm, hp = self.companions(j)
+        return (hm * hm * hi + (hp * hp - hm * hm) * u0 - hp * hp * lo) / (hp * hm * (hp + hm))
 
 
 def _second_difference(lo, u0, hi, hm, hp):
@@ -367,7 +370,7 @@ def nonconformal_extension(f: GridFunction, s: float, rho_levels=None,
 
     Every level and its e^{+-delta} companions are Macdonald multipliers of one
     spectrum, so the whole ladder is synthesized in one batch: the Laguerre
-    recurrence runs once per lambda node, not once per level and companion.
+    recurrence runs once for all of them, not once per level and companion.
     The batch covers the measured window plus the residual's stencil halo
     only (_measured_window), not the whole box.
     """
@@ -419,7 +422,7 @@ def dirichlet_to_neumann_conformal(f: GridFunction, s: float,
     traces = []
     errs = []
     for j, rho in enumerate(rho_levels):
-        Nj = -rho ** (1.0 - 2.0 * s) * fld.rho_derivatives(j)[0][win]
+        Nj = -rho ** (1.0 - 2.0 * s) * fld.rho_derivative(j)[win]
         traces.append(Nj)
         err = np.linalg.norm(Nj - target) / scale
         errs.append(err)
@@ -472,11 +475,13 @@ def _level_residual(fld: ExtensionField, j: int, s: float, with_tt: bool,
                     ablate_tt: bool) -> float:
     """Relative residual at level j on the field's box, the interior window.
 
-    The rho-derivatives and the stencils run on the field's grid and are
-    cropped to the box."""
+    d/drho and the stencils run on the field's grid and are cropped to the
+    box; the second difference in rho is formed on the box alone."""
     rho = fld.rho_levels[j]
     box = fld.box
-    d1, d2 = (d[box] for d in fld.rho_derivatives(j))
+    d1 = fld.rho_derivative(j)[box]
+    lo, u0, hi, hm, hp = fld.companions(j)
+    d2 = _second_difference(lo[box], u0[box], hi[box], hm, hp)
     Lw, tt = (p[box] for p in _sublaplacian_parts(fld.levels[j], _RESIDUAL_ORDER))
     drho = (1.0 - 2.0 * s) / rho * d1
     res = d2 + drho
@@ -564,7 +569,7 @@ def nonconformal_trace_fit(f: GridFunction, s: float,
     rv = ref.values[win].real.ravel()
     fits = []
     for j, rho in enumerate(rho_levels):
-        Nj = (-rho ** (1.0 - 2.0 * s) * fld.rho_derivatives(j)[0][win]).real.ravel()
+        Nj = (-rho ** (1.0 - 2.0 * s) * fld.rho_derivative(j)[win]).real.ravel()
         fits.append(float(np.dot(Nj, rv) / np.dot(rv, rv)))
         rep.add(f"c_hat_rho={rho:g}", fits[-1], route="spectral")
     drift = abs(fits[-1] - fits[-2]) / abs(fits[-1])

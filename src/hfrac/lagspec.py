@@ -167,16 +167,24 @@ class LambdaGrid:
 # ---------------------------------------------------------------------------
 # Weighted Laguerre recurrence
 #
-# _laguerre_blocks is the one run of the recurrence that analysis (_project)
-# and synthesis (_expand_multi) share: both contract its k-chunks against
-# their weights or coefficients in real arithmetic, real and imaginary parts
-# as separate rows, so no table block is ever promoted to complex.
+# _laguerre_sweep is the one run of the recurrence l_k = L_k^alpha e^{-x/2}
+# behind analysis (_project) and synthesis (slices_at_radii_batch).  It steps
+# k over one row of x-values made of equal segments, each with its own cap:
+# one segment per +-lambda pair of a synthesis group, one in an analysis.
+# Segments come sorted by cap, descending, so the active ones are a prefix of
+# the row and each step runs on that prefix only: a group steps the
+# recurrence as often as its deepest cap, not once per (pair, k).  Each new
+# row is written in place into a table block by out= ufuncs, with no
+# temporary; the block's two leading rows carry l_{k-2} and l_{k-1} over from
+# the block before, the one copy a block makes.  The consumer contracts each
+# block in real arithmetic (real and imaginary parts as separate rows, so no
+# block is ever promoted to complex) before the next is written.
 # laguerre_phi_table stays a plain full-table recurrence, the independent
 # reference the tests compare against.
 # ---------------------------------------------------------------------------
 
 PROJECT_CHUNK = 256        # k-rows per table block of the analysis contraction
-EXPAND_CHUNK = 384         # k-rows per table block of the synthesis contraction
+EXPAND_CHUNK = 64          # k-rows per table block of the synthesis contraction
 
 
 def laguerre_phi_table(K: int, alpha: int, x: np.ndarray) -> np.ndarray:
@@ -192,37 +200,68 @@ def laguerre_phi_table(K: int, alpha: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _laguerre_blocks(x: np.ndarray, alpha: int, kmax: int, chunk: int):
-    """Yield (k0, block) with block[j] = l_{k0+j}(x) for k0 + j < kmax, k0 = 0, chunk, ...
+def _laguerre_sweep(x: np.ndarray, caps, alpha: int, rows: int, want_deriv: bool = False):
+    """Yield (k0, block[, dblock]) for k0 = 0, rows, 2 rows, ... below caps[0].
 
-    The one run of the weighted recurrence behind analysis and synthesis; the
-    block buffer is reused, so a consumer copies what it keeps past the next step.
+    x is (P, Nx): segment p is the x-points of one sweep member, caps[p] its
+    number of k-rows, caps nonincreasing.  With a the number of segments whose
+    cap exceeds k0, block[j] = l_{k0+j}(x) on the first a segments, flattened:
+    shape (klen, a Nx); a segment whose cap falls inside a block is stepped to
+    the block's end.  With want_deriv, dblock[j] = d/dx l_{k0+j}
+    = -l_{k0+j}/2 - l_{k0+j-1}^{alpha+1} (l_{-1} = 0), from a second table of
+    type alpha+1 stepped alongside.  The buffers are reused: a consumer reads
+    a block before asking for the next.
     """
-    w = np.exp(-0.5 * x)
-    prev, cur = w, (1.0 + alpha - x) * w
-    block = np.empty((min(chunk, kmax), x.size))
-    for k0 in range(0, kmax, chunk):
-        klen = min(chunk, kmax - k0)
-        for j in range(klen):
-            k = k0 + j
-            if k == 0:
-                block[j] = prev
-            elif k == 1:
-                block[j] = cur
-            else:
-                prev, cur = cur, ((2 * (k - 1) + alpha + 1 - x) * cur
-                                  - (k - 1 + alpha) * prev) / k
-                block[j] = cur
-        yield k0, block[:klen]
+    caps = np.asarray(caps, dtype=int)
+    nx = x.shape[1]
+    x = x.reshape(-1)
+    kmax = int(caps[0]) if caps.size else 0
+    # rows 0 and 1 of a table carry l_{k0-2} and l_{k0-1} into the next block
+    tables = [(alpha, np.empty((rows + 2, x.size)))]
+    if want_deriv:
+        tables.append((alpha + 1, np.zeros((rows + 2, x.size))))    # l_{-1} = 0
+        dbuf = np.empty((rows, x.size))
+    tmp = np.empty(x.size)
+    for k0 in range(0, kmax, rows):
+        klen = min(rows, kmax - k0)
+        w = nx * int(np.count_nonzero(caps > k0))
+        xa, t = x[:w], tmp[:w]
+        for a, tab in tables:
+            rv = list(tab[:klen + 2, :w])           # rv[j + 2] is l_{k0+j}
+            for j in range(klen):
+                k, row = k0 + j, rv[j + 2]
+                if k >= 2:
+                    np.subtract(2.0 * k - 1.0 + a, xa, row)
+                    row *= rv[j + 1]
+                    np.multiply(rv[j], k - 1.0 + a, t)
+                    row -= t
+                    row /= k
+                elif k == 1:
+                    np.subtract(1.0 + a, xa, row)
+                    row *= rv[j + 1]
+                else:
+                    np.multiply(xa, -0.5, row)
+                    np.exp(row, row)
+        block = tables[0][1][2:klen + 2, :w]
+        if want_deriv:
+            dblock = dbuf[:klen, :w]
+            np.multiply(block, -0.5, dblock)
+            dblock -= tables[1][1][1:klen + 1, :w]
+            yield k0, block, dblock
+        else:
+            yield k0, block
+        for _, tab in tables:
+            tab[:2, :w] = tab[klen:klen + 2, :w]
 
 
 def _project(x: np.ndarray, Wmat: np.ndarray, kcaps, alpha: int) -> list:
-    """c_i[k] = sum_j Wmat[i, j] l_k(x_j) for k < kcaps[i], every row in one recurrence.
+    """c_i[k] = sum_j Wmat[i, j] l_k(x_j) for k < kcaps[i], every row in one sweep.
 
     The real and imaginary parts of each row are interleaved into one real
     matrix, so each table block is contracted in real arithmetic and the
     product's (re, im) column pairs read back as complex; rows drop out of the
-    product as k passes their cap.  Returns per-row arrays of length kcaps[i].
+    product as k passes their cap.  The sweep runs on x as one segment.
+    Returns per-row arrays of length kcaps[i].
     """
     caps = np.asarray(kcaps, dtype=int)
     order = np.argsort(caps)[::-1]
@@ -230,7 +269,7 @@ def _project(x: np.ndarray, Wmat: np.ndarray, kcaps, alpha: int) -> list:
     W = np.empty((2 * caps.size, x.size))
     W[0::2], W[1::2] = Wmat[order].real, Wmat[order].imag
     cols = [np.empty(int(c), dtype=complex) for c in caps]
-    for k0, block in _laguerre_blocks(x, alpha, int(caps[0]), PROJECT_CHUNK):
+    for k0, block in _laguerre_sweep(x[None, :], caps[:1], alpha, PROJECT_CHUNK):
         active = int(np.count_nonzero(caps > k0))
         vals = (block @ W[:2 * active].T).view(complex)      # (klen, active)
         for i in range(active):
@@ -240,33 +279,6 @@ def _project(x: np.ndarray, Wmat: np.ndarray, kcaps, alpha: int) -> list:
     for i, oi in enumerate(order):
         out[oi] = cols[i]
     return out
-
-
-def _expand_multi(x: np.ndarray, C: np.ndarray, alpha: int, want_deriv: bool = False):
-    """sum_k C[r, k] l_k(x) for every real row r at once, k-chunked.
-
-    Returns (R, len(x)) [and the x-derivative when asked]: each table block is
-    contracted against all rows in real arithmetic.  d/dx l_k^a =
-    -l_{k-1}^{a+1} - l_k^a / 2, so the derivative reads a second table of type
-    alpha+1, one row behind.
-    """
-    R, kcap = C.shape
-    acc = np.zeros((R, x.size))
-    if want_deriv:
-        dacc = np.zeros_like(acc)
-        blocks1 = _laguerre_blocks(x, alpha + 1, kcap, EXPAND_CHUNK)
-        last1 = np.zeros(x.size)                 # l_{k0-1}^{a+1}; l_{-1} = 0
-    for k0, block in _laguerre_blocks(x, alpha, kcap, EXPAND_CHUNK):
-        Ck = C[:, k0:k0 + len(block)]
-        acc += Ck @ block
-        if want_deriv:
-            _, block1 = next(blocks1)
-            dblock = -0.5 * block
-            dblock[0] -= last1
-            dblock[1:] -= block1[:-1]
-            last1 = block1[-1].copy()
-            dacc += Ck @ dblock
-    return (acc, dacc) if want_deriv else acc
 
 
 # ---------------------------------------------------------------------------
@@ -613,24 +625,43 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
 # Synthesis
 #
 # slices_at_radii_batch is the one Laguerre expansion: every synthesis, grid or
-# point, single or batched, runs the shared recurrence once per |lambda| and
-# contracts it in real arithmetic against all the symbols it was given, at
-# lambda and at -lambda together.  A single synthesis is a batch of one.  The
-# pairing needs every symbol to depend on lambda only through |lambda|, which
-# is why symbols must be SpectralMultipliers (see the operators docstring).
+# point, single or batched, is a batch of symbols, and a single synthesis is a
+# batch of one.  The +-lambda pairs are taken deepest first, in groups that fit
+# SWEEP_BUDGET, and each group runs one _laguerre_sweep over the radii of all
+# its pairs (x = |lambda| u / 2 per pair).  Each table block is contracted in
+# real arithmetic against the coefficients of every symbol at lambda and at
+# -lambda together, one batched matrix product over the pairs still active.
+# Blocks are EXPAND_CHUNK rows whatever the group, so a radius' value does not
+# depend on the other radii or pairs it is synthesized with.  The pairing
+# needs every symbol to depend on lambda only through |lambda|, which is why
+# symbols must be SpectralMultipliers (see the operators docstring).
 # ---------------------------------------------------------------------------
+
+SWEEP_BUDGET = 2 ** 18     # doubles (2 MiB) of one synthesis group's accumulators and tables
+
 
 def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,
                           want_du: bool = False):
     """Per-level slices (L, M, Nu) for a family of diagonal symbols.
 
     mults is a sequence of SpectralMultiplier or None (the identity); any
-    other callable raises TypeError.  The Laguerre table at the radii
-    u = |z|^2 is built once per |lambda| and contracted in real arithmetic
-    against the real and imaginary parts of every level's coefficients at
-    lambda and at -lambda, each symbol evaluated once per pair; this is what
-    makes rho-ladders cheap.  With want_du the d/du slices come back as well.
-    A symbol of another dimension n than the spectrum's raises ValueError.
+    other callable raises TypeError.  With want_du the d/du slices come back
+    as well.  A symbol of another dimension n than the spectrum's raises
+    ValueError.
+
+    The +-lambda pairs are sorted by depth (the longer of their two rows),
+    deepest first, and cut into groups of as many pairs as keep the group's
+    working set within SWEEP_BUDGET doubles, at least one pair.  Per pair and
+    radius that set is the accumulators and the product they add (4 L real
+    rows each: re and im at lambda and at -lambda; the accumulators twice with
+    want_du) and the table block of EXPAND_CHUNK + 2 rows (three tables with
+    want_du: alpha, alpha+1 and the derivative rows).  On the default lattice
+    a batch of one at 198 radii then takes 17 pairs per group and steps the
+    recurrence 12,552 times, at 360 radii 9 pairs and 13,362 steps, against
+    the 33,436 of one sweep per pair; a batch of dozens of levels falls back
+    to one pair per group.  Per group, each symbol is evaluated once, on the (k, |lambda|)
+    points of all its pairs, and one sweep of the recurrence runs over the
+    radii of all its pairs.
     """
     from .operators import SpectralMultiplier       # operators imports this module
     for m in mults:
@@ -639,37 +670,67 @@ def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,
                             "synthesis evaluates each symbol once for lambda and -lambda")
         if m is not None and m.n != S.n:
             raise ValueError("multiplier and spectrum dimensions disagree")
-    grid, n = S.grid, S.n
-    alpha = n - 1
-    L, M = len(mults), grid.M
-    out = np.empty((L, M, u_vals.size), dtype=complex)
+    L, nu = len(mults), u_vals.size
+    out = np.empty((L, S.grid.M, nu), dtype=complex)
     dout = np.empty_like(out) if want_du else None
-
-    def store(dst, acc, i, j):
-        # rows: re and im at lambda_i, then re and im at its mirror lambda_j
-        for col, rows in ((i, acc[:2 * L]), (j, acc[2 * L:])):
-            dst.real[:, col], dst.imag[:, col] = rows[:L], rows[L:]
-
-    for i, j, lam in grid.mirror_pairs():
-        pref = (2 * math.pi) ** (-n) * lam ** n
-        pair = (S.coeffs[i], S.coeffs[j])
-        k = np.arange(max(len(c) for c in pair))
-        C = np.zeros((4 * L, k.size))                 # a shorter row pads with zeros
-        for l, m in enumerate(mults):
-            sym = None if m is None else m(k, lam)
-            for r, c in zip((l, 2 * L + l), pair):
-                cl = c if sym is None else c * sym[:len(c)]
-                C[r, :len(c)], C[L + r, :len(c)] = cl.real, cl.imag
-        x = 0.5 * lam * u_vals
-        if want_du:
-            acc, dacc = _expand_multi(x, C, alpha, want_deriv=True)
-            dacc *= pref * (0.5 * lam)                # d/du = (|lam|/2) d/dx
-            store(dout, dacc, i, j)
-        else:
-            acc = _expand_multi(x, C, alpha)
-        acc *= pref
-        store(out, acc, i, j)
+    pairs = S.grid.mirror_pairs()
+    depth = [max(len(S.coeffs[i]), len(S.coeffs[j])) for i, j, _ in pairs]
+    pairs = [pairs[p] for p in np.argsort(depth, kind="stable")[::-1]]
+    nblk, ntab = (2, 3) if want_du else (1, 1)
+    per_pair = nu * ((nblk + 1) * 4 * L + ntab * (EXPAND_CHUNK + 2))     # doubles
+    size = max(1, SWEEP_BUDGET // max(per_pair, 1))
+    for g in range(0, len(pairs), size):
+        _sweep_group(S, pairs[g:g + size], u_vals, mults, out, dout)
     return (out, dout) if want_du else out
+
+
+def _sweep_group(S: PolyradialSpectrum, pairs, u_vals: np.ndarray, mults, out, dout) -> None:
+    """Fill the columns of one group of +-lambda pairs, deepest first, in out
+    (and dout): the group's share of slices_at_radii_batch."""
+    L, nu = len(mults), u_vals.size
+    n = S.n
+    lam = np.array([lam for _, _, lam in pairs])
+    coef_i = [S.coeffs[i] for i, _, _ in pairs]
+    coef_j = [S.coeffs[j] for _, j, _ in pairs]
+    depth = np.array([max(len(a), len(b)) for a, b in zip(coef_i, coef_j)])
+    offset = np.concatenate([[0], np.cumsum(depth)])
+    k = np.arange(offset[-1]) - np.repeat(offset[:-1], depth)
+    # the pairs' coefficient rows one after another, then a zero column that
+    # the blocks read past a pair's end: re and im at lambda_i, then at its mirror
+    V = np.zeros((4 * L, offset[-1] + 1))
+    sides = []
+    for r0, coeffs in ((0, coef_i), (2 * L, coef_j)):
+        c = np.zeros(offset[-1], dtype=complex)
+        for p, row in enumerate(coeffs):
+            c[offset[p]:offset[p] + len(row)] = row
+        sides.append((r0, c))
+    for l, m in enumerate(mults):
+        sym = None if m is None else m(k, np.repeat(lam, depth))
+        for r0, c in sides:
+            cl = c if sym is None else c * sym
+            V[r0 + l, :-1], V[r0 + L + l, :-1] = cl.real, cl.imag
+    x = (0.5 * lam)[:, None] * u_vals[None, :]
+    nblk = 1 if dout is None else 2
+    acc = np.zeros((nblk, len(pairs), 4 * L, nu))
+    prod = np.empty(acc.shape[1:])
+    for k0, *blocks in _laguerre_sweep(x, depth, n - 1, EXPAND_CHUNK, want_deriv=dout is not None):
+        klen, a = len(blocks[0]), int(np.count_nonzero(depth > k0))
+        kk = k0 + np.arange(klen)
+        at = np.where(kk < depth[:a, None], offset[:a, None] + kk, offset[-1])
+        Ck = V[:, at].transpose(1, 0, 2)                       # (a, 4L, klen)
+        for b, block in enumerate(blocks):
+            np.matmul(Ck, block.reshape(klen, a, nu).transpose(1, 0, 2), out=prod[:a])
+            acc[b, :a] += prod[:a]
+    pref = (2 * math.pi) ** (-n) * lam ** n
+    acc[0] *= pref[:, None, None]
+    if dout is not None:
+        acc[1] *= (pref * (0.5 * lam))[:, None, None]          # d/du = (|lam|/2) d/dx
+    I = [i for i, _, _ in pairs]
+    J = [j for _, j, _ in pairs]
+    for dst, a in zip((out, dout), acc):
+        for cols, r0 in ((I, 0), (J, 2 * L)):
+            dst.real[:, cols] = a[:, r0:r0 + L].transpose(1, 0, 2)
+            dst.imag[:, cols] = a[:, r0 + L:r0 + 2 * L].transpose(1, 0, 2)
 
 
 def _synthesized_values(S: PolyradialSpectrum, spec: GridSpec, mults):

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.interpolate import BSpline, NdBSpline
 from scipy.sparse import csr_array
 
-from .group import GridFunction, GridSpec, apply_vector_field
+from .group import GridFunction, GridSpec, _diff_axis, _horizontal_field
 from .kernels import ExtensionField
 from .lagspec import (
     AnalysisQuadrature,
@@ -107,9 +107,12 @@ class SquareFunctionConfig:
 # ---------------------------------------------------------------------------
 
 def _horizontal_sq(U: GridFunction) -> np.ndarray:
-    """|nabla_H U|^2 = sum_j |X_j U|^2 + |Y_j U|^2 by fourth-order stencils."""
-    return sum(np.abs(apply_vector_field(f"{kind}{j}", U, order=4).values) ** 2
-               for j in range(1, U.spec.n + 1) for kind in "XY")
+    """|nabla_H U|^2 = sum_j |X_j U|^2 + |Y_j U|^2 by fourth-order stencils,
+    every field from one d/dt pass."""
+    spec = U.spec
+    dt = _diff_axis(U.values, 2 * spec.n, spec.h_t, 1, 4)
+    return sum(np.abs(_horizontal_field(U, f"{kind}{j}", dt, 4)) ** 2
+               for j in range(1, spec.n + 1) for kind in "XY")
 
 
 def gradient_sq(fld: ExtensionField) -> list:
@@ -120,7 +123,7 @@ def gradient_sq(fld: ExtensionField) -> list:
     out = []
     for j, rho in enumerate(fld.rho_levels):
         u = fld.levels[j]
-        d1, _ = fld.rho_derivatives(j)
+        d1 = fld.rho_derivative(j)
         vals = _horizontal_sq(u) + np.abs(d1) ** 2
         out.append(u.copy_with(vals.astype(complex), name=f"|grad U|^2@rho={rho:g}"))
     return out
@@ -258,17 +261,21 @@ class _GradientTable:
             want_du=True)
         rsl = slices_at_radii_batch(
             self.Su, uu, [SpectralMultiplier("poisson_nonconf_drho", r, n=n) for r in rho_levels])
-        # Re(s^T ph) = [Re s; -Im s]^T [Re ph; Im ph]: one real product per
-        # inversion, half the flops of the complex one whose imaginary half
-        # would be thrown away
+        # the phases at -lam are the conjugates of those at lam, so
+        # Re sum_lam s_lam ph_lam = Re sum_{lam>0} (s_lam + conj s_{-lam}) ph_lam,
+        # and Re(s^T ph) = [Re s; -Im s]^T [Re ph; Im ph]: one real product over
+        # the positive nodes per inversion
+        half = self.Su.grid.M // 2
+
         def stacked(dt):
-            ph = _lambda_phases(self.Su.grid, self.t_axis, dt=dt)
+            ph = _lambda_phases(self.Su.grid, self.t_axis, dt=dt)[half:]
             return np.concatenate([ph.real, ph.imag])
 
         ph, ph_t = stacked(False), stacked(True)
 
         def inverted(slices, phases):
-            return np.concatenate([slices.real, -slices.imag]).T @ phases
+            pos, neg = slices[half:], slices[half - 1::-1]       # lam > 0 and its mirror
+            return np.concatenate([pos.real + neg.real, neg.imag - pos.imag]).T @ phases
 
         for l in range(len(rho_levels)):
             yield _gradient_sq(uu[:, None], inverted(dsl[l], ph), inverted(sl[l], ph_t),

@@ -20,6 +20,7 @@ from hfrac.kernels import (
     ExtensionField,
     _ladder_radii,
     _measured_window,
+    _second_difference,
     conformal_extension,
     conformal_pde_residual,
     conformal_poisson,
@@ -389,7 +390,7 @@ def test_nonconformal_trace_fit_reads_last_two_levels(setup):
     win = spec.interior_window()
     rv = ref.values[win].real.ravel()
     for j in (len(ladder) - 2, len(ladder) - 1):
-        d1 = fld.rho_derivatives(j)[0][fld.box]
+        d1 = fld.rho_derivative(j)[fld.box]
         Nj = (-ladder[j] ** (1.0 - 2.0 * s) * d1).real.ravel()
         expected = float(np.dot(Nj, rv) / np.dot(rv, rv))
         got = rep.get(f"c_hat_rho={ladder[j]:g}").value
@@ -453,7 +454,7 @@ def test_extension_field_holds_three_fields_per_level():
                          provenance="zeros", s=0.3)
     assert fld.levels[0] is fields[0] and fld.levels[1] is fields[3]
     assert fld.box == spec.interior_window()
-    # fields on two grids fail here, not as a broadcast error in rho_derivatives
+    # fields on two grids fail here, not as a broadcast error in rho_derivative
     other = GridSpec(N_z=8, N_t=10)
     mixed = fields + [GridFunction(spec=other, values=np.zeros(other.shape, complex))]
     with pytest.raises(ValueError, match="one grid"):
@@ -487,7 +488,8 @@ def _whole_grid_residuals(fld, s, with_tt):
     for j, rho in enumerate(fld.rho_levels):
         w = fld.levels[j]
         spec = w.spec
-        d1, d2 = fld.rho_derivatives(j)
+        d1 = fld.rho_derivative(j)
+        d2 = _second_difference(*fld.companions(j))
         Lw = sublaplacian_grid(w, order=6).values
         drho = (1.0 - 2.0 * s) / rho * d1
         res = d2 + drho - Lw
@@ -551,7 +553,7 @@ def _traces(fld, s, f, kind, grid, quad):
     # the DtN and the trace fit form them
     ref = synthesize(apply_operator(analyze_polyradial(f, grid, quad),
                                     SpectralMultiplier(kind, s)).spectrum, fld.fields[0].spec)
-    return ([-rho ** (1.0 - 2.0 * s) * fld.rho_derivatives(j)[0][fld.box]
+    return ([-rho ** (1.0 - 2.0 * s) * fld.rho_derivative(j)[fld.box]
              for j, rho in enumerate(fld.rho_levels)], ref.values[fld.box])
 
 

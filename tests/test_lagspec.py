@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hfrac import lagspec
 from hfrac.group import (
     GridFunction,
     GridSpec,
@@ -17,6 +18,7 @@ from hfrac.lagspec import (
     CentralSliceField,
     LambdaGrid,
     PolyradialSpectrum,
+    _laguerre_sweep,
     _project,
     analyze_polyradial,
     central_transform,
@@ -147,6 +149,78 @@ def test_project_matches_full_table():
             for got in (batch[i], single):
                 assert got.shape == (cap,) and got.dtype == complex
                 assert np.max(np.abs(got - ref)) <= 1e-13 * scale, (alpha, cap)
+
+
+@pytest.mark.parametrize("rows", [1, 4, 16])
+def test_laguerre_sweep_matches_full_table(rows):
+    # the in-place sweep against the plain full table, with its derivative
+    # rows: segments with caps of 1 and 2, caps just past a 4-row block edge
+    # (9, 13) and one that ends inside a block (7), so segments drop out
+    # mid-sweep, and the carried rows cross every block edge
+    caps = np.array([13, 9, 7, 2, 1])
+    x = 0.5 * AnalysisQuadrature._sqrt_rule(60.0, caps.size * 6)[0].reshape(caps.size, 6)
+    for alpha in (0, 1):
+        table = laguerre_phi_table(int(caps[0]) - 1, alpha, x)           # (K, P, Nx)
+        upper = laguerre_phi_table(int(caps[0]) - 1, alpha + 1, x)
+        # d/dx l_k^alpha = -l_k^alpha / 2 - l_{k-1}^{alpha+1}
+        deriv = -0.5 * table - np.concatenate([np.zeros_like(upper[:1]), upper[:-1]])
+        seen = np.zeros(table.shape[:2], dtype=int)
+        k_next = 0
+        for k0, block, dblock in _laguerre_sweep(x, caps, alpha, rows, want_deriv=True):
+            assert k0 == k_next and len(block) == min(rows, caps[0] - k0)
+            a = int(np.count_nonzero(caps > k0))
+            assert block.shape == dblock.shape == (len(block), a * x.shape[1])
+            for j in range(len(block)):
+                k = k0 + j
+                live = caps[:a] > k                 # a segment past its cap is not read
+                for got, ref in ((block[j], table[k]), (dblock[j], deriv[k])):
+                    got = got.reshape(a, -1)[live]
+                    err = np.max(np.abs(got - ref[:a][live]))
+                    assert err <= 1e-15 * np.max(np.abs(ref)), (alpha, k)
+                seen[k, :a] += live
+            k_next = k0 + len(block)
+        assert k_next == caps[0]
+        assert np.array_equal(seen.sum(axis=0), caps)             # every row of every cap, once
+
+
+def test_slices_grouping_does_not_change_values(monkeypatch):
+    # a budget of one double forces one pair per group and, with one-row
+    # blocks, one row per block; the values must not depend on either.  Rows
+    # at lam and -lam differ in value and in length, so a group that pads a
+    # shorter row or mixes up the two halves of a pair cannot pass
+    spec = GridSpec(N_z=16, N_t=32)
+    grid = LambdaGrid.build(nodes_per_sign=20, K=8, k_energy_cap=2.0)
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    S = _scale_rows(analyze_polyradial(f, grid), lambda k, lam: (1 + 0.5 * np.sign(lam) + 0.3j)
+                    * (1 + 0.01 * k))
+    S.coeffs = [c[:len(c) - 3] if lam < 0 and i % 3 == 0 else c
+                for i, (c, lam) in enumerate(zip(S.coeffs, grid.nodes))]
+    u = np.array([0.0, 0.3, 1.7, 4.0, 9.5])
+    mults = [None, SpectralMultiplier("heat", 0.1), SpectralMultiplier("frac_conf", 0.3)]
+    sweeps = []
+    real_sweep = lagspec._laguerre_sweep
+
+    def spy(x, caps, alpha, rows, want_deriv=False):
+        sweeps.append((x.shape[0], rows))
+        return real_sweep(x, caps, alpha, rows, want_deriv)
+
+    monkeypatch.setattr(lagspec, "_laguerre_sweep", spy)
+    for want_du in (False, True):
+        ref = slices_at_radii_batch(S, u, mults, want_du=want_du)
+        assert max(p for p, _ in sweeps) > 1                  # the default groups pairs
+        sweeps.clear()
+        with monkeypatch.context() as m:
+            m.setattr(lagspec, "SWEEP_BUDGET", 1)
+            m.setattr(lagspec, "EXPAND_CHUNK", 1)
+            got = slices_at_radii_batch(S, u, mults, want_du=want_du)
+        assert set(sweeps) == {(1, 1)} and len(sweeps) == grid.M // 2
+        sweeps.clear()
+        for g, r in zip(got if want_du else [got], ref if want_du else [ref]):
+            assert g.shape == (len(mults), grid.M, u.size)
+            assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+    (sl,), (dsl,) = _reference_slices(S, u, [None])
+    assert np.max(np.abs(got[0][0] - sl)) <= 1e-13 * np.max(np.abs(sl))
+    assert np.max(np.abs(got[1][0] - dsl)) <= 1e-13 * np.max(np.abs(dsl))
 
 
 def test_laguerre_origin_values():

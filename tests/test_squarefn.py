@@ -42,18 +42,25 @@ def setup():
 
 def test_gradient_table_interpolates_exact_gradient(setup):
     # a cubic interpolating spline reproduces its data at the mesh nodes, so
-    # the table must equal the exact spectral |grad U|^2 there
+    # the table must equal the exact spectral |grad U|^2 there.  The table
+    # folds each +-lam pair before its lambda-inversion; the skewed spectrum,
+    # whose rows at lam and -lam are unrelated and whose folded rows are not
+    # real, checks that the fold holds for any slices, not only
+    # conjugate-symmetric ones
     Su = setup[4]
+    skewed = PolyradialSpectrum(grid=Su.grid, n=Su.n, name="skewed", coeffs=[
+        c * (1 + 0.5 * np.sign(lam)) * (1 + 0.3j) for c, lam in zip(Su.coeffs, Su.grid.nodes)])
     lad = SHORT.rho_ladder()
-    table = _GradientTable(Su, SHORT)
     rng = np.random.default_rng(7)
     ir = rng.integers(0, SHORT.n_table_r, 50)
     it = rng.integers(0, SHORT.n_table_t, 50)
-    r, t = table.r_axis[ir], table.t_axis[it]
-    got = table.values(lad, table.design_matrix(r, np.zeros_like(r), t))
-    for rho, g in zip(lad, got):
-        exact = extension_gradient_sq_at(Su, rho, r * r, t)
-        assert np.max(np.abs(g - exact)) <= 1e-10 * np.max(np.abs(exact)), rho
+    for S in (Su, skewed):
+        table = _GradientTable(S, SHORT)
+        r, t = table.r_axis[ir], table.t_axis[it]
+        got = table.values(lad, table.design_matrix(r, np.zeros_like(r), t))
+        for rho, g in zip(lad, got):
+            exact = extension_gradient_sq_at(S, rho, r * r, t)
+            assert np.max(np.abs(g - exact)) <= 1e-10 * np.max(np.abs(exact)), (S.name, rho)
 
 
 def _fitpack_eval(table, V, zx, zy, t):
