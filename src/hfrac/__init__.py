@@ -28,14 +28,10 @@ from .lagspec import (
     LambdaGrid,
     AnalysisQuadrature,
     PolyradialSpectrum,
-    CentralSliceField,
     central_transform,
-    inverse_central_transform,
-    twisted_convolve,
     analyze_polyradial,
     synthesize,
     synthesize_at,
-    group_convolve,
     plancherel_check,
 )
 

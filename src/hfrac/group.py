@@ -226,23 +226,6 @@ class GridFunction:
             return True
         return self.boundary_max() <= BOUNDARY_DECAY_TOL * peak
 
-    def check_polyradial(self) -> bool:
-        """Dihedral-symmetry test: values at grid nodes with equal |z| must agree.
-
-        Checks the full reflection/swap orbit of the z-coordinates, which is
-        what the node set realizes exactly, to 1e-12 of peak.
-        """
-        if self.spec.n != 1:
-            raise NotImplementedError("polyradial validation implemented for n=1")
-        v = self.values
-        scale = float(np.max(np.abs(v))) or 1.0
-        # interior block excluding the -R face, which has no mirror node
-        w = v[1:, 1:, :]
-        for cand in (w[::-1, :, :], w[:, ::-1, :], np.swapaxes(w, 0, 1)):
-            if np.max(np.abs(w - cand)) > 1e-12 * scale:
-                return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # Finite differences (Fornberg weights) and left-invariant vector fields

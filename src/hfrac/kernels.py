@@ -22,20 +22,17 @@ exactly 2^{1-2s} Gamma(1-s)/Gamma(s) mu^s.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, kv
+from scipy.special import gammaln
 
 from .group import (
     GridFunction,
     GridSpec,
-    HeisenbergPoint,
     TestFunctionId,
     _box_bounds,
-    _conformal_kernel_profiles,
     _sublaplacian_halo,
     _sublaplacian_parts,
     make_test_function,
@@ -51,38 +48,29 @@ from .lagspec import (
 )
 from .operators import SpectralMultiplier, apply_operator
 from .report import VerificationReport
-from .singular import SIGMA_GAUGE, SingularQuadrature, ir_values
+from .singular import SingularQuadrature, ir_values
 
 __all__ = [
     "KernelConstants",
     "ExtensionField",
-    "phi_kernel",
     "constants",
     "kernel_spectrum",
-    "conformal_poisson",
     "conformal_extension",
     "dirichlet_to_neumann_conformal",
     "frac_conf_pointwise",
     "nonconformal_poisson",
     "nonconformal_extension",
     "conformal_pde_residual",
-    "macdonald_check_integral",
-    "kernel_mass",
+    "nonconformal_pde_residual",
+    "nonconformal_trace_fit",
     "default_rho_ladder",
     "LADDER_DELTA",
 ]
 
 
 # ---------------------------------------------------------------------------
-# kernel and constants
+# kernel constants
 # ---------------------------------------------------------------------------
-
-def phi_kernel(s: float, rho: float, p: HeisenbergPoint) -> float:
-    """Pointwise kernel value at the point p."""
-    if s <= 0 or rho <= 0:
-        raise ValueError("phi_kernel requires s > 0 and rho > 0")
-    return _conformal_kernel_profiles(s, rho, p.n)[0](p.z_abs_sq, p.t)
-
 
 @dataclass(frozen=True)
 class KernelConstants:
@@ -117,26 +105,8 @@ def constants(n: int, s: float) -> KernelConstants:
     return KernelConstants(C=C, b=math.exp(logb), dtn=dtn, n=n, s=s)
 
 
-def kernel_mass(n: int, s: float, rho: float, R_box: Optional[float] = None) -> tuple:
-    """(total mass of phi_{s,rho}, mass outside the Koranyi ball of radius R_box).
-
-    The total is the exact closed form 1/(C(n,s) rho^{2s}); the outer part uses
-    the tail bound phi <= |y|^{-Q-2s} with the H^1 gauge-sphere constant, so it
-    exists for n = 1 only.
-    """
-    kc = constants(n, s)
-    total = 1.0 / (kc.C * rho ** (2 * s))
-    if R_box is None:
-        return total, 0.0
-    if n != 1:
-        raise NotImplementedError("the kernel tail bound uses the H^1 gauge-sphere "
-                                  "constant SIGMA_GAUGE: n = 1 only")
-    tail = SIGMA_GAUGE * R_box ** (-2 * s) / (2 * s)
-    return total, tail
-
-
 # ---------------------------------------------------------------------------
-# kernel spectra and the conformal Poisson operator
+# kernel spectra and the conformal Poisson levels
 # ---------------------------------------------------------------------------
 
 def _dilated_lattice(grid: LambdaGrid, radii: np.ndarray) -> LambdaGrid:
@@ -190,28 +160,6 @@ def _poisson_level(Sf: PolyradialSpectrum, Sk: PolyradialSpectrum, s: float,
     out = Sf.convolve(Sk) * (constants(Sf.n, s).C * rho ** (2 * s))
     out.name = f"P^conf_{rho:g}[{Sf.name}]"
     return out
-
-
-def conformal_poisson(f: GridFunction, s: float, rho: float,
-                      grid: Optional[LambdaGrid] = None,
-                      quad: Optional[AnalysisQuadrature] = None) -> GridFunction:
-    """w(. , rho) = C(n,s) rho^{2s} (f * phi_{s,rho}) through the Laguerre route.
-
-    Warns (UserWarning) when the kernel's box-tail mass exceeds 1e-3 of the
-    total: the convolution itself integrates the kernel on an extended radial
-    domain, so the warning flags the sampled-kernel picture, not this result.
-    """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    grid = grid or LambdaGrid.build()
-    quad = quad or AnalysisQuadrature.build(f.spec)
-    Sf = analyze_polyradial(f, grid, quad)
-    total, tail = kernel_mass(f.spec.n, s, rho, f.spec.R_z)
-    if tail / total > 1e-3:
-        warnings.warn(f"kernel tail outside the box carries {tail/total:.2e} of its mass "
-                      "(analysis domain extends beyond the box)", stacklevel=2)
-    return synthesize(_poisson_level(Sf, kernel_spectrum(s, rho, grid, quad, f.spec), s, rho),
-                      f.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -324,26 +272,6 @@ def conformal_extension(f: GridFunction, s: float, rho_levels=None,
     spec, box = _measured_window(f.spec)
     fields = [synthesize(_poisson_level(Sf, Sk, s, r), spec) for r, Sk in zip(radii, Sks)]
     return ExtensionField(rho_levels, fields, f"conformal(s={s:g})", s, box)
-
-
-def macdonald_check_integral(orders, args) -> float:
-    """Largest relative deviation of K_nu against its integral representation.
-
-    K_nu(x) = int_0^inf e^{-x cosh t} cosh(nu t) dt, evaluated adaptively;
-    raises if any spot point misses 1e-10.
-    """
-    from scipy.integrate import quad as spquad
-    worst = 0.0
-    for nu in orders:
-        for x in args:
-            val, _ = spquad(lambda t: math.exp(-x * math.cosh(t)) * math.cosh(nu * t),
-                            0, 40.0, limit=400)
-            ref = float(kv(nu, x))
-            rel = abs(val - ref) / abs(ref)
-            worst = max(worst, rel)
-            if rel > 1e-10:
-                raise ValueError(f"Macdonald evaluation off by {rel:.2e} at nu={nu}, x={x}")
-    return worst
 
 
 def nonconformal_poisson(f: GridFunction, rho: float, route: str = "spectral",

@@ -1,4 +1,4 @@
-"""Central-variable transform, Laguerre analysis/synthesis and twisted convolution.
+"""Central-variable transform and Laguerre analysis/synthesis on the (k, lam) lattice.
 
 For polyradial f the central slice f^lam expands in scaled Laguerre functions
 
@@ -7,7 +7,9 @@ For polyradial f the central slice f^lam expands in scaled Laguerre functions
 with f^lam = (2 pi)^{-n} |lam|^n sum_k c_k(lam) phi_k^lam.  In this
 normalization twisted convolution is the plain product of coefficients and
 every operator in the package acts diagonally on the (k, lam) lattice with
-eigenvalue parameter mu = (2k+n)|lam|.
+eigenvalue parameter mu = (2k+n)|lam|.  The direct lambda-twisted
+convolution of two slices, the brute-force reference for that product, is
+in the tests' oracles (tests/oracles.py), not here.
 
 The k-truncation is adaptive: a slice at small |lam| needs k up to O(1/|lam|)
 to resolve unit-scale profiles (the basis widens like |lam|^{-1/2}), so each
@@ -30,20 +32,14 @@ from .report import VerificationReport
 __all__ = [
     "LambdaGrid",
     "AnalysisQuadrature",
-    "CentralSliceField",
     "PolyradialSpectrum",
-    "laguerre_phi_table",
     "central_transform",
-    "inverse_central_transform",
-    "twisted_convolve",
     "analyze_polyradial",
     "synthesize",
     "synthesize_batch",
     "synthesize_at",
     "slices_at_radii_batch",
-    "group_convolve",
     "plancherel_check",
-    "parseval_pair",
 ]
 
 
@@ -97,6 +93,9 @@ class LambdaGrid:
             raise ValueError("lambda grid must be symmetric under lam -> -lam")
         if not np.array_equal(self.k_caps, self.k_caps[::-1]):
             raise ValueError("k_caps must agree at lam and -lam")
+        # synthesis folds each +-lam pair with the weight at +lam
+        if not np.array_equal(self.weights, self.weights[::-1]):
+            raise ValueError("lambda weights must agree at lam and -lam")
 
     @classmethod
     def build(cls, lam_min: float = 1e-3, lam_max: float = 40.0,
@@ -178,26 +177,13 @@ class LambdaGrid:
 # temporary; the block's two leading rows carry l_{k-2} and l_{k-1} over from
 # the block before, the one copy a block makes.  The consumer contracts each
 # block in real arithmetic (real and imaginary parts as separate rows, so no
-# block is ever promoted to complex) before the next is written.
-# laguerre_phi_table stays a plain full-table recurrence, the independent
-# reference the tests compare against.
+# block is ever promoted to complex) before the next is written.  The plain
+# full-table recurrence the tests compare it against is laguerre_phi_table
+# in tests/oracles.py.
 # ---------------------------------------------------------------------------
 
 PROJECT_CHUNK = 256        # k-rows per table block of the analysis contraction
 EXPAND_CHUNK = 64          # k-rows per table block of the synthesis contraction
-
-
-def laguerre_phi_table(K: int, alpha: int, x: np.ndarray) -> np.ndarray:
-    """Table of l_k(x) = L_k^alpha(x) e^{-x/2} for k = 0..K; shape (K+1,) + x.shape."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((K + 1,) + x.shape)
-    w = np.exp(-0.5 * x)
-    out[0] = w
-    if K >= 1:
-        out[1] = (1.0 + alpha - x) * w
-    for k in range(1, K):
-        out[k + 1] = ((2 * k + alpha + 1 - x) * out[k] - (k + alpha) * out[k - 1]) / (k + 1)
-    return out
 
 
 def _laguerre_sweep(x: np.ndarray, caps, alpha: int, rows: int, want_deriv: bool = False):
@@ -287,25 +273,11 @@ def _project(x: np.ndarray, Wmat: np.ndarray, kcaps, alpha: int) -> list:
 # _t_transform is the one forward t-transform, the grid trapezoid of
 # central_transform, which analyze_polyradial's grid route reads;
 # _lambda_phases is the one lambda-inversion, contracted against the slices of
-# every synthesis, grid or point, of inverse_central_transform and of the
-# squarefn gradients.  The lattice omits the band |lam| < lam_min; a
+# every synthesis, grid or point, and of the g* gradient table.  The inverse of
+# central_transform on a slice array, inverse_central_transform, is a test
+# oracle in tests/oracles.py.  The lattice omits the band |lam| < lam_min; a
 # correction for it belongs in these two functions and nowhere else.
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CentralSliceField:
-    """Per-lambda z-slices f^lam(z) over the grid's z-nodes."""
-
-    grid: LambdaGrid
-    spec: GridSpec
-    slices: np.ndarray        # (M,) + z-grid shape
-
-    def conj_symmetry_error(self) -> float:
-        mirror = self.grid.mirror_index()
-        err = np.abs(self.slices - np.conj(self.slices[mirror]))
-        scale = np.max(np.abs(self.slices)) or 1.0
-        return float(np.max(err) / scale)
-
 
 def _t_transform(F: np.ndarray, grid: LambdaGrid, t: np.ndarray, w) -> np.ndarray:
     """int F(..., t) e^{i lam t} dt on the rule (t, w) at every lambda node: (..., M)."""
@@ -328,8 +300,9 @@ def _alias_guard(grid: LambdaGrid, spec: GridSpec):
             f"resolvable limit pi/(2 h_t) = {lim:g}; refine the t-grid or shrink the grid")
 
 
-def central_transform(u: GridFunction, grid: LambdaGrid) -> CentralSliceField:
-    """f^lam(z) = integral of f(z, t) e^{i lam t} dt by trapezoid over the t-grid.
+def central_transform(u: GridFunction, grid: LambdaGrid) -> np.ndarray:
+    """f^lam(z) = integral of f(z, t) e^{i lam t} dt by trapezoid over the t-grid,
+    as an (M,) + z-grid shape array, one slice per lambda node.
 
     Warns (UserWarning) when the input has not decayed at the box boundary."""
     spec = u.spec
@@ -337,55 +310,7 @@ def central_transform(u: GridFunction, grid: LambdaGrid) -> CentralSliceField:
     if not u.boundary_decay_ok():
         warnings.warn("input does not decay at the box boundary", stacklevel=2)
     sl = _t_transform(u.values.reshape(-1, spec.N_t), grid, spec.t_axis, spec.h_t)  # (Nz^2, M)
-    return CentralSliceField(grid=grid, spec=spec,
-                             slices=np.moveaxis(sl, -1, 0).reshape((grid.M,) + spec.shape[:-1]))
-
-
-def inverse_central_transform(F: CentralSliceField) -> GridFunction:
-    """f(z,t) = (2 pi)^{-1} integral of e^{-i lam t} f^lam(z) d lam on the node set.
-
-    Warns (UserWarning) when the slices at |lam|max still carry 1e-8 of peak."""
-    grid, spec = F.grid, F.spec
-    edge = np.max(np.abs(F.slices[[0, -1]]))
-    peak = np.max(np.abs(F.slices)) or 1.0
-    if edge > 1e-8 * peak:
-        warnings.warn(f"slices at |lam|max carry {edge/peak:.2e} of peak; "
-                      "lambda window may truncate", stacklevel=2)
-    vals = F.slices.reshape(grid.M, -1).T @ _lambda_phases(grid, spec.t_axis)
-    return GridFunction(spec=spec, values=vals.reshape(spec.shape), name="icentral",
-                        polyradial=False)
-
-
-def twisted_convolve(F: np.ndarray, G: np.ndarray, lam: float, spec: GridSpec) -> np.ndarray:
-    """Direct lambda-twisted convolution of two z-slices (n=1), O(N^4).
-
-    (F *_lam G)(z) = integral F(z - z') G(z') exp(i lam/2 Im(z conj(z'))) dz'.
-    Kept as the brute-force oracle; production convolution of polyradial data
-    goes through Laguerre coefficients where *_lam is diagonal.
-    """
-    if spec.n != 1:
-        raise NotImplementedError("direct twisted convolution implemented for n=1")
-    N = spec.N_z
-    if F.shape != (N, N) or G.shape != (N, N):
-        raise ValueError("slices must live on the z-grid")
-    xs = spec.z_axis
-    half = N // 2
-    Fp = np.zeros((2 * N, 2 * N), dtype=complex)
-    Fp[half:half + N, half:half + N] = F        # Fp[i - j + N/2 + N/2 ...] see below
-    # F(z_i - z_j) = F[(i-j) + N/2]; with padding offset, index (i - j + N/2) + N/2
-    A = np.exp(0.5j * lam * np.outer(xs, xs))    # A[iy, jx] = e^{i lam y_i x_j / 2}
-    B = np.conj(A)                               # B[ix, jy] = e^{-i lam x_i y_j / 2}
-    idx = np.arange(N)
-    out = np.zeros((N, N), dtype=complex)
-    for jx in range(N):
-        rows = idx - jx + half + half            # position of (ix - jx) in Fp's first axis
-        slab = Fp[rows]                          # (N, 2N): slab[ix, m] = F[ix-jx, m-N/2-N/2...]
-        cols = idx[:, None] - idx[None, :] + half + half   # (iy, jy)
-        FF = slab[:, cols]                       # (ix, iy, jy)
-        D = B * G[jx][None, :]                   # (ix, jy)
-        M1 = np.einsum("xab,xb->xa", FF, D)
-        out += M1 * A[:, jx][None, :]
-    return out * spec.h_z ** 2
+    return np.moveaxis(sl, -1, 0).reshape((grid.M,) + spec.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +518,11 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
         # grid samples, aggregated over equal-radius nodes; the z-grid resolves
         # the Laguerre oscillation (frequency sqrt(2 k lam) in r) only up to
         # k ~ pi^2/(4 lam h^2), so deeper modes are cut
-        field_ = central_transform(u, grid)
+        central = central_transform(u, grid)
         radii, inv = np.unique(spec.z_radius_sq().round(12).ravel(), return_inverse=True)
         weights = spec.h_z ** (2 * n)
         slices = np.empty((grid.M, radii.size), dtype=complex)
-        for i, sl in enumerate(field_.slices.reshape(grid.M, -1)):
+        for i, sl in enumerate(central.reshape(grid.M, -1)):
             slices[i].real = np.bincount(inv, weights=sl.real, minlength=radii.size)
             slices[i].imag = np.bincount(inv, weights=sl.imag, minlength=radii.size)
         k_lim = (math.pi ** 2 / (4.0 * np.abs(grid.nodes) * spec.h_z ** 2)).astype(int)
@@ -777,36 +702,6 @@ def synthesize_at(S: PolyradialSpectrum, u_vals: np.ndarray, t_vals: np.ndarray,
     return np.sum(sl[0] * ph, axis=0).reshape(u_vals.shape)
 
 
-def group_convolve(f: GridFunction, g: GridFunction, grid: Optional[LambdaGrid] = None,
-                   quad: Optional[AnalysisQuadrature] = None) -> GridFunction:
-    """Group convolution f * g.
-
-    Polyradial inputs go through the Laguerre route, where the per-lambda
-    twisted convolution is exactly diagonal (coefficient product).  General
-    inputs fall back to the direct per-lambda twisted convolution, which is
-    O(N^4) per slice and only sensible on coarse grids.
-    """
-    if f.spec.shape != g.spec.shape:
-        raise ValueError("operands must share a grid")
-    if f.polyradial and g.polyradial:
-        grid = grid or LambdaGrid.build()
-        S = analyze_polyradial(f, grid, quad).convolve(analyze_polyradial(g, grid, quad))
-        out = synthesize(S, f.spec)
-        out.name = f"{f.name}*{g.name}"
-        return out
-    if grid is None:
-        lim = math.pi / (2.0 * f.spec.h_t)
-        grid = LambdaGrid.build(lam_max=min(40.0, 0.95 * lim))
-    Ff = central_transform(f, grid)
-    Fg = central_transform(g, grid)
-    conv = np.empty_like(Ff.slices)
-    for i, lam in enumerate(grid.nodes):
-        conv[i] = twisted_convolve(Ff.slices[i], Fg.slices[i], lam, f.spec)
-    out = inverse_central_transform(CentralSliceField(grid=grid, spec=f.spec, slices=conv))
-    out.name = f"{f.name}*{g.name}"
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Plancherel / Parseval
 # ---------------------------------------------------------------------------
@@ -835,14 +730,3 @@ def plancherel_check(u: GridFunction, grid: Optional[LambdaGrid] = None,
     m = rep.add("ratio_error", abs(ratio - 1.0), tolerance=0.02)
     rep.note("hs constant (2pi)^{-(n+1)}; the 2^{n-1}/pi^{n+1} form differs by 2^{2n}")
     return rep.finish()
-
-
-def parseval_pair(u: GridFunction, v: GridFunction, grid: Optional[LambdaGrid] = None,
-                  quad: Optional[AnalysisQuadrature] = None) -> tuple:
-    """(grid-side, spectral-side) of the Parseval pairing <u, v>."""
-    grid = grid or LambdaGrid.build()
-    Su = analyze_polyradial(u, grid, quad)
-    Sv = analyze_polyradial(v, grid, quad)
-    lhs = integrate(u.copy_with(u.values * np.conj(v.values), name="u conj(v)"))
-    rhs = Su.pair(Sv)
-    return lhs, rhs

@@ -36,6 +36,7 @@ r sqrt(mu) > 700; it is below 1e-300 there.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -78,9 +79,17 @@ class SpectralMultiplier:
         if self.kind == "sublaplacian":
             if p is not None:
                 raise ValueError("sublaplacian takes no parameter")
-        elif p is None:
+            return
+        if p is None:
             raise ValueError(f"{self.kind} requires a parameter")
-        elif self.kind == "frac_nonconf" and not p > 0:
+        if self.kind == "macdonald" and not (isinstance(p, tuple) and len(p) == 2):
+            raise ValueError("macdonald requires (s, rho) with 0 < s < 1 and rho > 0")
+        # a bool, a string or an array would pass or fail the range checks by
+        # accident, and an array would make the multiplier unhashable
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in (p if self.kind == "macdonald" else (p,))):
+            raise TypeError(f"{self.kind} takes real scalar parameters, not {p!r}")
+        if self.kind == "frac_nonconf" and not p > 0:
             raise ValueError("frac_nonconf requires s > 0")
         elif self.kind == "frac_conf" and not (0 <= p < self.n + 1):
             raise ValueError("frac_conf requires 0 <= s < n+1")
@@ -88,8 +97,7 @@ class SpectralMultiplier:
             raise ValueError("heat requires w >= 0")
         elif self.kind.startswith("poisson") and not p > 0:
             raise ValueError(f"{self.kind} requires rho > 0")
-        elif self.kind == "macdonald" and not (
-                isinstance(p, tuple) and len(p) == 2 and 0 < p[0] < 1 and p[1] > 0):
+        elif self.kind == "macdonald" and not (0 < p[0] < 1 and p[1] > 0):
             raise ValueError("macdonald requires (s, rho) with 0 < s < 1 and rho > 0")
         elif self.kind == "riesz_nonconf" and not (0 < p < self.n + 1):
             raise ValueError("riesz_nonconf requires 0 < s < n+1")
@@ -154,7 +162,6 @@ def evaluate_multiplier(m: SpectralMultiplier, k, lam):
 @dataclass
 class OperatorResult:
     spectrum: PolyradialSpectrum
-    provenance: str
 
 
 def apply_operator(S: PolyradialSpectrum, m: SpectralMultiplier) -> OperatorResult:
@@ -170,7 +177,7 @@ def apply_operator(S: PolyradialSpectrum, m: SpectralMultiplier) -> OperatorResu
         sym = evaluate_multiplier(m, np.arange(max(len(S.coeffs[i]), len(S.coeffs[j]))), lam)
         coeffs[i], coeffs[j] = (S.coeffs[r] * sym[:len(S.coeffs[r])] for r in (i, j))
     out = PolyradialSpectrum(grid=S.grid, n=S.n, coeffs=coeffs, name=f"{m.label()}[{S.name}]")
-    return OperatorResult(spectrum=out, provenance=m.label())
+    return OperatorResult(spectrum=out)
 
 
 def equivalence_symbol_check(s: float, K: int = 1024, n: int = 1) -> VerificationReport:

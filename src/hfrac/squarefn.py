@@ -26,7 +26,6 @@ from scipy.interpolate import BSpline, NdBSpline
 from scipy.sparse import csr_array
 
 from .group import GridFunction, GridSpec, _diff_axis, _horizontal_field
-from .kernels import ExtensionField
 from .lagspec import (
     AnalysisQuadrature,
     LambdaGrid,
@@ -43,12 +42,10 @@ from .singular import SingularQuadrature, _right_args, d_s_values
 __all__ = [
     "SquareFunctionConfig",
     "NontangentialReport",
-    "gradient_sq",
     "g_function",
     "g_parts",
     "g_star",
     "pointwise_theorem_check",
-    "extension_gradient_sq_at",
 ]
 
 
@@ -103,7 +100,7 @@ class SquareFunctionConfig:
 
 
 # ---------------------------------------------------------------------------
-# gradients of extension fields
+# g-functions
 # ---------------------------------------------------------------------------
 
 def _horizontal_sq(U: GridFunction) -> np.ndarray:
@@ -113,20 +110,6 @@ def _horizontal_sq(U: GridFunction) -> np.ndarray:
     dt = _diff_axis(U.values, 2 * spec.n, spec.h_t, 1, 4)
     return sum(np.abs(_horizontal_field(U, f"{kind}{j}", dt, 4)) ** 2
                for j in range(1, spec.n + 1) for kind in "XY")
-
-
-def gradient_sq(fld: ExtensionField) -> list:
-    """|nabla U|^2 per level: horizontal stencils, d_rho from the companions.
-
-    Each is on the fields' whole grid, which for the builders' fields is the
-    measured window plus the residual's stencil halo, not the whole box."""
-    out = []
-    for j, rho in enumerate(fld.rho_levels):
-        u = fld.levels[j]
-        d1 = fld.rho_derivative(j)
-        vals = _horizontal_sq(u) + np.abs(d1) ** 2
-        out.append(u.copy_with(vals.astype(complex), name=f"|grad U|^2@rho={rho:g}"))
-    return out
 
 
 def g_parts(u: GridFunction, cfg: Optional[SquareFunctionConfig] = None,
@@ -182,32 +165,12 @@ def g_function(u: GridFunction, parts: str = "full",
 
 
 # ---------------------------------------------------------------------------
-# exact off-grid evaluation of |nabla U|^2
+# exact |nabla U|^2 tables and g*
 # ---------------------------------------------------------------------------
 
 def _gradient_sq(u, du, dt, drho):
     """|nabla U|^2 = 4 u (d_u G)^2 + (u/4) (d_t G)^2 + (d_rho G)^2 at u = |z|^2."""
     return 4.0 * u * du * du + 0.25 * u * dt * dt + drho * drho
-
-
-def extension_gradient_sq_at(Su: PolyradialSpectrum, rho: float,
-                             u_vals: np.ndarray, t_vals: np.ndarray) -> np.ndarray:
-    """|nabla U|^2 at scattered (|z|^2, t) for the Poisson extension of Su.
-
-    One batched expansion delivers the Poisson slice, its radial derivative and
-    the rho-derivative slice together; the t-derivative reuses the same slices
-    with the modulated inversion.
-    """
-    u_vals = np.atleast_1d(np.asarray(u_vals, dtype=float))
-    t_vals = np.atleast_1d(np.asarray(t_vals, dtype=float))
-    mults = [SpectralMultiplier("poisson_nonconf", rho, n=Su.n),
-             SpectralMultiplier("poisson_nonconf_drho", rho, n=Su.n)]
-    sl, dsl = slices_at_radii_batch(Su, u_vals.ravel(), mults, want_du=True)
-    ph, ph_t = (_lambda_phases(Su.grid, t_vals.ravel(), dt=d) for d in (False, True))
-    du = np.real(np.sum(dsl[0] * ph, axis=0))
-    dt = np.real(np.sum(sl[0] * ph_t, axis=0))
-    dr = np.real(np.sum(sl[1] * ph, axis=0))
-    return _gradient_sq(u_vals.ravel(), du, dt, dr).reshape(u_vals.shape)
 
 
 def _interp_knots(x: np.ndarray) -> np.ndarray:

@@ -1,0 +1,199 @@
+"""Independent references the tests compare the package against.
+
+Nothing in `hfrac` imports this module: each oracle is a brute-force or
+textbook route to a quantity the package computes another way.
+
+- `laguerre_phi_table`: the plain full-table Laguerre recurrence, against
+  the chunked in-place sweep behind analysis and synthesis.
+- `twisted_convolve`, `inverse_central_transform` and `group_convolve`: the
+  direct lambda-twisted convolution of central slices (Thangavelu, Lectures
+  on Hermite and Laguerre Expansions, 1993), the lambda-inversion of a slice
+  array, and group convolution through either, against the Laguerre
+  coefficient product.
+- `extension_gradient_sq_at`: exact off-grid |nabla U|^2 of the Poisson
+  extension, against the g* spline tables and the grid stencils.
+- `gradient_sq`: |nabla U|^2 of an extension field by grid stencils and
+  the rho-companions.
+- `check_polyradial`: the dihedral symmetry of a sampled catalog member.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from typing import Optional
+
+import numpy as np
+
+from hfrac.group import GridFunction, GridSpec
+from hfrac.kernels import ExtensionField
+from hfrac.lagspec import (
+    AnalysisQuadrature,
+    LambdaGrid,
+    PolyradialSpectrum,
+    _lambda_phases,
+    analyze_polyradial,
+    central_transform,
+    slices_at_radii_batch,
+    synthesize,
+)
+from hfrac.operators import SpectralMultiplier
+from hfrac.squarefn import _gradient_sq, _horizontal_sq
+
+
+# ---------------------------------------------------------------------------
+# Laguerre recurrence
+# ---------------------------------------------------------------------------
+
+def laguerre_phi_table(K: int, alpha: int, x: np.ndarray) -> np.ndarray:
+    """Table of l_k(x) = L_k^alpha(x) e^{-x/2} for k = 0..K; shape (K+1,) + x.shape."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((K + 1,) + x.shape)
+    w = np.exp(-0.5 * x)
+    out[0] = w
+    if K >= 1:
+        out[1] = (1.0 + alpha - x) * w
+    for k in range(1, K):
+        out[k + 1] = ((2 * k + alpha + 1 - x) * out[k] - (k + alpha) * out[k - 1]) / (k + 1)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# twisted and group convolution
+# ---------------------------------------------------------------------------
+
+def inverse_central_transform(slices: np.ndarray, grid: LambdaGrid, spec: GridSpec) -> GridFunction:
+    """f(z,t) = (2 pi)^{-1} integral of e^{-i lam t} f^lam(z) d lam on the node set.
+
+    slices is the (M,) + z-grid shape array of central_transform.  Warns
+    (UserWarning) when the slices at |lam|max still carry 1e-8 of peak."""
+    edge = np.max(np.abs(slices[[0, -1]]))
+    peak = np.max(np.abs(slices)) or 1.0
+    if edge > 1e-8 * peak:
+        warnings.warn(f"slices at |lam|max carry {edge/peak:.2e} of peak; "
+                      "lambda window may truncate", stacklevel=2)
+    vals = slices.reshape(grid.M, -1).T @ _lambda_phases(grid, spec.t_axis)
+    return GridFunction(spec=spec, values=vals.reshape(spec.shape), name="icentral",
+                        polyradial=False)
+
+
+def twisted_convolve(F: np.ndarray, G: np.ndarray, lam: float, spec: GridSpec) -> np.ndarray:
+    """Direct lambda-twisted convolution of two z-slices (n=1), O(N^4).
+
+    (F *_lam G)(z) = integral F(z - z') G(z') exp(i lam/2 Im(z conj(z'))) dz'.
+    The brute-force oracle; the package convolves polyradial data through
+    Laguerre coefficients, where *_lam is diagonal.
+    """
+    if spec.n != 1:
+        raise NotImplementedError("direct twisted convolution implemented for n=1")
+    N = spec.N_z
+    if F.shape != (N, N) or G.shape != (N, N):
+        raise ValueError("slices must live on the z-grid")
+    xs = spec.z_axis
+    half = N // 2
+    Fp = np.zeros((2 * N, 2 * N), dtype=complex)
+    Fp[half:half + N, half:half + N] = F        # Fp[i - j + N/2 + N/2 ...] see below
+    # F(z_i - z_j) = F[(i-j) + N/2]; with padding offset, index (i - j + N/2) + N/2
+    A = np.exp(0.5j * lam * np.outer(xs, xs))    # A[iy, jx] = e^{i lam y_i x_j / 2}
+    B = np.conj(A)                               # B[ix, jy] = e^{-i lam x_i y_j / 2}
+    idx = np.arange(N)
+    out = np.zeros((N, N), dtype=complex)
+    for jx in range(N):
+        rows = idx - jx + half + half            # position of (ix - jx) in Fp's first axis
+        slab = Fp[rows]                          # (N, 2N): slab[ix, m] = F[ix-jx, m-N/2-N/2...]
+        cols = idx[:, None] - idx[None, :] + half + half   # (iy, jy)
+        FF = slab[:, cols]                       # (ix, iy, jy)
+        D = B * G[jx][None, :]                   # (ix, jy)
+        M1 = np.einsum("xab,xb->xa", FF, D)
+        out += M1 * A[:, jx][None, :]
+    return out * spec.h_z ** 2
+
+
+def group_convolve(f: GridFunction, g: GridFunction, grid: Optional[LambdaGrid] = None,
+                   quad: Optional[AnalysisQuadrature] = None) -> GridFunction:
+    """Group convolution f * g.
+
+    Polyradial inputs go through the Laguerre route, where the per-lambda
+    twisted convolution is exactly diagonal (coefficient product).  General
+    inputs fall back to the direct per-lambda twisted convolution, which is
+    O(N^4) per slice and only sensible on coarse grids.
+    """
+    if f.spec.shape != g.spec.shape:
+        raise ValueError("operands must share a grid")
+    if f.polyradial and g.polyradial:
+        grid = grid or LambdaGrid.build()
+        S = analyze_polyradial(f, grid, quad).convolve(analyze_polyradial(g, grid, quad))
+        out = synthesize(S, f.spec)
+        out.name = f"{f.name}*{g.name}"
+        return out
+    if grid is None:
+        lim = math.pi / (2.0 * f.spec.h_t)
+        grid = LambdaGrid.build(lam_max=min(40.0, 0.95 * lim))
+    Ff = central_transform(f, grid)
+    Fg = central_transform(g, grid)
+    conv = np.empty_like(Ff)
+    for i, lam in enumerate(grid.nodes):
+        conv[i] = twisted_convolve(Ff[i], Fg[i], lam, f.spec)
+    out = inverse_central_transform(conv, grid, f.spec)
+    out.name = f"{f.name}*{g.name}"
+    return out
+
+
+# ---------------------------------------------------------------------------
+# gradients of extension fields
+# ---------------------------------------------------------------------------
+
+def extension_gradient_sq_at(Su: PolyradialSpectrum, rho: float,
+                             u_vals: np.ndarray, t_vals: np.ndarray) -> np.ndarray:
+    """|nabla U|^2 at scattered (|z|^2, t) for the Poisson extension of Su.
+
+    One batched expansion delivers the Poisson slice, its radial derivative and
+    the rho-derivative slice together; the t-derivative reuses the same slices
+    with the modulated inversion.
+    """
+    u_vals = np.atleast_1d(np.asarray(u_vals, dtype=float))
+    t_vals = np.atleast_1d(np.asarray(t_vals, dtype=float))
+    mults = [SpectralMultiplier("poisson_nonconf", rho, n=Su.n),
+             SpectralMultiplier("poisson_nonconf_drho", rho, n=Su.n)]
+    sl, dsl = slices_at_radii_batch(Su, u_vals.ravel(), mults, want_du=True)
+    ph, ph_t = (_lambda_phases(Su.grid, t_vals.ravel(), dt=d) for d in (False, True))
+    du = np.real(np.sum(dsl[0] * ph, axis=0))
+    dt = np.real(np.sum(sl[0] * ph_t, axis=0))
+    dr = np.real(np.sum(sl[1] * ph, axis=0))
+    return _gradient_sq(u_vals.ravel(), du, dt, dr).reshape(u_vals.shape)
+
+
+def gradient_sq(fld: ExtensionField) -> list:
+    """|nabla U|^2 per level: horizontal stencils, d_rho from the companions.
+
+    Each is on the fields' whole grid, which for the builders' fields is the
+    measured window plus the residual's stencil halo, not the whole box."""
+    out = []
+    for j, rho in enumerate(fld.rho_levels):
+        u = fld.levels[j]
+        d1 = fld.rho_derivative(j)
+        vals = _horizontal_sq(u) + np.abs(d1) ** 2
+        out.append(u.copy_with(vals.astype(complex), name=f"|grad U|^2@rho={rho:g}"))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# catalog
+# ---------------------------------------------------------------------------
+
+def check_polyradial(f: GridFunction) -> bool:
+    """Dihedral-symmetry test: values at grid nodes with equal |z| must agree.
+
+    Checks the full reflection/swap orbit of the z-coordinates, which is
+    what the node set realizes exactly, to 1e-12 of peak.
+    """
+    if f.spec.n != 1:
+        raise NotImplementedError("polyradial validation implemented for n=1")
+    v = f.values
+    scale = float(np.max(np.abs(v))) or 1.0
+    # interior block excluding the -R face, which has no mirror node
+    w = v[1:, 1:, :]
+    for cand in (w[::-1, :, :], w[:, ::-1, :], np.swapaxes(w, 0, 1)):
+        if np.max(np.abs(w - cand)) > 1e-12 * scale:
+            return False
+    return True

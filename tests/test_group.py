@@ -18,6 +18,7 @@ from hfrac.group import (
     make_test_function,
     sublaplacian_grid,
 )
+from oracles import check_polyradial
 
 RNG = np.random.default_rng(20240811)
 
@@ -360,7 +361,7 @@ def test_gaussian_at_origin():
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
     i0, j0 = spec.N_z // 2, spec.N_t // 2
     assert f.values[i0, i0, j0].real == pytest.approx(1.0, abs=1e-15)
-    assert f.polyradial and f.check_polyradial()
+    assert f.polyradial and check_polyradial(f)
 
 
 def test_conformal_kernel_at_origin():
@@ -368,7 +369,7 @@ def test_conformal_kernel_at_origin():
     f = make_test_function(TestFunctionId("conformal-kernel", (0.5, 1.0)), spec)
     i0, j0 = spec.N_z // 2, spec.N_t // 2
     assert f.values[i0, i0, j0].real == pytest.approx(1.0, rel=1e-14)
-    assert f.polyradial and f.check_polyradial()
+    assert f.polyradial and check_polyradial(f)
 
 
 def test_unknown_family_rejected():

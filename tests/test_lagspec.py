@@ -15,25 +15,20 @@ from hfrac.group import (
 from hfrac.kernels import _measured_window
 from hfrac.lagspec import (
     AnalysisQuadrature,
-    CentralSliceField,
     LambdaGrid,
     PolyradialSpectrum,
     _laguerre_sweep,
     _project,
     analyze_polyradial,
     central_transform,
-    group_convolve,
-    inverse_central_transform,
-    laguerre_phi_table,
-    parseval_pair,
     plancherel_check,
     slices_at_radii_batch,
     synthesize,
     synthesize_at,
     synthesize_batch,
-    twisted_convolve,
 )
 from hfrac.operators import SpectralMultiplier
+from oracles import group_convolve, inverse_central_transform, laguerre_phi_table, twisted_convolve
 
 RNG = np.random.default_rng(7)
 
@@ -73,6 +68,11 @@ def test_lambda_grid_rejects_bad_mirror_pairing():
     with pytest.raises(ValueError, match="k_caps"):
         LambdaGrid(nodes=np.array([-2.0, -1.0, 1.0, 2.0]), weights=np.ones(4),
                    k_caps=np.array([4, 5, 6, 4]), K=4)
+    # synthesis folds each pair with the weight at +lam, so unequal weights at
+    # lam and -lam would make it disagree with the unfolded inversion
+    with pytest.raises(ValueError, match="weights"):
+        LambdaGrid(nodes=np.array([-2.0, -1.0, 1.0, 2.0]), weights=np.array([1.0, 1.0, 2.0, 1.0]),
+                   k_caps=np.full(4, 4), K=4)
     grid = LambdaGrid.build()
     pairs = grid.mirror_pairs()
     assert len(pairs) == grid.M // 2
@@ -261,11 +261,11 @@ def test_central_transform_gaussian_closed_form(default_setup):
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
     F = central_transform(f, grid)
     r2 = spec.z_radius_sq()
-    scale = np.max(np.abs(F.slices))
+    scale = np.max(np.abs(F))
     for i in range(grid.M):
         lam = grid.nodes[i]
         target = np.exp(-r2) * math.sqrt(math.pi) * math.exp(-lam * lam / 4.0)
-        err = np.max(np.abs(F.slices[i] - target))
+        err = np.max(np.abs(F[i] - target))
         assert err <= 1e-8 * scale
 
 
@@ -279,15 +279,18 @@ def test_central_transform_alias_guard():
 def test_central_transform_conjugate_symmetry(default_setup):
     spec = GridSpec(N_z=32, N_t=64, R_z=8, R_t=8)   # h_t = 0.25 resolves |lam| <= ~6
     f = make_test_function(TestFunctionId("gaussian", (0.7, 1.3)), spec)
-    F = central_transform(f, narrow_lambda_grid(lam_max=6.0))
-    assert F.conj_symmetry_error() <= 1e-13
+    grid = narrow_lambda_grid(lam_max=6.0)
+    F = central_transform(f, grid)
+    # a real input's slices satisfy f^{-lam} = conj(f^lam)
+    err = np.max(np.abs(F - np.conj(F[grid.mirror_index()]))) / np.max(np.abs(F))
+    assert err <= 1e-13
 
 
 def test_central_roundtrip(default_setup):
     spec = GridSpec()
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
-    F = central_transform(f, narrow_lambda_grid())
-    g = inverse_central_transform(F)
+    grid = narrow_lambda_grid()
+    g = inverse_central_transform(central_transform(f, grid), grid, spec)
     err = np.linalg.norm(g.values - f.values) / np.linalg.norm(f.values)
     assert err <= 1e-5
 
@@ -297,17 +300,15 @@ def test_central_roundtrip_narrow_gaussian():
     # [lam_min, lam_max] can cover the spectrum within the aliasing guard
     spec = GridSpec(N_z=32, N_t=256, R_z=8, R_t=10)
     f = make_test_function(TestFunctionId("gaussian", (1.0, 6.0)), spec)
-    F = central_transform(f, narrow_lambda_grid(lam_max=19.0, nodes=150))
-    g = inverse_central_transform(F)
+    grid = narrow_lambda_grid(lam_max=19.0, nodes=150)
+    g = inverse_central_transform(central_transform(f, grid), grid, spec)
     err = np.linalg.norm(g.values - f.values) / np.linalg.norm(f.values)
     assert err <= 1e-3
 
 
 def test_zero_field_inverts_to_zero(default_setup):
     spec, grid, _ = default_setup
-    F = CentralSliceField(grid=grid, spec=spec,
-                          slices=np.zeros((grid.M, spec.N_z, spec.N_z), dtype=complex))
-    g = inverse_central_transform(F)
+    g = inverse_central_transform(np.zeros((grid.M, spec.N_z, spec.N_z), dtype=complex), grid, spec)
     assert np.max(np.abs(g.values)) == 0.0
 
 
@@ -323,8 +324,8 @@ def test_modulation_identity():
     Ff = central_transform(f, grid)
     Fg = central_transform(g, grid)
     phase = np.exp(1j * grid.nodes * shift)
-    err = np.max(np.abs(Fg.slices - Ff.slices * phase[:, None, None]))
-    assert err <= 1e-6 * np.max(np.abs(Ff.slices))
+    err = np.max(np.abs(Fg - Ff * phase[:, None, None]))
+    assert err <= 1e-6 * np.max(np.abs(Ff))
 
 
 # ---------------------------------------------------------------------------
@@ -841,5 +842,6 @@ def test_parseval_polarization(default_setup):
     spec, grid, quad = default_setup
     u = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
     v = make_test_function(TestFunctionId("gaussian", (2.0, 0.7)), spec)
-    lhs, rhs = parseval_pair(u, v, grid, quad)
+    lhs = integrate(u.copy_with(u.values * np.conj(v.values), name="u conj(v)"))
+    rhs = analyze_polyradial(u, grid, quad).pair(analyze_polyradial(v, grid, quad))
     assert abs(lhs - rhs) <= 0.02 * abs(lhs)

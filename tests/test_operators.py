@@ -98,6 +98,18 @@ def test_parameter_ranges_rejected():
     for bad in ((1.0, 1.0), (0.0, 1.0), (0.5, 0.0), (0.5, -1.0), 0.5, (0.5,), (0.5, 1.0, 2.0)):
         with pytest.raises(ValueError):
             SpectralMultiplier("macdonald", bad)    # needs (s, rho), 0 < s < 1, rho > 0
+    # a parameter that is not a real scalar fails by type, before any range
+    # check could accept it or fail on it by accident
+    for kind, bad in (("poisson_nonconf", np.array([1.0])), ("heat", (0.5, 1.0)),
+                      ("frac_nonconf", "0.3"), ("heat", True), ("frac_conf", np.array(0.3)),
+                      ("macdonald", ("0.5", 1.0)), ("macdonald", (0.5, np.array([1.0]))),
+                      ("macdonald", (True, 1.0))):
+        with pytest.raises(TypeError, match="real scalar"):
+            SpectralMultiplier(kind, bad)
+    # numpy scalars are real scalars: the ladders pass np.float64 radii
+    for kind, ok in (("poisson_nonconf", np.float64(0.5)), ("heat", np.int64(2)),
+                     ("macdonald", (np.float64(0.3), np.float32(1.0)))):
+        assert SpectralMultiplier(kind, ok).label()
 
 
 def test_every_kind_is_even_in_lambda():

@@ -1,4 +1,4 @@
-"""Every exported name resolves: guards deletions against stale exports."""
+"""Every exported name resolves and has a caller: guards deletions against stale exports."""
 
 import ast
 import dataclasses
@@ -14,7 +14,18 @@ import pytest
 import hfrac
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hfrac.__path__))
+SRC = Path(hfrac.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# public definitions no suite, workload or other module calls yet, each kept
+# for the ROADMAP item that needs it
+KEPT = {
+    "group_mul": "item 10: left-translation covariance (group-law API)",
+    "group_inv": "item 10: left-translation covariance (group-law API)",
+    "dilate": "item 9: dilation covariance of g* (group-law API)",
+    "t_s_values": "item 4: the commutator suite",
+    "nonconformal_poisson": "item 6: the CLI's route= option",
+}
 
 
 def _load_perfbench(name):
@@ -232,3 +243,56 @@ def test_conformal_ladder_reaches_required_layers():
     layers = tracer.layer_metrics(0.0)
     counts = {name: layers[name] for name in run.LAYERS_USED["conformal-ladder"]}
     assert all(v > 0 for v in counts.values()), counts
+
+
+def _reads(node, strings=False) -> set:
+    """Names and attribute names the code under node reads (and its strings)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
+
+
+def test_public_definitions_have_a_caller():
+    # a function or class in a module's __all__ must be reached from a
+    # workload, a benchmark target, a report suite or module-level code,
+    # directly or through other package code that is itself reached: a
+    # reference from code nothing reaches does not count
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    defs, roots, uncalled = {}, set(KEPT), []
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, set()).update(_reads(node))
+                if isinstance(getattr(node, "returns", None), ast.Name) \
+                        and node.returns.id == "VerificationReport":
+                    roots.add(node.name)
+            elif not (isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                roots |= _reads(node)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        # the benchmark names its layer targets as strings (spans.TARGETS)
+        roots |= _reads(ast.parse(path.read_text()), strings=True)
+    live, frontier = set(), roots
+    while frontier:
+        name = frontier.pop()
+        if name in defs and name not in live:
+            live.add(name)
+            frontier |= defs[name] - live
+    for module, tree in trees.items():
+        local = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        exported = getattr(importlib.import_module(f"hfrac.{module}"), "__all__", [])
+        uncalled += [f"{module}.{name}" for name in exported if name in local and name not in live]
+    assert not uncalled, f"public definitions nothing calls: {uncalled}"
+    # the tests' independent references stay out of the package
+    importers = [module for module, tree in trees.items() for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and any("oracles" in name.split(".")
+                         for name in [getattr(node, "module", None) or ""]
+                         + [a.name for a in node.names])]
+    assert not importers, f"package modules import the test oracles: {importers}"

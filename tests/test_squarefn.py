@@ -17,13 +17,12 @@ from hfrac.singular import SingularQuadrature, _right_args, d_s_values
 from hfrac.squarefn import (
     SquareFunctionConfig,
     _GradientTable,
-    extension_gradient_sq_at,
     g_function,
     g_parts,
-    gradient_sq,
     g_star,
     pointwise_theorem_check,
 )
+from oracles import extension_gradient_sq_at, gradient_sq
 
 # a short ladder (rho = 1/4, 1/2, 1) and small tables keep every test to seconds
 SHORT = SquareFunctionConfig(rho_min=0.25, rho_max=1.0, per_octave=1,
