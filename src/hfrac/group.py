@@ -64,10 +64,6 @@ class HeisenbergPoint:
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.x, self.y, [self.t]])
 
-    @staticmethod
-    def origin(n: int = 1) -> "HeisenbergPoint":
-        return HeisenbergPoint(np.zeros(n), np.zeros(n), 0.0)
-
 
 def group_mul(a: HeisenbergPoint, b: HeisenbergPoint) -> HeisenbergPoint:
     """Group product a.b; the central coordinate picks up (x.y' - x'.y)/2."""

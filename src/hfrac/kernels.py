@@ -85,7 +85,10 @@ def constants(n: int, s: float) -> KernelConstants:
     """C(n,s), b(n,s) and the D-to-N constant, via log-gamma.
 
     C(n,s) = 4 pi^{-(n+1/2)} G(n+s) G((n+1+s)/2) / (G(s) G((n+s)/2)) is defined
-    for s > 0; b and dtn additionally need 0 < s < 1/2 (|G(-s)| = G(1-s)/s).
+    for s > 0; the Macdonald trace constant dtn = 2^{1-2s} G(1-s)/G(s) needs
+    0 < s < 1 and b needs 0 < s < 1/2 (|G(-s)| = G(1-s)/s).  Outside their
+    ranges b and dtn are NaN; C alone is still useful (and the closed-form
+    sanity value C(1,1) = 2/pi uses s = 1).
     """
     if s <= 0:
         raise ValueError("constants require s > 0")
@@ -93,15 +96,13 @@ def constants(n: int, s: float) -> KernelConstants:
             + gammaln(n + s) + gammaln((n + 1 + s) / 2.0)
             - gammaln(s) - gammaln((n + s) / 2.0))
     C = math.exp(logC)
-    if not (0 < s < 0.5):
-        # b, dtn only make sense below 1/2; C alone is still useful (and the
-        # closed-form sanity value C(1,1) = 2/pi uses s = 1)
-        return KernelConstants(C=C, b=math.nan, dtn=math.nan, n=n, s=s)
+    dtn = 2.0 ** (1.0 - 2.0 * s) * math.exp(gammaln(1.0 - s) - gammaln(s)) if s < 1 else math.nan
+    if not s < 0.5:
+        return KernelConstants(C=C, b=math.nan, dtn=dtn, n=n, s=s)
     log_abs_gamma_ms = gammaln(1.0 - s) - math.log(s)      # |Gamma(-s)|
     logb = ((1 + s) * math.log(4.0) - (n + 0.5) * math.log(math.pi)
             + gammaln(n + s) + gammaln((n + 1 + s) / 2.0)
             - gammaln((n + s) / 2.0) - log_abs_gamma_ms)
-    dtn = 2.0 ** (1.0 - 2.0 * s) * math.exp(gammaln(1.0 - s) - gammaln(s))
     return KernelConstants(C=C, b=math.exp(logb), dtn=dtn, n=n, s=s)
 
 
@@ -117,13 +118,13 @@ def _dilated_lattice(grid: LambdaGrid, radii: np.ndarray) -> LambdaGrid:
     +-rho_j^2 lam_i, weights rho_j^2 w_i and caps k_caps[i]; nodes that
     coincide exactly are merged and keep the larger cap.
     """
-    half = grid.M // 2
+    half = [i for i, _, _ in grid.mirror_pairs()]         # the nodes lam > 0
     r2 = radii[:, None] ** 2
-    pos, inv = np.unique((r2 * grid.nodes[half:]).ravel(), return_inverse=True)
+    pos, inv = np.unique((r2 * grid.nodes[half]).ravel(), return_inverse=True)
     caps = np.zeros(pos.size, dtype=int)
-    np.maximum.at(caps, inv, np.tile(grid.k_caps[half:], len(radii)))
+    np.maximum.at(caps, inv, np.tile(grid.k_caps[half], len(radii)))
     wts = np.empty(pos.size)
-    wts[inv] = (r2 * grid.weights[half:]).ravel()
+    wts[inv] = (r2 * grid.weights[half]).ravel()
     return LambdaGrid.mirrored(pos, wts, caps, grid.K)
 
 

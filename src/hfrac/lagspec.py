@@ -85,7 +85,7 @@ class LambdaGrid:
             raise ValueError("lambda grid must exclude 0")
         if np.any(self.weights <= 0.0):
             raise ValueError("lambda weights must be positive")
-        # mirror_index pairs node i with M-1-i, which is -lam_i only on an
+        # mirror_pairs pairs node i with M-1-i, which is -lam_i only on an
         # ascending grid; synthesis and analysis rely on that pairing
         if np.any(np.diff(self.nodes) <= 0.0):
             raise ValueError("lambda nodes must be strictly ascending")
@@ -134,14 +134,10 @@ class LambdaGrid:
     def M(self) -> int:
         return self.nodes.size
 
-    def mirror_index(self) -> np.ndarray:
-        """Index of -lam for each node."""
-        return np.arange(self.M)[::-1]
-
     def mirror_pairs(self):
-        """(i, j, lam) for every node lam = nodes[i] > 0 and its mirror nodes[j] = -lam."""
-        mirror = self.mirror_index()
-        return [(i, int(mirror[i]), self.nodes[i]) for i in range(self.M // 2, self.M)]
+        """(i, j, lam) for every node lam = nodes[i] > 0 and its mirror nodes[j] = -lam,
+        which is j = M-1-i on the ascending symmetric grid."""
+        return [(i, self.M - 1 - i, self.nodes[i]) for i in range(self.M // 2, self.M)]
 
     def refine(self) -> "LambdaGrid":
         """1.25 times the nodes per sign and the base depth K, on the default template.
@@ -273,10 +269,11 @@ def _project(x: np.ndarray, Wmat: np.ndarray, kcaps, alpha: int) -> list:
 # _t_transform is the one forward t-transform, the grid trapezoid of
 # central_transform, which analyze_polyradial's grid route reads;
 # _lambda_phases is the one lambda-inversion, contracted against the slices of
-# every synthesis, grid or point, and of the g* gradient table.  The inverse of
-# central_transform on a slice array, inverse_central_transform, is a test
+# every synthesis, grid or point, and, folded onto the lam > 0 nodes by
+# _folded_phases and _folded_inversion, of the g* gradient table.  The inverse
+# of central_transform on a slice array, inverse_central_transform, is a test
 # oracle in tests/oracles.py.  The lattice omits the band |lam| < lam_min; a
-# correction for it belongs in these two functions and nowhere else.
+# correction for it belongs in these functions and nowhere else.
 # ---------------------------------------------------------------------------
 
 def _t_transform(F: np.ndarray, grid: LambdaGrid, t: np.ndarray, w) -> np.ndarray:
@@ -289,6 +286,25 @@ def _lambda_phases(grid: LambdaGrid, t: np.ndarray, dt: bool = False) -> np.ndar
     with dt, times -i lam (the t-derivative)."""
     ph = np.exp(-1j * np.outer(grid.nodes, t)) * (grid.weights / (2.0 * math.pi))[:, None]
     return ph * (-1j * grid.nodes[:, None]) if dt else ph
+
+
+def _folded_phases(grid: LambdaGrid, t: np.ndarray, dt: bool = False) -> np.ndarray:
+    """[Re ph; Im ph] of the _lambda_phases ph at the nodes lam > 0: (M, Nt) real."""
+    ph = _lambda_phases(grid, t, dt=dt)[grid.M // 2:]
+    return np.concatenate([ph.real, ph.imag])
+
+
+def _folded_inversion(slices: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Re sum_lam s_lam ph_lam over every node, (Nu, Nt), from (M, Nu) slices and
+    the _folded_phases of ph.
+
+    The phases at -lam are the conjugates of those at lam, so the sum is
+    Re sum_{lam>0} (s_lam + conj s_{-lam}) ph_lam, and Re(s^T ph) =
+    [Re s; -Im s]^T [Re ph; Im ph]: one real product over the positive nodes.
+    """
+    half = len(slices) // 2
+    pos, neg = slices[half:], slices[half - 1::-1]       # lam > 0 and its mirror
+    return np.concatenate([pos.real + neg.real, neg.imag - pos.imag]).T @ phases
 
 
 def _alias_guard(grid: LambdaGrid, spec: GridSpec):
@@ -360,16 +376,6 @@ class PolyradialSpectrum:
         out = self.binary_op(other, lambda a, b: a[:len(b)] * b[:len(a)])
         out.name = f"{self.name}*{other.name}"
         return out
-
-    def conj_symmetry_error(self) -> float:
-        mirror = self.grid.mirror_index()
-        worst, scale = 0.0, 0.0
-        for i in range(self.grid.M):
-            a, b = self.coeffs[i], self.coeffs[mirror[i]]
-            m = min(len(a), len(b))
-            worst = max(worst, float(np.max(np.abs(a[:m] - np.conj(b[:m])), initial=0.0)))
-            scale = max(scale, float(np.max(np.abs(a), initial=0.0)))
-        return worst / (scale or 1.0)
 
     def _plancherel_terms(self, other: "PolyradialSpectrum"):
         """Per node: (w_lam |lam|^n, c_k conj(d_k) dim P_k) over the shared k-range."""
@@ -559,7 +565,8 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
 # Blocks are EXPAND_CHUNK rows whatever the group, so a radius' value does not
 # depend on the other radii or pairs it is synthesized with.  The pairing
 # needs every symbol to depend on lambda only through |lambda|, which is why
-# symbols must be SpectralMultipliers (see the operators docstring).
+# symbols must have SpectralMultiplier.on_pairs, the one method that applies a
+# symbol to both rows of a pair (see the operators docstring).
 # ---------------------------------------------------------------------------
 
 SWEEP_BUDGET = 2 ** 18     # doubles (2 MiB) of one synthesis group's accumulators and tables
@@ -569,69 +576,78 @@ def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,
                           want_du: bool = False):
     """Per-level slices (L, M, Nu) for a family of diagonal symbols.
 
-    mults is a sequence of SpectralMultiplier or None (the identity); any
-    other callable raises TypeError.  With want_du the d/du slices come back
-    as well.  A symbol of another dimension n than the spectrum's raises
+    mults is a sequence of SpectralMultiplier or None (the identity); a symbol
+    without SpectralMultiplier.on_pairs, such as a plain callable, raises
+    TypeError.  With want_du the d/du slices come back as well.  A symbol of
+    another dimension n than the spectrum's, or a negative u = |z|^2, raises
     ValueError.
 
     The +-lambda pairs are sorted by depth (the longer of their two rows),
-    deepest first, and cut into groups of as many pairs as keep the group's
-    working set within SWEEP_BUDGET doubles, at least one pair.  Per pair and
-    radius that set is the accumulators and the product they add (4 L real
-    rows each: re and im at lambda and at -lambda; the accumulators twice with
-    want_du) and the table block of EXPAND_CHUNK + 2 rows (three tables with
-    want_du: alpha, alpha+1 and the derivative rows).  On the default lattice
-    a batch of one at 198 radii then takes 17 pairs per group and steps the
-    recurrence 12,552 times, at 360 radii 9 pairs and 13,362 steps, against
-    the 33,436 of one sweep per pair; a batch of dozens of levels falls back
-    to one pair per group.  Per group, each symbol is evaluated once, on the (k, |lambda|)
-    points of all its pairs, and one sweep of the recurrence runs over the
-    radii of all its pairs.
+    deepest first, and each symbol's on_pairs runs once, on the (k, |lambda|)
+    points of every pair in that order; it applies the symbol to both rows of
+    a pair.  The pairs are then cut into groups of as many pairs as keep the
+    group's working set within SWEEP_BUDGET doubles, at least one pair, and
+    each group takes its slice of the symbol values.  Per pair and radius that
+    set is the accumulators and the product they add (4 L real rows each: re
+    and im at lambda and at -lambda; the accumulators twice with want_du) and
+    the table block of EXPAND_CHUNK + 2 rows (three tables with want_du:
+    alpha, alpha+1 and the derivative rows).  On the default lattice a batch of
+    one at 198 radii then takes 17 pairs per group and steps the recurrence
+    12,552 times, at 360 radii 9 pairs and 13,362 steps, against the 33,436 of
+    one sweep per pair; a batch of dozens of levels falls back to one pair per
+    group.  One sweep of the recurrence runs over the radii of all a group's
+    pairs.
     """
-    from .operators import SpectralMultiplier       # operators imports this module
     for m in mults:
-        if m is not None and not isinstance(m, SpectralMultiplier):
+        if m is not None and not hasattr(m, "on_pairs"):
             raise TypeError(f"symbols must be SpectralMultiplier or None, not {type(m).__name__}: "
-                            "synthesis evaluates each symbol once for lambda and -lambda")
+                            "synthesis applies each symbol to lambda and -lambda through on_pairs")
         if m is not None and m.n != S.n:
             raise ValueError("multiplier and spectrum dimensions disagree")
+    if np.any(u_vals < 0):
+        raise ValueError("radii u = |z|^2 must be >= 0")
     L, nu = len(mults), u_vals.size
     out = np.empty((L, S.grid.M, nu), dtype=complex)
     dout = np.empty_like(out) if want_du else None
     pairs = S.grid.mirror_pairs()
-    depth = [max(len(S.coeffs[i]), len(S.coeffs[j])) for i, j, _ in pairs]
-    pairs = [pairs[p] for p in np.argsort(depth, kind="stable")[::-1]]
+    depth = np.array([max(len(S.coeffs[i]), len(S.coeffs[j])) for i, j, _ in pairs])
+    order = np.argsort(depth, kind="stable")[::-1]
+    pairs, depth = [pairs[p] for p in order], depth[order]
+    lam = np.array([lam for _, _, lam in pairs])
+    syms = [None if m is None else m.on_pairs(lam, depth) for m in mults]
+    ends = np.cumsum(depth)
     nblk, ntab = (2, 3) if want_du else (1, 1)
     per_pair = nu * ((nblk + 1) * 4 * L + ntab * (EXPAND_CHUNK + 2))     # doubles
     size = max(1, SWEEP_BUDGET // max(per_pair, 1))
     for g in range(0, len(pairs), size):
-        _sweep_group(S, pairs[g:g + size], u_vals, mults, out, dout)
+        h = slice(g, g + size)
+        span = slice(ends[g] - depth[g], ends[h][-1])
+        _sweep_group(S, pairs[h], lam[h], depth[h], [v if v is None else v[span] for v in syms],
+                     u_vals, out, dout)
     return (out, dout) if want_du else out
 
 
-def _sweep_group(S: PolyradialSpectrum, pairs, u_vals: np.ndarray, mults, out, dout) -> None:
-    """Fill the columns of one group of +-lambda pairs, deepest first, in out
-    (and dout): the group's share of slices_at_radii_batch."""
-    L, nu = len(mults), u_vals.size
+def _sweep_group(S: PolyradialSpectrum, pairs, lam, depth, syms, u_vals: np.ndarray,
+                 out, dout) -> None:
+    """Fill the columns of one group of +-lambda pairs in out (and dout): the
+    group's share of slices_at_radii_batch.
+
+    The pairs come deepest first with their lambda > 0 and depths, and syms
+    holds each symbol's SpectralMultiplier.on_pairs values on the group's
+    points, or None for the identity; no symbol is evaluated here.
+    """
+    L, nu = len(syms), u_vals.size
     n = S.n
-    lam = np.array([lam for _, _, lam in pairs])
-    coef_i = [S.coeffs[i] for i, _, _ in pairs]
-    coef_j = [S.coeffs[j] for _, j, _ in pairs]
-    depth = np.array([max(len(a), len(b)) for a, b in zip(coef_i, coef_j)])
     offset = np.concatenate([[0], np.cumsum(depth)])
-    k = np.arange(offset[-1]) - np.repeat(offset[:-1], depth)
     # the pairs' coefficient rows one after another, then a zero column that
     # the blocks read past a pair's end: re and im at lambda_i, then at its mirror
     V = np.zeros((4 * L, offset[-1] + 1))
-    sides = []
-    for r0, coeffs in ((0, coef_i), (2 * L, coef_j)):
+    for r0, side in ((0, 0), (2 * L, 1)):
         c = np.zeros(offset[-1], dtype=complex)
-        for p, row in enumerate(coeffs):
+        for p, pair in enumerate(pairs):
+            row = S.coeffs[pair[side]]
             c[offset[p]:offset[p] + len(row)] = row
-        sides.append((r0, c))
-    for l, m in enumerate(mults):
-        sym = None if m is None else m(k, np.repeat(lam, depth))
-        for r0, c in sides:
+        for l, sym in enumerate(syms):
             cl = c if sym is None else c * sym
             V[r0 + l, :-1], V[r0 + L + l, :-1] = cl.real, cl.imag
     x = (0.5 * lam)[:, None] * u_vals[None, :]
@@ -650,8 +666,7 @@ def _sweep_group(S: PolyradialSpectrum, pairs, u_vals: np.ndarray, mults, out, d
     acc[0] *= pref[:, None, None]
     if dout is not None:
         acc[1] *= (pref * (0.5 * lam))[:, None, None]          # d/du = (|lam|/2) d/dx
-    I = [i for i, _, _ in pairs]
-    J = [j for _, j, _ in pairs]
+    I, J = ([pair[side] for pair in pairs] for side in (0, 1))
     for dst, a in zip((out, dout), acc):
         for cols, r0 in ((I, 0), (J, 2 * L)):
             dst.real[:, cols] = a[:, r0:r0 + L].transpose(1, 0, 2)

@@ -30,7 +30,8 @@ from .lagspec import (
     AnalysisQuadrature,
     LambdaGrid,
     PolyradialSpectrum,
-    _lambda_phases,
+    _folded_inversion,
+    _folded_phases,
     analyze_polyradial,
     slices_at_radii_batch,
     synthesize_batch,
@@ -224,25 +225,12 @@ class _GradientTable:
             want_du=True)
         rsl = slices_at_radii_batch(
             self.Su, uu, [SpectralMultiplier("poisson_nonconf_drho", r, n=n) for r in rho_levels])
-        # the phases at -lam are the conjugates of those at lam, so
-        # Re sum_lam s_lam ph_lam = Re sum_{lam>0} (s_lam + conj s_{-lam}) ph_lam,
-        # and Re(s^T ph) = [Re s; -Im s]^T [Re ph; Im ph]: one real product over
-        # the positive nodes per inversion
-        half = self.Su.grid.M // 2
-
-        def stacked(dt):
-            ph = _lambda_phases(self.Su.grid, self.t_axis, dt=dt)[half:]
-            return np.concatenate([ph.real, ph.imag])
-
-        ph, ph_t = stacked(False), stacked(True)
-
-        def inverted(slices, phases):
-            pos, neg = slices[half:], slices[half - 1::-1]       # lam > 0 and its mirror
-            return np.concatenate([pos.real + neg.real, neg.imag - pos.imag]).T @ phases
-
+        # the real part of each lambda-inversion, one product over the nodes lam > 0
+        grid = self.Su.grid
+        ph, ph_t = _folded_phases(grid, self.t_axis), _folded_phases(grid, self.t_axis, dt=True)
         for l in range(len(rho_levels)):
-            yield _gradient_sq(uu[:, None], inverted(dsl[l], ph), inverted(sl[l], ph_t),
-                               inverted(rsl[l], ph))
+            yield _gradient_sq(uu[:, None], _folded_inversion(dsl[l], ph),
+                               _folded_inversion(sl[l], ph_t), _folded_inversion(rsl[l], ph))
 
     def design_matrix(self, zx, zy, t) -> csr_array:
         """(P, N_r N_t) B-spline evaluation matrix at the points (zx, zy, t).
@@ -269,6 +257,15 @@ class _GradientTable:
         return np.maximum(out, 0.0, out=out)
 
 
+def _require_gstar_inputs(spec: GridSpec, samples) -> None:
+    """Raise NotImplementedError unless n = 1, where g*'s y-nodes and gradient
+    tables live, and ValueError for a sample within R/4 of a face of spec."""
+    if spec.n != 1:
+        raise NotImplementedError("g* is implemented for n = 1: its y-nodes and "
+                                  "gradient tables live on H^1")
+    spec.require_interior(samples)
+
+
 def g_star(Su: PolyradialSpectrum, cfg: SquareFunctionConfig, samples,
            spec: GridSpec, lam_param: float) -> np.ndarray:
     """Nontangential square function of the function with spectrum Su, at the
@@ -284,10 +281,7 @@ def g_star(Su: PolyradialSpectrum, cfg: SquareFunctionConfig, samples,
     x y^{-1} serves all levels, and the (level, offset) values meet the
     (level, y-node) weights in one contraction.
     """
-    if spec.n != 1:
-        raise NotImplementedError("g* is implemented for n = 1: its y-nodes and "
-                                  "gradient tables live on H^1")
-    spec.require_interior(samples)
+    _require_gstar_inputs(spec, samples)
     Q = 2 * spec.n + 2
     lad = cfg.rho_ladder()
     wts = cfg.rho_weights()
@@ -328,7 +322,8 @@ def pointwise_theorem_check(u: GridFunction, s: float, lam_param: float, samples
     table never violates the inequality beyond the propagated quadrature
     tolerance by construction of the reported constant; stability of that
     constant under one refinement step of every quadrature is the pass
-    criterion.
+    criterion.  Inputs g* cannot take, n != 1 or a sample within R/4 of a
+    face, are rejected before any analysis runs.
     """
     spec = u.spec
     Q = 2 * spec.n + 2
@@ -338,6 +333,7 @@ def pointwise_theorem_check(u: GridFunction, s: float, lam_param: float, samples
         raise ValueError(f"lam_param must lie in (1, 1 + 2s/Q) = (1, {1 + 2*s/Q:g})")
     if not u.polyradial:
         raise ValueError("polyradial input required")
+    _require_gstar_inputs(spec, samples)
     rep = VerificationReport(suite="gstar-pointwise-thm",
                              inputs={"u": u.name, "s": s, "lam_param": lam_param,
                                      "samples": len(samples)})

@@ -14,6 +14,8 @@ textbook route to a quantity the package computes another way.
   extension, against the g* spline tables and the grid stencils.
 - `gradient_sq`: |nabla U|^2 of an extension field by grid stencils and
   the rho-companions.
+- `conj_symmetry_error`: how far a spectrum is from c_k(-lam) = conj c_k(lam),
+  the symmetry of a real input's spectrum.
 - `check_polyradial`: the dihedral symmetry of a sampled catalog member.
 """
 
@@ -175,6 +177,17 @@ def gradient_sq(fld: ExtensionField) -> list:
         vals = _horizontal_sq(u) + np.abs(d1) ** 2
         out.append(u.copy_with(vals.astype(complex), name=f"|grad U|^2@rho={rho:g}"))
     return out
+
+
+def conj_symmetry_error(S: PolyradialSpectrum) -> float:
+    """max |c_k(lam) - conj c_k(-lam)| over the k both rows hold, relative to max |c|."""
+    worst, scale = 0.0, 0.0
+    for i in range(S.grid.M):
+        a, b = S.coeffs[i], S.coeffs[S.grid.M - 1 - i]          # lam and -lam
+        m = min(len(a), len(b))
+        worst = max(worst, float(np.max(np.abs(a[:m] - np.conj(b[:m])), initial=0.0)))
+        scale = max(scale, float(np.max(np.abs(a), initial=0.0)))
+    return worst / (scale or 1.0)
 
 
 # ---------------------------------------------------------------------------

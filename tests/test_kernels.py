@@ -94,11 +94,11 @@ def phi_kernel(s, rho, p):
 
 
 def test_phi_kernel_origin():
-    assert phi_kernel(0.5, 1.0, HeisenbergPoint.origin()) == pytest.approx(1.0)
+    assert phi_kernel(0.5, 1.0, HeisenbergPoint([0.0], [0.0], 0.0)) == pytest.approx(1.0)
     p = HeisenbergPoint([0.3], [0.1], -0.2)
     assert phi_kernel(0.3, 2.0, p) > 0
     with pytest.raises(ValueError):
-        phi_kernel(-0.1, 1.0, HeisenbergPoint.origin())
+        phi_kernel(-0.1, 1.0, HeisenbergPoint([0.0], [0.0], 0.0))
 
 
 def test_phi_kernel_dilation_scaling():
@@ -115,6 +115,12 @@ def test_constants_closed_forms():
     assert constants(1, s_half).dtn == pytest.approx(1.0, abs=1e-9)
     kc = constants(1, 0.25)
     assert kc.C > 0 and kc.b > 0 and kc.dtn > 0
+    # the Macdonald trace constant holds on all of (0, 1); b only below 1/2
+    for s in (0.6, 0.9):
+        kc = constants(1, s)
+        dtn = 2.0 ** (1.0 - 2.0 * s) * math.gamma(1.0 - s) / math.gamma(s)
+        assert kc.dtn == pytest.approx(dtn, rel=1e-13) and math.isnan(kc.b)
+    assert math.isnan(constants(1, 1.0).dtn) and math.isnan(constants(1, 1.5).dtn)
     with pytest.raises(ValueError):
         constants(1, -0.2)
 
@@ -377,6 +383,18 @@ def test_nonconformal_trace_constant(setup):
     assert rep.get("c_hat_drift").value <= 1e-2
     # the fitted constant reproduces 2^{1-2s} G(1-s)/G(s) (reported, not a paper value)
     assert abs(rep.get("c_hat_over_dtn").value - 1.0) <= 2e-2
+
+
+def test_nonconformal_trace_constant_above_one_half(setup):
+    # the fit accepts 0 < s < 1, and so does its trace constant: at s = 0.6
+    # the fitted c_hat is about 1.2535 against dtn = 1.2967
+    spec, grid, quad, f = setup
+    rep = nonconformal_trace_fit(f, 0.6, grid, quad)
+    ratio = rep.get("c_hat_over_dtn").value
+    assert math.isfinite(ratio)
+    assert ratio == pytest.approx(rep.get("c_hat_rho=0.0078125").value / constants(1, 0.6).dtn,
+                                  rel=1e-15)
+    assert ratio == pytest.approx(1.2535 / 1.2967, rel=1e-3)
 
 
 def test_nonconformal_trace_fit_reads_last_two_levels(setup):

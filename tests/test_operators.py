@@ -11,6 +11,7 @@ from hfrac.lagspec import (
     PolyradialSpectrum,
     analyze_polyradial,
     synthesize,
+    synthesize_batch,
 )
 from hfrac.operators import (
     _KINDS,
@@ -204,20 +205,40 @@ def test_apply_identity(setup):
         assert np.array_equal(a, b)
 
 
-def test_apply_operator_matches_row_by_row_evaluation(setup):
-    # one evaluation per +-lam pair on the longer row's k scales both rows
-    # bit for bit as a per-row evaluation does, on rows at lam and -lam that
-    # differ in values and in length
-    spec, grid, quad = setup
+def _uneven_pairs(spec, grid, quad):
+    """A spectrum whose rows at lam and -lam differ in values and in length."""
     Sf = analyze_polyradial(make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec),
                             grid, quad)
     coeffs = [c[:len(c) // 2 + 1] * (0.7 - 0.2j) if lam < 0 else c
               for c, lam in zip(Sf.coeffs, grid.nodes)]
-    S = PolyradialSpectrum(grid=grid, n=1, coeffs=coeffs)
+    return PolyradialSpectrum(grid=grid, n=1, coeffs=coeffs)
+
+
+def test_apply_operator_matches_row_by_row_evaluation(setup):
+    # one evaluation over every +-lam pair on the longer row's k scales both
+    # rows bit for bit as a per-row evaluation does, with lam an array over the
+    # row as on_pairs passes it (a scalar lam rounds (2|lam|)^s of frac_conf
+    # differently, by up to 1 ulp)
+    spec, grid, quad = setup
+    S = _uneven_pairs(spec, grid, quad)
     for m in EVERY_KIND:
         out = apply_operator(S, m).spectrum
         for c, got, lam in zip(S.coeffs, out.coeffs, grid.nodes):
-            assert np.array_equal(got, c * evaluate_multiplier(m, np.arange(len(c)), lam)), m.kind
+            ref = c * evaluate_multiplier(m, np.arange(len(c)), np.full(len(c), lam))
+            assert np.array_equal(got, ref), m.kind
+
+
+def test_applied_spectrum_synthesizes_as_the_symbol(setup):
+    # apply_operator and the synthesis engine apply a symbol through the one
+    # method on_pairs, so synthesizing m applied to S is synthesizing S with m,
+    # bit for bit, on rows at lam and -lam of unequal length
+    _, grid, quad = setup
+    spec = GridSpec(N_z=16, N_t=32)
+    S = _uneven_pairs(spec, grid, quad)
+    for m in EVERY_KIND:
+        got = synthesize(apply_operator(S, m).spectrum, spec).values
+        ref, = synthesize_batch(S, spec, [m])
+        assert np.array_equal(got, ref.values), m.kind
 
 
 def test_heat_semigroup_exact_on_symbols(setup):

@@ -17,14 +17,17 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(hfrac.__path__))
 SRC = Path(hfrac.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# public definitions no suite, workload or other module calls yet, each kept
-# for the ROADMAP item that needs it
+# public definitions (a method as Class.method) no suite, workload or other
+# module calls yet, each kept for the ROADMAP item that needs it
 KEPT = {
     "group_mul": "item 10: left-translation covariance (group-law API)",
     "group_inv": "item 10: left-translation covariance (group-law API)",
     "dilate": "item 9: dilation covariance of g* (group-law API)",
     "t_s_values": "item 4: the commutator suite",
     "nonconformal_poisson": "item 6: the CLI's route= option",
+    "TestFunctionId.dilated": "item 9: dilation covariance of g*",
+    "TestFunctionId.translated": "item 10: left-translation covariance",
+    "VerificationReport.to_json": "item 6: the CLI's report output",
 }
 
 
@@ -258,17 +261,33 @@ def _reads(node, strings=False) -> set:
     return out
 
 
+def _public_methods(cls: ast.ClassDef) -> list:
+    """The methods of a class that neither start with an underscore nor are dunder."""
+    return [node for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
 def test_public_definitions_have_a_caller():
-    # a function or class in a module's __all__ must be reached from a
-    # workload, a benchmark target, a report suite or module-level code,
-    # directly or through other package code that is itself reached: a
-    # reference from code nothing reaches does not count
+    # a function or class in a module's __all__, and a public method of such a
+    # class, must be reached from a workload, a benchmark target, a report
+    # suite or module-level code, directly or through other package code that
+    # is itself reached: a reference from code nothing reaches does not count.
+    # A method is reached by its name read off any object, so a method shares
+    # its reach with every method or definition of the same name
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    defs, roots, uncalled = {}, set(KEPT), []
+    defs, methods, roots, uncalled = {}, {}, set(KEPT), []
     for tree in trees.values():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, set()).update(_reads(node))
+                body = [node]
+                if isinstance(node, ast.ClassDef):
+                    public = _public_methods(node)
+                    for fn in public:
+                        defs[f"{node.name}.{fn.name}"] = _reads(fn)
+                        methods.setdefault(fn.name, set()).add(f"{node.name}.{fn.name}")
+                    body = node.bases + node.decorator_list + [
+                        sub for sub in node.body if sub not in public]
+                defs.setdefault(node.name, set()).update(*(_reads(sub) for sub in body))
                 if isinstance(getattr(node, "returns", None), ast.Name) \
                         and node.returns.id == "VerificationReport":
                     roots.add(node.name)
@@ -281,13 +300,19 @@ def test_public_definitions_have_a_caller():
     live, frontier = set(), roots
     while frontier:
         name = frontier.pop()
+        frontier |= methods.get(name, set()) - live
         if name in defs and name not in live:
             live.add(name)
             frontier |= defs[name] - live
     for module, tree in trees.items():
-        local = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-        exported = getattr(importlib.import_module(f"hfrac.{module}"), "__all__", [])
-        uncalled += [f"{module}.{name}" for name in exported if name in local and name not in live]
+        local = {node.name: node for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        exported = [name for name in getattr(importlib.import_module(f"hfrac.{module}"), "__all__", [])
+                    if name in local]
+        uncalled += [f"{module}.{name}" for name in exported if name not in live]
+        uncalled += [f"{module}.{name}.{fn.name}" for name in exported
+                     if isinstance(local[name], ast.ClassDef)
+                     for fn in _public_methods(local[name]) if f"{name}.{fn.name}" not in live]
     assert not uncalled, f"public definitions nothing calls: {uncalled}"
     # the tests' independent references stay out of the package
     importers = [module for module, tree in trees.items() for node in ast.walk(tree)
@@ -296,3 +321,40 @@ def test_public_definitions_have_a_caller():
                          for name in [getattr(node, "module", None) or ""]
                          + [a.name for a in node.names])]
     assert not importers, f"package modules import the test oracles: {importers}"
+
+
+def _imported_modules(tree) -> set:
+    """The hfrac modules a module imports anywhere, in function bodies too;
+    a name imported from the package itself counts as its __init__."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "hfrac" + (f".{node.module}" if node.module else "") if node.level else node.module
+            names = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for parts in (name.split(".") for name in names):
+            if parts[0] == "hfrac":
+                out.add(parts[1] if len(parts) > 1 and parts[1] in MODULES else "__init__")
+    return out
+
+
+def test_package_imports_form_no_cycle():
+    # a cycle between hfrac modules forces one of its imports into a function
+    # body, so module-level and in-function imports count alike
+    graph = {path.stem: _imported_modules(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {"group", "report"} <= graph["lagspec"] and "lagspec" in graph["operators"]
+    on_cycle = []
+    for start, targets in graph.items():
+        seen, frontier = set(), set(targets)
+        while frontier:
+            module = frontier.pop()
+            if module not in seen:
+                seen.add(module)
+                frontier |= graph.get(module, set())
+        if start in seen:
+            on_cycle.append(start)
+    assert not on_cycle, f"hfrac modules on an import cycle: {on_cycle}"

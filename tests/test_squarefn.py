@@ -154,7 +154,7 @@ def test_g_star_rejects_boundary_sample_and_n_above_one(setup):
     spec2 = GridSpec(n=2)
     S2 = PolyradialSpectrum(grid=grid, n=2, coeffs=[np.ones(int(c)) for c in grid.k_caps])
     with pytest.raises(NotImplementedError):
-        g_star(S2, SHORT, [HeisenbergPoint.origin(2)], spec2, LAM_PARAM)
+        g_star(S2, SHORT, [HeisenbergPoint(np.zeros(2), np.zeros(2), 0.0)], spec2, LAM_PARAM)
 
 
 def test_g_function_parts_add_in_squares(setup):
@@ -212,13 +212,22 @@ def test_pointwise_theorem_check_rejects_before_any_analysis(setup, monkeypatch)
         raise AssertionError("analysis ran before the input was checked")
 
     monkeypatch.setattr(squarefn, "analyze_polyradial", no_analysis)
-    samples = [HeisenbergPoint.origin()]
+    samples = [HeisenbergPoint([0.0], [0.0], 0.0)]
     Q = 2 * spec.n + 2
     flat = f.copy_with(f.values, polyradial=False)
     for u, s, lam in ((f, 0.0, LAM_PARAM), (f, 0.5, LAM_PARAM), (f, 0.2, 1.0),
                       (f, 0.2, 1.0 + 2.0 * 0.2 / Q), (flat, 0.2, LAM_PARAM)):
         with pytest.raises(ValueError):
             pointwise_theorem_check(u, s, lam, samples, grid, quad, SHORT)
+    # g* rejects a sample within R/4 of a face and an n = 2 input; both fail
+    # before the first pass's analysis, not inside g*
+    near = [HeisenbergPoint([0.0], [spec.R_z - spec.R_z / 8], 0.0)]
+    with pytest.raises(ValueError):
+        pointwise_theorem_check(f, 0.2, LAM_PARAM, near, grid, quad, SHORT)
+    f2 = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), GridSpec(n=2, N_z=8, N_t=8))
+    with pytest.raises(NotImplementedError):
+        pointwise_theorem_check(f2, 0.2, LAM_PARAM, [HeisenbergPoint(np.zeros(2), np.zeros(2), 0.0)],
+                                grid, None, SHORT)
     # a grid that refine() cannot rebuild fails before the first pass too
     coarse = LambdaGrid.build(lam_max=10.0)
     with pytest.raises(ValueError, match="refine"):
