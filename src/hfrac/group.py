@@ -102,7 +102,7 @@ class GridSpec:
     """Uniform box grid on R^{2n+1}.
 
     Axes use the endpoint-free layout -R, -R+h, ..., R-h (h = 2R/N) so the
-    origin is a node and every interior node has its mirror image on the grid.
+    origin is a node and every interior node has its reflection -x on the grid.
     """
 
     n: int = 1
@@ -171,7 +171,8 @@ class GridSpec:
 
 @dataclass
 class GridFunction:
-    """Complex samples on a GridSpec, with optional closed-form backing.
+    """Samples on a GridSpec, with optional closed-form backing: complex for
+    the catalog, real (float64) from every synthesis.
 
     ``evaluator(x, y, t)`` gives exact off-grid values when the function comes
     from the catalog (the singular quadrature and left translation read it),
@@ -190,9 +191,7 @@ class GridFunction:
     radial_profile: Optional[Callable] = None
     central_profile: Optional[Callable] = None
     coeff_fn: Optional[Callable] = None   # exact Laguerre coefficients c_k(lam), when known
-    # power-law radial decay: use extended-domain analysis, which needs
-    # central_profile(u, lam) to depend on lam only through |lam|
-    heavy_tail: bool = False
+    heavy_tail: bool = False   # power-law radial decay: use extended-domain analysis
 
     def __post_init__(self):
         self.values = np.asarray(self.values)

@@ -115,17 +115,16 @@ def _dilated_lattice(grid: LambdaGrid, radii: np.ndarray) -> LambdaGrid:
 
     Row i of phi_{s,rho_j} is rho_j^{-2s} times the row of phi_{s,1} at
     rho_j^2 lam_i, truncated at k_caps[i].  The lattice has the nodes
-    +-rho_j^2 lam_i, weights rho_j^2 w_i and caps k_caps[i]; nodes that
+    rho_j^2 lam_i, weights rho_j^2 w_i and caps k_caps[i]; nodes that
     coincide exactly are merged and keep the larger cap.
     """
-    half = [i for i, _, _ in grid.mirror_pairs()]         # the nodes lam > 0
     r2 = radii[:, None] ** 2
-    pos, inv = np.unique((r2 * grid.nodes[half]).ravel(), return_inverse=True)
-    caps = np.zeros(pos.size, dtype=int)
-    np.maximum.at(caps, inv, np.tile(grid.k_caps[half], len(radii)))
-    wts = np.empty(pos.size)
-    wts[inv] = (r2 * grid.weights[half]).ravel()
-    return LambdaGrid.mirrored(pos, wts, caps, grid.K)
+    nodes, inv = np.unique((r2 * grid.nodes).ravel(), return_inverse=True)
+    caps = np.zeros(nodes.size, dtype=int)
+    np.maximum.at(caps, inv, np.tile(grid.k_caps, len(radii)))
+    wts = np.empty(nodes.size)
+    wts[inv] = (r2 * grid.weights).ravel()
+    return LambdaGrid(nodes=nodes, weights=wts, k_caps=caps, K=grid.K)
 
 
 def kernel_spectrum(s: float, rho: float | np.ndarray, grid: LambdaGrid,
@@ -392,7 +391,7 @@ def frac_conf_pointwise(f: GridFunction, s: float, samples,
     S = apply_operator(Sf, SpectralMultiplier("frac_conf", s, n=spec.n)).spectrum
     u_s = np.array([x.z_abs_sq for x in samples])
     t_s = np.array([x.t for x in samples])
-    ref = np.real(synthesize_at(S, u_s, t_s))
+    ref = synthesize_at(S, u_s, t_s)
     scale = np.max(np.abs(ref))
     dev = np.max(np.abs(vals - ref)) / scale
     rep.add("max_rel_deviation", dev, route="quadrature/spectral", tolerance=5e-2)
@@ -495,10 +494,10 @@ def nonconformal_trace_fit(f: GridFunction, s: float,
     ref = synthesize(apply_operator(Sf, SpectralMultiplier("frac_nonconf", s, n=f.spec.n)).spectrum,
                      fld.fields[0].spec)
     win = fld.box
-    rv = ref.values[win].real.ravel()
+    rv = ref.values[win].ravel()
     fits = []
     for j, rho in enumerate(rho_levels):
-        Nj = (-rho ** (1.0 - 2.0 * s) * fld.rho_derivative(j)[win]).real.ravel()
+        Nj = (-rho ** (1.0 - 2.0 * s) * fld.rho_derivative(j)[win]).ravel()
         fits.append(float(np.dot(Nj, rv) / np.dot(rv, rv)))
         rep.add(f"c_hat_rho={rho:g}", fits[-1], route="spectral")
     drift = abs(fits[-1] - fits[-2]) / abs(fits[-1])

@@ -11,6 +11,11 @@ eigenvalue parameter mu = (2k+n)|lam|.  The direct lambda-twisted
 convolution of two slices, the brute-force reference for that product, is
 in the tests' oracles (tests/oracles.py), not here.
 
+Every function here is real, so f^{-lam} = conj f^lam and c_k(-lam) =
+conj c_k(lam): the lattice is the positive half lam > 0, one coefficient row
+per node, with the folded weights 2 w_lam (see LambdaGrid).  Analysis rejects
+an input that breaks the symmetry, and every synthesis is real.
+
 The k-truncation is adaptive: a slice at small |lam| needs k up to O(1/|lam|)
 to resolve unit-scale profiles (the basis widens like |lam|^{-1/2}), so each
 node carries its own cap  k_cap = max(K+1, min(K_CAP_MAX, ceil(k_energy_cap/|lam|))).
@@ -19,6 +24,7 @@ node carries its own cap  k_cap = max(K+1, min(K_CAP_MAX, ceil(k_energy_cap/|lam
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -73,29 +79,37 @@ K_CAP_MAX = 12000          # deepest Laguerre truncation of any lambda node
 
 @dataclass(frozen=True)
 class LambdaGrid:
-    """Symmetric composite Gauss-Legendre grid on [-L, -l0] U [l0, L], 0 excluded."""
+    """Positive half of a symmetric composite Gauss-Legendre grid on
+    [-L, -l0] U [l0, L], 0 excluded.
 
-    nodes: np.ndarray      # strictly ascending, symmetric under lam -> -lam
-    weights: np.ndarray    # plain d-lam weights
-    k_caps: np.ndarray     # per-node Laguerre truncation, equal at lam and -lam
+    Every function analyzed here is real, so its central slices obey
+    f^{-lam} = conj f^lam and, the Laguerre functions being real, its
+    coefficients c_k(-lam) = conj c_k(lam).  The grid therefore holds only the
+    nodes lam > 0, and each stands for the pair +-lam: its weight is the folded
+    weight 2 w_lam, so that
+
+        int_R F(lam) dlam = sum_i weights_i Re F(nodes_i)   whenever F(-lam) = conj F(lam).
+    """
+
+    nodes: np.ndarray      # strictly ascending, > 0
+    weights: np.ndarray    # folded weights 2 w_lam of the plain d-lam weights w_lam
+    k_caps: np.ndarray     # per-node Laguerre truncation, >= 1
     K: int = 64
 
     def __post_init__(self):
-        if np.any(self.nodes == 0.0):
-            raise ValueError("lambda grid must exclude 0")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("lambda weights must be positive")
-        # mirror_pairs pairs node i with M-1-i, which is -lam_i only on an
-        # ascending grid; synthesis and analysis rely on that pairing
+        for name in ("nodes", "weights", "k_caps"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        size = self.nodes.size
+        if size == 0 or any(a.shape != (size,) for a in (self.nodes, self.weights, self.k_caps)):
+            raise ValueError("nodes, weights and k_caps must be non-empty 1-D arrays of one length")
+        if np.any(self.nodes <= 0.0):
+            raise ValueError("lambda nodes must be > 0: the grid is the positive half")
         if np.any(np.diff(self.nodes) <= 0.0):
             raise ValueError("lambda nodes must be strictly ascending")
-        if not np.array_equal(self.nodes, -self.nodes[::-1]):
-            raise ValueError("lambda grid must be symmetric under lam -> -lam")
-        if not np.array_equal(self.k_caps, self.k_caps[::-1]):
-            raise ValueError("k_caps must agree at lam and -lam")
-        # synthesis folds each +-lam pair with the weight at +lam
-        if not np.array_equal(self.weights, self.weights[::-1]):
-            raise ValueError("lambda weights must agree at lam and -lam")
+        if np.any(self.weights <= 0.0):
+            raise ValueError("lambda weights must be positive")
+        if np.any(self.k_caps < 1):
+            raise ValueError("k_caps must be >= 1")
 
     @classmethod
     def build(cls, lam_min: float = 1e-3, lam_max: float = 40.0,
@@ -121,33 +135,21 @@ class LambdaGrid:
         pos, wts = pos[order], wts[order]
         # caps count coefficients: k runs over 0..cap-1, so the base block is K+1 deep
         caps = np.maximum(K + 1, np.minimum(K_CAP_MAX, np.ceil(k_energy_cap / pos))).astype(int)
-        return cls.mirrored(pos, wts, caps, K)
-
-    @classmethod
-    def mirrored(cls, pos: np.ndarray, wts: np.ndarray, caps: np.ndarray, K: int) -> "LambdaGrid":
-        """The symmetric grid whose positive half is the ascending nodes pos,
-        with their weights and caps."""
-        return cls(nodes=np.concatenate([-pos[::-1], pos]), weights=np.concatenate([wts[::-1], wts]),
-                   k_caps=np.concatenate([caps[::-1], caps]), K=K)
+        return cls(nodes=pos, weights=2.0 * wts, k_caps=caps, K=K)
 
     @property
     def M(self) -> int:
         return self.nodes.size
 
-    def mirror_pairs(self):
-        """(i, j, lam) for every node lam = nodes[i] > 0 and its mirror nodes[j] = -lam,
-        which is j = M-1-i on the ascending symmetric grid."""
-        return [(i, self.M - 1 - i, self.nodes[i]) for i in range(self.M // 2, self.M)]
-
     def refine(self) -> "LambdaGrid":
-        """1.25 times the nodes per sign and the base depth K, on the default template.
+        """1.25 times the nodes and the base depth K, on the default template.
 
         Raises ValueError unless the grid is build()'s layout on the default
         panels over [1e-3, 40] (any count per panel, any K) with the
         k_energy_cap = 36 caps: rebuilding another grid would change its
         window or its caps.
         """
-        counts = np.histogram(self.nodes[self.M // 2:], DEFAULT_PANELS)[0]
+        counts = np.histogram(self.nodes, DEFAULT_PANELS)[0]
         # an empty panel gets a node, which the template has and this grid lacks
         template = LambdaGrid.build(K=self.K, panels=(DEFAULT_PANELS, np.maximum(counts, 1)))
         if not all(np.array_equal(getattr(template, a), getattr(self, a))
@@ -155,8 +157,8 @@ class LambdaGrid:
             raise ValueError("refine rebuilds the default lambda template: the grid must be "
                              "LambdaGrid.build()'s layout on [1e-3, 40] with its k-caps")
         factor = 1.25
-        per_sign = int(round((self.M // 2) * factor))
-        return LambdaGrid.build(nodes_per_sign=per_sign, K=int(round(self.K * factor)))
+        return LambdaGrid.build(nodes_per_sign=int(round(self.M * factor)),
+                                K=int(round(self.K * factor)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +167,10 @@ class LambdaGrid:
 # _laguerre_sweep is the one run of the recurrence l_k = L_k^alpha e^{-x/2}
 # behind analysis (_project) and synthesis (slices_at_radii_batch).  It steps
 # k over one row of x-values made of equal segments, each with its own cap:
-# one segment per +-lambda pair of a synthesis group, one in an analysis.
+# one segment per lambda node of a synthesis group, one in an analysis.
 # Segments come sorted by cap, descending, so the active ones are a prefix of
 # the row and each step runs on that prefix only: a group steps the
-# recurrence as often as its deepest cap, not once per (pair, k).  Each new
+# recurrence as often as its deepest cap, not once per (node, k).  Each new
 # row is written in place into a table block by out= ufuncs, with no
 # temporary; the block's two leading rows carry l_{k-2} and l_{k-1} over from
 # the block before, the one copy a block makes.  The consumer contracts each
@@ -268,10 +270,9 @@ def _project(x: np.ndarray, Wmat: np.ndarray, kcaps, alpha: int) -> list:
 #
 # _t_transform is the one forward t-transform, the grid trapezoid of
 # central_transform, which analyze_polyradial's grid route reads;
-# _lambda_phases is the one lambda-inversion, contracted against the slices of
-# every synthesis, grid or point, and, folded onto the lam > 0 nodes by
-# _folded_phases and _folded_inversion, of the g* gradient table.  The inverse
-# of central_transform on a slice array, inverse_central_transform, is a test
+# _lambda_phases and _lambda_inversion are the one lambda-inversion of every
+# synthesis, grid or point, and of the g* gradient table.  The inverse of
+# central_transform on a slice array, inverse_central_transform, is a test
 # oracle in tests/oracles.py.  The lattice omits the band |lam| < lam_min; a
 # correction for it belongs in these functions and nowhere else.
 # ---------------------------------------------------------------------------
@@ -282,43 +283,40 @@ def _t_transform(F: np.ndarray, grid: LambdaGrid, t: np.ndarray, w) -> np.ndarra
 
 
 def _lambda_phases(grid: LambdaGrid, t: np.ndarray, dt: bool = False) -> np.ndarray:
-    """(M, Nt) matrix (2 pi)^{-1} w_lam e^{-i lam t} of f = (2 pi)^{-1} int f^lam e^{-i lam t} dlam;
-    with dt, times -i lam (the t-derivative)."""
+    """[Re ph; Im ph], (2M, Nt) real, of ph = (2 pi)^{-1} weights e^{-i lam t} at the
+    nodes lam > 0, the phases of f = (2 pi)^{-1} int f^lam e^{-i lam t} dlam;
+    with dt, ph times -i lam (the t-derivative)."""
     ph = np.exp(-1j * np.outer(grid.nodes, t)) * (grid.weights / (2.0 * math.pi))[:, None]
-    return ph * (-1j * grid.nodes[:, None]) if dt else ph
-
-
-def _folded_phases(grid: LambdaGrid, t: np.ndarray, dt: bool = False) -> np.ndarray:
-    """[Re ph; Im ph] of the _lambda_phases ph at the nodes lam > 0: (M, Nt) real."""
-    ph = _lambda_phases(grid, t, dt=dt)[grid.M // 2:]
+    if dt:
+        ph *= -1j * grid.nodes[:, None]
     return np.concatenate([ph.real, ph.imag])
 
 
-def _folded_inversion(slices: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Re sum_lam s_lam ph_lam over every node, (Nu, Nt), from (M, Nu) slices and
-    the _folded_phases of ph.
+def _lambda_inversion(slices: np.ndarray, phases: np.ndarray, pointwise: bool = False):
+    """Re sum_lam s_lam ph_lam over the nodes, from (M, N) slices s and the
+    _lambda_phases of ph: the (N, Nt) real product, or with pointwise the (N,)
+    sum over the nodes of slice column j against phase column j.
 
-    The phases at -lam are the conjugates of those at lam, so the sum is
-    Re sum_{lam>0} (s_lam + conj s_{-lam}) ph_lam, and Re(s^T ph) =
-    [Re s; -Im s]^T [Re ph; Im ph]: one real product over the positive nodes.
+    A real function's integrand is conjugate-symmetric in lam, so with the
+    folded weights the integral over both signs is Re sum_{lam>0} s ph, and
+    Re(s ph) = [Re s; -Im s] . [Re ph; Im ph]: one real product over the nodes.
     """
-    half = len(slices) // 2
-    pos, neg = slices[half:], slices[half - 1::-1]       # lam > 0 and its mirror
-    return np.concatenate([pos.real + neg.real, neg.imag - pos.imag]).T @ phases
+    rows = np.concatenate([slices.real, -slices.imag])
+    return np.einsum("mj,mj->j", rows, phases) if pointwise else rows.T @ phases
 
 
 def _alias_guard(grid: LambdaGrid, spec: GridSpec):
     lim = math.pi / (2.0 * spec.h_t)
-    bad = np.abs(grid.nodes) > lim
-    if np.any(bad):
+    if grid.nodes[-1] > lim:
         raise ValueError(
-            f"lambda nodes up to {np.max(np.abs(grid.nodes)):g} exceed the grid's "
+            f"lambda nodes up to {grid.nodes[-1]:g} exceed the grid's "
             f"resolvable limit pi/(2 h_t) = {lim:g}; refine the t-grid or shrink the grid")
 
 
 def central_transform(u: GridFunction, grid: LambdaGrid) -> np.ndarray:
     """f^lam(z) = integral of f(z, t) e^{i lam t} dt by trapezoid over the t-grid,
-    as an (M,) + z-grid shape array, one slice per lambda node.
+    as an (M,) + z-grid shape array, one slice per lambda node lam > 0; for a
+    real f the slice at -lam is the conjugate.
 
     Warns (UserWarning) when the input has not decayed at the box boundary."""
     spec = u.spec
@@ -335,9 +333,10 @@ def central_transform(u: GridFunction, grid: LambdaGrid) -> np.ndarray:
 
 @dataclass
 class PolyradialSpectrum:
-    """Ragged coefficient table c_k(lam) on the (k, lam) lattice.
+    """Ragged coefficient table c_k(lam) of a real function on the (k, lam) lattice.
 
-    coeffs[i] has length grid.k_caps[i].
+    coeffs[i] holds the row at lam = grid.nodes[i] > 0, of length at most
+    grid.k_caps[i]; the row at -lam is its conjugate.
     """
 
     grid: LambdaGrid
@@ -346,10 +345,13 @@ class PolyradialSpectrum:
     name: str = ""
 
     def _require_same_lattice(self, other: "PolyradialSpectrum") -> None:
-        """Raise ValueError unless other has this dimension n and these lambda nodes."""
+        """Raise ValueError unless other has this dimension n and these lambda
+        nodes and weights; the rows are ragged, so the caps may differ."""
         if other.n != self.n:
             raise ValueError(f"spectra of dimensions n = {self.n} and n = {other.n} do not combine")
-        if other.grid is not self.grid and not np.array_equal(other.grid.nodes, self.grid.nodes):
+        if other.grid is not self.grid and not all(
+                np.array_equal(getattr(other.grid, a), getattr(self.grid, a))
+                for a in ("nodes", "weights")):
             raise ValueError("spectra live on different lambda grids")
 
     def binary_op(self, other: "PolyradialSpectrum", op) -> "PolyradialSpectrum":
@@ -368,6 +370,9 @@ class PolyradialSpectrum:
         return self.binary_op(other, add)
 
     def __mul__(self, scalar):
+        if not isinstance(scalar, numbers.Real):
+            raise TypeError(f"a spectrum scales by a real number, not {scalar!r}: "
+                            "any other product is not a real function")
         return PolyradialSpectrum(grid=self.grid, n=self.n,
                                   coeffs=[c * scalar for c in self.coeffs], name=self.name)
 
@@ -378,28 +383,29 @@ class PolyradialSpectrum:
         return out
 
     def _plancherel_terms(self, other: "PolyradialSpectrum"):
-        """Per node: (w_lam |lam|^n, c_k conj(d_k) dim P_k) over the shared k-range."""
+        """Per node: (weight |lam|^n, Re(c_k conj(d_k)) dim P_k) over the shared
+        k-range; the folded weight counts -lam, whose term is the conjugate."""
         self._require_same_lattice(other)
         for i, (a, b) in enumerate(zip(self.coeffs, other.coeffs)):
             m = min(len(a), len(b))
-            yield (self.grid.weights[i] * abs(self.grid.nodes[i]) ** self.n,
-                   a[:m] * np.conj(b[:m]) * proj_dim(np.arange(m), self.n))
+            yield (self.grid.weights[i] * self.grid.nodes[i] ** self.n,
+                   (a[:m] * np.conj(b[:m])).real * proj_dim(np.arange(m), self.n))
 
     def l2_norm_sq(self) -> float:
         """Plancherel energy (2 pi)^{-(n+1)} int sum_k |c_k|^2 dim(P_k) |lam|^n dlam."""
-        return self.pair(self).real
+        return self.pair(self)
 
-    def pair(self, other: "PolyradialSpectrum") -> complex:
-        """Parseval pairing <u, v> = c int tr(u^ v^*) |lam|^n dlam."""
-        return hs_constant(self.n) * sum(w * complex(np.sum(e))
+    def pair(self, other: "PolyradialSpectrum") -> float:
+        """Parseval pairing <u, v> = c int tr(u^ v^*) |lam|^n dlam, real for real u, v."""
+        return hs_constant(self.n) * sum(w * float(np.sum(e))
                                          for w, e in self._plancherel_terms(other))
 
     def tail_fraction(self) -> float:
         """Energy share of the top four resolved modes; large values flag truncation."""
         top, tot = 0.0, 0.0
         for w, e in self._plancherel_terms(self):
-            tot += w * float(np.sum(e.real))
-            top += w * float(np.sum(e.real[-4:]))
+            tot += w * float(np.sum(e))
+            top += w * float(np.sum(e[-4:]))
         return top / tot if tot > 0 else 0.0
 
 
@@ -457,9 +463,19 @@ def _angular_const(n: int) -> float:
     return math.pi ** n / math.gamma(n)
 
 
+def _require_conjugate(fn, x, lam: float, at_lam: np.ndarray, what: str) -> None:
+    """Raise ValueError unless fn(x, -lam) = conj(at_lam) to 1e-12 of its scale,
+    at_lam being fn(x, lam): a real input's slices and coefficients obey it."""
+    gap = np.max(np.abs(fn(x, -lam) - np.conj(at_lam)))
+    if gap > 1e-12 * np.max(np.abs(at_lam)):
+        raise ValueError(f"the {what} breaks c(-lambda) = conj c(lambda) at lambda = {lam:g}: "
+                         "the lattice holds real functions only")
+
+
 def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
                        quad: Optional[AnalysisQuadrature] = None) -> PolyradialSpectrum:
-    """Project a polyradial function onto the (k, lam) lattice.
+    """Project a real polyradial function onto the (k, lam) lattice, one row per
+    node lam > 0.
 
     c_k(lam) = <f^lam, phi_k^lam> / dim(P_k); the normalization makes
     f^lam = (2 pi)^{-n} |lam|^n sum_k c_k phi_k^lam hold, with c_k also equal
@@ -469,16 +485,15 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
     profile (the heavy-tail one on the v-rule, the other on the u-rule), raw
     grid samples (grid-t trapezoid, aliasing-guarded).  The heavy-tail route
     projects the lattice in one batch; the others build radii, radial weights
-    and (M, Nr) slices, and one loop projects each lam, -lam pair through one
-    shared recurrence.  The grid route warns (UserWarning) when the grid
-    band-limits the Laguerre order below the lattice caps and when the
-    spectrum's tail energy exceeds 1e-6.
+    and (M, Nr) slices and project each node through its own recurrence.  The
+    grid route warns (UserWarning) when the grid band-limits the Laguerre
+    order below the lattice caps and when the spectrum's tail energy exceeds
+    1e-6.
 
-    A heavy-tail central profile must depend on lam only through |lam|, the
-    way synthesis needs symbols to (see the operators docstring): it is
-    evaluated and projected once per pair and both rows get its coefficients.
-    The profile at -lam is compared with the one at +lam on the outermost
-    pair, and a difference above 1e-12 of scale raises ValueError.
+    The lattice holds real functions, whose rows obey c(-lam) = conj c(lam).
+    An input that breaks it raises ValueError: a closed-form coefficient
+    function or a central profile compared at +-lam on the outermost node, to
+    1e-12 of scale, or grid samples with an imaginary part above 1e-12 of peak.
     """
     if not u.polyradial:
         raise ValueError("analyze_polyradial requires a polyradial input")
@@ -487,40 +502,37 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
     alpha = n - 1
     quad = quad or AnalysisQuadrature.build(spec)
     ang = _angular_const(n)
+    lams = grid.nodes
 
     if u.coeff_fn is not None:
         coeffs = [np.asarray(u.coeff_fn(np.arange(int(c)), lam), dtype=complex)
-                  for c, lam in zip(grid.k_caps, grid.nodes)]
+                  for c, lam in zip(grid.k_caps, lams)]
+        _require_conjugate(u.coeff_fn, np.arange(len(coeffs[-1])), lams[-1], coeffs[-1],
+                           "closed-form coefficient function")
         return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=u.name)
 
     if u.central_profile is not None and u.heavy_tail:
         # v = |lam| u covers the power-law radial tail uniformly in lam and
         # makes the x-nodes shared across lambda, so the whole lattice
-        # projects through one batched recurrence; the profile depends on
-        # |lam| only, so each lam, -lam pair is evaluated and projected once
-        pairs = grid.mirror_pairs()
-        lams = np.array([lam for _, _, lam in pairs])
+        # projects through one batched recurrence
         uu = quad.v_nodes[None, :] / lams[:, None]
         prof = np.array([u.central_profile(x, lam) for x, lam in zip(uu, lams)])
-        odd = u.central_profile(uu[-1], -lams[-1]) - prof[-1]
-        if np.max(np.abs(odd)) > 1e-12 * np.max(np.abs(prof[-1])):
-            raise ValueError("a heavy-tail central profile must depend on |lambda| only: "
-                             f"it differs between lambda = +-{lams[-1]:g}")
+        _require_conjugate(u.central_profile, uu[-1], lams[-1], prof[-1], "central profile")
         Wmat = ang * (quad.v_weights / lams[:, None]) * prof * uu ** alpha
-        raw = _project(0.5 * quad.v_nodes, Wmat, [grid.k_caps[i] for i, _, _ in pairs], alpha)
-        coeffs = [None] * grid.M
-        for (i, j, _), c in zip(pairs, raw):
-            coeffs[i] = c / proj_dim(np.arange(len(c)), n)
-            coeffs[j] = coeffs[i].copy()
+        raw = _project(0.5 * quad.v_nodes, Wmat, grid.k_caps, alpha)
+        coeffs = [c / proj_dim(np.arange(len(c)), n) for c in raw]
         return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=u.name)
 
     caps = grid.k_caps
     if u.central_profile is not None:
         radii = quad.u_nodes
         weights = ang * quad.u_weights * radii ** alpha
-        # each sign keeps its own profile: the input need not be even in lam
-        slices = np.stack([u.central_profile(radii, lam) for lam in grid.nodes])
+        slices = np.stack([u.central_profile(radii, lam) for lam in lams])
+        _require_conjugate(u.central_profile, radii, lams[-1], slices[-1], "central profile")
     else:
+        if np.max(np.abs(np.imag(u.values))) > 1e-12 * np.max(np.abs(u.values)):
+            raise ValueError("grid samples with an imaginary part above 1e-12 of peak: "
+                             "the lattice holds real functions only")
         # grid samples, aggregated over equal-radius nodes; the z-grid resolves
         # the Laguerre oscillation (frequency sqrt(2 k lam) in r) only up to
         # k ~ pi^2/(4 lam h^2), so deeper modes are cut
@@ -531,15 +543,13 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
         for i, sl in enumerate(central.reshape(grid.M, -1)):
             slices[i].real = np.bincount(inv, weights=sl.real, minlength=radii.size)
             slices[i].imag = np.bincount(inv, weights=sl.imag, minlength=radii.size)
-        k_lim = (math.pi ** 2 / (4.0 * np.abs(grid.nodes) * spec.h_z ** 2)).astype(int)
+        k_lim = (math.pi ** 2 / (4.0 * lams * spec.h_z ** 2)).astype(int)
         caps = np.minimum(grid.k_caps, np.maximum(16, k_lim))
 
-    coeffs = [None] * grid.M
-    for i, j, lam in grid.mirror_pairs():
-        kcap = int(caps[i])
-        dims = proj_dim(np.arange(kcap), n)
-        cp, cn = _project(0.5 * lam * radii, weights * slices[[i, j]], [kcap, kcap], alpha)
-        coeffs[i], coeffs[j] = cp / dims, cn / dims
+    coeffs = []
+    for lam, kcap, sl in zip(lams, caps, slices):
+        c, = _project(0.5 * lam * radii, (weights * sl)[None, :], [kcap], alpha)
+        coeffs.append(c / proj_dim(np.arange(int(kcap)), n))
     out = PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=u.name)
     if u.central_profile is not None:
         return out
@@ -557,16 +567,15 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
 #
 # slices_at_radii_batch is the one Laguerre expansion: every synthesis, grid or
 # point, single or batched, is a batch of symbols, and a single synthesis is a
-# batch of one.  The +-lambda pairs are taken deepest first, in groups that fit
+# batch of one.  The lambda nodes are taken deepest first, in groups that fit
 # SWEEP_BUDGET, and each group runs one _laguerre_sweep over the radii of all
-# its pairs (x = |lambda| u / 2 per pair).  Each table block is contracted in
-# real arithmetic against the coefficients of every symbol at lambda and at
-# -lambda together, one batched matrix product over the pairs still active.
-# Blocks are EXPAND_CHUNK rows whatever the group, so a radius' value does not
-# depend on the other radii or pairs it is synthesized with.  The pairing
-# needs every symbol to depend on lambda only through |lambda|, which is why
-# symbols must have SpectralMultiplier.on_pairs, the one method that applies a
-# symbol to both rows of a pair (see the operators docstring).
+# its nodes (x = lambda u / 2 per node).  Each table block is contracted in
+# real arithmetic against the coefficients of every symbol, one batched matrix
+# product over the nodes still active.  Blocks are EXPAND_CHUNK rows whatever
+# the group, so a radius' value does not depend on the other radii or nodes it
+# is synthesized with.  A node stands for the pair +-lambda, so every symbol
+# must depend on lambda only through |lambda|, which is why symbols must have
+# SpectralMultiplier.on_pairs (see the operators docstring).
 # ---------------------------------------------------------------------------
 
 SWEEP_BUDGET = 2 ** 18     # doubles (2 MiB) of one synthesis group's accumulators and tables
@@ -574,7 +583,8 @@ SWEEP_BUDGET = 2 ** 18     # doubles (2 MiB) of one synthesis group's accumulato
 
 def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,
                           want_du: bool = False):
-    """Per-level slices (L, M, Nu) for a family of diagonal symbols.
+    """Per-level slices (L, M, Nu) at the nodes lambda > 0 for a family of
+    diagonal symbols.
 
     mults is a sequence of SpectralMultiplier or None (the identity); a symbol
     without SpectralMultiplier.on_pairs, such as a plain callable, raises
@@ -582,21 +592,20 @@ def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,
     another dimension n than the spectrum's, or a negative u = |z|^2, raises
     ValueError.
 
-    The +-lambda pairs are sorted by depth (the longer of their two rows),
-    deepest first, and each symbol's on_pairs runs once, on the (k, |lambda|)
-    points of every pair in that order; it applies the symbol to both rows of
-    a pair.  The pairs are then cut into groups of as many pairs as keep the
-    group's working set within SWEEP_BUDGET doubles, at least one pair, and
-    each group takes its slice of the symbol values.  Per pair and radius that
-    set is the accumulators and the product they add (4 L real rows each: re
-    and im at lambda and at -lambda; the accumulators twice with want_du) and
-    the table block of EXPAND_CHUNK + 2 rows (three tables with want_du:
-    alpha, alpha+1 and the derivative rows).  On the default lattice a batch of
-    one at 198 radii then takes 17 pairs per group and steps the recurrence
-    12,552 times, at 360 radii 9 pairs and 13,362 steps, against the 33,436 of
-    one sweep per pair; a batch of dozens of levels falls back to one pair per
+    The nodes are sorted by depth (their row's length), deepest first, and
+    each symbol's on_pairs runs once, on the (k, lambda) points of every node
+    in that order.  The nodes are then cut into groups of as many nodes as
+    keep the group's working set within SWEEP_BUDGET doubles, at least one
+    node, and each group takes its slice of the symbol values.  Per node and
+    radius that set is the accumulators and the product they add (2 L real
+    rows each, re and im; the accumulators twice with want_du) and the table
+    block of EXPAND_CHUNK + 2 rows (three tables with want_du: alpha, alpha+1
+    and the derivative rows).  On the default lattice a batch of one at 198
+    radii then takes 18 nodes per group and steps the recurrence 12,542
+    times, at 360 radii 10 nodes and 13,203 steps, against the 33,436 of one
+    sweep per node; a batch of dozens of levels falls back to one node per
     group.  One sweep of the recurrence runs over the radii of all a group's
-    pairs.
+    nodes.
     """
     for m in mults:
         if m is not None and not hasattr(m, "on_pairs"):
@@ -609,96 +618,89 @@ def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,
     L, nu = len(mults), u_vals.size
     out = np.empty((L, S.grid.M, nu), dtype=complex)
     dout = np.empty_like(out) if want_du else None
-    pairs = S.grid.mirror_pairs()
-    depth = np.array([max(len(S.coeffs[i]), len(S.coeffs[j])) for i, j, _ in pairs])
+    depth = np.array([len(c) for c in S.coeffs])
     order = np.argsort(depth, kind="stable")[::-1]
-    pairs, depth = [pairs[p] for p in order], depth[order]
-    lam = np.array([lam for _, _, lam in pairs])
+    depth = depth[order]
+    lam = S.grid.nodes[order]
     syms = [None if m is None else m.on_pairs(lam, depth) for m in mults]
     ends = np.cumsum(depth)
     nblk, ntab = (2, 3) if want_du else (1, 1)
-    per_pair = nu * ((nblk + 1) * 4 * L + ntab * (EXPAND_CHUNK + 2))     # doubles
-    size = max(1, SWEEP_BUDGET // max(per_pair, 1))
-    for g in range(0, len(pairs), size):
+    per_node = nu * ((nblk + 1) * 2 * L + ntab * (EXPAND_CHUNK + 2))     # doubles
+    size = max(1, SWEEP_BUDGET // max(per_node, 1))
+    for g in range(0, len(order), size):
         h = slice(g, g + size)
         span = slice(ends[g] - depth[g], ends[h][-1])
-        _sweep_group(S, pairs[h], lam[h], depth[h], [v if v is None else v[span] for v in syms],
+        _sweep_group(S, order[h], lam[h], depth[h], [v if v is None else v[span] for v in syms],
                      u_vals, out, dout)
     return (out, dout) if want_du else out
 
 
-def _sweep_group(S: PolyradialSpectrum, pairs, lam, depth, syms, u_vals: np.ndarray,
+def _sweep_group(S: PolyradialSpectrum, rows, lam, depth, syms, u_vals: np.ndarray,
                  out, dout) -> None:
-    """Fill the columns of one group of +-lambda pairs in out (and dout): the
+    """Fill the columns of one group of lambda nodes in out (and dout): the
     group's share of slices_at_radii_batch.
 
-    The pairs come deepest first with their lambda > 0 and depths, and syms
-    holds each symbol's SpectralMultiplier.on_pairs values on the group's
-    points, or None for the identity; no symbol is evaluated here.
+    rows indexes the group's nodes, deepest first, with their lambda and
+    depths, and syms holds each symbol's SpectralMultiplier.on_pairs values on
+    the group's points, or None for the identity; no symbol is evaluated here.
     """
     L, nu = len(syms), u_vals.size
     n = S.n
     offset = np.concatenate([[0], np.cumsum(depth)])
-    # the pairs' coefficient rows one after another, then a zero column that
-    # the blocks read past a pair's end: re and im at lambda_i, then at its mirror
-    V = np.zeros((4 * L, offset[-1] + 1))
-    for r0, side in ((0, 0), (2 * L, 1)):
-        c = np.zeros(offset[-1], dtype=complex)
-        for p, pair in enumerate(pairs):
-            row = S.coeffs[pair[side]]
-            c[offset[p]:offset[p] + len(row)] = row
-        for l, sym in enumerate(syms):
-            cl = c if sym is None else c * sym
-            V[r0 + l, :-1], V[r0 + L + l, :-1] = cl.real, cl.imag
+    # the nodes' coefficient rows one after another, then a zero column that
+    # the blocks read past a row's end: re, then im, of every symbol
+    V = np.zeros((2 * L, offset[-1] + 1))
+    c = np.concatenate([S.coeffs[i] for i in rows])
+    for l, sym in enumerate(syms):
+        cl = c if sym is None else c * sym
+        V[l, :-1], V[L + l, :-1] = cl.real, cl.imag
     x = (0.5 * lam)[:, None] * u_vals[None, :]
     nblk = 1 if dout is None else 2
-    acc = np.zeros((nblk, len(pairs), 4 * L, nu))
+    acc = np.zeros((nblk, len(rows), 2 * L, nu))
     prod = np.empty(acc.shape[1:])
     for k0, *blocks in _laguerre_sweep(x, depth, n - 1, EXPAND_CHUNK, want_deriv=dout is not None):
         klen, a = len(blocks[0]), int(np.count_nonzero(depth > k0))
         kk = k0 + np.arange(klen)
         at = np.where(kk < depth[:a, None], offset[:a, None] + kk, offset[-1])
-        Ck = V[:, at].transpose(1, 0, 2)                       # (a, 4L, klen)
+        Ck = V[:, at].transpose(1, 0, 2)                       # (a, 2L, klen)
         for b, block in enumerate(blocks):
             np.matmul(Ck, block.reshape(klen, a, nu).transpose(1, 0, 2), out=prod[:a])
             acc[b, :a] += prod[:a]
     pref = (2 * math.pi) ** (-n) * lam ** n
     acc[0] *= pref[:, None, None]
     if dout is not None:
-        acc[1] *= (pref * (0.5 * lam))[:, None, None]          # d/du = (|lam|/2) d/dx
-    I, J = ([pair[side] for pair in pairs] for side in (0, 1))
+        acc[1] *= (pref * (0.5 * lam))[:, None, None]          # d/du = (lam/2) d/dx
     for dst, a in zip((out, dout), acc):
-        for cols, r0 in ((I, 0), (J, 2 * L)):
-            dst.real[:, cols] = a[:, r0:r0 + L].transpose(1, 0, 2)
-            dst.imag[:, cols] = a[:, r0 + L:r0 + 2 * L].transpose(1, 0, 2)
+        dst.real[:, rows] = a[:, :L].transpose(1, 0, 2)
+        dst.imag[:, rows] = a[:, L:].transpose(1, 0, 2)
 
 
 def _synthesized_values(S: PolyradialSpectrum, spec: GridSpec, mults):
-    """Grid values per symbol: lambda-quadrature of e^{-i lam t} f^lam(z)."""
+    """Real grid values per symbol: lambda-quadrature of e^{-i lam t} f^lam(z)."""
     if spec.n != S.n:
         raise ValueError(f"a spectrum of dimension n = {S.n} cannot fill a grid of n = {spec.n}")
     uniq, inv = np.unique(spec.z_radius_sq().round(12).ravel(), return_inverse=True)
     sl = slices_at_radii_batch(S, uniq, mults)                  # (L, M, Nu)
     ph = _lambda_phases(S.grid, spec.t_axis)
     for l in range(len(mults)):
-        yield (sl[l].T @ ph)[inv].reshape(spec.shape)           # (Nu, Nt) -> grid
+        yield _lambda_inversion(sl[l], ph)[inv].reshape(spec.shape)     # (Nu, Nt) -> grid
 
 
 def synthesize_batch(S: PolyradialSpectrum, spec: GridSpec, mults) -> list:
-    """Synthesize one grid function per diagonal symbol, sharing the tables."""
+    """Synthesize one real grid function per diagonal symbol, sharing the tables."""
     return [GridFunction(spec=spec, values=vals, name=f"synth[{S.name};{l}]", polyradial=True)
             for l, vals in enumerate(_synthesized_values(S, spec, mults))]
 
 
 def synthesize(S: PolyradialSpectrum, spec: GridSpec) -> GridFunction:
-    """Rebuild a grid function: the batch of one with the identity symbol."""
+    """Rebuild a real grid function: the batch of one with the identity symbol."""
     vals, = _synthesized_values(S, spec, [None])
     return GridFunction(spec=spec, values=vals, name=f"synth[{S.name}]", polyradial=True)
 
 
 def synthesize_at(S: PolyradialSpectrum, u_vals: np.ndarray, t_vals: np.ndarray,
                   deriv: Optional[str] = None) -> np.ndarray:
-    """Point values at scattered (|z|^2, t) pairs.
+    """Real point values at scattered (|z|^2, t) pairs.
 
     deriv: None for the function, 'du' for d/d(|z|^2), 'dt' for d/dt.  Used by
     `kernels.frac_conf_pointwise`, which needs exact off-grid values of the
@@ -714,7 +716,7 @@ def synthesize_at(S: PolyradialSpectrum, u_vals: np.ndarray, t_vals: np.ndarray,
     if deriv == "du":
         sl = sl[1]
     ph = _lambda_phases(S.grid, t_vals.ravel(), dt=deriv == "dt")
-    return np.sum(sl[0] * ph, axis=0).reshape(u_vals.shape)
+    return _lambda_inversion(sl[0], ph, pointwise=True).reshape(u_vals.shape)
 
 
 # ---------------------------------------------------------------------------

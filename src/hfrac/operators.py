@@ -22,13 +22,15 @@ mu = (2k+n)|lam| the sublaplacian eigenvalue:
     riesz_nonconf(s)         mu^{-s/2}                         (0 < s < n+1)
     equivalence(s)           (2k+n)^{-s} G((2k+n+1+s)/2) / G((2k+n+1-s)/2)
 
-Every kind is a function of (k, |lam|) alone, never of the sign of lam, so
-one value serves the rows at lam and -lam.  SpectralMultiplier.on_pairs is the
-one method that applies a symbol to both rows of a +-lam pair: it evaluates
-the symbol on the (k, |lam|) points of a set of pairs in one call, and
-apply_operator and the synthesis engine (lagspec.slices_at_radii_batch) each
-call it once per symbol.  The engine accepts only symbols with that method,
-so that no symbol outside this table can be mirrored.
+Every kind is a real function of (k, |lam|) alone, never of the sign of lam,
+so it maps a real function to a real one, and its value at a lattice node
+lam > 0 serves the pair +-lam the node stands for (lagspec.LambdaGrid).
+SpectralMultiplier.on_pairs is the one method that applies a symbol to the
+lattice: it evaluates the symbol on the (k, lam) points of a set of nodes
+lam > 0 in one call, and apply_operator and the synthesis engine
+(lagspec.slices_at_radii_batch) each call it once per symbol.  The engine
+accepts only symbols with that method, so that no symbol outside this table
+reaches a half lattice that assumes it.
 
 Gamma ratios always go through log-gamma differences; direct quotients
 overflow past k of a few dozen.  The Macdonald symbol is set to 0 where
@@ -113,12 +115,12 @@ class SpectralMultiplier:
         return f"{self.kind}({', '.join(f'{v:g}' for v in p)})"
 
     def on_pairs(self, lam, depth) -> np.ndarray:
-        """The symbol at (k, lam[p]) for k < depth[p], pair after pair, in one
+        """The symbol at (k, lam[p]) for k < depth[p], node after node, in one
         evaluate_multiplier call.
 
-        lam[p] > 0 stands for the pair +-lam[p] and depth[p] for the longer of
-        its two rows: every kind depends on |lam| only, so the values scale the
-        rows at lam[p] and -lam[p] alike.
+        lam[p] > 0 is a lattice node, which stands for the pair +-lam[p], and
+        depth[p] its row's length: every kind depends on |lam| only, so the
+        values hold at lam[p] and -lam[p] alike.
         """
         depth = np.asarray(depth)
         start = np.cumsum(depth) - depth
@@ -179,17 +181,13 @@ class OperatorResult:
 def apply_operator(S: PolyradialSpectrum, m: SpectralMultiplier) -> OperatorResult:
     """c_k(lam) <- m(k, lam) c_k(lam) on the lattice.
 
-    One m.on_pairs call evaluates the symbol on every lam, -lam pair, on the
-    longer row's k, and each pair's values scale both its rows.
+    One m.on_pairs call evaluates the symbol on every node's row.
     """
     if m.n != S.n:
         raise ValueError("multiplier and spectrum dimensions disagree")
-    pairs = S.grid.mirror_pairs()
-    depth = [max(len(S.coeffs[i]), len(S.coeffs[j])) for i, j, _ in pairs]
-    sym = m.on_pairs([lam for _, _, lam in pairs], depth)
-    coeffs = [None] * S.grid.M
-    for (i, j, _), row in zip(pairs, np.split(sym, np.cumsum(depth)[:-1])):
-        coeffs[i], coeffs[j] = (S.coeffs[r] * row[:len(S.coeffs[r])] for r in (i, j))
+    depth = [len(c) for c in S.coeffs]
+    sym = m.on_pairs(S.grid.nodes, depth)
+    coeffs = [c * row for c, row in zip(S.coeffs, np.split(sym, np.cumsum(depth)[:-1]))]
     out = PolyradialSpectrum(grid=S.grid, n=S.n, coeffs=coeffs, name=f"{m.label()}[{S.name}]")
     return OperatorResult(spectrum=out)
 

@@ -30,8 +30,8 @@ from .lagspec import (
     AnalysisQuadrature,
     LambdaGrid,
     PolyradialSpectrum,
-    _folded_inversion,
-    _folded_phases,
+    _lambda_inversion,
+    _lambda_phases,
     analyze_polyradial,
     slices_at_radii_batch,
     synthesize_batch,
@@ -139,7 +139,7 @@ def g_parts(u: GridFunction, cfg: Optional[SquareFunctionConfig] = None,
     gx = np.zeros(u.spec.shape)
     last = 0.0
     for rho, w, dU, Urho in zip(lad, wts, dUs, Us):
-        last = w * rho * rho * np.abs(dU.values) ** 2
+        last = w * rho * rho * dU.values ** 2
         g1 += last
         gx += w * rho * rho * _horizontal_sq(Urho)
     tail = float(np.max(last) / max(np.max(g1), 1e-300))
@@ -152,7 +152,7 @@ def g_function(u: GridFunction, parts: str = "full",
                cfg: Optional[SquareFunctionConfig] = None,
                grid: Optional[LambdaGrid] = None,
                quad: Optional[AnalysisQuadrature] = None) -> GridFunction:
-    """g(u), g1(u) or g_x(u) as a grid of point values."""
+    """g(u), g1(u) or g_x(u) as a real, non-negative grid of point values."""
     if parts not in ("full", "g1", "gx"):
         raise ValueError("parts must be one of full, g1, gx")
     g1, gx = g_parts(u, cfg, grid, quad)
@@ -162,7 +162,7 @@ def g_function(u: GridFunction, parts: str = "full",
         vals = np.sqrt(gx)
     else:
         vals = np.sqrt(g1 + gx)
-    return u.copy_with(vals.astype(complex), name=f"{parts}[{u.name}]", polyradial=True)
+    return u.copy_with(vals, name=f"{parts}[{u.name}]", polyradial=True)
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +225,11 @@ class _GradientTable:
             want_du=True)
         rsl = slices_at_radii_batch(
             self.Su, uu, [SpectralMultiplier("poisson_nonconf_drho", r, n=n) for r in rho_levels])
-        # the real part of each lambda-inversion, one product over the nodes lam > 0
         grid = self.Su.grid
-        ph, ph_t = _folded_phases(grid, self.t_axis), _folded_phases(grid, self.t_axis, dt=True)
+        ph, ph_t = _lambda_phases(grid, self.t_axis), _lambda_phases(grid, self.t_axis, dt=True)
         for l in range(len(rho_levels)):
-            yield _gradient_sq(uu[:, None], _folded_inversion(dsl[l], ph),
-                               _folded_inversion(sl[l], ph_t), _folded_inversion(rsl[l], ph))
+            yield _gradient_sq(uu[:, None], _lambda_inversion(dsl[l], ph),
+                               _lambda_inversion(sl[l], ph_t), _lambda_inversion(rsl[l], ph))
 
     def design_matrix(self, zx, zy, t) -> csr_array:
         """(P, N_r N_t) B-spline evaluation matrix at the points (zx, zy, t).

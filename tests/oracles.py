@@ -3,6 +3,9 @@
 Nothing in `hfrac` imports this module: each oracle is a brute-force or
 textbook route to a quantity the package computes another way.
 
+- `unfold`: the whole symmetric lambda lattice from the positive half the
+  package stores, so the references below sum plainly over lam and -lam
+  instead of folding the pair as the package does.
 - `laguerre_phi_table`: the plain full-table Laguerre recurrence, against
   the chunked in-place sweep behind analysis and synthesis.
 - `twisted_convolve`, `inverse_central_transform` and `group_convolve`: the
@@ -14,8 +17,6 @@ textbook route to a quantity the package computes another way.
   extension, against the g* spline tables and the grid stencils.
 - `gradient_sq`: |nabla U|^2 of an extension field by grid stencils and
   the rho-companions.
-- `conj_symmetry_error`: how far a spectrum is from c_k(-lam) = conj c_k(lam),
-  the symmetry of a real input's spectrum.
 - `check_polyradial`: the dihedral symmetry of a sampled catalog member.
 """
 
@@ -33,7 +34,6 @@ from hfrac.lagspec import (
     AnalysisQuadrature,
     LambdaGrid,
     PolyradialSpectrum,
-    _lambda_phases,
     analyze_polyradial,
     central_transform,
     slices_at_radii_batch,
@@ -41,6 +41,23 @@ from hfrac.lagspec import (
 )
 from hfrac.operators import SpectralMultiplier
 from hfrac.squarefn import _gradient_sq, _horizontal_sq
+
+
+# ---------------------------------------------------------------------------
+# the whole lambda lattice
+# ---------------------------------------------------------------------------
+
+def unfold(grid: LambdaGrid, rows):
+    """(nodes, weights, rows) of the symmetric lattice whose positive half grid is.
+
+    The nodes are -lam_i and lam_i, ascending; the weights are the plain d-lam
+    weights, half the grid's folded ones; the row at -lam is the conjugate of
+    the row at lam, as for a real function.  rows holds one entry per node
+    lam > 0: coefficient rows or central slices.
+    """
+    nodes = np.concatenate([-grid.nodes[::-1], grid.nodes])
+    weights = 0.5 * np.concatenate([grid.weights[::-1], grid.weights])
+    return nodes, weights, [np.conj(r) for r in rows[::-1]] + list(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +84,18 @@ def laguerre_phi_table(K: int, alpha: int, x: np.ndarray) -> np.ndarray:
 def inverse_central_transform(slices: np.ndarray, grid: LambdaGrid, spec: GridSpec) -> GridFunction:
     """f(z,t) = (2 pi)^{-1} integral of e^{-i lam t} f^lam(z) d lam on the node set.
 
-    slices is the (M,) + z-grid shape array of central_transform.  Warns
-    (UserWarning) when the slices at |lam|max still carry 1e-8 of peak."""
-    edge = np.max(np.abs(slices[[0, -1]]))
+    slices is the (M,) + z-grid shape array of central_transform at the nodes
+    lam > 0; the sum runs over the whole lattice, lam and -lam, that unfold
+    rebuilds.  Warns (UserWarning) when the slices at lam_max still carry 1e-8
+    of peak."""
+    edge = np.max(np.abs(slices[-1]))
     peak = np.max(np.abs(slices)) or 1.0
     if edge > 1e-8 * peak:
         warnings.warn(f"slices at |lam|max carry {edge/peak:.2e} of peak; "
                       "lambda window may truncate", stacklevel=2)
-    vals = slices.reshape(grid.M, -1).T @ _lambda_phases(grid, spec.t_axis)
+    nodes, weights, full = unfold(grid, slices)
+    phases = np.exp(-1j * np.outer(nodes, spec.t_axis)) * weights[:, None] / (2 * math.pi)
+    vals = np.stack(full).reshape(nodes.size, -1).T @ phases
     return GridFunction(spec=spec, values=vals.reshape(spec.shape), name="icentral",
                         polyradial=False)
 
@@ -151,17 +172,20 @@ def extension_gradient_sq_at(Su: PolyradialSpectrum, rho: float,
 
     One batched expansion delivers the Poisson slice, its radial derivative and
     the rho-derivative slice together; the t-derivative reuses the same slices
-    with the modulated inversion.
+    with the modulated inversion.  Each inversion is the plain complex sum over
+    the whole lattice, lam and -lam, that unfold rebuilds.
     """
     u_vals = np.atleast_1d(np.asarray(u_vals, dtype=float))
     t_vals = np.atleast_1d(np.asarray(t_vals, dtype=float))
     mults = [SpectralMultiplier("poisson_nonconf", rho, n=Su.n),
              SpectralMultiplier("poisson_nonconf_drho", rho, n=Su.n)]
     sl, dsl = slices_at_radii_batch(Su, u_vals.ravel(), mults, want_du=True)
-    ph, ph_t = (_lambda_phases(Su.grid, t_vals.ravel(), dt=d) for d in (False, True))
-    du = np.real(np.sum(dsl[0] * ph, axis=0))
-    dt = np.real(np.sum(sl[0] * ph_t, axis=0))
-    dr = np.real(np.sum(sl[1] * ph, axis=0))
+    nodes, weights, _ = unfold(Su.grid, sl[0])
+    ph = np.exp(-1j * np.outer(nodes, t_vals.ravel())) * weights[:, None] / (2 * math.pi)
+    U, dU, dR = (np.stack(unfold(Su.grid, s)[2]) for s in (sl[0], dsl[0], sl[1]))
+    du = np.real(np.sum(dU * ph, axis=0))
+    dt = np.real(np.sum(U * ph * (-1j * nodes[:, None]), axis=0))
+    dr = np.real(np.sum(dR * ph, axis=0))
     return _gradient_sq(u_vals.ravel(), du, dt, dr).reshape(u_vals.shape)
 
 
@@ -175,19 +199,8 @@ def gradient_sq(fld: ExtensionField) -> list:
         u = fld.levels[j]
         d1 = fld.rho_derivative(j)
         vals = _horizontal_sq(u) + np.abs(d1) ** 2
-        out.append(u.copy_with(vals.astype(complex), name=f"|grad U|^2@rho={rho:g}"))
+        out.append(u.copy_with(vals, name=f"|grad U|^2@rho={rho:g}"))
     return out
-
-
-def conj_symmetry_error(S: PolyradialSpectrum) -> float:
-    """max |c_k(lam) - conj c_k(-lam)| over the k both rows hold, relative to max |c|."""
-    worst, scale = 0.0, 0.0
-    for i in range(S.grid.M):
-        a, b = S.coeffs[i], S.coeffs[S.grid.M - 1 - i]          # lam and -lam
-        m = min(len(a), len(b))
-        worst = max(worst, float(np.max(np.abs(a[:m] - np.conj(b[:m])), initial=0.0)))
-        scale = max(scale, float(np.max(np.abs(a), initial=0.0)))
-    return worst / (scale or 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def test_kernel_ladder_is_dilation_of_unit_kernel(lattice, radii):
     # an independent analysis of phi_{s,rho} on the original lattice
     spec = GridSpec(N_z=16, N_t=16, R_z=4, R_t=4)
     grid = LambdaGrid.build() if lattice == "default" else LambdaGrid(
-        nodes=np.array([-2.0, -0.5, 0.5, 2.0]), weights=np.ones(4), k_caps=np.array([10, 40, 40, 10]))
+        nodes=np.array([0.5, 2.0]), weights=np.full(2, 2.0), k_caps=np.array([40, 10]))
     quad = AnalysisQuadrature.build(spec)
     s = 0.3
     ladder = kernel_spectrum(s, np.array(radii), grid, quad, spec)
@@ -153,7 +153,7 @@ def test_kernel_spectrum_against_kummer_oracle(setup):
     S = kernel_spectrum(s, rho, grid, quad, spec)
     kc = constants(1, s)
     worst, checked = 0.0, 0
-    for i in (10, 60, 155, 220, 280):
+    for i in (139, 89, 5, 70, 130):
         lam = grid.nodes[i]
         x = abs(lam) * rho * rho / 2.0
         for k in (0, 1, 7, 31, 64):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,11 +30,11 @@ from hfrac.lagspec import (
 )
 from hfrac.operators import SpectralMultiplier, evaluate_multiplier
 from oracles import (
-    conj_symmetry_error,
     group_convolve,
     inverse_central_transform,
     laguerre_phi_table,
     twisted_convolve,
+    unfold,
 )
 
 RNG = np.random.default_rng(7)
@@ -52,39 +53,33 @@ def default_setup():
 # ---------------------------------------------------------------------------
 
 def test_lambda_grid_symmetric_and_positive():
+    # the positive half of the symmetric grid, with the folded weights: they
+    # sum to the length of [-40, -1e-3] U [1e-3, 40]
     grid = LambdaGrid.build()
-    assert grid.M == 300
-    assert np.all(grid.nodes != 0.0)
+    assert grid.M == 150
+    assert np.all(grid.nodes > 0.0) and np.all(np.diff(grid.nodes) > 0.0)
     assert np.all(grid.weights > 0)
-    assert np.allclose(grid.nodes, -grid.nodes[::-1])
+    assert abs(np.sum(grid.weights) - 2 * (40.0 - 1e-3)) <= 1e-12 * 80.0
     assert np.all(grid.k_caps >= grid.K)
 
 
-def test_lambda_grid_rejects_zero():
-    with pytest.raises(ValueError):
-        LambdaGrid(nodes=np.array([-1.0, 0.0, 1.0]), weights=np.ones(3),
-                   k_caps=np.full(3, 4), K=4)
-
-
-def test_lambda_grid_rejects_bad_mirror_pairing():
-    # symmetric as a set but not ascending: mirror_pairs would pair 2 with 1
-    with pytest.raises(ValueError, match="ascending"):
-        LambdaGrid(nodes=np.array([2.0, -1.0, -2.0, 1.0]), weights=np.ones(4),
-                   k_caps=np.full(4, 4), K=4)
-    with pytest.raises(ValueError, match="k_caps"):
-        LambdaGrid(nodes=np.array([-2.0, -1.0, 1.0, 2.0]), weights=np.ones(4),
-                   k_caps=np.array([4, 5, 6, 4]), K=4)
-    # synthesis folds each pair with the weight at +lam, so unequal weights at
-    # lam and -lam would make it disagree with the unfolded inversion
-    with pytest.raises(ValueError, match="weights"):
-        LambdaGrid(nodes=np.array([-2.0, -1.0, 1.0, 2.0]), weights=np.array([1.0, 1.0, 2.0, 1.0]),
-                   k_caps=np.full(4, 4), K=4)
-    grid = LambdaGrid.build()
-    pairs = grid.mirror_pairs()
-    assert len(pairs) == grid.M // 2
-    for i, j, lam in pairs:
-        assert lam > 0 and grid.nodes[i] == lam and grid.nodes[j] == -lam
-        assert grid.k_caps[i] == grid.k_caps[j]
+@pytest.mark.parametrize("nodes, weights, k_caps, match", [
+    ([0.0, 1.0], [1.0, 1.0], [4, 4], "> 0"),
+    ([-1.0, 1.0], [1.0, 1.0], [3], "one length"),
+    ([-1.0, 1.0], [1.0], [3, 3], "one length"),
+    ([-1.0, 1.0], [1.0, 1.0], [0, 0], "> 0"),
+    ([1.0, 2.0], [1.0, 1.0], [3], "one length"),
+    ([1.0, 2.0], [1.0], [3, 3], "one length"),
+    ([1.0, 2.0], [1.0, 1.0], [0, 3], "k_caps"),
+    ([], [], [], "non-empty"),
+    ([[1.0, 2.0]], [[1.0, 1.0]], [[3, 3]], "1-D"),
+    ([2.0, 1.0], [1.0, 1.0], [3, 3], "ascending"),
+    ([1.0, 2.0], [1.0, 0.0], [3, 3], "weights"),
+], ids=["zero", "short-caps", "short-weights", "negative-empty-rows", "short-caps-pos",
+        "short-weights-pos", "empty-row", "empty", "2-D", "descending", "zero-weight"])
+def test_lambda_grid_rejects_malformed_input(nodes, weights, k_caps, match):
+    with pytest.raises(ValueError, match=match):
+        LambdaGrid(nodes=nodes, weights=weights, k_caps=k_caps, K=4)
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +185,16 @@ def test_laguerre_sweep_matches_full_table(rows):
 
 
 def test_slices_grouping_does_not_change_values(monkeypatch):
-    # a budget of one double forces one pair per group and, with one-row
-    # blocks, one row per block; the values must not depend on either.  Rows
-    # at lam and -lam differ in value and in length, so a group that pads a
-    # shorter row or mixes up the two halves of a pair cannot pass
+    # a budget of one double forces one node per group and, with one-row
+    # blocks, one row per block; the values must not depend on either.  The
+    # t-shifted rows are complex, and every third row is cut short of its
+    # cap, so a group that pads a shorter row or mixes up the re and im
+    # rows cannot pass
     spec = GridSpec(N_z=16, N_t=32)
     grid = LambdaGrid.build(nodes_per_sign=20, K=8, k_energy_cap=2.0)
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
-    S = _scale_rows(analyze_polyradial(f, grid), lambda k, lam: (1 + 0.5 * np.sign(lam) + 0.3j)
-                    * (1 + 0.01 * k))
-    S.coeffs = [c[:len(c) - 3] if lam < 0 and i % 3 == 0 else c
-                for i, (c, lam) in enumerate(zip(S.coeffs, grid.nodes))]
+    S = _shifted(analyze_polyradial(f, grid))
+    S.coeffs = [c[:len(c) - 3] if i % 3 == 0 else c for i, c in enumerate(S.coeffs)]
     u = np.array([0.0, 0.3, 1.7, 4.0, 9.5])
     mults = [None, SpectralMultiplier("heat", 0.1), SpectralMultiplier("frac_conf", 0.3)]
     sweeps = []
@@ -219,14 +213,15 @@ def test_slices_grouping_does_not_change_values(monkeypatch):
             m.setattr(lagspec, "SWEEP_BUDGET", 1)
             m.setattr(lagspec, "EXPAND_CHUNK", 1)
             got = slices_at_radii_batch(S, u, mults, want_du=want_du)
-        assert set(sweeps) == {(1, 1)} and len(sweeps) == grid.M // 2
+        assert set(sweeps) == {(1, 1)} and len(sweeps) == grid.M
         sweeps.clear()
         for g, r in zip(got if want_du else [got], ref if want_du else [ref]):
             assert g.shape == (len(mults), grid.M, u.size)
             assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
-    (sl,), (dsl,) = _reference_slices(S, u, [None])
-    assert np.max(np.abs(got[0][0] - sl)) <= 1e-13 * np.max(np.abs(sl))
-    assert np.max(np.abs(got[1][0] - dsl)) <= 1e-13 * np.max(np.abs(dsl))
+    _, _, (sl,), (dsl,) = _reference_slices(S, u, [None])
+    # the engine's slices are the reference's at the nodes lam > 0
+    assert np.max(np.abs(got[0][0] - sl[grid.M:])) <= 1e-13 * np.max(np.abs(sl))
+    assert np.max(np.abs(got[1][0] - dsl[grid.M:])) <= 1e-13 * np.max(np.abs(dsl))
 
 
 def test_laguerre_origin_values():
@@ -287,8 +282,10 @@ def test_central_transform_conjugate_symmetry(default_setup):
     f = make_test_function(TestFunctionId("gaussian", (0.7, 1.3)), spec)
     grid = narrow_lambda_grid(lam_max=6.0)
     F = central_transform(f, grid)
-    # a real input's slices satisfy f^{-lam} = conj(f^lam)
-    err = np.max(np.abs(F - np.conj(F[::-1]))) / np.max(np.abs(F))      # lam -> -lam
+    # a real input's slices satisfy f^{-lam} = conj(f^lam), which is why the
+    # lattice stores lam > 0 only: the trapezoid at -lam, taken directly
+    Fneg = f.values @ (np.exp(-1j * np.outer(grid.nodes, spec.t_axis)) * spec.h_t).T
+    err = np.max(np.abs(np.moveaxis(Fneg, -1, 0) - np.conj(F))) / np.max(np.abs(F))
     assert err <= 1e-13
 
 
@@ -401,7 +398,6 @@ def test_roundtrip_gaussian(default_setup):
     g = synthesize(S, spec)
     err = np.linalg.norm(g.values - f.values) / np.linalg.norm(f.values)
     assert err <= 1e-2
-    assert conj_symmetry_error(S) <= 1e-12
 
 
 def test_roundtrip_conformal_kernel(default_setup):
@@ -554,78 +550,152 @@ def _expand_node_reference(x, c, alpha):
 
 
 def _reference_slices(S, u, mults):
-    """Slices (L, M, Nu) and their d/du node by node, every symbol at the node's own lam."""
+    """(nodes, weights, slices (L, 2M, Nu), their d/du) node by node over the
+    whole lattice, lam and -lam, that unfold rebuilds, every symbol at the
+    node's own lam."""
     n = S.n
-    sl = np.empty((len(mults), S.grid.M, u.size), dtype=complex)
+    nodes, weights, rows = unfold(S.grid, S.coeffs)
+    sl = np.empty((len(mults), nodes.size, u.size), dtype=complex)
     dsl = np.empty_like(sl)
-    for i, lam in enumerate(S.grid.nodes):
-        c = S.coeffs[i]
+    for i, (lam, c) in enumerate(zip(nodes, rows)):
         k = np.arange(len(c))
         C = np.stack([c if m is None else c * evaluate_multiplier(m, k, lam) for m in mults])
         pref = (2 * math.pi) ** (-n) * abs(lam) ** n
         acc, dacc = _expand_node_reference(0.5 * abs(lam) * u, C, n - 1)
         sl[:, i], dsl[:, i] = pref * acc, pref * dacc * (0.5 * abs(lam))
-    return sl, dsl
+    return nodes, weights, sl, dsl
 
 
-def _scale_rows(S, fn):
-    """S with row i scaled by fn(k, lam_i): unlike a SpectralMultiplier, fn may
-    depend on the sign of lam."""
-    coeffs = [c * fn(np.arange(len(c)), lam) for c, lam in zip(S.coeffs, S.grid.nodes)]
+def _phases(nodes, weights, t):
+    """(2 pi)^{-1} w_lam e^{-i lam t} on the whole lattice: the plain inversion."""
+    return np.exp(-1j * np.outer(nodes, t)) * weights[:, None] / (2 * math.pi)
+
+
+def _shifted(S):
+    """S with row i times e^{0.7 i lam_i}, the spectrum of f(z, t - 0.7): still a
+    real function, but with complex rows, so both real contraction rows count."""
+    coeffs = [c * np.exp(0.7j * lam) for c, lam in zip(S.coeffs, S.grid.nodes)]
     return PolyradialSpectrum(grid=S.grid, n=S.n, coeffs=coeffs, name=S.name)
 
 
 @pytest.fixture(scope="module")
-def skew_spectrum(default_setup):
-    # rows at lam and -lam unrelated (not conjugate-symmetric: the gaussian's
-    # coefficients are real and even in lam, so the factor must not be a
-    # conjugate pair under lam -> -lam), so a synthesis that mixed up the two
-    # halves of a +-lam pair cannot pass
+def shifted_spectrum(default_setup):
     spec, grid, quad = default_setup
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
-    S = _scale_rows(analyze_polyradial(f, grid, quad),
-                    lambda k, lam: (1 + 0.5 * np.sign(lam) + 0.3j) * (1 + 0.01 * k))
-    assert conj_symmetry_error(S) > 0.1
+    S = _shifted(analyze_polyradial(f, grid, quad))
+    assert max(np.max(np.abs(c.imag)) for c in S.coeffs) > 0.1 * np.max(np.abs(S.coeffs[0]))
     return S
 
 
-def test_synthesize_at_matches_per_node_reference(default_setup, skew_spectrum):
+def test_synthesize_at_matches_per_node_reference(default_setup, shifted_spectrum):
     # the engine against a per-node expansion and a plain lambda-quadrature
+    # over lam and -lam
     spec, grid, quad = default_setup
-    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
-    # a t-shift makes the coefficients complex, so both real contraction rows count
-    shifted = _scale_rows(analyze_polyradial(f, grid, quad), lambda k, lam: np.exp(0.7j * lam))
     u = np.array([0.0, 0.3, 1.7, 4.0, 9.5])
     t = np.array([0.0, 0.4, -1.1, 2.0, -3.5])
-    phases = np.exp(-1j * np.outer(grid.nodes, t)) * grid.weights[:, None] / (2 * math.pi)
-    for S in (shifted, skew_spectrum):
-        (sl,), (dsl,) = _reference_slices(S, u, [None])
-        refs = {None: np.sum(sl * phases, axis=0), "du": np.sum(dsl * phases, axis=0),
-                "dt": np.sum(sl * phases * (-1j * grid.nodes[:, None]), axis=0)}
-        for deriv, ref in refs.items():
-            got = synthesize_at(S, u, t, deriv=deriv)
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), deriv
+    nodes, weights, (sl,), (dsl,) = _reference_slices(shifted_spectrum, u, [None])
+    phases = _phases(nodes, weights, t)
+    refs = {None: np.sum(sl * phases, axis=0), "du": np.sum(dsl * phases, axis=0),
+            "dt": np.sum(sl * phases * (-1j * nodes[:, None]), axis=0)}
+    for deriv, ref in refs.items():
+        got = synthesize_at(shifted_spectrum, u, t, deriv=deriv)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), deriv
 
 
-def test_paired_synthesis_matches_per_node_reference(default_setup, skew_spectrum):
-    # one recurrence per |lam| serves lam and -lam: grid synthesis, single and
-    # batched, against the node-by-node expansion
+def test_paired_synthesis_matches_per_node_reference(default_setup, shifted_spectrum):
+    # one row per node lam > 0 serves lam and -lam: grid synthesis, single and
+    # batched, against the node-by-node expansion over the whole lattice
     spec, grid, _ = default_setup
-    S = skew_spectrum
+    S = shifted_spectrum
     mults = [SpectralMultiplier("heat", 0.2), SpectralMultiplier("poisson_nonconf", 0.5),
              SpectralMultiplier("frac_conf", 0.3)]
     uniq, inv = np.unique(spec.z_radius_sq().round(12).ravel(), return_inverse=True)
-    sl, _ = _reference_slices(S, uniq, [None] + mults)
-    phases = np.exp(-1j * np.outer(grid.nodes, spec.t_axis)) * grid.weights[:, None] / (2 * math.pi)
+    nodes, weights, sl, _ = _reference_slices(S, uniq, [None] + mults)
+    phases = _phases(nodes, weights, spec.t_axis)
     refs = [(s.T @ phases)[inv].reshape(spec.shape) for s in sl]
     got = [synthesize(S, spec)] + synthesize_batch(S, spec, mults)
     for l, (g, ref) in enumerate(zip(got, refs)):
+        assert g.values.dtype == np.float64
         assert np.max(np.abs(g.values - ref)) <= 1e-13 * np.max(np.abs(ref)), l
 
 
+def _bare_routes(spec):
+    """gaussian(1, 1) as its closed form, its central profile alone and its bare
+    grid samples, and the heavy-tailed conformal-kernel(0.3, 1.4)."""
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    yield "closed-form", f
+    yield "profile", GridFunction(spec=spec, values=f.values, polyradial=True,
+                                  central_profile=f.central_profile)
+    yield "grid", GridFunction(spec=spec, values=f.values, polyradial=True)
+    yield "heavy-tail", make_test_function(TestFunctionId("conformal-kernel", (0.3, 1.4)), spec)
+
+
+def test_real_in_real_out_on_every_analysis_route(default_setup):
+    # every analysis route stores one row per node lam > 0, and every
+    # synthesis of it is float64 and equals the plain complex sum over lam and
+    # -lam of the unfolded lattice; the grid route's lattice stays within the
+    # grid's alias limit.  A 16^2 x 32 grid and shallow caps keep the per-node
+    # reference cheap
+    _, _, quad = default_setup
+    spec = GridSpec(N_z=16, N_t=32)
+    grid = LambdaGrid.build(K=16, k_energy_cap=4.0)
+    band = LambdaGrid.build(lam_max=0.95 * math.pi / (2.0 * spec.h_t), K=16, k_energy_cap=4.0)
+    mults = [SpectralMultiplier("heat", 0.2), SpectralMultiplier("frac_conf", 0.3)]
+    u = np.array([0.0, 0.3, 1.7, 4.0, 9.5])
+    t = np.array([0.0, 0.4, -1.1, 2.0, -3.5])
+    uniq, inv = np.unique(spec.z_radius_sq().round(12).ravel(), return_inverse=True)
+    for route, f in _bare_routes(spec):
+        lattice = band if route == "grid" else grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)       # the grid route's band limit
+            S = analyze_polyradial(f, lattice, quad)
+        assert len(S.coeffs) == lattice.M, route
+        # one reference pass over the grid's radii, then the points' u
+        nodes, weights, sl, dsl = _reference_slices(S, np.concatenate([uniq, u]), [None] + mults)
+        phases = _phases(nodes, weights, spec.t_axis)
+        got = [synthesize(S, spec).values] + [g.values for g in synthesize_batch(S, spec, mults)]
+        for l, (g, s) in enumerate(zip(got, sl[:, :, :uniq.size])):
+            ref = (s.T @ phases)[inv].reshape(spec.shape)
+            assert g.dtype == np.float64, (route, l)
+            assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref)), (route, l)
+        sl, dsl = sl[0, :, uniq.size:], dsl[0, :, uniq.size:]
+        ph = _phases(nodes, weights, t)
+        refs = {None: np.sum(sl * ph, axis=0), "du": np.sum(dsl * ph, axis=0),
+                "dt": np.sum(sl * ph * (-1j * nodes[:, None]), axis=0)}
+        for deriv, ref in refs.items():
+            got = synthesize_at(S, u, t, deriv=deriv)
+            assert got.dtype == np.float64, (route, deriv)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (route, deriv)
+
+
+def test_analysis_rejects_non_real_inputs(default_setup):
+    # the half lattice holds real functions only: a closed-form coefficient
+    # function or a central profile that breaks c(-lam) = conj c(lam), and
+    # grid samples with an imaginary part, are refused; so is a non-real scale
+    spec, grid, quad = default_setup
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    skew = lambda lam: 1 + 0.5 * np.sign(lam) + 0.3j
+    inputs = [
+        GridFunction(spec=spec, values=f.values, polyradial=True,
+                     coeff_fn=lambda k, lam: f.coeff_fn(k, lam) * skew(lam)),
+        GridFunction(spec=spec, values=f.values, polyradial=True,
+                     central_profile=lambda u, lam: f.central_profile(u, lam) * skew(lam)),
+        GridFunction(spec=spec, values=f.values * (1 + 0.1j), polyradial=True),
+    ]
+    for g in inputs:
+        with pytest.raises(ValueError, match="real"):
+            analyze_polyradial(g, grid, quad)
+    S = analyze_polyradial(f, grid, quad)
+    for scalar in (1j, np.complex128(2.0)):
+        with pytest.raises(TypeError):
+            S * scalar
+    assert (S * np.float64(2.0)).coeffs[0][0] == 2 * S.coeffs[0][0]
+
+
 def test_paired_analysis_matches_per_node_project(default_setup):
-    # a profile that is not even in lam: each sign of a +-lam pair keeps its own
-    # weights in the shared recurrence
+    # a t-shifted profile: complex rows, each node projected on its own
+    # weights; its values at -lam are the conjugates, so the analysis accepts it
     spec, grid, quad = default_setup
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
     prof = lambda u, lam: f.central_profile(u, lam) * np.exp(0.7j * lam)
@@ -637,25 +707,23 @@ def test_paired_analysis_matches_per_node_project(default_setup):
     for i, lam in enumerate(grid.nodes):
         kcap = int(grid.k_caps[i])
         W = math.pi * quad.u_weights * prof(uu, lam)          # n = 1: angular constant pi
-        ref, = _project(0.5 * abs(lam) * uu, W[None, :], [kcap], 0)
+        ref, = _project(0.5 * lam * uu, W[None, :], [kcap], 0)
         worst = max(worst, float(np.max(np.abs(S.coeffs[i] - ref))))
         scale = max(scale, float(np.max(np.abs(ref))))
-    i, j, _ = grid.mirror_pairs()[20]
-    assert np.max(np.abs(S.coeffs[i] - S.coeffs[j])) > 0.1 * scale    # the signs differ
+    assert max(np.max(np.abs(c.imag)) for c in S.coeffs) > 0.1 * scale      # complex rows
     assert worst <= 1e-13 * scale
 
 
 def _heavy_tail_reference(u, grid, quad):
     # the per-node route: every lattice row keeps its own profile evaluation
-    al = np.abs(grid.nodes)[:, None]
-    uu = quad.v_nodes[None, :] / al
-    W = np.stack([math.pi * (quad.v_weights / abs(lam)) * u.central_profile(uu[i], lam)
+    uu = quad.v_nodes[None, :] / grid.nodes[:, None]
+    W = np.stack([math.pi * (quad.v_weights / lam) * u.central_profile(uu[i], lam)
                   for i, lam in enumerate(grid.nodes)])          # n = 1: angular constant pi
     return _project(0.5 * quad.v_nodes, W, grid.k_caps, 0)          # and dim P_k = 1
 
 
 def test_paired_heavy_tail_matches_per_node_reference(default_setup):
-    # one profile evaluation and one projected row per |lam|, shared by the pair
+    # one profile evaluation and one projected row per node lam > 0
     spec, grid, quad = default_setup
     fid = TestFunctionId("conformal-kernel", (0.3, 1.4))
     for f in (make_test_function(fid, spec), make_test_function(fid.dilated(0.7), spec)):
@@ -668,14 +736,12 @@ def test_paired_heavy_tail_matches_per_node_reference(default_setup):
         g = GridFunction(spec=spec, values=f.values, name=f.name, polyradial=True,
                          central_profile=counted, heavy_tail=True)
         S = analyze_polyradial(g, grid, quad)
-        assert len(calls) == grid.M // 2 + 1           # the extra call checks -lam
+        assert len(calls) == grid.M + 1           # the extra call checks -lam
         ref = _heavy_tail_reference(f, grid, quad)
         scale = max(float(np.max(np.abs(r))) for r in ref)
         for c, r in zip(S.coeffs, ref):
             assert c.shape == r.shape
             assert np.max(np.abs(c - r)) <= 1e-14 * scale, f.name
-        for i, j, _ in grid.mirror_pairs():
-            assert np.array_equal(S.coeffs[i], S.coeffs[j])
 
 
 def test_heavy_tail_rejects_odd_profile(default_setup):
@@ -684,33 +750,40 @@ def test_heavy_tail_rejects_odd_profile(default_setup):
     odd = lambda u, lam: f.central_profile(u, lam) * (1 + 0.5 * np.sign(lam))
     g = GridFunction(spec=spec, values=f.values, polyradial=True, central_profile=odd,
                      heavy_tail=True)
-    with pytest.raises(ValueError, match=r"\|lambda\|"):
+    with pytest.raises(ValueError, match="conj"):
         analyze_polyradial(g, grid, quad)
 
 
-def test_synthesis_rejects_plain_callable_symbol(default_setup, skew_spectrum):
-    # the engine mirrors each symbol from lam > 0 to -lam, which only
-    # SpectralMultiplier kinds (functions of |lam|) guarantee
+def test_synthesis_rejects_plain_callable_symbol(default_setup, shifted_spectrum):
+    # a node stands for lam and -lam, which only SpectralMultiplier kinds
+    # (functions of |lam|) guarantee
     spec, _, _ = default_setup
     plain = lambda k, lam: np.ones(len(k))
     with pytest.raises(TypeError):
-        synthesize_batch(skew_spectrum, spec, [plain])
+        synthesize_batch(shifted_spectrum, spec, [plain])
     with pytest.raises(TypeError):
-        slices_at_radii_batch(skew_spectrum, np.array([1.0]),
+        slices_at_radii_batch(shifted_spectrum, np.array([1.0]),
                               [SpectralMultiplier("heat", 0.1), plain])
 
 
-def test_spectra_of_another_lattice_or_dimension_rejected(skew_spectrum):
-    # rows combine only between spectra on the same lambda nodes and of the
-    # same n, and synthesis only onto a grid of that n
-    S = skew_spectrum
+def test_spectra_of_another_lattice_or_dimension_rejected(shifted_spectrum):
+    # rows combine only between spectra on the same lambda nodes and weights
+    # and of the same n, and synthesis only onto a grid of that n; spectra of
+    # the same nodes and weights but other caps combine, their rows ragged
+    S = shifted_spectrum
     grid = S.grid
     wider = LambdaGrid(nodes=1.5 * grid.nodes, weights=grid.weights, k_caps=grid.k_caps, K=grid.K)
+    heavier = LambdaGrid(nodes=grid.nodes, weights=2 * grid.weights, k_caps=grid.k_caps, K=grid.K)
     for other in (PolyradialSpectrum(grid=grid, n=2, coeffs=S.coeffs),
-                  PolyradialSpectrum(grid=wider, n=S.n, coeffs=S.coeffs)):
+                  PolyradialSpectrum(grid=wider, n=S.n, coeffs=S.coeffs),
+                  PolyradialSpectrum(grid=heavier, n=S.n, coeffs=S.coeffs)):
         for combine in (S.__add__, S.convolve, S.pair):
             with pytest.raises(ValueError):
                 combine(other)
+    shallower = LambdaGrid(nodes=grid.nodes, weights=grid.weights, k_caps=grid.k_caps - 1,
+                           K=grid.K)
+    short = PolyradialSpectrum(grid=shallower, n=S.n, coeffs=[c[:-1] for c in S.coeffs])
+    assert S.pair(short) == short.pair(S)
     with pytest.raises(ValueError):
         slices_at_radii_batch(S, np.array([1.0]), [SpectralMultiplier("heat", 0.1, n=2)])
     spec2 = GridSpec(n=2, N_z=8, N_t=8)

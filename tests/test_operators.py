@@ -33,9 +33,8 @@ EVERY_KIND = [SpectralMultiplier("sublaplacian"), SpectralMultiplier("frac_nonco
 
 
 def _positive_lattice(grid):
-    """(k, lam) over every lattice point with lam > 0, flattened."""
-    caps = grid.k_caps[grid.M // 2:]
-    return np.concatenate([np.arange(c) for c in caps]), np.repeat(grid.nodes[grid.M // 2:], caps)
+    """(k, lam) over every lattice point, all at lam > 0, flattened."""
+    return np.concatenate([np.arange(c) for c in grid.k_caps]), np.repeat(grid.nodes, grid.k_caps)
 
 
 @pytest.fixture(scope="module")
@@ -205,22 +204,23 @@ def test_apply_identity(setup):
         assert np.array_equal(a, b)
 
 
-def _uneven_pairs(spec, grid, quad):
-    """A spectrum whose rows at lam and -lam differ in values and in length."""
+def _shifted_uneven(spec, grid, quad):
+    """The t-shifted gaussian (rows times e^{0.7 i lam}, complex), every other row
+    cut to half its cap, so rows differ from the caps and from each other."""
     Sf = analyze_polyradial(make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec),
                             grid, quad)
-    coeffs = [c[:len(c) // 2 + 1] * (0.7 - 0.2j) if lam < 0 else c
-              for c, lam in zip(Sf.coeffs, grid.nodes)]
+    coeffs = [(c[:len(c) // 2 + 1] if i % 2 else c) * np.exp(0.7j * lam)
+              for i, (c, lam) in enumerate(zip(Sf.coeffs, grid.nodes))]
     return PolyradialSpectrum(grid=grid, n=1, coeffs=coeffs)
 
 
 def test_apply_operator_matches_row_by_row_evaluation(setup):
-    # one evaluation over every +-lam pair on the longer row's k scales both
-    # rows bit for bit as a per-row evaluation does, with lam an array over the
-    # row as on_pairs passes it (a scalar lam rounds (2|lam|)^s of frac_conf
+    # one evaluation over every node on its row's k scales each row bit for
+    # bit as a per-row evaluation does, with lam an array over the row as
+    # on_pairs passes it (a scalar lam rounds (2|lam|)^s of frac_conf
     # differently, by up to 1 ulp)
     spec, grid, quad = setup
-    S = _uneven_pairs(spec, grid, quad)
+    S = _shifted_uneven(spec, grid, quad)
     for m in EVERY_KIND:
         out = apply_operator(S, m).spectrum
         for c, got, lam in zip(S.coeffs, out.coeffs, grid.nodes):
@@ -231,10 +231,10 @@ def test_apply_operator_matches_row_by_row_evaluation(setup):
 def test_applied_spectrum_synthesizes_as_the_symbol(setup):
     # apply_operator and the synthesis engine apply a symbol through the one
     # method on_pairs, so synthesizing m applied to S is synthesizing S with m,
-    # bit for bit, on rows at lam and -lam of unequal length
+    # bit for bit, on complex rows of unequal length
     _, grid, quad = setup
     spec = GridSpec(N_z=16, N_t=32)
-    S = _uneven_pairs(spec, grid, quad)
+    S = _shifted_uneven(spec, grid, quad)
     for m in EVERY_KIND:
         got = synthesize(apply_operator(S, m).spectrum, spec).values
         ref, = synthesize_batch(S, spec, [m])

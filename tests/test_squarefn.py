@@ -41,19 +41,18 @@ def setup():
 
 def test_gradient_table_interpolates_exact_gradient(setup):
     # a cubic interpolating spline reproduces its data at the mesh nodes, so
-    # the table must equal the exact spectral |grad U|^2 there.  The table
-    # folds each +-lam pair before its lambda-inversion; the skewed spectrum,
-    # whose rows at lam and -lam are unrelated and whose folded rows are not
-    # real, checks that the fold holds for any slices, not only
-    # conjugate-symmetric ones
+    # the table must equal the exact spectral |grad U|^2 there, which the
+    # oracle sums plainly over lam and -lam.  The table folds each node's
+    # pair in one real product; the t-shifted spectrum, whose rows are
+    # complex, checks that the fold keeps the imaginary parts' share
     Su = setup[4]
-    skewed = PolyradialSpectrum(grid=Su.grid, n=Su.n, name="skewed", coeffs=[
-        c * (1 + 0.5 * np.sign(lam)) * (1 + 0.3j) for c, lam in zip(Su.coeffs, Su.grid.nodes)])
+    shifted = PolyradialSpectrum(grid=Su.grid, n=Su.n, name="shifted", coeffs=[
+        c * np.exp(0.7j * lam) for c, lam in zip(Su.coeffs, Su.grid.nodes)])
     lad = SHORT.rho_ladder()
     rng = np.random.default_rng(7)
     ir = rng.integers(0, SHORT.n_table_r, 50)
     it = rng.integers(0, SHORT.n_table_t, 50)
-    for S in (Su, skewed):
+    for S in (Su, shifted):
         table = _GradientTable(S, SHORT)
         r, t = table.r_axis[ir], table.t_axis[it]
         got = table.values(lad, table.design_matrix(r, np.zeros_like(r), t))
@@ -160,8 +159,9 @@ def test_g_star_rejects_boundary_sample_and_n_above_one(setup):
 def test_g_function_parts_add_in_squares(setup):
     # g1, g_x and g share one rho-ladder, so g^2 = g1^2 + g_x^2 pointwise
     spec, grid, quad, f, Su = setup
-    g, g1, gx = (g_function(f, parts, SHORT, grid, quad).values.real
+    g, g1, gx = (g_function(f, parts, SHORT, grid, quad).values
                  for parts in ("full", "g1", "gx"))
+    assert g.dtype == g1.dtype == gx.dtype == np.float64
     assert np.max(np.abs(g * g - (g1 * g1 + gx * gx))) <= 1e-12 * np.max(g * g)
     assert np.max(g1) > 0 and np.max(gx) > 0
     with pytest.raises(ValueError):
