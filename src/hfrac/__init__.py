@@ -28,7 +28,6 @@ from .lagspec import (
     LambdaGrid,
     AnalysisQuadrature,
     PolyradialSpectrum,
-    central_transform,
     analyze_polyradial,
     synthesize,
     synthesize_at,

@@ -171,8 +171,14 @@ class GridSpec:
 
 @dataclass
 class GridFunction:
-    """Samples on a GridSpec, with optional closed-form backing: complex for
-    the catalog, real (float64) from every synthesis.
+    """Real float64 samples on a GridSpec, with optional closed-form backing.
+
+    Every function here is real, and its samples are checked once, when the
+    GridFunction is built: a float64 or integer array is stored as float64,
+    and a complex128 array only when its imaginary part is at most 1e-12 of
+    its peak, as its real part.  Any other input raises ValueError: a larger
+    imaginary part, or float32 and complex64 samples, which have already lost
+    precision.
 
     ``evaluator(x, y, t)`` gives exact off-grid values when the function comes
     from the catalog (the singular quadrature and left translation read it),
@@ -194,7 +200,15 @@ class GridFunction:
     heavy_tail: bool = False   # power-law radial decay: use extended-domain analysis
 
     def __post_init__(self):
-        self.values = np.asarray(self.values)
+        v = np.asarray(self.values)
+        if v.dtype == np.complex128:
+            if np.max(np.abs(v.imag), initial=0.0) > 1e-12 * np.max(np.abs(v), initial=0.0):
+                raise ValueError("grid samples with an imaginary part above 1e-12 of peak: "
+                                 "grid functions are real")
+            v = v.real.copy()
+        elif v.dtype != np.float64 and v.dtype.kind not in "iu":
+            raise ValueError(f"grid samples are float64, integers or complex128, not {v.dtype}")
+        self.values = v.astype(np.float64, copy=False)
         if self.values.shape != self.spec.shape:
             raise ValueError(f"value shape {self.values.shape} does not match grid {self.spec.shape}")
 
@@ -283,13 +297,7 @@ def _diff_axis(values: np.ndarray, axis: int, h: float, deriv: int, order: int) 
     if N < npts:
         raise ValueError("grid too coarse for the requested stencil")
     wc = fd_weights(np.arange(-half, half + 1), deriv)
-    if values.dtype == np.complex128:
-        # correlate1d would split complex input into a real and an imaginary
-        # pass over strided lines; the float64 view, read as (..., 2), is one
-        pairs = np.ascontiguousarray(values).view(np.float64).reshape(values.shape + (2,))
-        out = correlate1d(pairs, wc, axis=axis, mode="constant").view(complex).reshape(values.shape)
-    else:
-        out = correlate1d(values, wc, axis=axis, mode="constant")
+    out = correlate1d(values, wc, axis=axis, mode="constant")
     v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
     # one-sided edges, same formal order
     for i in range(half):
@@ -369,13 +377,14 @@ def _sublaplacian_parts(u: GridFunction, order: int):
     return -acc, dtt
 
 
-def integrate(u: GridFunction) -> complex:
-    """Haar integral (Lebesgue dz dt): trapezoid rule = cell-volume sum on the
-    endpoint-free layout.  Warns (UserWarning) when the boundary has not decayed."""
+def integrate(u: GridFunction) -> float:
+    """Haar integral (Lebesgue dz dt) of the real samples: trapezoid rule =
+    cell-volume sum on the endpoint-free layout.  Warns (UserWarning) when the
+    boundary has not decayed."""
     if not u.boundary_decay_ok():
         warnings.warn(f"boundary decay {u.boundary_max():.3e} exceeds "
                       f"{BOUNDARY_DECAY_TOL:.0e} of peak", stacklevel=2)
-    return complex(np.sum(u.values) * u.spec.cell_volume)
+    return float(np.sum(u.values) * u.spec.cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +529,9 @@ def make_test_function(fid: TestFunctionId, spec: GridSpec) -> GridFunction:
         return radial(x * x + y * y, t)
 
     vals = radial(spec.z_radius_sq()[..., None], spec.t_axis)
-    base = GridFunction(spec=spec, values=np.asarray(vals, dtype=np.complex128),
-                        name=replace(fid, translation=None).label(), polyradial=True,
-                        evaluator=evaluator, radial_profile=radial, central_profile=central,
-                        coeff_fn=coeffs, heavy_tail=heavy)
+    base = GridFunction(spec=spec, values=vals, name=replace(fid, translation=None).label(),
+                        polyradial=True, evaluator=evaluator, radial_profile=radial,
+                        central_profile=central, coeff_fn=coeffs, heavy_tail=heavy)
     if fid.translation is None:
         return base
     # translated member: (tau_a f)(p) = f(a p); not z-radial any more
@@ -532,83 +540,28 @@ def make_test_function(fid: TestFunctionId, spec: GridSpec) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# Left translation of grid data (tricubic resampling)
+# Left translation
 # ---------------------------------------------------------------------------
 
-def _cubic_kernel_1d(frac: np.ndarray) -> np.ndarray:
-    """Lagrange cubic weights for samples at offsets (-1, 0, 1, 2)."""
-    f = frac
-    w0 = -f * (f - 1.0) * (f - 2.0) / 6.0
-    w1 = (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0
-    w2 = -(f + 1.0) * f * (f - 2.0) / 2.0
-    w3 = (f + 1.0) * f * (f - 1.0) / 6.0
-    return np.stack([w0, w1, w2, w3])
-
-
-def _gather_axis(values: np.ndarray, axis: int, idx: np.ndarray) -> np.ndarray:
-    """Take along an axis with zero padding outside the valid index range."""
-    N = values.shape[axis]
-    ok = (idx >= 0) & (idx < N)
-    safe = np.clip(idx, 0, N - 1)
-    out = np.take(values, safe, axis=axis)
-    if not np.all(ok):
-        shape = [1] * out.ndim
-        shape[axis] = out.shape[axis]
-        out = out * ok.reshape(shape)
-    return out
-
-
 def left_translate(u: GridFunction, a: HeisenbergPoint) -> GridFunction:
-    """(tau_a u)(p) = u(a p), resampled on u's grid.
+    """(tau_a u)(p) = u(a p), sampled on u's grid from u's closed form.
 
-    Catalog members are re-evaluated exactly, and the result keeps the composed
-    evaluator for the singular quadrature; grid-only data uses separable
-    cubic (tricubic) interpolation with zero extension outside the box.  The
-    translation amount should stay below R/4 to keep the boundary loss small.
+    The result keeps the composed evaluator for the singular quadrature.  An
+    input without an evaluator raises ValueError: resampling grid-only data
+    would lose accuracy.  The translation amount should stay below R/4 to
+    keep the boundary loss small.
     """
     spec = u.spec
     if spec.n != 1:
         raise NotImplementedError("left_translate implemented for n=1")
+    if u.evaluator is None:
+        raise ValueError("left_translate samples a closed form: the input needs an evaluator")
     if koranyi_norm(a) > spec.R_z / 4.0:
         warnings.warn("translation exceeds R/4; boundary loss may be significant", stacklevel=2)
-    if u.evaluator is not None:
-        f = u.evaluator
+    f = u.evaluator
 
-        def evaluator(x, y, t):
-            return f(*_compose(a.x[0], a.y[0], a.t, x, y, t))
+    def evaluator(x, y, t):
+        return f(*_compose(a.x[0], a.y[0], a.t, x, y, t))
 
-        vals = evaluator(*spec.meshgrid())
-        return GridFunction(spec=spec, values=np.asarray(vals, dtype=np.complex128),
-                            name=u.name + "∘τ", polyradial=False, evaluator=evaluator)
-
-    xs, ts = spec.z_axis, spec.t_axis
-    # the target x and y coordinates a.x + x, a.y + y are uniform shifts:
-    # interpolate axis by axis
-    vals = u.values
-    for axis, shift in ((0, a.x[0]), (1, a.y[0])):
-        fz = (shift + xs - xs[0]) / spec.h_z
-        iz = np.floor(fz).astype(int)
-        wz = _cubic_kernel_1d(fz - iz)
-        shape = [1, 1, 1]
-        shape[axis] = spec.N_z
-        acc = np.zeros_like(vals)
-        for m in range(4):
-            acc += wz[m].reshape(shape) * _gather_axis(vals, axis, iz + (m - 1))
-        vals = acc
-    # t axis: shift depends on (x, y) through the group twist
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    shift = _compose(a.x[0], a.y[0], a.t, X, Y, 0.0)[2]     # value added to t
-    ft = (shift[..., None] + ts[None, None, :] - ts[0]) / spec.h_t
-    it = np.floor(ft).astype(int)
-    frac = ft - it
-    wt = _cubic_kernel_1d(frac)
-    out = np.zeros_like(vals)
-    flat = vals.reshape(-1, spec.N_t)
-    it_flat = it.reshape(-1, spec.N_t)
-    for m in range(4):
-        idx = it_flat + (m - 1)
-        ok = (idx >= 0) & (idx < spec.N_t)
-        safe = np.clip(idx, 0, spec.N_t - 1)
-        gathered = np.take_along_axis(flat, safe, axis=1) * ok
-        out += (wt[m].reshape(-1, spec.N_t) * gathered).reshape(vals.shape)
-    return GridFunction(spec=spec, values=out, name=u.name + "∘τ", polyradial=False)
+    return GridFunction(spec=spec, values=evaluator(*spec.meshgrid()), name=u.name + "∘τ",
+                        polyradial=False, evaluator=evaluator)

@@ -127,22 +127,25 @@ def _dilated_lattice(grid: LambdaGrid, radii: np.ndarray) -> LambdaGrid:
     return LambdaGrid(nodes=nodes, weights=wts, k_caps=caps, K=grid.K)
 
 
-def kernel_spectrum(s: float, rho: float | np.ndarray, grid: LambdaGrid,
-                    quad: AnalysisQuadrature, spec: GridSpec) -> PolyradialSpectrum | list:
-    """Laguerre coefficients of phi_{s,rho} on the lattice.
+def kernel_spectrum(s: float, radii: np.ndarray, grid: LambdaGrid,
+                    quad: AnalysisQuadrature, spec: GridSpec) -> list:
+    """Laguerre coefficients of phi_{s,rho} on the lattice, one spectrum per
+    radius of the 1-D array radii.
 
-    rho is a radius, which returns one spectrum, or a 1-D array of radii,
-    which returns a list.  A ladder is one heavy-tail analysis of phi_{s,1} on
-    the dilated lattices of its radii: on the v-rule the x-nodes do not depend
-    on lam, so c_k(phi_{s,rho})(lam) = rho^{-2s} c_k(phi_{s,1})(rho^2 lam)
-    holds for the discrete coefficients too, and the unit kernel is sampled,
-    and the Laguerre recurrence run, once per call.
+    A ladder is one heavy-tail analysis of phi_{s,1} on the dilated lattices
+    of its radii: on the v-rule the x-nodes do not depend on lam, so
+    c_k(phi_{s,rho})(lam) = rho^{-2s} c_k(phi_{s,1})(rho^2 lam) holds for the
+    discrete coefficients too, and the unit kernel's central profile is
+    evaluated, and the Laguerre recurrence run, once per call.  That route
+    reads only the closed forms and spec.n, so the unit kernel is sampled on
+    a token 8^2n x 8 grid, not on spec.
     """
-    radii = np.atleast_1d(np.asarray(rho, dtype=float))
+    radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or np.any(radii <= 0):
-        raise ValueError("kernel radii must be positive, one radius or a 1-D array")
+        raise ValueError("kernel radii must be a 1-D array of positive radii")
     lattice = _dilated_lattice(grid, radii)
-    unit = make_test_function(TestFunctionId("conformal-kernel", (s, 1.0)), spec)
+    unit = make_test_function(TestFunctionId("conformal-kernel", (s, 1.0)),
+                              GridSpec(n=spec.n, N_z=8, N_t=8))
     S1 = analyze_polyradial(unit, lattice, quad)
     out = []
     for r in radii.tolist():
@@ -151,7 +154,7 @@ def kernel_spectrum(s: float, rho: float | np.ndarray, grid: LambdaGrid,
         coeffs = [scale * S1.coeffs[j][:cap] for j, cap in zip(rows, grid.k_caps)]
         out.append(PolyradialSpectrum(grid=grid, n=spec.n, coeffs=coeffs,
                                       name=TestFunctionId("conformal-kernel", (s, r)).label()))
-    return out if np.ndim(rho) else out[0]
+    return out
 
 
 def _poisson_level(Sf: PolyradialSpectrum, Sk: PolyradialSpectrum, s: float,

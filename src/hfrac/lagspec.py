@@ -39,7 +39,6 @@ __all__ = [
     "LambdaGrid",
     "AnalysisQuadrature",
     "PolyradialSpectrum",
-    "central_transform",
     "analyze_polyradial",
     "synthesize",
     "synthesize_batch",
@@ -268,13 +267,14 @@ def _project(x: np.ndarray, Wmat: np.ndarray, kcaps, alpha: int) -> list:
 # ---------------------------------------------------------------------------
 # Central-variable transform
 #
-# _t_transform is the one forward t-transform, the grid trapezoid of
-# central_transform, which analyze_polyradial's grid route reads;
+# _t_transform is the one forward t-transform: analyze_polyradial's grid route
+# applies its grid trapezoid to the radial profile of the samples.
 # _lambda_phases and _lambda_inversion are the one lambda-inversion of every
-# synthesis, grid or point, and of the g* gradient table.  The inverse of
-# central_transform on a slice array, inverse_central_transform, is a test
-# oracle in tests/oracles.py.  The lattice omits the band |lam| < lam_min; a
-# correction for it belongs in these functions and nowhere else.
+# synthesis, grid or point, and of the g* gradient table.  The transform of a
+# whole grid function and its inverse on a slice array, central_transform and
+# inverse_central_transform, are test oracles in tests/oracles.py.  The
+# lattice omits the band |lam| < lam_min; a correction for it belongs in these
+# functions and nowhere else.
 # ---------------------------------------------------------------------------
 
 def _t_transform(F: np.ndarray, grid: LambdaGrid, t: np.ndarray, w) -> np.ndarray:
@@ -311,20 +311,6 @@ def _alias_guard(grid: LambdaGrid, spec: GridSpec):
         raise ValueError(
             f"lambda nodes up to {grid.nodes[-1]:g} exceed the grid's "
             f"resolvable limit pi/(2 h_t) = {lim:g}; refine the t-grid or shrink the grid")
-
-
-def central_transform(u: GridFunction, grid: LambdaGrid) -> np.ndarray:
-    """f^lam(z) = integral of f(z, t) e^{i lam t} dt by trapezoid over the t-grid,
-    as an (M,) + z-grid shape array, one slice per lambda node lam > 0; for a
-    real f the slice at -lam is the conjugate.
-
-    Warns (UserWarning) when the input has not decayed at the box boundary."""
-    spec = u.spec
-    _alias_guard(grid, spec)
-    if not u.boundary_decay_ok():
-        warnings.warn("input does not decay at the box boundary", stacklevel=2)
-    sl = _t_transform(u.values.reshape(-1, spec.N_t), grid, spec.t_axis, spec.h_t)  # (Nz^2, M)
-    return np.moveaxis(sl, -1, 0).reshape((grid.M,) + spec.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +449,15 @@ def _angular_const(n: int) -> float:
     return math.pi ** n / math.gamma(n)
 
 
-def _require_conjugate(fn, x, lam: float, at_lam: np.ndarray, what: str) -> None:
-    """Raise ValueError unless fn(x, -lam) = conj(at_lam) to 1e-12 of its scale,
-    at_lam being fn(x, lam): a real input's slices and coefficients obey it."""
-    gap = np.max(np.abs(fn(x, -lam) - np.conj(at_lam)))
-    if gap > 1e-12 * np.max(np.abs(at_lam)):
-        raise ValueError(f"the {what} breaks c(-lambda) = conj c(lambda) at lambda = {lam:g}: "
+def _require_conjugate(fn, xs, lams, rows, what: str) -> None:
+    """Raise ValueError unless fn(x, -lam) = conj fn(x, lam) to 1e-12 of scale,
+    rows[i] being fn(xs[i], lams[i]): a real input's slices and coefficients
+    obey it.  It is checked on the node whose row is largest, where a
+    violation cannot hide in an underflowed row."""
+    i = int(np.argmax([np.max(np.abs(r), initial=0.0) for r in rows]))
+    gap = np.max(np.abs(fn(xs[i], -lams[i]) - np.conj(rows[i])))
+    if gap > 1e-12 * np.max(np.abs(rows[i])):
+        raise ValueError(f"the {what} breaks c(-lambda) = conj c(lambda) at lambda = {lams[i]:g}: "
                          "the lattice holds real functions only")
 
 
@@ -486,14 +475,14 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
     grid samples (grid-t trapezoid, aliasing-guarded).  The heavy-tail route
     projects the lattice in one batch; the others build radii, radial weights
     and (M, Nr) slices and project each node through its own recurrence.  The
-    grid route warns (UserWarning) when the grid band-limits the Laguerre
-    order below the lattice caps and when the spectrum's tail energy exceeds
-    1e-6.
+    grid route warns (UserWarning) when the input has not decayed at the box
+    boundary, when the grid band-limits the Laguerre order below the lattice
+    caps and when the spectrum's tail energy exceeds 1e-6.
 
     The lattice holds real functions, whose rows obey c(-lam) = conj c(lam).
-    An input that breaks it raises ValueError: a closed-form coefficient
-    function or a central profile compared at +-lam on the outermost node, to
-    1e-12 of scale, or grid samples with an imaginary part above 1e-12 of peak.
+    A closed-form coefficient function or a central profile that breaks it,
+    compared at +-lam on the node where its row is largest to 1e-12 of scale,
+    raises ValueError; grid samples are real by construction (GridFunction).
     """
     if not u.polyradial:
         raise ValueError("analyze_polyradial requires a polyradial input")
@@ -505,10 +494,9 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
     lams = grid.nodes
 
     if u.coeff_fn is not None:
-        coeffs = [np.asarray(u.coeff_fn(np.arange(int(c)), lam), dtype=complex)
-                  for c, lam in zip(grid.k_caps, lams)]
-        _require_conjugate(u.coeff_fn, np.arange(len(coeffs[-1])), lams[-1], coeffs[-1],
-                           "closed-form coefficient function")
+        ks = [np.arange(int(c)) for c in grid.k_caps]
+        coeffs = [np.asarray(u.coeff_fn(k, lam), dtype=complex) for k, lam in zip(ks, lams)]
+        _require_conjugate(u.coeff_fn, ks, lams, coeffs, "closed-form coefficient function")
         return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=u.name)
 
     if u.central_profile is not None and u.heavy_tail:
@@ -517,7 +505,7 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
         # projects through one batched recurrence
         uu = quad.v_nodes[None, :] / lams[:, None]
         prof = np.array([u.central_profile(x, lam) for x, lam in zip(uu, lams)])
-        _require_conjugate(u.central_profile, uu[-1], lams[-1], prof[-1], "central profile")
+        _require_conjugate(u.central_profile, uu, lams, prof, "central profile")
         Wmat = ang * (quad.v_weights / lams[:, None]) * prof * uu ** alpha
         raw = _project(0.5 * quad.v_nodes, Wmat, grid.k_caps, alpha)
         coeffs = [c / proj_dim(np.arange(len(c)), n) for c in raw]
@@ -528,21 +516,21 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
         radii = quad.u_nodes
         weights = ang * quad.u_weights * radii ** alpha
         slices = np.stack([u.central_profile(radii, lam) for lam in lams])
-        _require_conjugate(u.central_profile, radii, lams[-1], slices[-1], "central profile")
+        _require_conjugate(u.central_profile, [radii] * grid.M, lams, slices, "central profile")
     else:
-        if np.max(np.abs(np.imag(u.values))) > 1e-12 * np.max(np.abs(u.values)):
-            raise ValueError("grid samples with an imaginary part above 1e-12 of peak: "
-                             "the lattice holds real functions only")
-        # grid samples, aggregated over equal-radius nodes; the z-grid resolves
-        # the Laguerre oscillation (frequency sqrt(2 k lam) in r) only up to
+        _alias_guard(grid, spec)
+        if not u.boundary_decay_ok():
+            warnings.warn("input does not decay at the box boundary", stacklevel=2)
+        # the central slice of a polyradial function depends on |z| alone:
+        # the samples summed over equal-radius nodes form one (Nr, Nt)
+        # profile, transformed once.  The z-grid resolves the Laguerre
+        # oscillation (frequency sqrt(2 k lam) in r) only up to
         # k ~ pi^2/(4 lam h^2), so deeper modes are cut
-        central = central_transform(u, grid)
         radii, inv = np.unique(spec.z_radius_sq().round(12).ravel(), return_inverse=True)
+        prof = np.zeros((radii.size, spec.N_t))
+        np.add.at(prof, inv, u.values.reshape(-1, spec.N_t))
         weights = spec.h_z ** (2 * n)
-        slices = np.empty((grid.M, radii.size), dtype=complex)
-        for i, sl in enumerate(central.reshape(grid.M, -1)):
-            slices[i].real = np.bincount(inv, weights=sl.real, minlength=radii.size)
-            slices[i].imag = np.bincount(inv, weights=sl.imag, minlength=radii.size)
+        slices = _t_transform(prof, grid, spec.t_axis, spec.h_t).T      # (M, Nr)
         k_lim = (math.pi ** 2 / (4.0 * lams * spec.h_z ** 2)).astype(int)
         caps = np.minimum(grid.k_caps, np.maximum(16, k_lim))
 
@@ -736,7 +724,7 @@ def plancherel_check(u: GridFunction, grid: Optional[LambdaGrid] = None,
         raise ValueError("plancherel_check requires a polyradial input")
     grid = grid or LambdaGrid.build()
     S = analyze_polyradial(u, grid, quad)
-    lhs = integrate(u.copy_with(np.abs(u.values) ** 2, name="|u|^2")).real
+    lhs = integrate(u.copy_with(u.values ** 2, name="u^2"))
     rhs = S.l2_norm_sq()
     rep.add("lhs_l2", lhs, route="grid")
     rep.add("rhs_hs", rhs, route="spectral")

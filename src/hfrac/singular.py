@@ -112,7 +112,7 @@ def _flow_derivatives(u: GridFunction, X, Y, T, order: int):
     eps = 1e-4 if order == 1 else 1e-3
 
     def val(ax, ay, at):
-        return np.real(u.evaluator(*_compose(X, Y, T, ax, ay, at)))
+        return u.evaluator(*_compose(X, Y, T, ax, ay, at))
 
     f0 = val(0.0, 0.0, 0.0) if order == 2 else None
     out = []
@@ -137,25 +137,25 @@ def _difference_quadrature(u: GridFunction, v, gamma: float, samples,
     J2 = quad.r_min ** (4.0 - gamma) * (math.pi ** 2 / 128.0) / (2.0 - gamma / 2.0)
     tail_c = SIGMA_GAUGE * quad.r_max ** (-gamma) / gamma
     X, Y, T = np.array([[x.x[0], x.y[0], x.t] for x in samples], dtype=float).reshape(-1, 3).T
-    ux = np.real(u.evaluator(X, Y, T))
+    ux = u.evaluator(X, Y, T)
     if v is None:
         xx, yy, tt = _flow_derivatives(u, X, Y, T, 2)
         core = -0.5 * ((xx + yy) * J1 / 2.0 + tt * J2)
         tail = ux * tail_c
     else:
         gu = _flow_derivatives(u, X, Y, T, 1)
-        vx, gv = (ux, gu) if v is u else (np.real(v.evaluator(X, Y, T)),
+        vx, gv = (ux, gu) if v is u else (v.evaluator(X, Y, T),
                                           _flow_derivatives(v, X, Y, T, 1))
         core = (gu[0] * gv[0] + gu[1] * gv[1]) / 2.0 * J1 + gu[2] * gv[2] * J2
         tail = ux * vx * tail_c
     out = np.empty(len(samples))
     for i, x in enumerate(samples):
         args = _right_args(x, quad)
-        du = np.real(u.evaluator(*args)) - ux[i]
+        du = u.evaluator(*args) - ux[i]
         if v is None:
             out[i] = -float(np.sum(du * kernel))
         else:
-            dv = du if v is u else np.real(v.evaluator(*args)) - vx[i]
+            dv = du if v is u else v.evaluator(*args) - vx[i]
             out[i] = float(np.sum(du * dv * kernel))
     return out + core + tail
 

@@ -8,11 +8,13 @@ textbook route to a quantity the package computes another way.
   instead of folding the pair as the package does.
 - `laguerre_phi_table`: the plain full-table Laguerre recurrence, against
   the chunked in-place sweep behind analysis and synthesis.
-- `twisted_convolve`, `inverse_central_transform` and `group_convolve`: the
+- `central_transform`, `inverse_central_transform`, `twisted_convolve` and
+  `group_convolve`: the t-transform of a whole grid function into central
+  slices, one per z-node, and the lambda-inversion of a slice array (the
+  package transforms only the radial profile of polyradial samples); the
   direct lambda-twisted convolution of central slices (Thangavelu, Lectures
-  on Hermite and Laguerre Expansions, 1993), the lambda-inversion of a slice
-  array, and group convolution through either, against the Laguerre
-  coefficient product.
+  on Hermite and Laguerre Expansions, 1993); and group convolution through
+  them, against the Laguerre coefficient product.
 - `extension_gradient_sq_at`: exact off-grid |nabla U|^2 of the Poisson
   extension, against the g* spline tables and the grid stencils.
 - `gradient_sq`: |nabla U|^2 of an extension field by grid stencils and
@@ -35,7 +37,6 @@ from hfrac.lagspec import (
     LambdaGrid,
     PolyradialSpectrum,
     analyze_polyradial,
-    central_transform,
     slices_at_radii_batch,
     synthesize,
 )
@@ -81,13 +82,24 @@ def laguerre_phi_table(K: int, alpha: int, x: np.ndarray) -> np.ndarray:
 # twisted and group convolution
 # ---------------------------------------------------------------------------
 
+def central_transform(u: GridFunction, grid: LambdaGrid) -> np.ndarray:
+    """f^lam(z) = integral of f(z, t) e^{i lam t} dt by trapezoid over the t-grid,
+    as an (M,) + z-grid shape array, one slice per lambda node lam > 0; for a
+    real f the slice at -lam is the conjugate."""
+    spec = u.spec
+    ph = np.exp(1j * np.outer(grid.nodes, spec.t_axis)) * spec.h_t
+    sl = u.values.reshape(-1, spec.N_t) @ ph.T                         # (Nz^2n, M)
+    return np.moveaxis(sl, -1, 0).reshape((grid.M,) + spec.shape[:-1])
+
+
 def inverse_central_transform(slices: np.ndarray, grid: LambdaGrid, spec: GridSpec) -> GridFunction:
     """f(z,t) = (2 pi)^{-1} integral of e^{-i lam t} f^lam(z) d lam on the node set.
 
     slices is the (M,) + z-grid shape array of central_transform at the nodes
     lam > 0; the sum runs over the whole lattice, lam and -lam, that unfold
-    rebuilds.  Warns (UserWarning) when the slices at lam_max still carry 1e-8
-    of peak."""
+    rebuilds.  The sum is complex: GridFunction refuses it unless its
+    imaginary part is at most 1e-12 of peak, as a real function's is.  Warns
+    (UserWarning) when the slices at lam_max still carry 1e-8 of peak."""
     edge = np.max(np.abs(slices[-1]))
     peak = np.max(np.abs(slices)) or 1.0
     if edge > 1e-8 * peak:

@@ -6,6 +6,7 @@ from hfrac.group import (
     GridSpec,
     HeisenbergPoint,
     TestFunctionId,
+    _compose,
     _diff_axis,
     apply_vector_field,
     dilate,
@@ -18,6 +19,9 @@ from hfrac.group import (
     make_test_function,
     sublaplacian_grid,
 )
+from hfrac.lagspec import LambdaGrid, analyze_polyradial, synthesize, synthesize_batch
+from hfrac.singular import _flow_derivatives
+from hfrac.squarefn import SquareFunctionConfig, g_function
 from oracles import check_polyradial
 
 RNG = np.random.default_rng(20240811)
@@ -175,9 +179,10 @@ def test_diff_axis_matches_accumulation_reference():
 
 
 def test_diff_axis_interior_is_complex_correlate1d_bitwise():
-    # complex input runs as one real pass over its float64 view; inside the
-    # one-sided edges that must be bitwise the complex correlate1d, for
-    # contiguous and strided input alike (h = 1 keeps the scaling exact)
+    # no GridFunction holds complex samples, but _diff_axis takes any array:
+    # inside the one-sided edges complex input must be bitwise the complex
+    # correlate1d, for contiguous and strided input alike (h = 1 keeps the
+    # scaling exact)
     from scipy.ndimage import correlate1d
 
     rng = np.random.default_rng(9)
@@ -279,17 +284,25 @@ def test_commutator_xy_equals_t():
 
 
 def test_left_invariance_of_fields():
+    # X (u o tau_a) = (X u) o tau_a: the stencil field of the translate against
+    # (X1 u)(a p) at the translated grid points, from the exact flow
+    # derivative of u's evaluator
     spec = GridSpec(N_z=96, N_t=96, R_z=8, R_t=8)
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
     a = HeisenbergPoint([0.9], [-0.6], 0.4)
-    fa = left_translate(f, a)             # u(a .), exact via the evaluator
-    lhs = apply_vector_field("X1", fa)    # X (u o tau_a)
-    xu = apply_vector_field("X1", f)
-    xu_grid = GridFunction(spec=spec, values=xu.values, name="Xu")
-    rhs = left_translate(xu_grid, a)      # (X u)(a .) via tricubic resampling
+    lhs = apply_vector_field("X1", left_translate(f, a), order=6)
+    rhs = _flow_derivatives(f, *_compose(a.x[0], a.y[0], a.t, *spec.meshgrid()), 1)[0]
     sl = (slice(12, -12), slice(12, -12), slice(12, -12))
-    scale = np.max(np.abs(rhs.values[sl]))
-    assert np.max(np.abs(lhs.values[sl] - rhs.values[sl])) <= 1e-3 * scale
+    scale = np.max(np.abs(rhs[sl]))
+    assert np.max(np.abs(lhs.values[sl] - rhs[sl])) <= 1e-3 * scale
+
+
+def test_left_translate_needs_evaluator():
+    # grid-only data has no closed form to sample at a p
+    spec = GridSpec(N_z=16, N_t=16, R_z=6, R_t=6)
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    with pytest.raises(ValueError, match="evaluator"):
+        left_translate(f.copy_with(f.values), HeisenbergPoint([0.5], [0.0], 0.0))
 
 
 def test_sublaplacian_matches_composed_fields():
@@ -304,6 +317,42 @@ def test_sublaplacian_matches_composed_fields():
     sl = (slice(10, -10), slice(10, -10), slice(10, -10))
     scale = np.max(np.abs(direct.values[sl]))
     assert np.max(np.abs(direct.values[sl] - composed[sl])) <= 5e-4 * scale
+
+
+# ---------------------------------------------------------------------------
+# grid samples
+# ---------------------------------------------------------------------------
+
+def test_grid_samples_are_real_float64():
+    # the one check where samples enter: real arrays are stored as float64,
+    # complex128 only with an imaginary part of at most 1e-12 of peak, and
+    # dtypes that have already lost precision are refused
+    spec = GridSpec(N_z=8, N_t=8)
+    ones = np.ones(spec.shape)
+    for values in (ones, ones.astype(int), ones.astype(complex), ones + 1e-13j):
+        u = GridFunction(spec=spec, values=values)
+        assert u.values.dtype == np.float64 and np.array_equal(u.values, ones)
+    for values in (ones + 0.1j, ones.astype(np.float32), ones.astype(np.complex64)):
+        with pytest.raises(ValueError):
+            GridFunction(spec=spec, values=values)
+
+
+def test_every_grid_function_is_float64():
+    spec = GridSpec(N_z=16, N_t=16, R_z=6, R_t=6)
+    base = TestFunctionId("gaussian", (1.0, 1.0))
+    made = [make_test_function(fid, spec) for fid in (
+        base, TestFunctionId("conformal-kernel", (0.3, 1.0)), base.dilated(1.5),
+        base.translated(HeisenbergPoint([0.5], [0.0], 0.2)))]
+    f = made[0]
+    grid = LambdaGrid.build()
+    S = analyze_polyradial(f, grid)
+    cfg = SquareFunctionConfig(rho_min=0.25, rho_max=1.0, per_octave=1,
+                               n_table_r=64, n_table_t=96)
+    with pytest.warns(UserWarning, match="rho-ladder tail share"):    # the short ladder
+        g1 = g_function(f, "g1", cfg, grid)
+    outs = made + [synthesize(S, spec), *synthesize_batch(S, spec, [None, None]), g1,
+                   apply_vector_field("X1", f), sublaplacian_grid(f)]
+    assert all(g.values.dtype == np.float64 for g in outs)
 
 
 # ---------------------------------------------------------------------------

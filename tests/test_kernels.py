@@ -77,13 +77,14 @@ def test_kernel_ladder_is_dilation_of_unit_kernel(lattice, radii):
         scale = max(np.max(np.abs(c)) for c in ref.coeffs)
         err = max(np.max(np.abs(a - b)) for a, b in zip(S.coeffs, ref.coeffs))
         assert err <= 1e-13 * scale
-    # a scalar call analyses a lattice of its own radius alone: same rows
-    single = kernel_spectrum(s, radii[0], grid, quad, spec)
+    # a one-radius call analyses a lattice of its own radius alone: same rows
+    single, = kernel_spectrum(s, np.array(radii[:1]), grid, quad, spec)
     scale = max(np.max(np.abs(c)) for c in ladder[0].coeffs)
     err = max(np.max(np.abs(a - b)) for a, b in zip(single.coeffs, ladder[0].coeffs))
     assert err <= 1e-13 * scale
-    with pytest.raises(ValueError):
-        kernel_spectrum(s, np.array([1.0, -1.0]), grid, quad, spec)
+    for bad in (np.array([1.0, -1.0]), 1.0, np.ones((1, 2))):
+        with pytest.raises(ValueError):
+            kernel_spectrum(s, bad, grid, quad, spec)
 
 
 def phi_kernel(s, rho, p):
@@ -150,7 +151,7 @@ def test_kernel_spectrum_against_kummer_oracle(setup):
     from scipy.special import hyperu, gammaln
     spec, grid, quad, _ = setup
     s, rho = 0.3, 0.8
-    S = kernel_spectrum(s, rho, grid, quad, spec)
+    S, = kernel_spectrum(s, np.array([rho]), grid, quad, spec)
     kc = constants(1, s)
     worst, checked = 0.0, 0
     for i in (139, 89, 5, 70, 130):
@@ -177,8 +178,8 @@ def conformal_poisson(f, s, rho, grid, quad):
     # w(., rho) = C(n,s) rho^{2s} f * phi_{s,rho} on the whole grid: one level
     # of conformal_extension, from the kernel spectrum of rho alone
     Sf = analyze_polyradial(f, grid, quad)
-    return synthesize(_poisson_level(Sf, kernel_spectrum(s, rho, grid, quad, f.spec), s, rho),
-                      f.spec)
+    Sk, = kernel_spectrum(s, np.array([rho]), grid, quad, f.spec)
+    return synthesize(_poisson_level(Sf, Sk, s, rho), f.spec)
 
 
 def test_conformal_poisson_converges_to_identity(setup):
@@ -531,8 +532,8 @@ def test_window_residuals_match_whole_grid_on_small_grids(N_z, N_t):
     spec = GridSpec(N_z=N_z, N_t=N_t)
     rng = np.random.default_rng(N_z)
     levels = np.array([2.0, 1.0, 0.5, 0.25, 0.125])
-    fields = [GridFunction(spec=spec, values=rng.normal(size=spec.shape)
-                           + 1j * rng.normal(size=spec.shape)) for _ in range(3 * len(levels))]
+    fields = [GridFunction(spec=spec, values=rng.normal(size=spec.shape))
+              for _ in range(3 * len(levels))]
     fld = ExtensionField(levels, fields, provenance="random", s=0.3)
     if min(N_z, N_t) < 9:
         # the order-6 second difference needs 9 nodes: the whole grid is

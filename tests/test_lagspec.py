@@ -21,7 +21,6 @@ from hfrac.lagspec import (
     _laguerre_sweep,
     _project,
     analyze_polyradial,
-    central_transform,
     plancherel_check,
     slices_at_radii_batch,
     synthesize,
@@ -30,6 +29,7 @@ from hfrac.lagspec import (
 )
 from hfrac.operators import SpectralMultiplier, evaluate_multiplier
 from oracles import (
+    central_transform,
     group_convolve,
     inverse_central_transform,
     laguerre_phi_table,
@@ -270,11 +270,12 @@ def test_central_transform_gaussian_closed_form(default_setup):
         assert err <= 1e-8 * scale
 
 
-def test_central_transform_alias_guard():
-    spec = GridSpec()   # h_t = 0.15625 resolves |lam| <= ~10
+def test_central_transform_alias_guard(default_setup):
+    spec, _, quad = default_setup   # h_t = 0.15625 resolves |lam| <= ~10
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
-    with pytest.raises(ValueError):
-        central_transform(f, LambdaGrid.build())   # default grid reaches lam = 40
+    bare = GridFunction(spec=spec, values=f.values, polyradial=True)
+    with pytest.raises(ValueError, match="resolvable"):
+        analyze_polyradial(bare, LambdaGrid.build(), quad)   # default grid reaches lam = 40
 
 
 def test_central_transform_conjugate_symmetry(default_setup):
@@ -671,18 +672,23 @@ def test_real_in_real_out_on_every_analysis_route(default_setup):
 
 def test_analysis_rejects_non_real_inputs(default_setup):
     # the half lattice holds real functions only: a closed-form coefficient
-    # function or a central profile that breaks c(-lam) = conj c(lam), and
-    # grid samples with an imaginary part, are refused; so is a non-real scale
+    # function or a central profile that breaks c(-lam) = conj c(lam) is
+    # refused, and so is a non-real scale.  gaussian(1, 0.25) has rows
+    # e^{-lam^2} that underflow to 0 at lam = 40, so its skewed forms must be
+    # caught where the rows are large, not on the outermost node
     spec, grid, quad = default_setup
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    narrow = make_test_function(TestFunctionId("gaussian", (1.0, 0.25)), spec)
+    assert not np.any(narrow.coeff_fn(np.arange(4), grid.nodes[-1]))
     skew = lambda lam: 1 + 0.5 * np.sign(lam) + 0.3j
-    inputs = [
-        GridFunction(spec=spec, values=f.values, polyradial=True,
-                     coeff_fn=lambda k, lam: f.coeff_fn(k, lam) * skew(lam)),
-        GridFunction(spec=spec, values=f.values, polyradial=True,
-                     central_profile=lambda u, lam: f.central_profile(u, lam) * skew(lam)),
-        GridFunction(spec=spec, values=f.values * (1 + 0.1j), polyradial=True),
-    ]
+    inputs = []
+    for h in (f, narrow):
+        inputs += [
+            GridFunction(spec=spec, values=h.values, polyradial=True,
+                         coeff_fn=lambda k, lam, h=h: h.coeff_fn(k, lam) * skew(lam)),
+            GridFunction(spec=spec, values=h.values, polyradial=True,
+                         central_profile=lambda u, lam, h=h: h.central_profile(u, lam) * skew(lam)),
+        ]
     for g in inputs:
         with pytest.raises(ValueError, match="real"):
             analyze_polyradial(g, grid, quad)
@@ -873,12 +879,21 @@ def test_convolution_against_direct_sum():
     assert err <= 1e-2
 
 
-def test_convolution_preserves_realness(default_setup):
-    spec, grid, quad = default_setup
-    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
-    g = make_test_function(TestFunctionId("gaussian", (2.0, 3.0)), spec)   # even in t
-    conv = group_convolve(f, g, grid, quad)
-    assert np.max(np.abs(conv.values.imag)) <= 1e-12 * np.max(np.abs(conv.values.real))
+def test_convolution_preserves_realness():
+    # the direct twisted route inverts complex slices: the central translate
+    # of a gaussian by t = 0.3 carries the phase e^{0.3 i lam}.  Their
+    # convolution is real only if the inversion pairs each slice at lam with
+    # its conjugate at -lam, and GridFunction refuses an imaginary part above
+    # 1e-12 of peak
+    spec = GridSpec(N_z=24, N_t=64, R_z=6, R_t=6)
+    base = TestFunctionId("gaussian", (1.0, 1.0))
+    f = make_test_function(base, spec)
+    g = make_test_function(base.translated(HeisenbergPoint([0.0], [0.0], 0.3)), spec)
+    grid = LambdaGrid.build(lam_max=0.95 * math.pi / (2.0 * spec.h_t))
+    F = central_transform(g, grid)
+    assert np.max(np.abs(F.imag)) > 0.1 * np.max(np.abs(F))
+    conv = group_convolve(f, g, grid)              # g is not polyradial: the direct route
+    assert conv.values.dtype == np.float64 and np.max(conv.values) > 0
 
 
 def test_convolution_direct_route_matches_laguerre_route():
