@@ -128,7 +128,7 @@ def _dilated_lattice(grid: LambdaGrid, radii: np.ndarray) -> LambdaGrid:
 
 
 def kernel_spectrum(s: float, radii: np.ndarray, grid: LambdaGrid,
-                    quad: AnalysisQuadrature, spec: GridSpec) -> list:
+                    quad: AnalysisQuadrature, n: int) -> list:
     """Laguerre coefficients of phi_{s,rho} on the lattice, one spectrum per
     radius of the 1-D array radii.
 
@@ -137,22 +137,22 @@ def kernel_spectrum(s: float, radii: np.ndarray, grid: LambdaGrid,
     c_k(phi_{s,rho})(lam) = rho^{-2s} c_k(phi_{s,1})(rho^2 lam) holds for the
     discrete coefficients too, and the unit kernel's central profile is
     evaluated, and the Laguerre recurrence run, once per call.  That route
-    reads only the closed forms and spec.n, so the unit kernel is sampled on
-    a token 8^2n x 8 grid, not on spec.
+    reads only the closed forms, so the unit kernel of dimension n is sampled
+    on a token 8^2n x 8 grid.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or np.any(radii <= 0):
         raise ValueError("kernel radii must be a 1-D array of positive radii")
     lattice = _dilated_lattice(grid, radii)
     unit = make_test_function(TestFunctionId("conformal-kernel", (s, 1.0)),
-                              GridSpec(n=spec.n, N_z=8, N_t=8))
+                              GridSpec(n=n, N_z=8, N_t=8))
     S1 = analyze_polyradial(unit, lattice, quad)
     out = []
     for r in radii.tolist():
         scale = r ** (-2.0 * s)
         rows = np.searchsorted(lattice.nodes, r * r * grid.nodes)
         coeffs = [scale * S1.coeffs[j][:cap] for j, cap in zip(rows, grid.k_caps)]
-        out.append(PolyradialSpectrum(grid=grid, n=spec.n, coeffs=coeffs,
+        out.append(PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs,
                                       name=TestFunctionId("conformal-kernel", (s, r)).label()))
     return out
 
@@ -271,7 +271,7 @@ def conformal_extension(f: GridFunction, s: float, rho_levels=None,
     rho_levels = default_rho_ladder() if rho_levels is None else np.asarray(rho_levels, float)
     radii = _ladder_radii(rho_levels)
     Sf = analyze_polyradial(f, grid, quad)
-    Sks = kernel_spectrum(s, np.array(radii), grid, quad, f.spec)
+    Sks = kernel_spectrum(s, np.array(radii), grid, quad, f.spec.n)
     spec, box = _measured_window(f.spec)
     fields = [synthesize(_poisson_level(Sf, Sk, s, r), spec) for r, Sk in zip(radii, Sks)]
     return ExtensionField(rho_levels, fields, f"conformal(s={s:g})", s, box)

@@ -25,8 +25,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -173,10 +176,12 @@ class LambdaGrid:
 # row is written in place into a table block by out= ufuncs, with no
 # temporary; the block's two leading rows carry l_{k-2} and l_{k-1} over from
 # the block before, the one copy a block makes.  The consumer contracts each
-# block in real arithmetic (real and imaginary parts as separate rows, so no
-# block is ever promoted to complex) before the next is written.  The plain
-# full-table recurrence the tests compare it against is laguerre_phi_table
-# in tests/oracles.py.
+# block in real arithmetic before the next is written: real weights as they
+# are, complex ones as separate real and imaginary rows, so no block is ever
+# promoted to complex.  An analysis whose weight rows come deepest first, as
+# the heavy-tail route builds them, is contracted without a reordered copy.
+# The plain full-table recurrence the tests compare it against is
+# laguerre_phi_table in tests/oracles.py.
 # ---------------------------------------------------------------------------
 
 PROJECT_CHUNK = 256        # k-rows per table block of the analysis contraction
@@ -237,27 +242,37 @@ def _laguerre_sweep(x: np.ndarray, caps, alpha: int, rows: int, want_deriv: bool
             tab[:2, :w] = tab[klen:klen + 2, :w]
 
 
-def _project(x: np.ndarray, Wmat: np.ndarray, kcaps, alpha: int) -> list:
-    """c_i[k] = sum_j Wmat[i, j] l_k(x_j) for k < kcaps[i], every row in one sweep.
+def _project(x: np.ndarray, W: np.ndarray, kcaps, alpha: int) -> list:
+    """c_i[k] = sum_j W[i, j] l_k(x_j) for k < kcaps[i], every row in one sweep.
 
-    The real and imaginary parts of each row are interleaved into one real
-    matrix, so each table block is contracted in real arithmetic and the
-    product's (re, im) column pairs read back as complex; rows drop out of the
-    product as k passes their cap.  The sweep runs on x as one segment.
-    Returns per-row arrays of length kcaps[i].
+    Real weights are contracted as they are.  Complex weights have their real
+    and imaginary parts interleaved into one real matrix, so each table block
+    is still contracted in real arithmetic and the product's (re, im) column
+    pairs read back as complex.  The rows are taken deepest first and drop out
+    of the product as k passes their cap: weights whose caps come
+    nonincreasing are read in place, others through a copy in that order.
+    The sweep runs on x as one segment.  Returns per-row complex arrays of
+    length kcaps[i], in the order of kcaps.
     """
     caps = np.asarray(kcaps, dtype=int)
-    order = np.argsort(caps)[::-1]
-    caps = caps[order]
-    W = np.empty((2 * caps.size, x.size))
-    W[0::2], W[1::2] = Wmat[order].real, Wmat[order].imag
+    order = None
+    if np.any(np.diff(caps) > 0):
+        order = np.argsort(-caps, kind="stable")
+        caps, W = caps[order], W[order]
+    per = 2 if np.iscomplexobj(W) else 1
+    if per == 2:                                               # rows re_0, im_0, re_1, ...
+        W = np.stack([W.real, W.imag], axis=1).reshape(-1, x.size)
     cols = [np.empty(int(c), dtype=complex) for c in caps]
     for k0, block in _laguerre_sweep(x[None, :], caps[:1], alpha, PROJECT_CHUNK):
         active = int(np.count_nonzero(caps > k0))
-        vals = (block @ W[:2 * active].T).view(complex)      # (klen, active)
+        vals = block @ W[:per * active].T                     # (klen, per * active)
+        if per == 2:
+            vals = vals.view(complex)
         for i in range(active):
             hi = min(int(caps[i]), k0 + len(block))
             cols[i][k0:hi] = vals[:hi - k0, i]
+    if order is None:
+        return cols
     out = [None] * caps.size
     for i, oi in enumerate(order):
         out[oi] = cols[i]
@@ -412,12 +427,16 @@ class AnalysisQuadrature:
     adequate for the deep-k modes carried at small lambda.  v-nodes are the
     lambda-scaled variant (v = |lam| u) used for kernels with power-law radial
     tails, where the weight e^{-v/4} sets a lambda-free domain.
+
+    The quadrature holds each rule's span and node count; a rule's nodes and
+    weights are built on their first read, so an analysis that reads neither
+    rule (closed-form coefficients) never computes its Gauss-Legendre roots.
     """
 
-    u_nodes: np.ndarray
-    u_weights: np.ndarray
-    v_nodes: np.ndarray
-    v_weights: np.ndarray
+    u_span: float          # U = R_z^2: the u-rule covers u = |z|^2 in (0, U]
+    n_radial: int
+    v_span: float          # V_SPAN: the v-rule covers v = |lam| u in (0, V]
+    n_radial_v: int
 
     @staticmethod
     def _sqrt_rule(span: float, m: int):
@@ -427,21 +446,40 @@ class AnalysisQuadrature:
         weights = span * xi * w     # du = 2 span xi dxi, dxi = w/2
         return nodes, weights
 
+    @cached_property
+    def _u_rule(self):
+        return self._sqrt_rule(self.u_span, self.n_radial)
+
+    @cached_property
+    def _v_rule(self):
+        return self._sqrt_rule(self.v_span, self.n_radial_v)
+
+    @property
+    def u_nodes(self) -> np.ndarray:
+        return self._u_rule[0]
+
+    @property
+    def u_weights(self) -> np.ndarray:
+        return self._u_rule[1]
+
+    @property
+    def v_nodes(self) -> np.ndarray:
+        return self._v_rule[0]
+
+    @property
+    def v_weights(self) -> np.ndarray:
+        return self._v_rule[1]
+
     @classmethod
     def build(cls, spec: GridSpec, n_radial: int = 1536,
               n_radial_v: int = 3072) -> "AnalysisQuadrature":
-        u_nodes, u_weights = cls._sqrt_rule(spec.R_z ** 2, n_radial)
-        v_nodes, v_weights = cls._sqrt_rule(V_SPAN, n_radial_v)
-        return cls(u_nodes, u_weights, v_nodes, v_weights)
+        return cls(float(spec.R_z) ** 2, n_radial, V_SPAN, n_radial_v)
 
     def refine(self) -> "AnalysisQuadrature":
         """1.25 times the nodes of both rules, on the same spans."""
         factor = 1.25
-        # each rule integrates 1 exactly, so its weights sum to its span
-        u_rule, v_rule = (self._sqrt_rule(float(np.sum(w)), int(round(x.size * factor)))
-                          for x, w in ((self.u_nodes, self.u_weights),
-                                       (self.v_nodes, self.v_weights)))
-        return AnalysisQuadrature(*u_rule, *v_rule)
+        return AnalysisQuadrature(self.u_span, int(round(self.n_radial * factor)),
+                                  self.v_span, int(round(self.n_radial_v * factor)))
 
 
 def _angular_const(n: int) -> float:
@@ -461,6 +499,62 @@ def _require_conjugate(fn, xs, lams, rows, what: str) -> None:
                          "the lattice holds real functions only")
 
 
+def _worker_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _heavy_tail_weights(profile, lams: np.ndarray, quad: AnalysisQuadrature, ang: float,
+                        alpha: int):
+    """The heavy-tail weights W[i] = ang (v_weights/lam_i) profile(x_i, lam_i) x_i^alpha
+    on x_i = v_nodes/lam_i, one row per node of lams, real unless a profile
+    row is complex.
+
+    Each row is computed from one profile call and written into W, in blocks
+    of rows spread over a thread pool of _worker_count() threads: a row is
+    the same code on the same inputs whatever thread fills it, so W does not
+    depend on the worker count.  Returns W and (lam, x, profile row) of the
+    node whose profile row is largest in modulus, the first such node on a
+    tie, for the conjugate check; no profile is evaluated twice.
+    """
+    v, vw = quad.v_nodes, quad.v_weights
+    W = np.empty((lams.size, v.size))
+    imag = {}                       # row -> imaginary part, for complex rows only
+    step = 32                       # rows per task: enough to amortize the pool
+
+    def fill(lo):
+        best = (-1.0, None, None)
+        for i in range(lo, min(lo + step, lams.size)):
+            lam = lams[i]
+            x = v / lam
+            prof = profile(x, lam)
+            row = ang * (vw / lam) * prof * x ** alpha
+            W[i] = row.real
+            if np.iscomplexobj(row) and np.any(row.imag):
+                imag[i] = row.imag
+            top = float(np.max(np.abs(prof), initial=0.0))
+            if top > best[0]:
+                best = (top, i, prof)
+        return best
+
+    starts = range(0, lams.size, step)
+    workers = min(_worker_count(), len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            bests = list(pool.map(fill, starts))
+    else:
+        bests = [fill(lo) for lo in starts]
+    _, i, prof = max(bests, key=lambda b: b[0])          # first block on a tie
+    if imag:
+        W = W.astype(complex)
+        for r, im in imag.items():
+            W[r].imag = im
+    return W, (lams[i], v / lams[i], prof)
+
+
 def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
                        quad: Optional[AnalysisQuadrature] = None) -> PolyradialSpectrum:
     """Project a real polyradial function onto the (k, lam) lattice, one row per
@@ -473,8 +567,12 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
     Input routes, best available first: closed-form coefficients, central
     profile (the heavy-tail one on the v-rule, the other on the u-rule), raw
     grid samples (grid-t trapezoid, aliasing-guarded).  The heavy-tail route
-    projects the lattice in one batch; the others build radii, radial weights
-    and (M, Nr) slices and project each node through its own recurrence.  The
+    projects the lattice in one batch: one (M, N_v) weight matrix, real for a
+    real profile, its rows laid out deepest first and each filled from one
+    profile call on a thread pool (_heavy_tail_weights), then one sweep of
+    the recurrence over the shared v-nodes, with no full-size temporary and
+    no reordered copy.  The others build radii, radial weights and (M, Nr)
+    slices and project each node through its own recurrence.  The
     grid route warns (UserWarning) when the input has not decayed at the box
     boundary, when the grid band-limits the Laguerre order below the lattice
     caps and when the spectrum's tail energy exceeds 1e-6.
@@ -502,13 +600,15 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
     if u.central_profile is not None and u.heavy_tail:
         # v = |lam| u covers the power-law radial tail uniformly in lam and
         # makes the x-nodes shared across lambda, so the whole lattice
-        # projects through one batched recurrence
-        uu = quad.v_nodes[None, :] / lams[:, None]
-        prof = np.array([u.central_profile(x, lam) for x, lam in zip(uu, lams)])
-        _require_conjugate(u.central_profile, uu, lams, prof, "central profile")
-        Wmat = ang * (quad.v_weights / lams[:, None]) * prof * uu ** alpha
-        raw = _project(0.5 * quad.v_nodes, Wmat, grid.k_caps, alpha)
-        coeffs = [c / proj_dim(np.arange(len(c)), n) for c in raw]
+        # projects through one batched recurrence, its weight rows deepest first
+        order = np.argsort(-grid.k_caps, kind="stable")
+        W, (lam, x, prof) = _heavy_tail_weights(u.central_profile, lams[order], quad, ang, alpha)
+        _require_conjugate(u.central_profile, [x], [lam], [prof], "central profile")
+        raw = _project(0.5 * quad.v_nodes, W, grid.k_caps[order], alpha)
+        coeffs = [None] * grid.M
+        for i, c in zip(order, raw):
+            c /= proj_dim(np.arange(len(c)), n)
+            coeffs[i] = c
         return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=u.name)
 
     caps = grid.k_caps

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_kernel_ladder_is_dilation_of_unit_kernel(lattice, radii):
         nodes=np.array([0.5, 2.0]), weights=np.full(2, 2.0), k_caps=np.array([40, 10]))
     quad = AnalysisQuadrature.build(spec)
     s = 0.3
-    ladder = kernel_spectrum(s, np.array(radii), grid, quad, spec)
+    ladder = kernel_spectrum(s, np.array(radii), grid, quad, spec.n)
     assert isinstance(ladder, list) and len(ladder) == len(radii)
     for rho, S in zip(radii, ladder):
         ref = analyze_polyradial(make_test_function(TestFunctionId("conformal-kernel", (s, rho)),
@@ -78,13 +79,31 @@ def test_kernel_ladder_is_dilation_of_unit_kernel(lattice, radii):
         err = max(np.max(np.abs(a - b)) for a, b in zip(S.coeffs, ref.coeffs))
         assert err <= 1e-13 * scale
     # a one-radius call analyses a lattice of its own radius alone: same rows
-    single, = kernel_spectrum(s, np.array(radii[:1]), grid, quad, spec)
+    single, = kernel_spectrum(s, np.array(radii[:1]), grid, quad, spec.n)
     scale = max(np.max(np.abs(c)) for c in ladder[0].coeffs)
     err = max(np.max(np.abs(a - b)) for a, b in zip(single.coeffs, ladder[0].coeffs))
     assert err <= 1e-13 * scale
     for bad in (np.array([1.0, -1.0]), 1.0, np.ones((1, 2))):
         with pytest.raises(ValueError):
-            kernel_spectrum(s, bad, grid, quad, spec)
+            kernel_spectrum(s, bad, grid, quad, spec.n)
+
+
+def test_kernel_ladder_memory_peak(setup):
+    # the heavy-tail analysis of a 21-radius ladder (3,150 nodes x 3,072
+    # v-nodes) holds one real weight matrix of 73.8 MiB and no full-size
+    # temporary: tracemalloc peaks at 97.9 MiB.  The bound leaves 27 MiB,
+    # about a third of one more full-size matrix.
+    _, grid, quad, _ = setup
+    radii = np.array(_ladder_radii([2.0, 1.4, 1.0, 0.7, 0.5, 0.25, 0.125]))
+    assert radii.size == 21
+    quad.v_nodes                        # the v-rule is built outside the traced call
+    tracemalloc.start()
+    try:
+        kernel_spectrum(0.3, radii, grid, quad, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 125 * 2 ** 20, peak / 2 ** 20
 
 
 def phi_kernel(s, rho, p):
@@ -151,7 +170,7 @@ def test_kernel_spectrum_against_kummer_oracle(setup):
     from scipy.special import hyperu, gammaln
     spec, grid, quad, _ = setup
     s, rho = 0.3, 0.8
-    S, = kernel_spectrum(s, np.array([rho]), grid, quad, spec)
+    S, = kernel_spectrum(s, np.array([rho]), grid, quad, spec.n)
     kc = constants(1, s)
     worst, checked = 0.0, 0
     for i in (139, 89, 5, 70, 130):
@@ -178,7 +197,7 @@ def conformal_poisson(f, s, rho, grid, quad):
     # w(., rho) = C(n,s) rho^{2s} f * phi_{s,rho} on the whole grid: one level
     # of conformal_extension, from the kernel spectrum of rho alone
     Sf = analyze_polyradial(f, grid, quad)
-    Sk, = kernel_spectrum(s, np.array([rho]), grid, quad, f.spec)
+    Sk, = kernel_spectrum(s, np.array([rho]), grid, quad, f.spec.n)
     return synthesize(_poisson_level(Sf, Sk, s, rho), f.spec)
 
 
@@ -562,7 +581,7 @@ def _whole_grid_extension(f, s, levels, grid, quad, conformal):
     if conformal:
         C = constants(f.spec.n, s).C
         spectra = [Sf.convolve(Sk) * (C * r ** (2 * s))
-                   for r, Sk in zip(radii, kernel_spectrum(s, radii, grid, quad, f.spec))]
+                   for r, Sk in zip(radii, kernel_spectrum(s, radii, grid, quad, f.spec.n))]
     else:
         spectra = [apply_operator(Sf, SpectralMultiplier("macdonald", (s, r))).spectrum
                    for r in radii]

@@ -150,6 +150,16 @@ def test_project_matches_full_table():
             for got in (batch[i], single):
                 assert got.shape == (cap,) and got.dtype == complex
                 assert np.max(np.abs(got - ref)) <= 1e-13 * scale, (alpha, cap)
+    # real weights are contracted as they are, not through interleaved zero
+    # imaginary rows: they must agree with the complex path on the same weights
+    Wr = W.real
+    for alpha in (0, 1):
+        real, cplx = _project(x, Wr, caps, alpha), _project(x, Wr + 0j, caps, alpha)
+        table = laguerre_phi_table(int(caps.max()) - 1, alpha, x)
+        for i, cap in enumerate(caps):
+            scale = np.max(np.abs(table[:cap]) @ np.abs(Wr[i]))
+            assert real[i].shape == (cap,) and real[i].dtype == complex
+            assert np.max(np.abs(real[i] - cplx[i])) <= 1e-13 * scale, (alpha, cap)
 
 
 @pytest.mark.parametrize("rows", [1, 4, 16])
@@ -748,6 +758,27 @@ def test_paired_heavy_tail_matches_per_node_reference(default_setup):
         for c, r in zip(S.coeffs, ref):
             assert c.shape == r.shape
             assert np.max(np.abs(c - r)) <= 1e-14 * scale, f.name
+
+
+def test_heavy_tail_rows_do_not_depend_on_the_worker_count(default_setup, monkeypatch):
+    # each weight row is the same code on the same inputs whatever thread fills
+    # it, so one worker and two give the same bits; the t-shifted profile has
+    # complex rows, which must still match the per-node reference
+    spec, grid, quad = default_setup
+    f = make_test_function(TestFunctionId("conformal-kernel", (0.3, 1.4)), spec)
+    shifted = lambda u, lam: f.central_profile(u, lam) * np.exp(0.7j * lam)
+    for prof in (f.central_profile, shifted):
+        g = GridFunction(spec=spec, values=f.values, name="kernel", polyradial=True,
+                         central_profile=prof, heavy_tail=True)
+        rows = []
+        for workers in (1, 2):
+            monkeypatch.setattr(lagspec, "_worker_count", lambda: workers)
+            rows.append(analyze_polyradial(g, grid, quad).coeffs)
+        assert all(np.array_equal(a, b) for a, b in zip(*rows))
+    ref = _heavy_tail_reference(g, grid, quad)
+    scale = max(float(np.max(np.abs(r))) for r in ref)
+    assert max(float(np.max(np.abs(c.imag))) for c in rows[0]) > 0.05 * scale   # complex rows
+    assert max(float(np.max(np.abs(c - r))) for c, r in zip(rows[0], ref)) <= 1e-14 * scale
 
 
 def test_heavy_tail_rejects_odd_profile(default_setup):
