@@ -178,10 +178,10 @@ class LambdaGrid:
 # the block before, the one copy a block makes.  The consumer contracts each
 # block in real arithmetic before the next is written: real weights as they
 # are, complex ones as separate real and imaginary rows, so no block is ever
-# promoted to complex.  An analysis whose weight rows come deepest first, as
-# the heavy-tail route builds them, is contracted without a reordered copy.
-# The plain full-table recurrence the tests compare it against is
-# laguerre_phi_table in tests/oracles.py.
+# promoted to complex.  An analysis takes its weight rows deepest first, the
+# order of the sweep, and reads them in place.  The plain full-table
+# recurrence the tests compare it against is laguerre_phi_table in
+# tests/oracles.py.
 # ---------------------------------------------------------------------------
 
 PROJECT_CHUNK = 256        # k-rows per table block of the analysis contraction
@@ -245,20 +245,15 @@ def _laguerre_sweep(x: np.ndarray, caps, alpha: int, rows: int, want_deriv: bool
 def _project(x: np.ndarray, W: np.ndarray, kcaps, alpha: int) -> list:
     """c_i[k] = sum_j W[i, j] l_k(x_j) for k < kcaps[i], every row in one sweep.
 
-    Real weights are contracted as they are.  Complex weights have their real
-    and imaginary parts interleaved into one real matrix, so each table block
-    is still contracted in real arithmetic and the product's (re, im) column
-    pairs read back as complex.  The rows are taken deepest first and drop out
-    of the product as k passes their cap: weights whose caps come
-    nonincreasing are read in place, others through a copy in that order.
-    The sweep runs on x as one segment.  Returns per-row complex arrays of
-    length kcaps[i], in the order of kcaps.
+    The rows come deepest first, kcaps nonincreasing (ValueError otherwise),
+    and drop out of the product as k passes their cap.  Real weights are
+    contracted as they are, complex ones as one real matrix of interleaved
+    (re, im) rows whose product reads back as complex.  The sweep runs on x
+    as one segment.  Returns per-row complex arrays of length kcaps[i].
     """
     caps = np.asarray(kcaps, dtype=int)
-    order = None
     if np.any(np.diff(caps) > 0):
-        order = np.argsort(-caps, kind="stable")
-        caps, W = caps[order], W[order]
+        raise ValueError("_project takes its rows deepest first: kcaps must be nonincreasing")
     per = 2 if np.iscomplexobj(W) else 1
     if per == 2:                                               # rows re_0, im_0, re_1, ...
         W = np.stack([W.real, W.imag], axis=1).reshape(-1, x.size)
@@ -271,12 +266,7 @@ def _project(x: np.ndarray, W: np.ndarray, kcaps, alpha: int) -> list:
         for i in range(active):
             hi = min(int(caps[i]), k0 + len(block))
             cols[i][k0:hi] = vals[:hi - k0, i]
-    if order is None:
-        return cols
-    out = [None] * caps.size
-    for i, oi in enumerate(order):
-        out[oi] = cols[i]
-    return out
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +416,15 @@ class AnalysisQuadrature:
     and the xi variable makes that oscillation uniform, which keeps the rule
     adequate for the deep-k modes carried at small lambda.  v-nodes are the
     lambda-scaled variant (v = |lam| u) used for kernels with power-law radial
-    tails, where the weight e^{-v/4} sets a lambda-free domain.
+    tails, where the weight e^{-v/4} sets the lambda-free domain (0, V_SPAN].
 
-    The quadrature holds each rule's span and node count; a rule's nodes and
-    weights are built on their first read, so an analysis that reads neither
-    rule (closed-form coefficients) never computes its Gauss-Legendre roots.
+    The quadrature holds the u-span and each rule's node count; a rule is
+    built on its first read, so an analysis that reads neither rule
+    (closed-form coefficients) never computes its Gauss-Legendre roots.
     """
 
     u_span: float          # U = R_z^2: the u-rule covers u = |z|^2 in (0, U]
     n_radial: int
-    v_span: float          # V_SPAN: the v-rule covers v = |lam| u in (0, V]
     n_radial_v: int
 
     @staticmethod
@@ -452,7 +441,7 @@ class AnalysisQuadrature:
 
     @cached_property
     def _v_rule(self):
-        return self._sqrt_rule(self.v_span, self.n_radial_v)
+        return self._sqrt_rule(V_SPAN, self.n_radial_v)
 
     @property
     def u_nodes(self) -> np.ndarray:
@@ -473,13 +462,13 @@ class AnalysisQuadrature:
     @classmethod
     def build(cls, spec: GridSpec, n_radial: int = 1536,
               n_radial_v: int = 3072) -> "AnalysisQuadrature":
-        return cls(float(spec.R_z) ** 2, n_radial, V_SPAN, n_radial_v)
+        return cls(float(spec.R_z) ** 2, n_radial, n_radial_v)
 
     def refine(self) -> "AnalysisQuadrature":
         """1.25 times the nodes of both rules, on the same spans."""
         factor = 1.25
         return AnalysisQuadrature(self.u_span, int(round(self.n_radial * factor)),
-                                  self.v_span, int(round(self.n_radial_v * factor)))
+                                  int(round(self.n_radial_v * factor)))
 
 
 def _angular_const(n: int) -> float:
@@ -518,20 +507,18 @@ def _worker_count() -> int:
 
 def _heavy_tail_weights(profile, lams: np.ndarray, quad: AnalysisQuadrature, ang: float,
                         alpha: int):
-    """The heavy-tail weights W[i] = ang (v_weights/lam_i) profile(x_i, lam_i) x_i^alpha
-    on x_i = v_nodes/lam_i, one row per node of lams, real unless a profile
-    row is complex.
+    """The real weights W[i] = ang (v_weights/lam_i) profile(x_i, lam_i) x_i^alpha
+    on x_i = v_nodes/lam_i, one row per node of lams; a complex row (a
+    profile not even in t) raises ValueError.
 
-    Each row is computed from one profile call and written into W, in blocks
-    of rows spread over a thread pool of _worker_count() threads, at most
-    one per block: a row is the same code on the same inputs whatever thread
-    fills it, so W does not depend on the worker count.  Returns W and (lam, x, profile row) of the
-    node whose profile row is largest in modulus, the first such node on a
-    tie, for the conjugate check; no profile is evaluated twice.
+    Each row comes from one profile call, in blocks of rows on a pool of
+    _worker_count() threads, at most one per block; a row is the same code
+    on the same inputs whatever thread fills it.  Returns W and (lam, x,
+    profile row) of the node whose profile row is largest in modulus, the
+    first on a tie, for the conjugate check; no profile is evaluated twice.
     """
     v, vw = quad.v_nodes, quad.v_weights
     W = np.empty((lams.size, v.size))
-    imag = {}                       # row -> imaginary part, for complex rows only
     step = 32                       # rows per task: enough to amortize the pool
 
     def fill(lo):
@@ -541,9 +528,9 @@ def _heavy_tail_weights(profile, lams: np.ndarray, quad: AnalysisQuadrature, ang
             x = v / lam
             prof = profile(x, lam)
             row = ang * (vw / lam) * prof * x ** alpha
-            W[i] = row.real
             if np.iscomplexobj(row) and np.any(row.imag):
-                imag[i] = row.imag
+                raise ValueError(f"heavy-tail profile not even in t (complex at lambda = {lam:g})")
+            W[i] = row.real
             top = float(np.max(np.abs(prof), initial=0.0))
             if top > best[0]:
                 best = (top, i, prof)
@@ -553,10 +540,6 @@ def _heavy_tail_weights(profile, lams: np.ndarray, quad: AnalysisQuadrature, ang
     with ThreadPoolExecutor(min(_worker_count(), len(starts))) as pool:
         bests = list(pool.map(fill, starts))
     _, i, prof = max(bests, key=lambda b: b[0])          # first block on a tie
-    if imag:
-        W = W.astype(complex)
-        for r, im in imag.items():
-            W[r].imag = im
     return W, (lams[i], v / lams[i], prof)
 
 
@@ -572,15 +555,15 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
     Input routes, best available first: closed-form coefficients, central
     profile (the heavy-tail one on the v-rule, the other on the u-rule), raw
     grid samples (grid-t trapezoid, aliasing-guarded).  The heavy-tail route
-    projects the lattice in one batch: one (M, N_v) weight matrix, real for a
-    real profile, its rows laid out deepest first and each filled from one
+    takes a profile even in t and projects the lattice in one batch: one real
+    (M, N_v) weight matrix, its rows deepest first and each filled from one
     profile call on a thread pool (_heavy_tail_weights), then one sweep of
-    the recurrence over the shared v-nodes, with no full-size temporary and
-    no reordered copy.  The others build radii, radial weights and (M, Nr)
-    slices and project each node through its own recurrence.  The
-    grid route warns (UserWarning) when the input has not decayed at the box
-    boundary, when the grid band-limits the Laguerre order below the lattice
-    caps and when the spectrum's tail energy exceeds 1e-6.
+    the recurrence over the shared v-nodes; a complex profile row raises
+    ValueError.  The others build radii, radial weights and (M, Nr) slices
+    and project each node through its own recurrence.  The grid route warns
+    (UserWarning) when the input has not decayed at the box boundary, when
+    the grid band-limits the Laguerre order below the lattice caps and when
+    the spectrum's tail energy exceeds 1e-6.
 
     The lattice holds real functions, whose rows obey c(-lam) = conj c(lam).
     A closed-form coefficient function or a central profile that breaks it,

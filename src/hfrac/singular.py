@@ -55,6 +55,11 @@ class SingularQuadrature:
     @classmethod
     def build(cls, r_min: float = 1e-3, r_max: float = 60.0, per_decade: int = 14,
               n_theta: int = 24, n_phi: int = 24) -> "SingularQuadrature":
+        """Raises ValueError unless 0 < r_min < r_max and every count is >= 1:
+        a reversed span would integrate with negative Haar weights."""
+        if not (0 < r_min < r_max and min(per_decade, n_theta, n_phi) >= 1):
+            raise ValueError("the singular quadrature needs 0 < r_min < r_max and "
+                             "per_decade, n_theta, n_phi >= 1")
         decades = math.log10(r_max / r_min)
         m = max(8, int(round(per_decade * decades)))
         logr = np.linspace(math.log(r_min), math.log(r_max), m)

@@ -258,7 +258,8 @@ class _GradientTable:
 
 def _require_gstar_inputs(spec: GridSpec, samples) -> None:
     """Raise NotImplementedError unless n = 1, where g*'s y-nodes and gradient
-    tables live, and ValueError for a sample within R/4 of a face of spec."""
+    tables live, and ValueError for no samples or a sample within R/4 of a
+    face of spec."""
     if spec.n != 1:
         raise NotImplementedError("g* is implemented for n = 1: its y-nodes and "
                                   "gradient tables live on H^1")
@@ -284,10 +285,10 @@ def g_star(Su: PolyradialSpectrum, cfg: SquareFunctionConfig, samples,
     Q = 2 * spec.n + 2
     lad = cfg.rho_ladder()
     wts = cfg.rho_weights()
-    table = _GradientTable(Su, cfg)
     yq = SingularQuadrature.build(r_min=cfg.y_r_min, r_max=cfg.y_r_max,
                                   per_decade=cfg.y_per_decade,
                                   n_theta=cfg.y_n_theta, n_phi=cfg.y_n_phi)
+    table = _GradientTable(Su, cfg)
     # x y^{-1} over the y-nodes, sample after sample
     px, py, pt = (np.concatenate(c) for c in zip(*(_right_args(x, yq) for x in samples)))
     vals = table.values(lad, table.design_matrix(px, py, pt))
@@ -321,8 +322,8 @@ def pointwise_theorem_check(u: GridFunction, s: float, lam_param: float, samples
     table never violates the inequality beyond the propagated quadrature
     tolerance by construction of the reported constant; stability of that
     constant under one refinement step of every quadrature is the pass
-    criterion.  Inputs g* cannot take, n != 1 or a sample within R/4 of a
-    face, are rejected before any analysis runs.
+    criterion.  Inputs g* cannot take, n != 1, no samples or a sample within
+    R/4 of a face, are rejected before any analysis runs.
     """
     spec = u.spec
     Q = 2 * spec.n + 2

@@ -134,6 +134,8 @@ def test_require_interior_checks_every_component():
                 HeisenbergPoint([0.0, 0.0], [0.0, 0.0], 3.1)):
         with pytest.raises(ValueError):
             spec.require_interior([far])
+    with pytest.raises(ValueError, match="no samples"):
+        spec.require_interior([])
 
 
 def test_fd_weights_first_derivative():

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad as spquad
 from scipy.special import kv, roots_legendre
 
+from hfrac import kernels
 from hfrac.group import (
     GridFunction,
     GridSpec,
@@ -289,11 +290,20 @@ def test_pointwise_ir_dilation_covariance(setup):
             assert np.max(np.abs(lhs - rhs)) <= bound * np.max(np.abs(rhs)), (values.__name__, r)
 
 
-def test_pointwise_ir_rejects_boundary_sample(setup):
+def test_pointwise_ir_rejects_boundary_sample(setup, monkeypatch):
+    # a sample outside the interior margin, or no sample at all, fails before
+    # the singular quadrature and the spectral analysis run
     spec, grid, quad, f = setup
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analysis ran before the samples were checked")
+
+    monkeypatch.setattr(kernels, "ir_values", no_analysis)
+    monkeypatch.setattr(kernels, "analyze_polyradial", no_analysis)
     far = [HeisenbergPoint([spec.R_z - 0.5], [0.0], 0.0)]
-    with pytest.raises(ValueError):
-        frac_conf_pointwise(f, 0.3, far, grid, quad)
+    for bad in (far, []):
+        with pytest.raises(ValueError):
+            frac_conf_pointwise(f, 0.3, bad, grid, quad)
 
 
 # ---------------------------------------------------------------------------

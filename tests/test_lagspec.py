@@ -136,9 +136,10 @@ def test_analysis_quadrature_refine_grows_both_rules_on_their_spans():
 
 def test_project_matches_full_table():
     # the chunked, real-arithmetic projection against the plain full table,
-    # with caps that straddle chunk edges, as one batch and as batches of one
+    # with caps that straddle chunk edges, deepest first, as one batch and as
+    # batches of one
     x = 0.5 * AnalysisQuadrature._sqrt_rule(400.0, 300)[0]
-    caps = np.array([5, 300, 1, 513, 256, 257])
+    caps = np.array([513, 300, 257, 256, 5, 1])
     W = RNG.normal(size=(caps.size, x.size)) + 1j * RNG.normal(size=(caps.size, x.size))
     for alpha in (0, 1):
         table = laguerre_phi_table(int(caps.max()) - 1, alpha, x)
@@ -160,6 +161,10 @@ def test_project_matches_full_table():
             scale = np.max(np.abs(table[:cap]) @ np.abs(Wr[i]))
             assert real[i].shape == (cap,) and real[i].dtype == complex
             assert np.max(np.abs(real[i] - cplx[i])) <= 1e-13 * scale, (alpha, cap)
+    # rows that do not come deepest first are refused, not reordered
+    for bad in ([5, 300, 1, 513, 256, 257], [1, 2, 2, 1, 1, 1]):
+        with pytest.raises(ValueError, match="deepest first"):
+            _project(x, Wr, bad, 0)
 
 
 @pytest.mark.parametrize("rows", [1, 4, 16])
@@ -762,23 +767,38 @@ def test_paired_heavy_tail_matches_per_node_reference(default_setup):
 
 def test_heavy_tail_rows_do_not_depend_on_the_worker_count(default_setup, monkeypatch):
     # each weight row is the same code on the same inputs whatever thread fills
-    # it, so one worker and two give the same bits; the t-shifted profile has
-    # complex rows, which must still match the per-node reference
+    # it, so one worker and two give the same bits, and both match the
+    # per-node reference
+    spec, grid, quad = default_setup
+    f = make_test_function(TestFunctionId("conformal-kernel", (0.3, 1.4)), spec)
+    g = GridFunction(spec=spec, values=f.values, name="kernel", polyradial=True,
+                     central_profile=f.central_profile, heavy_tail=True)
+    rows = []
+    for workers in (1, 2):
+        monkeypatch.setattr(lagspec, "_worker_count", lambda: workers)
+        rows.append(analyze_polyradial(g, grid, quad).coeffs)
+    assert all(np.array_equal(a, b) for a, b in zip(*rows))
+    ref = _heavy_tail_reference(g, grid, quad)
+    scale = max(float(np.max(np.abs(r))) for r in ref)
+    assert max(float(np.max(np.abs(c - r))) for c, r in zip(rows[0], ref)) <= 1e-14 * scale
+
+
+def test_heavy_tail_rejects_profile_not_even_in_t(default_setup, monkeypatch):
+    # a t-shifted kernel is real, but its central profile is complex: the
+    # heavy-tail route takes real weight rows only and refuses it while
+    # filling them, before any projection
     spec, grid, quad = default_setup
     f = make_test_function(TestFunctionId("conformal-kernel", (0.3, 1.4)), spec)
     shifted = lambda u, lam: f.central_profile(u, lam) * np.exp(0.7j * lam)
-    for prof in (f.central_profile, shifted):
-        g = GridFunction(spec=spec, values=f.values, name="kernel", polyradial=True,
-                         central_profile=prof, heavy_tail=True)
-        rows = []
-        for workers in (1, 2):
-            monkeypatch.setattr(lagspec, "_worker_count", lambda: workers)
-            rows.append(analyze_polyradial(g, grid, quad).coeffs)
-        assert all(np.array_equal(a, b) for a, b in zip(*rows))
-    ref = _heavy_tail_reference(g, grid, quad)
-    scale = max(float(np.max(np.abs(r))) for r in ref)
-    assert max(float(np.max(np.abs(c.imag))) for c in rows[0]) > 0.05 * scale   # complex rows
-    assert max(float(np.max(np.abs(c - r))) for c, r in zip(rows[0], ref)) <= 1e-14 * scale
+    g = GridFunction(spec=spec, values=f.values, name="shifted kernel", polyradial=True,
+                     central_profile=shifted, heavy_tail=True)
+
+    def no_projection(*args, **kwargs):
+        raise AssertionError("the projection ran before the profile was checked")
+
+    monkeypatch.setattr(lagspec, "_project", no_projection)
+    with pytest.raises(ValueError, match="not even in t"):
+        analyze_polyradial(g, grid, quad)
 
 
 def test_heavy_tail_rejects_odd_profile(default_setup):

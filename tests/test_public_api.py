@@ -323,6 +323,19 @@ def test_public_definitions_have_a_caller():
     assert not importers, f"package modules import the test oracles: {importers}"
 
 
+def test_private_definitions_are_read_in_the_package():
+    # a module-level function or class named with one leading underscore is
+    # package-internal: some other package code must read it, since a read
+    # from the tests alone, or from its own body, keeps dead code alive
+    top = [node for path in sorted(SRC.glob("*.py")) for node in ast.parse(path.read_text()).body]
+    reads = [_reads(node) for node in top]
+    unread = [node.name for node in top
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and not any(node.name in r for other, r in zip(top, reads) if other is not node)]
+    assert not unread, f"private definitions nothing in the package reads: {unread}"
+
+
 def _imported_modules(tree) -> set:
     """The hfrac modules a module imports anywhere, in function bodies too;
     a name imported from the package itself counts as its __init__."""

@@ -80,3 +80,14 @@ def test_refine_grows_every_resolution(n_angles):
         (r0, a0), (r1, a1) = counts(quad), counts(finer)
         assert r1 > r0 and a1 > a0
         quad = finer
+
+
+def test_build_rejects_spans_and_counts_that_break_the_weights():
+    # a reversed span gives negative Haar weights, r_min = 0 no log-radial
+    # grid and a zero count an empty or undefined angular rule: all raise
+    assert np.all(SingularQuadrature.build().w_haar > 0)
+    for kwargs in ({"r_min": 1.0, "r_max": 0.5}, {"r_min": 0.0}, {"r_min": -1e-3},
+                   {"r_min": 1.0, "r_max": 1.0}, {"per_decade": 0}, {"n_theta": 0},
+                   {"n_phi": 0}):
+        with pytest.raises(ValueError, match="r_min < r_max"):
+            SingularQuadrature.build(**kwargs)

@@ -145,11 +145,22 @@ def test_g1_origin_matches_pointwise_rho_quadrature(setup):
     assert abs(g1[iz, iz, it] - ref) <= 1e-12 * ref
 
 
-def test_g_star_rejects_boundary_sample_and_n_above_one(setup):
+def test_g_star_rejects_boundary_sample_and_n_above_one(setup, monkeypatch):
+    # each input is refused before the gradient table does any work, and so
+    # are y-nodes on a reversed span [20, 14], which would carry negative
+    # Haar weights
     spec, grid, quad, f, Su = setup
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the gradient table was built before the inputs were checked")
+
+    monkeypatch.setattr(squarefn, "_GradientTable", no_table)
     near = [HeisenbergPoint([0.0], [spec.R_z - spec.R_z / 8], 0.0)]
     with pytest.raises(ValueError):
         g_star(Su, SHORT, near, spec, LAM_PARAM)
+    with pytest.raises(ValueError, match="r_min < r_max"):
+        g_star(Su, SquareFunctionConfig(y_r_min=20.0), [HeisenbergPoint([0.0], [0.0], 0.0)],
+               spec, LAM_PARAM)
     spec2 = GridSpec(n=2)
     S2 = PolyradialSpectrum(grid=grid, n=2, coeffs=[np.ones(int(c)) for c in grid.k_caps])
     with pytest.raises(NotImplementedError):
@@ -219,11 +230,12 @@ def test_pointwise_theorem_check_rejects_before_any_analysis(setup, monkeypatch)
                       (f, 0.2, 1.0 + 2.0 * 0.2 / Q), (flat, 0.2, LAM_PARAM)):
         with pytest.raises(ValueError):
             pointwise_theorem_check(u, s, lam, samples, grid, quad, SHORT)
-    # g* rejects a sample within R/4 of a face and an n = 2 input; both fail
-    # before the first pass's analysis, not inside g*
+    # g* rejects a sample within R/4 of a face, no samples and an n = 2
+    # input; each fails before the first pass's analysis, not inside g*
     near = [HeisenbergPoint([0.0], [spec.R_z - spec.R_z / 8], 0.0)]
-    with pytest.raises(ValueError):
-        pointwise_theorem_check(f, 0.2, LAM_PARAM, near, grid, quad, SHORT)
+    for bad in (near, []):
+        with pytest.raises(ValueError):
+            pointwise_theorem_check(f, 0.2, LAM_PARAM, bad, grid, quad, SHORT)
     f2 = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), GridSpec(n=2, N_z=8, N_t=8))
     with pytest.raises(NotImplementedError):
         pointwise_theorem_check(f2, 0.2, LAM_PARAM, [HeisenbergPoint(np.zeros(2), np.zeros(2), 0.0)],
