@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, kv
+from scipy.special import gammainccinv, gammaln, kv, loggamma
 
 __all__ = [
     "HeisenbergPoint",
@@ -189,7 +189,12 @@ class GridFunction:
     on; the spectral analysis reads neither.  It reads ``coeff_fn`` when
     present, else ``central_profile(u, lam)`` = integral of f e^{i lam t} dt,
     else the grid samples.  Grid-only functions (products of computations)
-    simply leave them None.
+    simply leave them None.  A ``heavy_tail`` function's central profile
+    must also have ``on_lattice(lams, v)``: the (M, N_v) matrix of
+    central_profile(v_j / lam_i, lam_i) on lattice nodes lam_i > 0, in one
+    call.  The analysis fills its weights from that matrix and reads the
+    point evaluation on one row only, as a check.  The catalog's conformal
+    kernels evaluate it as an exponential sum, one matrix product.
     """
 
     spec: GridSpec
@@ -200,7 +205,7 @@ class GridFunction:
     radial_profile: Optional[Callable] = None
     central_profile: Optional[Callable] = None
     coeff_fn: Optional[Callable] = None   # exact Laguerre coefficients c_k(lam), when known
-    heavy_tail: bool = False   # power-law radial decay: use extended-domain analysis
+    heavy_tail: bool = False   # power-law radial decay: the v-rule analysis, via on_lattice
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -469,6 +474,57 @@ def _gaussian_coeffs(a: float, b: float):
     return coeffs
 
 
+@dataclass(frozen=True)
+class _LatticeProfile:
+    """A heavy-tail central profile: ``profile(u, lam)`` at points, and
+    ``profile.on_lattice(lams, v)``, the (M, N_v) matrix of
+    profile(v_j / lam_i, lam_i) over nodes lam_i > 0, in one evaluation."""
+
+    point: Callable
+    lattice: Callable
+
+    def __call__(self, u, lam):
+        return self.point(u, lam)
+
+    def on_lattice(self, lams, v) -> np.ndarray:
+        lams = np.asarray(lams, dtype=float)
+        if np.any(lams <= 0):
+            raise ValueError("on_lattice takes lattice nodes lam > 0")
+        return self.lattice(lams, np.asarray(v, dtype=float))
+
+
+SCHLAFLI_TOL = 1e-15       # relative error of each part of the Schlafli rule
+
+
+def _schlafli_rule(nu: float, w_lo: float, w_hi: float):
+    """Nodes s_q = t_q - 1 and weights omega_q with
+    int_1^inf e^{-w t} (t^2 - 1)^{nu - 1/2} dt = e^{-w} sum_q omega_q e^{-w s_q}
+    to SCHLAFLI_TOL relative for every w in [w_lo, w_hi] (nu >= 1/2).
+
+    The rule is the trapezoid rule in sigma = ln(t - 1), which converges
+    exponentially in the step (Trefethen-Weideman, SIAM Rev. 56 (2014)): the
+    integrand decays like e^{(nu+1/2) sigma} as sigma -> -inf and
+    double-exponentially past w e^sigma ~ 2 nu.  Each part keeps its error
+    below SCHLAFLI_TOL:
+    - the step h is the largest of 1/4, 3/16, 1/8, 1/16 whose aliasing term
+      2 |Gamma(2nu + 2 pi i/h)| / Gamma(2nu) is below it; that is the term of
+      the small-w limit, the larger of the two limits;
+    - sigma_lo cuts a head below (w_hi e^sigma)^{nu+1/2} / Gamma(nu+3/2);
+    - sigma_hi cuts a tail below Q(2nu, w_lo e^sigma), the regularized
+      upper incomplete gamma function.
+    The nodes are integer multiples of the dyadic h, so every spacing is
+    exactly h: numpy.arange with a non-dyadic step takes it from its first
+    two values and biases the rule by about 1e-14.
+    """
+    a = 2.0 * nu
+    h = next(h for h in (0.25, 0.1875, 0.125, 0.0625)
+             if 2.0 * math.exp(loggamma(a + 2j * math.pi / h).real - gammaln(a)) <= SCHLAFLI_TOL)
+    lo = (math.log(SCHLAFLI_TOL) + gammaln(nu + 1.5)) / (nu + 0.5) - math.log(w_hi)
+    hi = math.log(gammainccinv(a, SCHLAFLI_TOL) / w_lo)
+    s = np.exp(h * np.arange(math.floor(lo / h), math.ceil(hi / h) + 1))
+    return s, h * s * (s * (2.0 + s)) ** (nu - 0.5)
+
+
 def _conformal_kernel_profiles(s0: float, rho0: float, n: int):
     beta = 0.5 * (n + 1 + s0)
     nu = beta - 0.5
@@ -488,7 +544,24 @@ def _conformal_kernel_profiles(s0: float, rho0: float, n: int):
         w = al * A / 4.0
         return A ** (1.0 - 2.0 * beta) / 4.0 * cbeta * (w / 2.0) ** nu * kv(nu, w)
 
-    return radial, central
+    def lattice(lams, v):
+        # Schlafli's integral for K_nu (DLMF 10.32.8) makes central(v/lam, lam)
+        #   = pi/(2 Gamma(nu+1/2)^2) (lam/8)^{2 nu}
+        #     int_1^inf e^{-(lam rho0^2 + v) t/4} (t^2 - 1)^{nu-1/2} dt,
+        # and on the rule's nodes e^{-w t} splits into a lam factor and a v
+        # factor: the matrix is one product E_lam E_v of rank the node count.
+        # e^{-w t} is taken as e^{-w} e^{-w s}, s = t - 1, so that no exponent
+        # rounds s away against 1
+        a = lams * (rho0 * rho0) / 4.0
+        b = v / 4.0
+        s, om = _schlafli_rule(nu, a.min() + b.min(), a.max() + b.max())
+        c = math.pi / 2.0 * math.exp(-2.0 * gammaln(beta))
+        row = c * (lams / 8.0) ** (2.0 * nu) * np.exp(-a)
+        E_lam = row[:, None] * om * np.exp(-np.outer(a, s))
+        E_v = np.exp(-np.outer(s, b)) * np.exp(-b)
+        return E_lam @ E_v
+
+    return radial, _LatticeProfile(central, lattice)
 
 
 def make_test_function(fid: TestFunctionId, spec: GridSpec) -> GridFunction:
@@ -518,6 +591,15 @@ def make_test_function(fid: TestFunctionId, spec: GridSpec) -> GridFunction:
         def central(u, lam, _f=base_central, _r=r):
             # f(delta_r .)^lam (u) = r^{-2} f^{lam/r^2}(r^2 u)
             return _f(_r * _r * u, lam / (_r * _r)) / (_r * _r)
+
+        if heavy:
+            def lattice(lams, v, _f=base_central, _r=r):
+                # on u = v/lam the same rule keeps v: P_r(lam, v) = P(lam/r^2, v)/r^2
+                P = _f.on_lattice(lams / (_r * _r), v)
+                P /= _r * _r
+                return P
+
+            central = _LatticeProfile(central, lattice)
 
         if base_coeffs is not None:
             Q = 2 * n + 2

@@ -136,7 +136,10 @@ def kernel_spectrum(s: float, radii: np.ndarray, grid: LambdaGrid,
     of its radii: on the v-rule the x-nodes do not depend on lam, so
     c_k(phi_{s,rho})(lam) = rho^{-2s} c_k(phi_{s,1})(rho^2 lam) holds for the
     discrete coefficients too, and the unit kernel's central profile is
-    evaluated, and the Laguerre recurrence run, once per call.  That route
+    evaluated, and the Laguerre recurrence run, once per call.  The profile
+    is one on_lattice matrix over the whole dilated lattice: Schlafli's
+    integral for its Macdonald function, as an exponential sum of about 200
+    terms, one matrix product and no Bessel function per entry.  That route
     reads only the closed forms, so the unit kernel of dimension n is sampled
     on a token 8^2n x 8 grid.
     """

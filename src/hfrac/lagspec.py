@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -478,7 +476,8 @@ def _angular_const(n: int) -> float:
 
 def _require_conjugate(fn, xs, lams, rows, what: str) -> None:
     """Raise ValueError unless fn(x, -lam) = conj fn(x, lam) to 1e-12 of scale,
-    rows[i] being fn(xs[i], lams[i]): a real input's slices and coefficients
+    rows[i] being fn(xs[i], lams[i]), or another evaluation of it that the
+    check then also compares with fn: a real input's slices and coefficients
     obey it.  It is checked on the node whose row is largest, where a
     violation cannot hide in an underflowed row."""
     i = int(np.argmax([np.max(np.abs(r), initial=0.0) for r in rows]))
@@ -488,58 +487,28 @@ def _require_conjugate(fn, xs, lams, rows, what: str) -> None:
                          "the lattice holds real functions only")
 
 
-# 2 threads fill the 21-radius ladder's 3,150 weight rows in 1.8-2.1 s against
-# 2.9-3.0 s for 1 (2-core machine); no larger pool has been measured
-_MAX_FILL_WORKERS = 2
-
-
-def _worker_count() -> int:
-    """Threads for the heavy-tail fill: the CPUs this process may run on,
-    at most _MAX_FILL_WORKERS.  The count assumes the process owns those
-    CPUs; it reads no cgroup CPU quota and knows nothing of callers that
-    already run one process per core."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_FILL_WORKERS)
-
-
 def _heavy_tail_weights(profile, lams: np.ndarray, quad: AnalysisQuadrature, ang: float,
                         alpha: int):
     """The real weights W[i] = ang (v_weights/lam_i) profile(x_i, lam_i) x_i^alpha
-    on x_i = v_nodes/lam_i, one row per node of lams; a complex row (a
-    profile not even in t) raises ValueError.
+    on x_i = v_nodes/lam_i, one row per node of lams, from one
+    profile.on_lattice call scaled in place; a complex row (a profile not even
+    in t) raises ValueError.
 
-    Each row comes from one profile call, in blocks of rows on a pool of
-    _worker_count() threads, at most one per block; a row is the same code
-    on the same inputs whatever thread fills it.  Returns W and (lam, x,
-    profile row) of the node whose profile row is largest in modulus, the
-    first on a tie, for the conjugate check; no profile is evaluated twice.
+    Returns W and (lam, x, on_lattice row) of the node whose row is largest in
+    modulus, the first on a tie, for the check against the point evaluation.
     """
-    v, vw = quad.v_nodes, quad.v_weights
-    W = np.empty((lams.size, v.size))
-    step = 32                       # rows per task: enough to amortize the pool
-
-    def fill(lo):
-        best = (-1.0, None, None)
-        for i in range(lo, min(lo + step, lams.size)):
-            lam = lams[i]
-            x = v / lam
-            prof = profile(x, lam)
-            row = ang * (vw / lam) * prof * x ** alpha
-            if np.iscomplexobj(row) and np.any(row.imag):
-                raise ValueError(f"heavy-tail profile not even in t (complex at lambda = {lam:g})")
-            W[i] = row.real
-            top = float(np.max(np.abs(prof), initial=0.0))
-            if top > best[0]:
-                best = (top, i, prof)
-        return best
-
-    starts = range(0, lams.size, step)
-    with ThreadPoolExecutor(min(_worker_count(), len(starts))) as pool:
-        bests = list(pool.map(fill, starts))
-    _, i, prof = max(bests, key=lambda b: b[0])          # first block on a tie
+    v = quad.v_nodes
+    W = profile.on_lattice(lams, v)
+    if np.iscomplexobj(W):
+        bad = np.flatnonzero(np.any(W.imag != 0, axis=1))
+        if bad.size:
+            raise ValueError(f"heavy-tail profile not even in t (complex at lambda = {lams[bad[0]]:g})")
+        W = np.ascontiguousarray(W.real)
+    # row maxima of |W| without a (M, N_v) temporary
+    i = int(np.argmax(np.maximum(W.max(axis=1), -W.min(axis=1))))
+    prof = W[i].copy()
+    W *= ang * quad.v_weights * v ** alpha
+    W /= (lams ** (1 + alpha))[:, None]
     return W, (lams[i], v / lams[i], prof)
 
 
@@ -556,9 +525,11 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
     profile (the heavy-tail one on the v-rule, the other on the u-rule), raw
     grid samples (grid-t trapezoid, aliasing-guarded).  The heavy-tail route
     takes a profile even in t and projects the lattice in one batch: one real
-    (M, N_v) weight matrix, its rows deepest first and each filled from one
-    profile call on a thread pool (_heavy_tail_weights), then one sweep of
-    the recurrence over the shared v-nodes; a complex profile row raises
+    (M, N_v) weight matrix, its rows deepest first, from one call of the
+    profile's on_lattice (for the catalog kernels an exponential sum, one
+    matrix product) scaled in place (_heavy_tail_weights), then one sweep of
+    the recurrence over the shared v-nodes.  A heavy-tail profile without
+    on_lattice raises TypeError before any work, and a complex profile row
     ValueError.  The others build radii, radial weights and (M, Nr) slices
     and project each node through its own recurrence.  The grid route warns
     (UserWarning) when the input has not decayed at the box boundary, when
@@ -569,6 +540,9 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
     A closed-form coefficient function or a central profile that breaks it,
     compared at +-lam on the node where its row is largest to 1e-12 of scale,
     raises ValueError; grid samples are real by construction (GridFunction).
+    On the heavy-tail route the comparison sets the point evaluation at -lam
+    against the on_lattice row at lam, so it also checks the two against
+    each other.
     """
     if not u.polyradial:
         raise ValueError("analyze_polyradial requires a polyradial input")
@@ -587,11 +561,16 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
 
     if u.central_profile is not None and u.heavy_tail:
         # v = |lam| u covers the power-law radial tail uniformly in lam and
-        # makes the x-nodes shared across lambda, so the whole lattice
-        # projects through one batched recurrence, its weight rows deepest first
+        # makes the x-nodes shared across lambda, so the profile is one
+        # (M, N_v) on_lattice matrix and the whole lattice projects through
+        # one batched recurrence, its weight rows deepest first
+        if not hasattr(u.central_profile, "on_lattice"):
+            raise TypeError("a heavy-tail central profile needs on_lattice(lams, v): "
+                            "the analysis evaluates it on the whole lattice at once")
         order = np.argsort(-grid.k_caps, kind="stable")
         W, (lam, x, prof) = _heavy_tail_weights(u.central_profile, lams[order], quad, ang, alpha)
-        _require_conjugate(u.central_profile, [x], [lam], [prof], "central profile")
+        _require_conjugate(u.central_profile, [x], [lam], [prof],
+                           "central profile (point value at -lambda against on_lattice)")
         raw = _project(0.5 * quad.v_nodes, W, grid.k_caps[order], alpha)
         coeffs = [None] * grid.M
         for i, c in zip(order, raw):

@@ -38,6 +38,13 @@ BALL_VOLUME_UNIT = math.pi ** 2 / 8.0       # |B_1| on H^1
 SIGMA_GAUGE = 4.0 * BALL_VOLUME_UNIT        # surface constant: |B_r| = SIGMA r^Q / Q
 
 
+def _require_rule(what: str, r_min: float, r_max: float, per_decade: int,
+                  n_theta: int, n_phi: int) -> None:
+    """Raise ValueError unless 0 < r_min < r_max and every count is >= 1."""
+    if not (0 < r_min < r_max and min(per_decade, n_theta, n_phi) >= 1):
+        raise ValueError(f"{what} needs 0 < r_min < r_max and per_decade, n_theta, n_phi >= 1")
+
+
 @dataclass(frozen=True)
 class SingularQuadrature:
     """Node set shared by every sample point (offsets live in the y variable)."""
@@ -57,9 +64,7 @@ class SingularQuadrature:
               n_theta: int = 24, n_phi: int = 24) -> "SingularQuadrature":
         """Raises ValueError unless 0 < r_min < r_max and every count is >= 1:
         a reversed span would integrate with negative Haar weights."""
-        if not (0 < r_min < r_max and min(per_decade, n_theta, n_phi) >= 1):
-            raise ValueError("the singular quadrature needs 0 < r_min < r_max and "
-                             "per_decade, n_theta, n_phi >= 1")
+        _require_rule("the singular quadrature", r_min, r_max, per_decade, n_theta, n_phi)
         decades = math.log10(r_max / r_min)
         m = max(8, int(round(per_decade * decades)))
         logr = np.linspace(math.log(r_min), math.log(r_max), m)

@@ -38,7 +38,7 @@ from .lagspec import (
 )
 from .operators import SpectralMultiplier, apply_operator
 from .report import VerificationReport
-from .singular import SingularQuadrature, _right_args, d_s_values
+from .singular import SingularQuadrature, _require_rule, _right_args, d_s_values
 
 __all__ = [
     "SquareFunctionConfig",
@@ -72,6 +72,10 @@ class SquareFunctionConfig:
     def __post_init__(self):
         if not 0 < self.rho_min < self.rho_max or self._ladder_size() < 2:
             raise ValueError("the rho-ladder needs 0 < rho_min < rho_max and at least two levels")
+        # the y-rule is g*'s singular-quadrature node set: refused here, before
+        # any suite that takes the config does work, on what the build refuses
+        _require_rule("the y-rule (y_r_min, y_r_max, y_per_decade, y_n_theta, y_n_phi)",
+                      self.y_r_min, self.y_r_max, self.y_per_decade, self.y_n_theta, self.y_n_phi)
 
     def _ladder_size(self) -> int:
         return int(round(self.per_octave * math.log2(self.rho_max / self.rho_min))) + 1

@@ -20,6 +20,9 @@ textbook route to a quantity the package computes another way.
 - `gradient_sq`: |nabla U|^2 of an extension field by grid stencils and
   the rho-companions.
 - `check_polyradial`: the dihedral symmetry of a sampled catalog member.
+- `RowLatticeProfile`: a central profile whose lattice evaluation is its
+  point evaluation row by row, for profiles that have no closed lattice
+  form (skewed or shifted ones the analysis must refuse).
 """
 
 from __future__ import annotations
@@ -235,3 +238,21 @@ def check_polyradial(f: GridFunction) -> bool:
         if np.max(np.abs(w - cand)) > 1e-12 * scale:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# central profiles on the heavy-tail lattice
+# ---------------------------------------------------------------------------
+
+class RowLatticeProfile:
+    """profile(u, lam) with on_lattice(lams, v) built from it one row per
+    node: the (M, N_v) matrix of profile(v / lam_i, lam_i)."""
+
+    def __init__(self, point):
+        self.point = point
+
+    def __call__(self, u, lam):
+        return self.point(u, lam)
+
+    def on_lattice(self, lams, v):
+        return np.stack([self.point(v / lam, lam) for lam in lams])

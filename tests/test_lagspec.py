@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from hfrac.lagspec import (
 )
 from hfrac.operators import SpectralMultiplier, evaluate_multiplier
 from oracles import (
+    RowLatticeProfile,
     central_transform,
     group_convolve,
     inverse_central_transform,
@@ -744,7 +746,9 @@ def _heavy_tail_reference(u, grid, quad):
 
 
 def test_paired_heavy_tail_matches_per_node_reference(default_setup):
-    # one profile evaluation and one projected row per node lam > 0
+    # one on_lattice evaluation and one projected row per node lam > 0, against
+    # every row from the point evaluation (scipy kv); the point evaluation
+    # runs once more, on the largest row at -lam
     spec, grid, quad = default_setup
     fid = TestFunctionId("conformal-kernel", (0.3, 1.4))
     for f in (make_test_function(fid, spec), make_test_function(fid.dilated(0.7), spec)):
@@ -754,10 +758,11 @@ def test_paired_heavy_tail_matches_per_node_reference(default_setup):
             calls.append(lam)
             return _p(u, lam)
 
+        profile = replace(f.central_profile, point=counted)
         g = GridFunction(spec=spec, values=f.values, name=f.name, polyradial=True,
-                         central_profile=counted, heavy_tail=True)
+                         central_profile=profile, heavy_tail=True)
         S = analyze_polyradial(g, grid, quad)
-        assert len(calls) == grid.M + 1           # the extra call checks -lam
+        assert len(calls) == 1 and calls[0] < 0, f.name
         ref = _heavy_tail_reference(f, grid, quad)
         scale = max(float(np.max(np.abs(r))) for r in ref)
         for c, r in zip(S.coeffs, ref):
@@ -765,22 +770,42 @@ def test_paired_heavy_tail_matches_per_node_reference(default_setup):
             assert np.max(np.abs(c - r)) <= 1e-14 * scale, f.name
 
 
-def test_heavy_tail_rows_do_not_depend_on_the_worker_count(default_setup, monkeypatch):
-    # each weight row is the same code on the same inputs whatever thread fills
-    # it, so one worker and two give the same bits, and both match the
-    # per-node reference
+def test_kernel_on_lattice_matches_mpmath(default_setup):
+    # the exponential sum against 40-digit Bessel K on the default ladder's
+    # dilated lattice (lam from 1.3e-7 to 177) and the refined v-rule (v from
+    # 4e-12 to 400), on the lattice's and the rule's ends and a spread of
+    # interior points.  Dilations 2 and 1/2 keep lam/r^2 exact: rounding it
+    # would move e^{-lam rho0^2/4r^2} by its exponent's ulp, as it does for kv
+    mpmath = pytest.importorskip("mpmath")
+    from hfrac.kernels import _dilated_lattice, _ladder_radii, default_rho_ladder
     spec, grid, quad = default_setup
-    f = make_test_function(TestFunctionId("conformal-kernel", (0.3, 1.4)), spec)
-    g = GridFunction(spec=spec, values=f.values, name="kernel", polyradial=True,
-                     central_profile=f.central_profile, heavy_tail=True)
-    rows = []
-    for workers in (1, 2):
-        monkeypatch.setattr(lagspec, "_worker_count", lambda: workers)
-        rows.append(analyze_polyradial(g, grid, quad).coeffs)
-    assert all(np.array_equal(a, b) for a, b in zip(*rows))
-    ref = _heavy_tail_reference(g, grid, quad)
-    scale = max(float(np.max(np.abs(r))) for r in ref)
-    assert max(float(np.max(np.abs(c - r))) for c, r in zip(rows[0], ref)) <= 1e-14 * scale
+    lams = _dilated_lattice(grid, np.array(_ladder_radii(default_rho_ladder()))).nodes
+    v = quad.refine().v_nodes
+    li = np.unique(np.r_[0, np.linspace(0, lams.size - 1, 9).astype(int), lams.size - 1])
+    vi = np.unique(np.r_[0, 1, np.linspace(0, v.size - 1, 9).astype(int), v.size - 1])
+
+    def reference(s0, rho0, n, r, lam, v):
+        # central(v/lam, lam) of conformal-kernel(s0, rho0) o delta_r at these doubles
+        lam, v, r2 = mpmath.mpf(lam), mpmath.mpf(v), mpmath.mpf(r) ** 2
+        beta = mpmath.mpf(n + 1 + s0) / 2
+        lam_b = lam / r2                          # f(delta_r .)^lam(u) = r^-2 f^{lam/r^2}(r^2 u)
+        A = mpmath.mpf(rho0) ** 2 + v / lam_b
+        w = lam_b * A / 4
+        return (A ** (1 - 2 * beta) / 4 * 2 * mpmath.sqrt(mpmath.pi) / mpmath.gamma(beta)
+                * (w / 2) ** (beta - 0.5) * mpmath.besselk(beta - 0.5, w)) / r2
+
+    worst = {}
+    with mpmath.workdps(40):
+        for n, s0, rho0, r in ((1, 0.1, 1.4, 1.0), (1, 0.3, 1.0, 1.0), (1, 0.45, 0.6, 1.0),
+                               (2, 0.1, 0.6, 1.0), (2, 0.3, 1.4, 1.0), (2, 0.45, 1.0, 1.0),
+                               (1, 0.3, 1.4, 2.0), (2, 0.45, 0.6, 0.5)):
+            fid = TestFunctionId("conformal-kernel", (s0, rho0)).dilated(r)
+            f = make_test_function(fid, GridSpec(n=n, N_z=8, N_t=8))
+            P = f.central_profile.on_lattice(lams, v[vi])
+            worst[fid.label(), n] = max(
+                float(abs(P[i, j] / reference(s0, rho0, n, r, lams[i], vj) - 1))
+                for i in li for j, vj in enumerate(v[vi]))
+    assert max(worst.values()) <= 1e-14, worst
 
 
 def test_heavy_tail_rejects_profile_not_even_in_t(default_setup, monkeypatch):
@@ -789,7 +814,7 @@ def test_heavy_tail_rejects_profile_not_even_in_t(default_setup, monkeypatch):
     # filling them, before any projection
     spec, grid, quad = default_setup
     f = make_test_function(TestFunctionId("conformal-kernel", (0.3, 1.4)), spec)
-    shifted = lambda u, lam: f.central_profile(u, lam) * np.exp(0.7j * lam)
+    shifted = RowLatticeProfile(lambda u, lam: f.central_profile(u, lam) * np.exp(0.7j * lam))
     g = GridFunction(spec=spec, values=f.values, name="shifted kernel", polyradial=True,
                      central_profile=shifted, heavy_tail=True)
 
@@ -804,11 +829,45 @@ def test_heavy_tail_rejects_profile_not_even_in_t(default_setup, monkeypatch):
 def test_heavy_tail_rejects_odd_profile(default_setup):
     spec, grid, quad = default_setup
     f = make_test_function(TestFunctionId("conformal-kernel", (0.3, 1.4)), spec)
-    odd = lambda u, lam: f.central_profile(u, lam) * (1 + 0.5 * np.sign(lam))
+    odd = RowLatticeProfile(lambda u, lam: f.central_profile(u, lam) * (1 + 0.5 * np.sign(lam)))
     g = GridFunction(spec=spec, values=f.values, polyradial=True, central_profile=odd,
                      heavy_tail=True)
     with pytest.raises(ValueError, match="conj"):
         analyze_polyradial(g, grid, quad)
+
+
+def test_heavy_tail_rejects_on_lattice_that_disagrees_with_points(default_setup):
+    # the -lam check sets the point evaluation against the on_lattice row, so
+    # a lattice form off by 1e-9 of its row is refused
+    spec, grid, quad = default_setup
+    f = make_test_function(TestFunctionId("conformal-kernel", (0.3, 1.4)), spec)
+    off = replace(f.central_profile,
+                  lattice=lambda lams, v: f.central_profile.on_lattice(lams, v) * (1 + 1e-9))
+    g = GridFunction(spec=spec, values=f.values, polyradial=True, central_profile=off,
+                     heavy_tail=True)
+    with pytest.raises(ValueError, match="on_lattice"):
+        analyze_polyradial(g, grid, quad)
+
+
+def test_heavy_tail_profile_without_on_lattice_rejected_before_any_work(default_setup,
+                                                                         monkeypatch):
+    spec, grid, quad = default_setup
+    f = make_test_function(TestFunctionId("conformal-kernel", (0.3, 1.4)), spec)
+    calls = []
+
+    def point_only(u, lam):
+        calls.append(lam)
+        return f.central_profile(u, lam)
+
+    def no_projection(*args, **kwargs):
+        raise AssertionError("the projection ran before the profile was checked")
+
+    monkeypatch.setattr(lagspec, "_project", no_projection)
+    g = GridFunction(spec=spec, values=f.values, polyradial=True, central_profile=point_only,
+                     heavy_tail=True)
+    with pytest.raises(TypeError, match="on_lattice"):
+        analyze_polyradial(g, grid, quad)
+    assert not calls
 
 
 def test_synthesis_rejects_plain_callable_symbol(default_setup, shifted_spectrum):

@@ -244,3 +244,22 @@ def test_pointwise_theorem_check_rejects_before_any_analysis(setup, monkeypatch)
     coarse = LambdaGrid.build(lam_max=10.0)
     with pytest.raises(ValueError, match="refine"):
         pointwise_theorem_check(f, 0.2, LAM_PARAM, samples, coarse, quad, SHORT)
+
+
+def test_config_rejects_bad_y_rule_before_any_analysis(setup, monkeypatch):
+    # every y-rule SingularQuadrature.build refuses is refused by the config
+    # itself, so pointwise_theorem_check never starts a pass on one
+    spec, grid, quad, f, Su = setup
+    calls = []
+    monkeypatch.setattr(squarefn, "analyze_polyradial", lambda *a, **k: calls.append(a))
+    samples = [HeisenbergPoint([0.0], [0.0], 0.0)]
+    for kw in ({"y_r_min": 0.0}, {"y_r_min": -1e-4}, {"y_r_min": 14.0}, {"y_r_min": 20.0},
+               {"y_per_decade": 0}, {"y_n_theta": 0}, {"y_n_phi": 0}):
+        with pytest.raises(ValueError):
+            SingularQuadrature.build(r_min=kw.get("y_r_min", 1e-4), r_max=14.0,
+                                     per_decade=kw.get("y_per_decade", 12),
+                                     n_theta=kw.get("y_n_theta", 16), n_phi=kw.get("y_n_phi", 16))
+        with pytest.raises(ValueError, match="r_min < r_max"):
+            pointwise_theorem_check(f, 0.2, LAM_PARAM, samples, grid, quad,
+                                    cfg=SquareFunctionConfig(**kw))
+    assert not calls
