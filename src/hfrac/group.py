@@ -187,14 +187,17 @@ class GridFunction:
     from the catalog (the singular quadrature and left translation read it),
     and ``radial_profile(u, t)`` (u = |z|^2) is the closed form it is built
     on; the spectral analysis reads neither.  It reads ``coeff_fn`` when
-    present, else ``central_profile(u, lam)`` = integral of f e^{i lam t} dt,
-    else the grid samples.  Grid-only functions (products of computations)
-    simply leave them None.  A ``heavy_tail`` function's central profile
-    must also have ``on_lattice(lams, v)``: the (M, N_v) matrix of
+    present, else a ``heavy_tail`` function's ``central_profile(u, lam)`` =
+    integral of f e^{i lam t} dt, else the grid samples; a central profile
+    without heavy_tail or coeff_fn is refused.  Grid-only functions
+    (products of computations) simply leave them None.  A heavy_tail central
+    profile must also have ``on_lattice(lams, v)``: the (M, N_v) matrix of
     central_profile(v_j / lam_i, lam_i) on lattice nodes lam_i > 0, in one
     call.  The analysis fills its weights from that matrix and reads the
     point evaluation on one row only, as a check.  The catalog's conformal
-    kernels evaluate it as an exponential sum, one matrix product.
+    kernels evaluate it as an exponential sum, one matrix product; its
+    gaussians have coeff_fn, and their central profile is what the tests'
+    reference projection reads.
     """
 
     spec: GridSpec
@@ -406,7 +409,8 @@ class TestFunctionId:
     family 'gaussian' with params (a, b): exp(-a |z|^2 - b t^2).
     family 'conformal-kernel' with params (s0, rho0): the integrable kernel
     ((rho0^2+|z|^2)^2 + 16 t^2)^{-(n+1+s0)/2}.
-    Optional modifiers: dilate by r > 0, left-translate by a point.
+    Optional modifiers: dilate by r > 0, left-translate by a point.  Both
+    parameters and the dilation must be finite and positive (ValueError).
     """
 
     family: str
@@ -419,10 +423,12 @@ class TestFunctionId:
     def __post_init__(self):
         if self.family not in ("gaussian", "conformal-kernel"):
             raise ValueError(f"unknown test-function family {self.family!r}")
-        if any(p <= 0 for p in self.params):
-            raise ValueError("family parameters must be strictly positive")
-        if self.dilation <= 0:
-            raise ValueError("dilation must be positive")
+        if len(self.params) != 2:
+            raise ValueError(f"family {self.family!r} takes two parameters, not {self.params!r}")
+        if not all(math.isfinite(p) and p > 0 for p in self.params):
+            raise ValueError("family parameters must be finite and strictly positive")
+        if not (math.isfinite(self.dilation) and self.dilation > 0):
+            raise ValueError("dilation must be finite and positive")
 
     def label(self) -> str:
         s = f"{self.family}{self.params}"
@@ -452,12 +458,13 @@ def _gaussian_profiles(a: float, b: float):
     return radial, central
 
 
-def _gaussian_coeffs(a: float, b: float):
-    """Exact Laguerre coefficients of exp(-a|z|^2 - b t^2) for n = 1.
+def _gaussian_coeffs(a: float, b: float, n: int):
+    """Exact Laguerre coefficients of exp(-a|z|^2 - b t^2) on H^n.
 
-    c_k(lam) = pi sqrt(pi/b) e^{-lam^2/(4b)} (a - |lam|/4)^k / (a + |lam|/4)^{k+1},
-    from the elementary integral of e^{-pu} L_k(qu); evaluated in logs so deep
-    k stay finite.
+    c_k(lam) = pi^n sqrt(pi/b) e^{-lam^2/(4b)} (a - |lam|/4)^k / (a + |lam|/4)^{k+n},
+    from the Laplace transform int_0^inf e^{-pu} L_k^{n-1}(qu) u^{n-1} du
+    = Gamma(k+n)/k! (p-q)^k / p^{k+n} (DLMF 18.17), whose Gamma(k+n)/k! is
+    Gamma(n) dim P_k; evaluated in logs so deep k stay finite.
     """
 
     def coeffs(k, lam):
@@ -465,10 +472,10 @@ def _gaussian_coeffs(a: float, b: float):
         al = abs(lam)
         num = a - al / 4.0
         den = a + al / 4.0
-        amp = math.pi * math.sqrt(math.pi / b) * math.exp(-lam * lam / (4.0 * b))
+        amp = math.pi ** n * math.sqrt(math.pi / b) * math.exp(-lam * lam / (4.0 * b))
         sign = np.where(num >= 0, 1.0, np.where(k % 2 == 0, 1.0, -1.0))
-        mag = np.exp(k * math.log(abs(num)) - (k + 1) * math.log(den)) if num != 0 else \
-            np.where(k == 0, 1.0 / den, 0.0)
+        mag = np.exp(k * math.log(abs(num)) - (k + n) * math.log(den)) if num != 0 else \
+            np.where(k == 0, 1.0 / den ** n, 0.0)
         return amp * sign * mag
 
     return coeffs
@@ -525,21 +532,24 @@ def _schlafli_rule(nu: float, w_lo: float, w_hi: float):
     return s, h * s * (s * (2.0 + s)) ** (nu - 0.5)
 
 
-def _conformal_kernel_profiles(s0: float, rho0: float, n: int):
+def _conformal_kernel_profiles(s0: float, rho0: float, n: int, amp: float):
+    """(radial, central) of amp times the kernel ((rho0^2+|z|^2)^2 + 16 t^2)^{-beta},
+    beta = (n+1+s0)/2; the amplitude carries a dilation, which maps the
+    family into itself: phi_{s0,rho0} o delta_r = r^{-4 beta} phi_{s0,rho0/r}."""
     beta = 0.5 * (n + 1 + s0)
     nu = beta - 0.5
-    cbeta = 2.0 * math.sqrt(math.pi) / math.exp(gammaln(beta))
+    cbeta = amp * 2.0 * math.sqrt(math.pi) / math.exp(gammaln(beta))
 
     def radial(u, t):
         A = rho0 * rho0 + u
-        return (A * A + 16.0 * t * t) ** (-beta)
+        return amp * (A * A + 16.0 * t * t) ** (-beta)
 
     def central(u, lam):
         # integral of (A^2+16t^2)^{-beta} e^{i lam t} dt via the Macdonald function
         A = rho0 * rho0 + np.asarray(u, dtype=float)
         al = np.abs(lam)
         if al == 0.0:
-            c0 = math.sqrt(math.pi) * math.exp(gammaln(beta - 0.5) - gammaln(beta)) / 4.0
+            c0 = amp * math.sqrt(math.pi) * math.exp(gammaln(beta - 0.5) - gammaln(beta)) / 4.0
             return c0 * A ** (1.0 - 2.0 * beta)
         w = al * A / 4.0
         return A ** (1.0 - 2.0 * beta) / 4.0 * cbeta * (w / 2.0) ** nu * kv(nu, w)
@@ -555,7 +565,7 @@ def _conformal_kernel_profiles(s0: float, rho0: float, n: int):
         a = lams * (rho0 * rho0) / 4.0
         b = v / 4.0
         s, om = _schlafli_rule(nu, a.min() + b.min(), a.max() + b.max())
-        c = math.pi / 2.0 * math.exp(-2.0 * gammaln(beta))
+        c = amp * math.pi / 2.0 * math.exp(-2.0 * gammaln(beta))
         row = c * (lams / 8.0) ** (2.0 * nu) * np.exp(-a)
         E_lam = row[:, None] * om * np.exp(-np.outer(a, s))
         E_v = np.exp(-np.outer(s, b)) * np.exp(-b)
@@ -565,50 +575,28 @@ def _conformal_kernel_profiles(s0: float, rho0: float, n: int):
 
 
 def make_test_function(fid: TestFunctionId, spec: GridSpec) -> GridFunction:
-    """Sample a catalog function on the grid, attaching its closed forms."""
+    """Sample a catalog function on the grid, attaching its closed forms.
+
+    A dilation maps each family into itself, so a dilated member is the
+    undilated one at other parameters: gaussian(a, b) o delta_r =
+    gaussian(a r^2, b r^4), and conformal-kernel(s0, rho0) o delta_r =
+    r^{-2(n+1+s0)} conformal-kernel(s0, rho0/r).
+    """
     n = spec.n
     if fid.translation is not None and n != 1:
         raise NotImplementedError("translated catalog members implemented for n=1")
-    coeffs = None
+    r = fid.dilation
     if fid.family == "gaussian":
         a, b = fid.params
+        a, b = a * r * r, b * r ** 4
         radial, central = _gaussian_profiles(a, b)
-        if n == 1:
-            coeffs = _gaussian_coeffs(a, b)
+        coeffs = _gaussian_coeffs(a, b, n)
         heavy = False
     else:
         s0, rho0 = fid.params
-        radial, central = _conformal_kernel_profiles(s0, rho0, n)
+        radial, central = _conformal_kernel_profiles(s0, rho0 / r, n, r ** (-2.0 * (n + 1 + s0)))
+        coeffs = None
         heavy = True
-
-    r = fid.dilation
-    if r != 1.0:
-        base_radial, base_central, base_coeffs = radial, central, coeffs
-
-        def radial(u, t, _f=base_radial, _r=r):
-            return _f(_r * _r * u, _r * _r * t)
-
-        def central(u, lam, _f=base_central, _r=r):
-            # f(delta_r .)^lam (u) = r^{-2} f^{lam/r^2}(r^2 u)
-            return _f(_r * _r * u, lam / (_r * _r)) / (_r * _r)
-
-        if heavy:
-            def lattice(lams, v, _f=base_central, _r=r):
-                # on u = v/lam the same rule keeps v: P_r(lam, v) = P(lam/r^2, v)/r^2
-                P = _f.on_lattice(lams / (_r * _r), v)
-                P /= _r * _r
-                return P
-
-            central = _LatticeProfile(central, lattice)
-
-        if base_coeffs is not None:
-            Q = 2 * n + 2
-
-            def coeffs(k, lam, _c=base_coeffs, _r=r, _Q=Q):
-                # c_k(f o delta_r)(lam) = r^{-Q} c_k(f)(lam / r^2)
-                return _c(k, lam / (_r * _r)) * _r ** (-_Q)
-        else:
-            coeffs = None
 
     def evaluator(x, y, t):
         return radial(x * x + y * y, t)

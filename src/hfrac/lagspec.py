@@ -174,11 +174,12 @@ class LambdaGrid:
 # row is written in place into a table block by out= ufuncs, with no
 # temporary; the block's two leading rows carry l_{k-2} and l_{k-1} over from
 # the block before, the one copy a block makes.  The consumer contracts each
-# block in real arithmetic before the next is written: real weights as they
-# are, complex ones as separate real and imaginary rows, so no block is ever
-# promoted to complex.  An analysis takes its weight rows deepest first, the
-# order of the sweep, and reads them in place.  The plain full-table
-# recurrence the tests compare it against is laguerre_phi_table in
+# block in real arithmetic before the next is written: an analysis against
+# real weight rows (complex slices come as their real and imaginary parts),
+# a synthesis against the real and imaginary rows of its coefficients, so no
+# block is ever promoted to complex.  An analysis takes its weight rows
+# deepest first, the order of the sweep, and reads them in place.  The plain
+# full-table recurrence the tests compare it against is laguerre_phi_table in
 # tests/oracles.py.
 # ---------------------------------------------------------------------------
 
@@ -243,24 +244,21 @@ def _laguerre_sweep(x: np.ndarray, caps, alpha: int, rows: int, want_deriv: bool
 def _project(x: np.ndarray, W: np.ndarray, kcaps, alpha: int) -> list:
     """c_i[k] = sum_j W[i, j] l_k(x_j) for k < kcaps[i], every row in one sweep.
 
-    The rows come deepest first, kcaps nonincreasing (ValueError otherwise),
-    and drop out of the product as k passes their cap.  Real weights are
-    contracted as they are, complex ones as one real matrix of interleaved
-    (re, im) rows whose product reads back as complex.  The sweep runs on x
-    as one segment.  Returns per-row complex arrays of length kcaps[i].
+    The weights are real (ValueError otherwise): a caller with complex
+    weights passes their real and imaginary parts as two rows.  The rows come
+    deepest first, kcaps nonincreasing (ValueError otherwise), and drop out
+    of the product as k passes their cap.  The sweep runs on x as one
+    segment.  Returns per-row real arrays of length kcaps[i].
     """
+    if np.iscomplexobj(W):
+        raise ValueError("_project takes real weights: pass the real and imaginary parts as rows")
     caps = np.asarray(kcaps, dtype=int)
     if np.any(np.diff(caps) > 0):
         raise ValueError("_project takes its rows deepest first: kcaps must be nonincreasing")
-    per = 2 if np.iscomplexobj(W) else 1
-    if per == 2:                                               # rows re_0, im_0, re_1, ...
-        W = np.stack([W.real, W.imag], axis=1).reshape(-1, x.size)
-    cols = [np.empty(int(c), dtype=complex) for c in caps]
+    cols = [np.empty(int(c)) for c in caps]
     for k0, block in _laguerre_sweep(x[None, :], caps[:1], alpha, PROJECT_CHUNK):
         active = int(np.count_nonzero(caps > k0))
-        vals = block @ W[:per * active].T                     # (klen, per * active)
-        if per == 2:
-            vals = vals.view(complex)
+        vals = block @ W[:active].T                           # (klen, active)
         for i in range(active):
             hi = min(int(caps[i]), k0 + len(block))
             cols[i][k0:hi] = vals[:hi - k0, i]
@@ -407,18 +405,23 @@ V_SPAN = 400.0             # v = |lam| u range of the heavy-tail radial rule
 
 @dataclass(frozen=True)
 class AnalysisQuadrature:
-    """Dedicated radial quadrature nodes for the analysis integrals.
+    """The radial quadrature of the heavy-tail analysis.
 
-    The radial rules are Gauss-Legendre in xi = sqrt(u/U) (so nodes cluster
-    quadratically at the origin): Laguerre modes oscillate like cos(2 sqrt(kx))
-    and the xi variable makes that oscillation uniform, which keeps the rule
-    adequate for the deep-k modes carried at small lambda.  v-nodes are the
-    lambda-scaled variant (v = |lam| u) used for kernels with power-law radial
-    tails, where the weight e^{-v/4} sets the lambda-free domain (0, V_SPAN].
+    The v-rule is Gauss-Legendre in xi = sqrt(v/V_SPAN) (so nodes cluster
+    quadratically at the origin): Laguerre modes oscillate like
+    cos(2 sqrt(kx)) and the xi variable makes that oscillation uniform, which
+    keeps the rule adequate for the deep-k modes carried at small lambda.
+    On v = |lam| u the weight e^{-v/4} sets the lambda-free domain
+    (0, V_SPAN] for kernels with power-law radial tails.  The rule is built
+    on its first read, so an analysis that reads no rule (closed-form
+    coefficients, grid samples) never computes its Gauss-Legendre roots.
 
-    The quadrature holds the u-span and each rule's node count; a rule is
-    built on its first read, so an analysis that reads neither rule
-    (closed-form coefficients) never computes its Gauss-Legendre roots.
+    No analysis reads the u-rule, the same rule on u = |z|^2 in (0, u_span]:
+    every catalog member with a light tail has closed-form coefficients, and
+    the u-rule route is the reference in tests/oracles.py.  u_span, n_radial
+    and u_nodes stay because the benchmark's step counter
+    (perfbench/spans.py) reads u_nodes; they go when it stops (ROADMAP
+    item 11).
     """
 
     u_span: float          # U = R_z^2: the u-rule covers u = |z|^2 in (0, U]
@@ -444,10 +447,6 @@ class AnalysisQuadrature:
     @property
     def u_nodes(self) -> np.ndarray:
         return self._u_rule[0]
-
-    @property
-    def u_weights(self) -> np.ndarray:
-        return self._u_rule[1]
 
     @property
     def v_nodes(self) -> np.ndarray:
@@ -521,36 +520,38 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
     f^lam = (2 pi)^{-n} |lam|^n sum_k c_k phi_k^lam hold, with c_k also equal
     to the twisted-convolution projection eigenvalue f^lam *_lam phi_k = c_k phi_k.
 
-    Input routes, best available first: closed-form coefficients, central
-    profile (the heavy-tail one on the v-rule, the other on the u-rule), raw
-    grid samples (grid-t trapezoid, aliasing-guarded).  The heavy-tail route
-    takes a profile even in t and projects the lattice in one batch: one real
-    (M, N_v) weight matrix, its rows deepest first, from one call of the
-    profile's on_lattice (for the catalog kernels an exponential sum, one
-    matrix product) scaled in place (_heavy_tail_weights), then one sweep of
-    the recurrence over the shared v-nodes.  A heavy-tail profile without
-    on_lattice raises TypeError before any work, and a complex profile row
-    ValueError.  The others build radii, radial weights and (M, Nr) slices
-    and project each node through its own recurrence.  The grid route warns
-    (UserWarning) when the input has not decayed at the box boundary, when
-    the grid band-limits the Laguerre order below the lattice caps and when
-    the spectrum's tail energy exceeds 1e-6.
+    Three input routes, read in this order:
+    - closed-form coefficients (coeff_fn), which every catalog member but the
+      conformal kernels has;
+    - a heavy_tail central profile on the v-rule, which takes a profile even
+      in t and projects the lattice in one batch: one real (M, N_v) weight
+      matrix, its rows deepest first, from one call of the profile's
+      on_lattice (for the catalog kernels an exponential sum, one matrix
+      product) scaled in place (_heavy_tail_weights), then one sweep of the
+      recurrence over the shared v-nodes.  A heavy-tail profile without
+      on_lattice raises TypeError before any work, and a complex profile row
+      ValueError;
+    - raw grid samples (grid-t trapezoid, aliasing-guarded), one projection
+      per node of its complex slice as a real and an imaginary weight row.
+      It warns (UserWarning) when the input has not decayed at the box
+      boundary, when the grid band-limits the Laguerre order below the
+      lattice caps and when the spectrum's tail energy exceeds 1e-6.
+    A central profile that is not heavy_tail, without coeff_fn, raises
+    ValueError: its u-rule projection is the reference in tests/oracles.py,
+    not a route.  One table of dim P_k at the deepest cap serves every row.
 
     The lattice holds real functions, whose rows obey c(-lam) = conj c(lam).
-    A closed-form coefficient function or a central profile that breaks it,
-    compared at +-lam on the node where its row is largest to 1e-12 of scale,
-    raises ValueError; grid samples are real by construction (GridFunction).
-    On the heavy-tail route the comparison sets the point evaluation at -lam
-    against the on_lattice row at lam, so it also checks the two against
-    each other.
+    A closed-form coefficient function that breaks it, compared at +-lam on
+    the node where its row is largest to 1e-12 of scale, raises ValueError;
+    grid samples are real by construction (GridFunction).  On the heavy-tail
+    route the comparison sets the point evaluation at -lam against the
+    on_lattice row at lam, so it also checks the two against each other.
     """
     if not u.polyradial:
         raise ValueError("analyze_polyradial requires a polyradial input")
     spec = u.spec
     n = spec.n
     alpha = n - 1
-    quad = quad or AnalysisQuadrature.build(spec)
-    ang = _angular_const(n)
     lams = grid.nodes
 
     if u.coeff_fn is not None:
@@ -558,8 +559,12 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
         coeffs = [np.asarray(u.coeff_fn(k, lam), dtype=complex) for k, lam in zip(ks, lams)]
         _require_conjugate(u.coeff_fn, ks, lams, coeffs, "closed-form coefficient function")
         return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=u.name)
+    if u.central_profile is not None and not u.heavy_tail:
+        raise ValueError("a central profile alone is analysed only when heavy_tail (the v-rule "
+                         "route); give closed-form coefficients (coeff_fn) or grid samples")
 
-    if u.central_profile is not None and u.heavy_tail:
+    dims = proj_dim(np.arange(int(grid.k_caps.max())), n)
+    if u.central_profile is not None:
         # v = |lam| u covers the power-law radial tail uniformly in lam and
         # makes the x-nodes shared across lambda, so the profile is one
         # (M, N_v) on_lattice matrix and the whole lattice projects through
@@ -567,47 +572,38 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
         if not hasattr(u.central_profile, "on_lattice"):
             raise TypeError("a heavy-tail central profile needs on_lattice(lams, v): "
                             "the analysis evaluates it on the whole lattice at once")
+        quad = quad or AnalysisQuadrature.build(spec)
         order = np.argsort(-grid.k_caps, kind="stable")
-        W, (lam, x, prof) = _heavy_tail_weights(u.central_profile, lams[order], quad, ang, alpha)
+        W, (lam, x, prof) = _heavy_tail_weights(u.central_profile, lams[order], quad,
+                                                _angular_const(n), alpha)
         _require_conjugate(u.central_profile, [x], [lam], [prof],
                            "central profile (point value at -lambda against on_lattice)")
         raw = _project(0.5 * quad.v_nodes, W, grid.k_caps[order], alpha)
         coeffs = [None] * grid.M
         for i, c in zip(order, raw):
-            c /= proj_dim(np.arange(len(c)), n)
+            c /= dims[:len(c)]
             coeffs[i] = c
         return PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=u.name)
 
-    caps = grid.k_caps
-    if u.central_profile is not None:
-        radii = quad.u_nodes
-        weights = ang * quad.u_weights * radii ** alpha
-        slices = np.stack([u.central_profile(radii, lam) for lam in lams])
-        _require_conjugate(u.central_profile, [radii] * grid.M, lams, slices, "central profile")
-    else:
-        _alias_guard(grid, spec)
-        if not u.boundary_decay_ok():
-            warnings.warn("input does not decay at the box boundary", stacklevel=2)
-        # the central slice of a polyradial function depends on |z| alone:
-        # the samples summed over equal-radius nodes form one (Nr, Nt)
-        # profile, transformed once.  The z-grid resolves the Laguerre
-        # oscillation (frequency sqrt(2 k lam) in r) only up to
-        # k ~ pi^2/(4 lam h^2), so deeper modes are cut
-        radii, inv = np.unique(spec.z_radius_sq().round(12).ravel(), return_inverse=True)
-        prof = np.zeros((radii.size, spec.N_t))
-        np.add.at(prof, inv, u.values.reshape(-1, spec.N_t))
-        weights = spec.h_z ** (2 * n)
-        slices = _t_transform(prof, grid, spec.t_axis, spec.h_t).T      # (M, Nr)
-        k_lim = (math.pi ** 2 / (4.0 * lams * spec.h_z ** 2)).astype(int)
-        caps = np.minimum(grid.k_caps, np.maximum(16, k_lim))
-
+    _alias_guard(grid, spec)
+    if not u.boundary_decay_ok():
+        warnings.warn("input does not decay at the box boundary", stacklevel=2)
+    # the central slice of a polyradial function depends on |z| alone: the
+    # samples summed over equal-radius nodes form one (Nr, Nt) profile,
+    # transformed once.  The z-grid resolves the Laguerre oscillation
+    # (frequency sqrt(2 k lam) in r) only up to k ~ pi^2/(4 lam h^2), so
+    # deeper modes are cut
+    radii, inv = np.unique(spec.z_radius_sq().round(12).ravel(), return_inverse=True)
+    prof = np.zeros((radii.size, spec.N_t))
+    np.add.at(prof, inv, u.values.reshape(-1, spec.N_t))
+    slices = _t_transform(prof, grid, spec.t_axis, spec.h_t).T * spec.h_z ** (2 * n)  # (M, Nr)
+    k_lim = (math.pi ** 2 / (4.0 * lams * spec.h_z ** 2)).astype(int)
+    caps = np.minimum(grid.k_caps, np.maximum(16, k_lim))
     coeffs = []
     for lam, kcap, sl in zip(lams, caps, slices):
-        c, = _project(0.5 * lam * radii, (weights * sl)[None, :], [kcap], alpha)
-        coeffs.append(c / proj_dim(np.arange(int(kcap)), n))
+        re, im = _project(0.5 * lam * radii, np.stack([sl.real, sl.imag]), [kcap, kcap], alpha)
+        coeffs.append((re + 1j * im) / dims[:kcap])
     out = PolyradialSpectrum(grid=grid, n=n, coeffs=coeffs, name=u.name)
-    if u.central_profile is not None:
-        return out
     if np.any(caps < grid.k_caps):
         warnings.warn("grid sampling band-limits the Laguerre order below the requested cap",
                       stacklevel=2)

@@ -23,6 +23,9 @@ textbook route to a quantity the package computes another way.
 - `RowLatticeProfile`: a central profile whose lattice evaluation is its
   point evaluation row by row, for profiles that have no closed lattice
   form (skewed or shifted ones the analysis must refuse).
+- `u_rule` and `profile_coeffs`: the Laguerre coefficients of a central
+  profile on the u-rule, u = |z|^2 in (0, R_z^2], the quadrature route the
+  package's closed-form coefficients replaced, against those closed forms.
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ from hfrac.lagspec import (
     AnalysisQuadrature,
     LambdaGrid,
     PolyradialSpectrum,
+    _project,
+    _require_conjugate,
     analyze_polyradial,
+    proj_dim,
     slices_at_radii_batch,
     synthesize,
 )
@@ -256,3 +262,39 @@ class RowLatticeProfile:
 
     def on_lattice(self, lams, v):
         return np.stack([self.point(v / lam, lam) for lam in lams])
+
+
+# ---------------------------------------------------------------------------
+# the u-rule projection of a central profile
+# ---------------------------------------------------------------------------
+
+def u_rule(quad: AnalysisQuadrature):
+    """(nodes, weights) of quad's u-rule: Gauss-Legendre in xi = sqrt(u/U) on
+    u = |z|^2 in (0, U], U = quad.u_span, with quad.n_radial nodes."""
+    return AnalysisQuadrature._sqrt_rule(quad.u_span, quad.n_radial)
+
+
+def profile_coeffs(f: GridFunction, grid: LambdaGrid, quad: AnalysisQuadrature,
+                   nodes=None, kmax: Optional[int] = None) -> list:
+    """c_k(lam) = <f^lam, phi_k^lam> / dim P_k from f's central profile on quad's
+    u-rule, one complex row per lattice node in nodes (default: every node),
+    k below the node's cap and below kmax.
+
+    The slice f^lam(u) on the rule, times the angular constant pi^n/Gamma(n),
+    the rule's weights and u^{n-1}, is projected through the Laguerre
+    recurrence as a real and an imaginary weight row.  A profile that breaks
+    f^{-lam} = conj f^lam on the largest slice raises ValueError."""
+    n = f.spec.n
+    u, w = u_rule(quad)
+    w = math.pi ** n / math.gamma(n) * w * u ** (n - 1)
+    nodes = range(grid.M) if nodes is None else nodes
+    lams = grid.nodes[list(nodes)]
+    caps = [int(grid.k_caps[i]) if kmax is None else min(int(grid.k_caps[i]), kmax) for i in nodes]
+    slices = [f.central_profile(u, lam) for lam in lams]
+    _require_conjugate(f.central_profile, [u] * len(lams), lams, slices, "central profile")
+    out = []
+    for lam, cap, sl in zip(lams, caps, slices):
+        W = w * np.asarray(sl, dtype=complex)
+        re, im = _project(0.5 * lam * u, np.stack([W.real, W.imag]), [cap, cap], n - 1)
+        out.append((re + 1j * im) / proj_dim(np.arange(cap), n))
+    return out

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -428,6 +430,72 @@ def test_unknown_family_rejected():
         TestFunctionId("wavelet", (1.0,))
     with pytest.raises(ValueError):
         TestFunctionId("gaussian", (1.0, -2.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TestFunctionId("gaussian", (math.nan, 1.0)),
+    lambda: TestFunctionId("gaussian", (1.0, math.inf)),
+    lambda: TestFunctionId("conformal-kernel", (0.3, math.inf)),
+    lambda: TestFunctionId("gaussian", (1.0, 1.0)).dilated(math.inf),
+    lambda: TestFunctionId("gaussian", (1.0, 1.0), dilation=math.nan),
+    lambda: TestFunctionId("conformal-kernel", (0.3, 1.0)).dilated(1e200).dilated(1e200),
+    lambda: TestFunctionId("gaussian", (1.0,)),
+    lambda: TestFunctionId("conformal-kernel", (0.3, 1.0, 2.0)),
+], ids=["nan-param", "inf-param", "inf-rho0", "inf-dilation", "nan-dilation",
+        "overflowing-dilation", "one-param", "three-params"])
+def test_catalog_rejects_non_finite_or_misshapen_input(make):
+    # each used to be accepted and to fail later, if at all: NaN coefficients,
+    # non-finite samples or a bare "math domain error"
+    with pytest.raises(ValueError):
+        make()
+
+
+# (f o delta_r) against f, and the bound on each, twice to four times the
+# largest relative deviation measured over the members, n and r below
+DILATION_BOUNDS = {"evaluator": 2e-15, "central_profile": 3e-13, "on_lattice": 3e-15,
+                   "coeff_fn": 3e-13}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_dilation_is_a_parameter_change(n):
+    # a dilated member is its family at other parameters; its closed forms
+    # must obey f o delta_r (z, t) = f(rz, r^2 t), (f o delta_r)^lam(u) =
+    # r^-2 f^{lam/r^2}(r^2 u) (on_lattice on u = v/lam included) and
+    # c_k(f o delta_r)(lam) = r^-Q c_k(f)(lam/r^2).  Measured: 7.8e-16,
+    # 1.1e-13 (the gaussian's e^{-lam^2/4b} at lam = 40), 9.6e-16 and 1.1e-13
+    spec = GridSpec(n=n, N_z=8, N_t=8)
+    Q = 2 * n + 2
+    x, y, t = np.random.default_rng(3).uniform(-3.0, 3.0, (3, 50))
+    u = np.linspace(0.0, 20.0, 41)
+    v = np.geomspace(1e-6, 400.0, 40)
+    lams = LambdaGrid.build().nodes[::7]
+    k = np.arange(300)
+    worst = dict.fromkeys(DILATION_BOUNDS, 0.0)
+
+    def compare(what, got, ref):
+        # rows that underflow to zero must do so on both sides
+        scale = np.max(np.abs(ref))
+        err = np.max(np.abs(got - ref))
+        worst[what] = max(worst[what], err / scale if scale > 0 else err)
+
+    for base in (TestFunctionId("gaussian", (1.0, 1.0)), TestFunctionId("gaussian", (0.5, 2.0)),
+                 TestFunctionId("conformal-kernel", (0.3, 1.4)),
+                 TestFunctionId("conformal-kernel", (0.1, 0.6))):
+        f = make_test_function(base, spec)
+        for r in (0.5, 0.7, 1.5, 2.0):
+            fr = make_test_function(base.dilated(r), spec)
+            assert fr.polyradial and fr.heavy_tail == f.heavy_tail
+            compare("evaluator", fr.evaluator(x, y, t), f.evaluator(r * x, r * y, r * r * t))
+            for lam in lams:
+                compare("central_profile", fr.central_profile(u, lam),
+                        f.central_profile(r * r * u, lam / r ** 2) / r ** 2)
+                if not f.heavy_tail:
+                    compare("coeff_fn", fr.coeff_fn(k, lam), r ** -Q * f.coeff_fn(k, lam / r ** 2))
+            if f.heavy_tail:
+                assert fr.coeff_fn is None
+                compare("on_lattice", fr.central_profile.on_lattice(lams, v),
+                        f.central_profile.on_lattice(lams / r ** 2, v) / r ** 2)
+    assert all(worst[w] <= DILATION_BOUNDS[w] for w in worst), worst
 
 
 def test_translated_member_not_polyradial():

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -35,7 +35,9 @@ from oracles import (
     group_convolve,
     inverse_central_transform,
     laguerre_phi_table,
+    profile_coeffs,
     twisted_convolve,
+    u_rule,
     unfold,
 )
 
@@ -126,11 +128,12 @@ def test_laguerre_against_mpmath_reference():
 
 
 def test_analysis_quadrature_refine_grows_both_rules_on_their_spans():
-    # 1.25 times the u- and v-nodes, the spans the coarse rules were built on
+    # 1.25 times the u- and v-nodes, the spans the coarse rules were built on;
+    # the u-rule's weights are the oracle's, which reads the same span and count
     spec = GridSpec()
     fine = AnalysisQuadrature.build(spec, n_radial=64, n_radial_v=128).refine()
     ref = AnalysisQuadrature.build(spec, n_radial=80, n_radial_v=160)
-    for got, want in ((fine.u_nodes, ref.u_nodes), (fine.u_weights, ref.u_weights),
+    for got, want in ((fine.u_nodes, ref.u_nodes), (u_rule(fine)[1], u_rule(ref)[1]),
                       (fine.v_nodes, ref.v_nodes), (fine.v_weights, ref.v_weights)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -139,34 +142,29 @@ def test_analysis_quadrature_refine_grows_both_rules_on_their_spans():
 def test_project_matches_full_table():
     # the chunked, real-arithmetic projection against the plain full table,
     # with caps that straddle chunk edges, deepest first, as one batch and as
-    # batches of one
+    # batches of one.  Complex weights go in as their real and imaginary
+    # parts, two rows of one cap, as the grid route passes its slices
     x = 0.5 * AnalysisQuadrature._sqrt_rule(400.0, 300)[0]
     caps = np.array([513, 300, 257, 256, 5, 1])
     W = RNG.normal(size=(caps.size, x.size)) + 1j * RNG.normal(size=(caps.size, x.size))
+    parts = np.stack([W.real, W.imag], axis=1).reshape(-1, x.size)     # re_0, im_0, re_1, ...
     for alpha in (0, 1):
         table = laguerre_phi_table(int(caps.max()) - 1, alpha, x)
-        batch = _project(x, W, caps, alpha)
+        batch = _project(x, parts, np.repeat(caps, 2), alpha)
         for i, cap in enumerate(caps):
             ref = table[:cap] @ W[i]
             scale = np.max(np.abs(table[:cap]) @ np.abs(W[i]))
-            single, = _project(x, W[i][None, :], [cap], alpha)
-            for got in (batch[i], single):
-                assert got.shape == (cap,) and got.dtype == complex
-                assert np.max(np.abs(got - ref)) <= 1e-13 * scale, (alpha, cap)
-    # real weights are contracted as they are, not through interleaved zero
-    # imaginary rows: they must agree with the complex path on the same weights
-    Wr = W.real
-    for alpha in (0, 1):
-        real, cplx = _project(x, Wr, caps, alpha), _project(x, Wr + 0j, caps, alpha)
-        table = laguerre_phi_table(int(caps.max()) - 1, alpha, x)
-        for i, cap in enumerate(caps):
-            scale = np.max(np.abs(table[:cap]) @ np.abs(Wr[i]))
-            assert real[i].shape == (cap,) and real[i].dtype == complex
-            assert np.max(np.abs(real[i] - cplx[i])) <= 1e-13 * scale, (alpha, cap)
+            single = _project(x, parts[2 * i:2 * i + 2], [cap, cap], alpha)
+            for re, im in (batch[2 * i:2 * i + 2], single):
+                assert re.shape == im.shape == (cap,) and re.dtype == im.dtype == np.float64
+                assert np.max(np.abs(re + 1j * im - ref)) <= 1e-13 * scale, (alpha, cap)
+    # complex weights are refused, not contracted as complex blocks
+    with pytest.raises(ValueError, match="real weights"):
+        _project(x, W, caps, 0)
     # rows that do not come deepest first are refused, not reordered
     for bad in ([5, 300, 1, 513, 256, 257], [1, 2, 2, 1, 1, 1]):
         with pytest.raises(ValueError, match="deepest first"):
-            _project(x, Wr, bad, 0)
+            _project(x, W.real, bad, 0)
 
 
 @pytest.mark.parametrize("rows", [1, 4, 16])
@@ -250,7 +248,7 @@ def test_laguerre_origin_values():
 
 
 def test_laguerre_quadrature_orthogonality(default_setup):
-    # the analysis rule must resolve <phi_j, phi_k> = delta_jk (2pi)^n |lam|^-n C(k+n-1,k)
+    # the oracle's u-rule must resolve <phi_j, phi_k> = delta_jk (2pi)^n |lam|^-n C(k+n-1,k)
     # for every mode whose support 2(4k+2)/lam fits inside the radial domain
     spec, grid, quad = default_setup
     U = spec.R_z ** 2
@@ -258,8 +256,9 @@ def test_laguerre_quadrature_orthogonality(default_setup):
         kfit = min(64, int(0.2 * (lam * U / 8.0)))
         if kfit < 2:
             continue
-        tab = laguerre_phi_table(kfit, 0, 0.5 * lam * quad.u_nodes)
-        gram = math.pi * (tab * quad.u_weights) @ tab.T
+        nodes, weights = u_rule(quad)
+        tab = laguerre_phi_table(kfit, 0, 0.5 * lam * nodes)
+        gram = math.pi * (tab * weights) @ tab.T
         target = np.eye(kfit + 1) * 2 * math.pi / lam
         assert np.max(np.abs(gram - target)) <= 1e-8 * (2 * math.pi / lam), lam
 
@@ -444,19 +443,73 @@ def test_grid_route_matches_closed_form():
 
 
 def test_quadrature_route_matches_closed_form():
-    # dense radial/t quadrature vs the exact geometric-series coefficients
+    # the oracle's dense radial quadrature of the central profile vs the
+    # exact geometric-series coefficients, on every node to its full cap
     spec = GridSpec()
     grid = LambdaGrid.build()
     quad = AnalysisQuadrature.build(spec)
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
-    bare = GridFunction(spec=spec, values=f.values.copy(), polyradial=True,
-                        central_profile=f.central_profile)
     S1 = analyze_polyradial(f, grid, quad)
-    S2 = analyze_polyradial(bare, grid, quad)
+    S2 = profile_coeffs(f, grid, quad)
     gscale = max(np.max(np.abs(c)) for c in S1.coeffs)
-    for c1, c2 in zip(S1.coeffs, S2.coeffs):
-        m = min(len(c1), len(c2))
-        assert np.max(np.abs(c1[:m] - c2[:m])) <= 1e-9 * gscale
+    for c1, c2 in zip(S1.coeffs, S2):
+        assert len(c1) == len(c2)
+        assert np.max(np.abs(c1 - c2)) <= 1e-9 * gscale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gaussian_closed_form_matches_u_rule_oracle(n):
+    # c_k = pi^n sqrt(pi/b) e^{-lam^2/4b} (a - lam/4)^k / (a + lam/4)^{k+n}
+    # against the u-rule projection of the central profile, on every 5th
+    # node of the default lattice, k < 200.  Measured: at most 9.7e-14 of the
+    # largest c_0 over n = 1, 2, 3 and these members; the bound is twice that
+    grid = LambdaGrid.build()
+    spec = GridSpec(n=n, N_z=8, N_t=8)
+    quad = AnalysisQuadrature.build(spec)
+    nodes = range(0, grid.M, 5)
+    base = TestFunctionId("gaussian", (1.0, 1.0))
+    for fid in (base, TestFunctionId("gaussian", (0.5, 2.0)), base.dilated(0.7)):
+        f = make_test_function(fid, spec)
+        S = analyze_polyradial(f, grid, quad)
+        ref = profile_coeffs(f, grid, quad, nodes, kmax=200)
+        c0 = max(abs(S.coeffs[i][0]) for i in nodes)
+        err = max(np.max(np.abs(S.coeffs[i][:len(r)] - r)) for i, r in zip(nodes, ref))
+        assert err <= 2e-13 * c0, (fid.label(), err / c0)
+
+
+class _NoURule(AnalysisQuadrature):
+    """An AnalysisQuadrature whose u-rule raises when read."""
+
+    @property
+    def _u_rule(self):
+        raise AssertionError("the analysis read the u-rule")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_catalog_analysis_reads_no_u_rule(n):
+    # every catalog member, dilated or not, analyses by a closed form or the
+    # heavy-tail v-rule; a token grid suffices, as no route reads the samples
+    spec = GridSpec(n=n, N_z=8, N_t=8)
+    grid = LambdaGrid.build(nodes_per_sign=20, K=8, k_energy_cap=2.0)
+    quad = _NoURule(*astuple(AnalysisQuadrature.build(spec)))
+    with pytest.raises(AssertionError, match="u-rule"):
+        quad.u_nodes
+    for base in (TestFunctionId("gaussian", (1.0, 1.0)), TestFunctionId("gaussian", (0.5, 2.0)),
+                 TestFunctionId("conformal-kernel", (0.3, 1.4)),
+                 TestFunctionId("conformal-kernel", (0.1, 0.6))):
+        for fid in (base, base.dilated(0.7), base.dilated(1.5)):
+            S = analyze_polyradial(make_test_function(fid, spec), grid, quad)
+            assert len(S.coeffs) == grid.M and all(np.all(np.isfinite(c)) for c in S.coeffs)
+
+
+def test_central_profile_alone_is_refused():
+    # the u-rule projection of a light-tailed central profile is the oracle's,
+    # not an analysis route: such an input is refused, naming the routes left
+    spec = GridSpec(N_z=16, N_t=16)
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    g = GridFunction(spec=spec, values=f.values, polyradial=True, central_profile=f.central_profile)
+    with pytest.raises(ValueError, match="heavy_tail.*coeff_fn.*grid samples"):
+        analyze_polyradial(g, LambdaGrid.build())
 
 
 def test_projection_against_twisted_convolution_oracle(coarse_z):
@@ -638,15 +691,18 @@ def test_paired_synthesis_matches_per_node_reference(default_setup, shifted_spec
         assert np.max(np.abs(g.values - ref)) <= 1e-13 * np.max(np.abs(ref)), l
 
 
-def _bare_routes(spec):
-    """gaussian(1, 1) as its closed form, its central profile alone and its bare
-    grid samples, and the heavy-tailed conformal-kernel(0.3, 1.4)."""
+def _bare_routes(spec, quad):
+    """(route, its analysis on a lattice): gaussian(1, 1) as its closed form,
+    its central profile on the oracle's u-rule and its bare grid samples, and
+    the heavy-tailed conformal-kernel(0.3, 1.4)."""
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
-    yield "closed-form", f
-    yield "profile", GridFunction(spec=spec, values=f.values, polyradial=True,
-                                  central_profile=f.central_profile)
-    yield "grid", GridFunction(spec=spec, values=f.values, polyradial=True)
-    yield "heavy-tail", make_test_function(TestFunctionId("conformal-kernel", (0.3, 1.4)), spec)
+    bare = GridFunction(spec=spec, values=f.values, polyradial=True)
+    kernel = make_test_function(TestFunctionId("conformal-kernel", (0.3, 1.4)), spec)
+    yield "closed-form", lambda grid: analyze_polyradial(f, grid, quad)
+    yield "profile", lambda grid: PolyradialSpectrum(grid=grid, n=spec.n,
+                                                     coeffs=profile_coeffs(f, grid, quad))
+    yield "grid", lambda grid: analyze_polyradial(bare, grid, quad)
+    yield "heavy-tail", lambda grid: analyze_polyradial(kernel, grid, quad)
 
 
 def test_real_in_real_out_on_every_analysis_route(default_setup):
@@ -663,11 +719,11 @@ def test_real_in_real_out_on_every_analysis_route(default_setup):
     u = np.array([0.0, 0.3, 1.7, 4.0, 9.5])
     t = np.array([0.0, 0.4, -1.1, 2.0, -3.5])
     uniq, inv = np.unique(spec.z_radius_sq().round(12).ravel(), return_inverse=True)
-    for route, f in _bare_routes(spec):
+    for route, analysis in _bare_routes(spec, quad):
         lattice = band if route == "grid" else grid
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)       # the grid route's band limit
-            S = analyze_polyradial(f, lattice, quad)
+            S = analysis(lattice)
         assert len(S.coeffs) == lattice.M, route
         # one reference pass over the grid's radii, then the points' u
         nodes, weights, sl, dsl = _reference_slices(S, np.concatenate([uniq, u]), [None] + mults)
@@ -689,26 +745,25 @@ def test_real_in_real_out_on_every_analysis_route(default_setup):
 
 def test_analysis_rejects_non_real_inputs(default_setup):
     # the half lattice holds real functions only: a closed-form coefficient
-    # function or a central profile that breaks c(-lam) = conj c(lam) is
-    # refused, and so is a non-real scale.  gaussian(1, 0.25) has rows
-    # e^{-lam^2} that underflow to 0 at lam = 40, so its skewed forms must be
-    # caught where the rows are large, not on the outermost node
+    # function that breaks c(-lam) = conj c(lam) is refused by the analysis,
+    # a central profile that does by the oracle's u-rule projection, and a
+    # non-real scale by the spectrum.  gaussian(1, 0.25) has rows e^{-lam^2}
+    # that underflow to 0 at lam = 40, so its skewed forms must be caught
+    # where the rows are large, not on the outermost node
     spec, grid, quad = default_setup
     f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
     narrow = make_test_function(TestFunctionId("gaussian", (1.0, 0.25)), spec)
     assert not np.any(narrow.coeff_fn(np.arange(4), grid.nodes[-1]))
     skew = lambda lam: 1 + 0.5 * np.sign(lam) + 0.3j
-    inputs = []
     for h in (f, narrow):
-        inputs += [
-            GridFunction(spec=spec, values=h.values, polyradial=True,
-                         coeff_fn=lambda k, lam, h=h: h.coeff_fn(k, lam) * skew(lam)),
-            GridFunction(spec=spec, values=h.values, polyradial=True,
-                         central_profile=lambda u, lam, h=h: h.central_profile(u, lam) * skew(lam)),
-        ]
-    for g in inputs:
+        g = GridFunction(spec=spec, values=h.values, polyradial=True,
+                         coeff_fn=lambda k, lam, h=h: h.coeff_fn(k, lam) * skew(lam))
         with pytest.raises(ValueError, match="real"):
             analyze_polyradial(g, grid, quad)
+        g = GridFunction(spec=spec, values=h.values, polyradial=True,
+                         central_profile=lambda u, lam, h=h: h.central_profile(u, lam) * skew(lam))
+        with pytest.raises(ValueError, match="real"):
+            profile_coeffs(g, grid, quad)
     S = analyze_polyradial(f, grid, quad)
     for scalar in (1j, np.complex128(2.0)):
         with pytest.raises(TypeError):
@@ -717,20 +772,25 @@ def test_analysis_rejects_non_real_inputs(default_setup):
 
 
 def test_paired_analysis_matches_per_node_project(default_setup):
-    # a t-shifted profile: complex rows, each node projected on its own
-    # weights; its values at -lam are the conjugates, so the analysis accepts it
-    spec, grid, quad = default_setup
-    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
-    prof = lambda u, lam: f.central_profile(u, lam) * np.exp(0.7j * lam)
-    g = GridFunction(spec=spec, values=f.values, name="shifted", polyradial=True,
-                     central_profile=prof)
-    S = analyze_polyradial(g, grid, quad)
-    uu = quad.u_nodes
+    # t-shifted grid samples: complex slices, which the grid route projects
+    # as a real and an imaginary weight row per node, against each node's
+    # complex weights on the plain full table, from the oracle's t-transform
+    # of every z-node summed over equal radii.  Shallow caps keep the tables small
+    spec, _, quad = default_setup
+    fid = TestFunctionId("gaussian", (1.0, 1.0)).translated(HeisenbergPoint([0.0], [0.0], 0.7))
+    g = GridFunction(spec=spec, values=make_test_function(fid, spec).values, name="shifted",
+                     polyradial=True)
+    grid = LambdaGrid.build(lam_max=0.95 * math.pi / (2.0 * spec.h_t), K=16, k_energy_cap=4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)       # the band limit and the short caps
+        S = analyze_polyradial(g, grid, quad)
+    radii, inv = np.unique(spec.z_radius_sq().round(12).ravel(), return_inverse=True)
+    F = central_transform(g, grid).reshape(grid.M, -1)
     worst, scale = 0.0, 0.0
     for i, lam in enumerate(grid.nodes):
-        kcap = int(grid.k_caps[i])
-        W = math.pi * quad.u_weights * prof(uu, lam)          # n = 1: angular constant pi
-        ref, = _project(0.5 * lam * uu, W[None, :], [kcap], 0)
+        W = np.zeros(radii.size, dtype=complex)
+        np.add.at(W, inv, F[i] * spec.h_z ** 2)
+        ref = laguerre_phi_table(len(S.coeffs[i]) - 1, 0, 0.5 * lam * radii) @ W   # dim P_k = 1
         worst = max(worst, float(np.max(np.abs(S.coeffs[i] - ref))))
         scale = max(scale, float(np.max(np.abs(ref))))
     assert max(np.max(np.abs(c.imag)) for c in S.coeffs) > 0.1 * scale      # complex rows
