@@ -154,12 +154,14 @@ class GridSpec:
         return sum(m * m for m in mesh)
 
     def require_interior(self, samples) -> None:
-        """Raise ValueError unless there is a sample and every coordinate of every
-        sample sits a quarter of its half-width inside the box: |x_j|, |y_j|
-        <= 3 R_z/4, |t| <= 3 R_t/4."""
+        """Raise ValueError unless there is a sample and every sample is a point
+        of this grid's H^n whose every coordinate sits a quarter of its
+        half-width inside the box: |x_j|, |y_j| <= 3 R_z/4, |t| <= 3 R_t/4."""
         if len(samples) == 0:
             raise ValueError("no samples")
         for p in samples:
+            if p.n != self.n:
+                raise ValueError(f"a sample of H^{p.n} on a grid of H^{self.n}")
             if (np.max(np.abs(np.concatenate([p.x, p.y]))) > self.R_z - self.R_z / 4.0
                     or abs(p.t) > self.R_t - self.R_t / 4.0):
                 raise ValueError("samples must sit interior to the box by a margin of R/4")

@@ -110,11 +110,18 @@ class LambdaGrid:
             raise ValueError("lambda weights must be positive")
         if np.any(self.k_caps < 1):
             raise ValueError("k_caps must be >= 1")
+        if not (isinstance(self.K, numbers.Integral) and self.K >= 0):
+            raise ValueError(f"the base depth K must be an integer >= 0, not {self.K!r}")
 
     @classmethod
     def build(cls, lam_min: float = 1e-3, lam_max: float = 40.0,
               nodes_per_sign: int = 150, K: int = 64,
               k_energy_cap: float = 36.0, panels=None) -> "LambdaGrid":
+        if not 0.0 < lam_min < lam_max:
+            raise ValueError(f"need 0 < lam_min < lam_max, not {lam_min, lam_max}")
+        for name, v in (("nodes_per_sign", nodes_per_sign), ("k_energy_cap", k_energy_cap)):
+            if not v > 0:
+                raise ValueError(f"{name} must be > 0, not {v}")
         if panels is None:
             edges = [e for e in DEFAULT_PANELS if lam_min < e < lam_max]
             edges = [lam_min] + edges + [lam_max]
@@ -164,22 +171,22 @@ class LambdaGrid:
 # ---------------------------------------------------------------------------
 # Weighted Laguerre recurrence
 #
-# _laguerre_sweep is the one run of the recurrence l_k = L_k^alpha e^{-x/2}
-# behind analysis (_project) and synthesis (slices_at_radii_batch).  It steps
-# k over one row of x-values made of equal segments, each with its own cap:
-# one segment per lambda node of a synthesis group, one in an analysis.
-# Segments come sorted by cap, descending, so the active ones are a prefix of
-# the row and each step runs on that prefix only: a group steps the
-# recurrence as often as its deepest cap, not once per (node, k).  Each new
-# row is written in place into a table block by out= ufuncs, with no
-# temporary; the block's two leading rows carry l_{k-2} and l_{k-1} over from
-# the block before, the one copy a block makes.  The consumer contracts each
-# block in real arithmetic before the next is written: an analysis against
-# real weight rows (complex slices come as their real and imaginary parts),
-# a synthesis against the real and imaginary rows of its coefficients, so no
-# block is ever promoted to complex.  An analysis takes its weight rows
-# deepest first, the order of the sweep, and reads them in place.  The plain
-# full-table recurrence the tests compare it against is laguerre_phi_table in
+# _laguerre_sweep steps the one recurrence l_k = L_k^alpha e^{-x/2}, alpha =
+# n - 1, behind analysis (_project) and every synthesis (slices_at_radii_batch),
+# d/du slices included: _sweep_group differentiates those in coefficient
+# space, into rows on the same table.  It steps k over one row of x-values
+# made of equal segments, each with its own cap: one segment per lambda node
+# of a synthesis group, one in an analysis.  Segments come sorted by cap,
+# descending, so the active ones are a prefix of the row and each step runs
+# on that prefix only: a group steps the recurrence as often as its deepest
+# cap, not once per (node, k).  Each new row is written in place into a
+# table block by out= ufuncs; the block's two leading rows carry l_{k-2} and
+# l_{k-1} over from the block before, the one copy a block makes.  The
+# consumer contracts each block in real arithmetic before the next is
+# written, against real weight rows (an analysis, its rows deepest first,
+# read in place) or the real and imaginary rows of its coefficients (a
+# synthesis), so no block is promoted to complex.  The plain full-table
+# recurrence the tests compare it against is laguerre_phi_table in
 # tests/oracles.py.
 # ---------------------------------------------------------------------------
 
@@ -187,58 +194,43 @@ PROJECT_CHUNK = 256        # k-rows per table block of the analysis contraction
 EXPAND_CHUNK = 64          # k-rows per table block of the synthesis contraction
 
 
-def _laguerre_sweep(x: np.ndarray, caps, alpha: int, rows: int, want_deriv: bool = False):
-    """Yield (k0, block[, dblock]) for k0 = 0, rows, 2 rows, ... below caps[0].
+def _laguerre_sweep(x: np.ndarray, caps, alpha: int, rows: int):
+    """Yield (k0, block) for k0 = 0, rows, 2 rows, ... below caps[0].
 
     x is (P, Nx): segment p is the x-points of one sweep member, caps[p] its
     number of k-rows, caps nonincreasing.  With a the number of segments whose
     cap exceeds k0, block[j] = l_{k0+j}(x) on the first a segments, flattened:
     shape (klen, a Nx); a segment whose cap falls inside a block is stepped to
-    the block's end.  With want_deriv, dblock[j] = d/dx l_{k0+j}
-    = -l_{k0+j}/2 - l_{k0+j-1}^{alpha+1} (l_{-1} = 0), from a second table of
-    type alpha+1 stepped alongside.  The buffers are reused: a consumer reads
-    a block before asking for the next.
+    the block's end.  The buffer is reused: a consumer reads a block before
+    asking for the next.
     """
     caps = np.asarray(caps, dtype=int)
-    nx = x.shape[1]
-    x = x.reshape(-1)
+    nx, x = x.shape[1], x.reshape(-1)
     kmax = int(caps[0]) if caps.size else 0
-    # rows 0 and 1 of a table carry l_{k0-2} and l_{k0-1} into the next block
-    tables = [(alpha, np.empty((rows + 2, x.size)))]
-    if want_deriv:
-        tables.append((alpha + 1, np.zeros((rows + 2, x.size))))    # l_{-1} = 0
-        dbuf = np.empty((rows, x.size))
+    # rows 0 and 1 carry l_{k0-2} and l_{k0-1} into the next block
+    tab = np.empty((rows + 2, x.size))
     tmp = np.empty(x.size)
     for k0 in range(0, kmax, rows):
         klen = min(rows, kmax - k0)
         w = nx * int(np.count_nonzero(caps > k0))
         xa, t = x[:w], tmp[:w]
-        for a, tab in tables:
-            rv = list(tab[:klen + 2, :w])           # rv[j + 2] is l_{k0+j}
-            for j in range(klen):
-                k, row = k0 + j, rv[j + 2]
-                if k >= 2:
-                    np.subtract(2.0 * k - 1.0 + a, xa, row)
-                    row *= rv[j + 1]
-                    np.multiply(rv[j], k - 1.0 + a, t)
-                    row -= t
-                    row /= k
-                elif k == 1:
-                    np.subtract(1.0 + a, xa, row)
-                    row *= rv[j + 1]
-                else:
-                    np.multiply(xa, -0.5, row)
-                    np.exp(row, row)
-        block = tables[0][1][2:klen + 2, :w]
-        if want_deriv:
-            dblock = dbuf[:klen, :w]
-            np.multiply(block, -0.5, dblock)
-            dblock -= tables[1][1][1:klen + 1, :w]
-            yield k0, block, dblock
-        else:
-            yield k0, block
-        for _, tab in tables:
-            tab[:2, :w] = tab[klen:klen + 2, :w]
+        rv = list(tab[:klen + 2, :w])               # rv[j + 2] is l_{k0+j}
+        for j in range(klen):
+            k, row = k0 + j, rv[j + 2]
+            if k >= 2:
+                np.subtract(2.0 * k - 1.0 + alpha, xa, row)
+                row *= rv[j + 1]
+                np.multiply(rv[j], k - 1.0 + alpha, t)
+                row -= t
+                row /= k
+            elif k == 1:
+                np.subtract(1.0 + alpha, xa, row)
+                row *= rv[j + 1]
+            else:
+                np.multiply(xa, -0.5, row)
+                np.exp(row, row)
+        yield k0, tab[2:klen + 2, :w]
+        tab[:2, :w] = tab[klen:klen + 2, :w]
 
 
 def _project(x: np.ndarray, W: np.ndarray, kcaps, alpha: int) -> list:
@@ -621,12 +613,12 @@ def analyze_polyradial(u: GridFunction, grid: LambdaGrid,
 # batch of one.  The lambda nodes are taken deepest first, in groups that fit
 # SWEEP_BUDGET, and each group runs one _laguerre_sweep over the radii of all
 # its nodes (x = lambda u / 2 per node).  Each table block is contracted in
-# real arithmetic against the coefficients of every symbol, one batched matrix
-# product over the nodes still active.  Blocks are EXPAND_CHUNK rows whatever
-# the group, so a radius' value does not depend on the other radii or nodes it
-# is synthesized with.  A node stands for the pair +-lambda, so every symbol
-# must depend on lambda only through |lambda|, which is why symbols must have
-# SpectralMultiplier.on_pairs (see the operators docstring).
+# real arithmetic against the coefficients of every symbol, and of their d/du
+# rows when asked, one batched matrix product over the nodes still active.
+# Blocks are EXPAND_CHUNK rows whatever the group, so a radius' value does
+# not depend on the other radii or nodes it is synthesized with.  A node
+# stands for the pair +-lambda, so a symbol may depend on lambda only through
+# |lambda|: symbols need SpectralMultiplier.on_pairs (see the operators module).
 # ---------------------------------------------------------------------------
 
 SWEEP_BUDGET = 2 ** 18     # doubles (2 MiB) of one synthesis group's accumulators and tables
@@ -635,28 +627,23 @@ SWEEP_BUDGET = 2 ** 18     # doubles (2 MiB) of one synthesis group's accumulato
 def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,
                           want_du: bool = False):
     """Per-level slices (L, M, Nu) at the nodes lambda > 0 for a family of
-    diagonal symbols.
+    diagonal symbols, and with want_du their d/du slices as well.
 
     mults is a sequence of SpectralMultiplier or None (the identity); a symbol
     without SpectralMultiplier.on_pairs, such as a plain callable, raises
-    TypeError.  With want_du the d/du slices come back as well.  A symbol of
-    another dimension n than the spectrum's, or a negative u = |z|^2, raises
-    ValueError.
+    TypeError.  A symbol of another dimension n than the spectrum's, or a
+    negative u = |z|^2, raises ValueError.
 
-    The nodes are sorted by depth (their row's length), deepest first, and
-    each symbol's on_pairs runs once, on the (k, lambda) points of every node
-    in that order.  The nodes are then cut into groups of as many nodes as
-    keep the group's working set within SWEEP_BUDGET doubles, at least one
-    node, and each group takes its slice of the symbol values.  Per node and
-    radius that set is the accumulators and the product they add (2 L real
-    rows each, re and im; the accumulators twice with want_du) and the table
-    block of EXPAND_CHUNK + 2 rows (three tables with want_du: alpha, alpha+1
-    and the derivative rows).  On the default lattice a batch of one at 198
-    radii then takes 18 nodes per group and steps the recurrence 12,542
-    times, at 360 radii 10 nodes and 13,203 steps, against the 33,436 of one
-    sweep per node; a batch of dozens of levels falls back to one node per
-    group.  One sweep of the recurrence runs over the radii of all a group's
-    nodes.
+    Each symbol's on_pairs runs once, on the (k, lambda) points of every node,
+    deepest node (longest row) first.  A group holds as many nodes as keep its
+    working set within SWEEP_BUDGET doubles, at least one: per node and
+    radius, the accumulators and the product they add (2 R real rows each,
+    R = L, or 2 L with the d/du rows) and the table block of EXPAND_CHUNK + 2
+    rows.  On the default lattice a batch of one at 198 radii takes 18 nodes
+    per group (17 with want_du) and steps the recurrence 12,542 times, at 360
+    radii 10 nodes (9) and 13,203 steps, against the 33,436 of one sweep per
+    node.  A batch of dozens of levels falls back to one node per group, as
+    do the g* table's 29- and 43-level want_du batches at 512 and 640 radii.
     """
     for m in mults:
         if m is not None and not hasattr(m, "on_pairs"):
@@ -675,8 +662,8 @@ def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,
     lam = S.grid.nodes[order]
     syms = [None if m is None else m.on_pairs(lam, depth) for m in mults]
     ends = np.cumsum(depth)
-    nblk, ntab = (2, 3) if want_du else (1, 1)
-    per_node = nu * ((nblk + 1) * 2 * L + ntab * (EXPAND_CHUNK + 2))     # doubles
+    R = 2 * L if want_du else L
+    per_node = nu * (4 * R + EXPAND_CHUNK + 2)                  # doubles
     size = max(1, SWEEP_BUDGET // max(per_node, 1))
     for g in range(0, len(order), size):
         h = slice(g, g + size)
@@ -694,36 +681,45 @@ def _sweep_group(S: PolyradialSpectrum, rows, lam, depth, syms, u_vals: np.ndarr
     rows indexes the group's nodes, deepest first, with their lambda and
     depths, and syms holds each symbol's SpectralMultiplier.on_pairs values on
     the group's points, or None for the identity; no symbol is evaluated here.
+
+    A d/du row is a series on the same table: d/dx sum_{k<d} a_k l_k =
+    sum_{k<d} b_k l_k with b_k = -(a_k/2 + sum_{k<j<d} a_j), exactly, since
+    d/dx L_k^alpha = -L_{k-1}^{alpha+1} = -sum_{j<k} L_j^alpha (DLMF 18.9,
+    18.18); d/du = (lam/2) d/dx.
     """
-    L, nu = len(syms), u_vals.size
-    n = S.n
+    L, nu, n = len(syms), u_vals.size, S.n
+    dsts = [out] if dout is None else [out, dout]
+    R = L * len(dsts)
     offset = np.concatenate([[0], np.cumsum(depth)])
     # the nodes' coefficient rows one after another, then a zero column that
-    # the blocks read past a row's end: re, then im, of every symbol
-    V = np.zeros((2 * L, offset[-1] + 1))
+    # the blocks read past a row's end: the re rows of every symbol (with
+    # dout, then of its d/du row), then the im rows in the same order
+    V = np.zeros((2 * R, offset[-1] + 1))
     c = np.concatenate([S.coeffs[i] for i in rows])
     for l, sym in enumerate(syms):
         cl = c if sym is None else c * sym
-        V[l, :-1], V[L + l, :-1] = cl.real, cl.imag
+        V[l, :-1], V[R + l, :-1] = cl.real, cl.imag
+        if dout is None:
+            continue
+        for i, (lo, hi) in enumerate(zip(offset[:-1], offset[1:])):
+            b = -0.5 * cl[lo:hi]
+            b[:-1] -= np.cumsum(cl[hi - 1:lo:-1])[::-1]          # sum_{j>k} a_j, this row only
+            b *= 0.5 * lam[i]
+            V[L + l, lo:hi], V[R + L + l, lo:hi] = b.real, b.imag
     x = (0.5 * lam)[:, None] * u_vals[None, :]
-    nblk = 1 if dout is None else 2
-    acc = np.zeros((nblk, len(rows), 2 * L, nu))
-    prod = np.empty(acc.shape[1:])
-    for k0, *blocks in _laguerre_sweep(x, depth, n - 1, EXPAND_CHUNK, want_deriv=dout is not None):
-        klen, a = len(blocks[0]), int(np.count_nonzero(depth > k0))
+    acc = np.zeros((len(rows), 2 * R, nu))
+    prod = np.empty_like(acc)
+    for k0, block in _laguerre_sweep(x, depth, n - 1, EXPAND_CHUNK):
+        klen, a = len(block), int(np.count_nonzero(depth > k0))
         kk = k0 + np.arange(klen)
         at = np.where(kk < depth[:a, None], offset[:a, None] + kk, offset[-1])
-        Ck = V[:, at].transpose(1, 0, 2)                       # (a, 2L, klen)
-        for b, block in enumerate(blocks):
-            np.matmul(Ck, block.reshape(klen, a, nu).transpose(1, 0, 2), out=prod[:a])
-            acc[b, :a] += prod[:a]
-    pref = (2 * math.pi) ** (-n) * lam ** n
-    acc[0] *= pref[:, None, None]
-    if dout is not None:
-        acc[1] *= (pref * (0.5 * lam))[:, None, None]          # d/du = (lam/2) d/dx
-    for dst, a in zip((out, dout), acc):
-        dst.real[:, rows] = a[:, :L].transpose(1, 0, 2)
-        dst.imag[:, rows] = a[:, L:].transpose(1, 0, 2)
+        Ck = V[:, at].transpose(1, 0, 2)                       # (a, 2R, klen)
+        np.matmul(Ck, block.reshape(klen, a, nu).transpose(1, 0, 2), out=prod[:a])
+        acc[:a] += prod[:a]
+    acc *= ((2 * math.pi) ** (-n) * lam ** n)[:, None, None]
+    for d, dst in enumerate(dsts):
+        dst.real[:, rows] = acc[:, d * L:(d + 1) * L].transpose(1, 0, 2)
+        dst.imag[:, rows] = acc[:, R + d * L:R + (d + 1) * L].transpose(1, 0, 2)
 
 
 def _synthesized_values(S: PolyradialSpectrum, spec: GridSpec, mults):
@@ -764,8 +760,7 @@ def synthesize_at(S: PolyradialSpectrum, u_vals: np.ndarray, t_vals: np.ndarray,
     if u_vals.shape != t_vals.shape:
         raise ValueError("u and t sample arrays must have the same shape")
     sl = slices_at_radii_batch(S, u_vals.ravel(), [None], want_du=deriv == "du")
-    if deriv == "du":
-        sl = sl[1]
+    sl = sl[1] if deriv == "du" else sl
     ph = _lambda_phases(S.grid, t_vals.ravel(), dt=deriv == "dt")
     return _lambda_inversion(sl[0], ph, pointwise=True).reshape(u_vals.shape)
 

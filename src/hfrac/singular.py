@@ -141,6 +141,8 @@ def _difference_quadrature(u: GridFunction, v, gamma: float, samples,
     """
     for w in (u, v or u):
         _require_evaluator(w, who)
+    if any(x.n != u.spec.n for x in samples):
+        raise ValueError(f"{who} takes samples of H^{u.spec.n}, the input's group")
     quad = quad or SingularQuadrature.build()
     kernel = quad.w_haar * quad.gauge ** (-(4.0 + gamma))
     J1 = quad.r_min ** (2.0 - gamma) * (math.pi / 2.0) / (1.0 - gamma / 2.0)

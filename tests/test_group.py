@@ -140,6 +140,15 @@ def test_require_interior_checks_every_component():
         spec.require_interior([])
 
 
+def test_require_interior_rejects_a_sample_of_another_dimension():
+    # a point of H^2 on an H^1 grid, or of H^1 on an H^2 grid, is not read
+    # through its first coordinates
+    for n, p in ((1, HeisenbergPoint([0.1, 0.2], [0.0, 0.0], 0.0)),
+                 (2, HeisenbergPoint([0.1], [0.0], 0.0))):
+        with pytest.raises(ValueError, match=f"sample of H\\^{p.n} on a grid of H\\^{n}"):
+            GridSpec(n=n, N_z=8, N_t=8).require_interior([p])
+
+
 def test_fd_weights_first_derivative():
     w = fd_weights([-2, -1, 0, 1, 2], 1)
     assert np.allclose(w, [1 / 12, -8 / 12, 0, 8 / 12, -1 / 12])

@@ -11,6 +11,7 @@ from hfrac.group import (
     GridSpec,
     HeisenbergPoint,
     TestFunctionId,
+    _gaussian_coeffs,
     integrate,
     make_test_function,
 )
@@ -84,6 +85,24 @@ def test_lambda_grid_symmetric_and_positive():
 def test_lambda_grid_rejects_malformed_input(nodes, weights, k_caps, match):
     with pytest.raises(ValueError, match=match):
         LambdaGrid(nodes=nodes, weights=weights, k_caps=k_caps, K=4)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"nodes_per_sign": 0}, "nodes_per_sign"),
+    ({"k_energy_cap": -1.0}, "k_energy_cap"),
+    ({"k_energy_cap": 0.0}, "k_energy_cap"),
+    ({"K": -5}, "base depth K"),
+    ({"K": 8.5}, "base depth K"),
+    ({"lam_min": 50.0}, "lam_min < lam_max"),
+    ({"lam_min": 0.0}, "lam_min < lam_max"),
+    ({"lam_min": float("nan")}, "lam_min < lam_max"),
+], ids=["no-nodes", "negative-cap", "zero-cap", "negative-K", "fractional-K", "inverted-window",
+        "window-at-0", "nan-window"])
+def test_lambda_grid_build_rejects_malformed_input(kwargs, match):
+    # unchecked, each of these builds a grid other than the one asked for,
+    # or fails on a check that names another argument
+    with pytest.raises(ValueError, match=match):
+        LambdaGrid.build(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -169,30 +188,26 @@ def test_project_matches_full_table():
 
 @pytest.mark.parametrize("rows", [1, 4, 16])
 def test_laguerre_sweep_matches_full_table(rows):
-    # the in-place sweep against the plain full table, with its derivative
-    # rows: segments with caps of 1 and 2, caps just past a 4-row block edge
-    # (9, 13) and one that ends inside a block (7), so segments drop out
-    # mid-sweep, and the carried rows cross every block edge
+    # the in-place sweep against the plain full table: segments with caps of
+    # 1 and 2, caps just past a 4-row block edge (9, 13) and one that ends
+    # inside a block (7), so segments drop out mid-sweep, and the carried rows
+    # cross every block edge
     caps = np.array([13, 9, 7, 2, 1])
     x = 0.5 * AnalysisQuadrature._sqrt_rule(60.0, caps.size * 6)[0].reshape(caps.size, 6)
     for alpha in (0, 1):
         table = laguerre_phi_table(int(caps[0]) - 1, alpha, x)           # (K, P, Nx)
-        upper = laguerre_phi_table(int(caps[0]) - 1, alpha + 1, x)
-        # d/dx l_k^alpha = -l_k^alpha / 2 - l_{k-1}^{alpha+1}
-        deriv = -0.5 * table - np.concatenate([np.zeros_like(upper[:1]), upper[:-1]])
         seen = np.zeros(table.shape[:2], dtype=int)
         k_next = 0
-        for k0, block, dblock in _laguerre_sweep(x, caps, alpha, rows, want_deriv=True):
+        for k0, block in _laguerre_sweep(x, caps, alpha, rows):
             assert k0 == k_next and len(block) == min(rows, caps[0] - k0)
             a = int(np.count_nonzero(caps > k0))
-            assert block.shape == dblock.shape == (len(block), a * x.shape[1])
+            assert block.shape == (len(block), a * x.shape[1])
             for j in range(len(block)):
                 k = k0 + j
                 live = caps[:a] > k                 # a segment past its cap is not read
-                for got, ref in ((block[j], table[k]), (dblock[j], deriv[k])):
-                    got = got.reshape(a, -1)[live]
-                    err = np.max(np.abs(got - ref[:a][live]))
-                    assert err <= 1e-15 * np.max(np.abs(ref)), (alpha, k)
+                got = block[j].reshape(a, -1)[live]
+                err = np.max(np.abs(got - table[k][:a][live]))
+                assert err <= 1e-15 * np.max(np.abs(table[k])), (alpha, k)
                 seen[k, :a] += live
             k_next = k0 + len(block)
         assert k_next == caps[0]
@@ -215,9 +230,9 @@ def test_slices_grouping_does_not_change_values(monkeypatch):
     sweeps = []
     real_sweep = lagspec._laguerre_sweep
 
-    def spy(x, caps, alpha, rows, want_deriv=False):
+    def spy(x, caps, alpha, rows):
         sweeps.append((x.shape[0], rows))
-        return real_sweep(x, caps, alpha, rows, want_deriv)
+        return real_sweep(x, caps, alpha, rows)
 
     monkeypatch.setattr(lagspec, "_laguerre_sweep", spy)
     for want_du in (False, True):
@@ -237,6 +252,54 @@ def test_slices_grouping_does_not_change_values(monkeypatch):
     # the engine's slices are the reference's at the nodes lam > 0
     assert np.max(np.abs(got[0][0] - sl[grid.M:])) <= 1e-13 * np.max(np.abs(sl))
     assert np.max(np.abs(got[1][0] - dsl[grid.M:])) <= 1e-13 * np.max(np.abs(dsl))
+
+
+def _mp_du_slice(rows, lam, u, n, mpmath):
+    """d/du of (2 pi)^{-n} lam^n sum_k c_k L_k^{n-1}(x) e^{-x/2}, x = lam u / 2,
+    for each coefficient row c (a list of mpf), from d/dx L_k^a = -L_{k-1}^{a+1}:
+    the types a and a+1 stepped side by side in the working precision."""
+    a, x = n - 1, mpmath.mpf(lam) * mpmath.mpf(u) / 2
+    p_prev, p = 0, mpmath.mpf(1)                # L_{k-1}^a, L_k^a
+    q_prev, q = 0, 0                            # L_{k-2}^{a+1}, L_{k-1}^{a+1}
+    sv, sd = [0] * len(rows), [0] * len(rows)
+    for k in range(len(rows[0])):
+        for i, c in enumerate(rows):
+            sv[i] += c[k] * p
+            sd[i] += c[k] * q
+        p_prev, p = p, ((2 * k + 1 + a - x) * p - (k + a) * p_prev) / (k + 1)
+        q_prev, q = q, (mpmath.mpf(1) if k == 0 else ((2 * k + a - x) * q - (k + a) * q_prev) / k)
+    scale = (2 * mpmath.pi) ** (-n) * mpmath.mpf(lam) ** (n + 1) / 2 * mpmath.exp(-x / 2)
+    return np.array([float(scale * (-d - v / 2)) for v, d in zip(sv, sd)])
+
+
+def test_du_slices_on_the_deepest_row_match_mpmath(default_setup):
+    # the d/du slices on the deepest row of the default lattice (cap 12,000
+    # at lam = 0.0023) at small u, where the coefficient-space derivative's
+    # suffix sums run deepest, against a 30-digit sum of the same float rows
+    # through the alpha+1 recurrence, for alpha = 0 and 1.  A Poisson level
+    # at small rho keeps the deep modes.  The floor is the table's own k eps
+    # growth at k ~ 12,000: measured 2.9e-12 of scale at alpha = 0 and
+    # 1.2e-11 at alpha = 1 (u = 0.0024); the alpha+1 route in float64 gives
+    # 4.9e-11 there
+    mpmath = pytest.importorskip("mpmath")
+    _, full, _ = default_setup
+    grid = LambdaGrid(nodes=full.nodes[:1], weights=full.weights[:1], k_caps=full.k_caps[:1],
+                      K=full.K)
+    lam, k = grid.nodes[0], np.arange(grid.k_caps[0])
+    assert k.size == 12000
+    u = np.array([0.0024, 0.3])
+    for n in (1, 2):
+        c = _gaussian_coeffs(1.0, 1.0, n)(k, lam)
+        S = PolyradialSpectrum(grid=grid, n=n, coeffs=[c])
+        mults = [None, SpectralMultiplier("poisson_nonconf", 0.05, n=n)]
+        _, dsl = slices_at_radii_batch(S, u, mults, want_du=True)
+        rows = [c if m is None else c * evaluate_multiplier(m, k, lam) for m in mults]
+        with mpmath.workdps(30):
+            rows = [[mpmath.mpf(v) for v in r] for r in rows]
+            ref = np.stack([_mp_du_slice(rows, lam, uj, n, mpmath) for uj in u], axis=1)
+        for l in range(len(mults)):
+            err = np.max(np.abs(dsl[l, 0] - ref[l])) / np.max(np.abs(ref[l]))
+            assert err <= 2.5e-11, (n, l, err)
 
 
 def test_laguerre_origin_values():
@@ -321,7 +384,8 @@ def test_central_roundtrip_narrow_gaussian():
     spec = GridSpec(N_z=32, N_t=256, R_z=8, R_t=10)
     f = make_test_function(TestFunctionId("gaussian", (1.0, 6.0)), spec)
     grid = narrow_lambda_grid(lam_max=19.0, nodes=150)
-    g = inverse_central_transform(central_transform(f, grid), grid, spec)
+    with pytest.warns(UserWarning, match="lambda window may truncate"):
+        g = inverse_central_transform(central_transform(f, grid), grid, spec)
     err = np.linalg.norm(g.values - f.values) / np.linalg.norm(f.values)
     assert err <= 1e-3
 
@@ -402,7 +466,8 @@ def test_analyze_zero(default_setup):
     spec, _, quad = default_setup
     grid = narrow_lambda_grid(lam_min=1e-3, lam_max=9.5, nodes=30)
     z = GridFunction(spec=spec, values=np.zeros(spec.shape, dtype=complex), polyradial=True)
-    S = analyze_polyradial(z, grid, quad)
+    with pytest.warns(UserWarning, match="band-limits the Laguerre order"):
+        S = analyze_polyradial(z, grid, quad)
     assert all(np.max(np.abs(c), initial=0.0) == 0.0 for c in S.coeffs)
 
 
@@ -543,7 +608,9 @@ def test_synthesize_linearity(default_setup):
     # adds rows of unequal length: the shorter one must count as zero-padded
     band = LambdaGrid.build(lam_max=0.95 * math.pi / (2.0 * spec.h_t))
     bare = GridFunction(spec=spec, values=f.values.copy(), polyradial=True)
-    pairs.append((analyze_polyradial(f, band, quad), analyze_polyradial(bare, band, quad)))
+    with pytest.warns(UserWarning, match="band-limits the Laguerre order"):
+        S_bare = analyze_polyradial(bare, band, quad)
+    pairs.append((analyze_polyradial(f, band, quad), S_bare))
     assert any(len(a) != len(b) for a, b in zip(*(S.coeffs for S in pairs[1])))
     for Sf, Sg in pairs:
         lhs = synthesize(Sf + Sg, spec).values
@@ -1093,7 +1160,8 @@ def test_plancherel_zero(default_setup):
     spec, _, quad = default_setup
     grid = narrow_lambda_grid(lam_min=1e-3, lam_max=9.5, nodes=30)
     z = GridFunction(spec=spec, values=np.zeros(spec.shape, dtype=complex), polyradial=True)
-    rep = plancherel_check(z, grid, quad)
+    with pytest.warns(UserWarning, match="band-limits the Laguerre order"):
+        rep = plancherel_check(z, grid, quad)
     assert rep.get("lhs_l2").value == 0.0
     assert rep.get("rhs_hs").value == 0.0
 

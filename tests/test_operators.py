@@ -288,9 +288,12 @@ def test_heat_mass_conservation(setup):
     evolved = apply_operator(S, SpectralMultiplier("heat", 1.0)).spectrum
     g = synthesize(evolved, spec)
     # conservation is measured within the lattice representation: the small
-    # excluded band (0, lam_min) carries a fixed slice of the raw mass
-    m0 = integrate(synthesize(S, spec)).real
-    m1 = integrate(g).real
+    # excluded band (0, lam_min) carries a fixed slice of the raw mass, and
+    # leaves both syntheses a floor at the box boundary
+    with pytest.warns(UserWarning, match="boundary decay"):
+        m0 = integrate(synthesize(S, spec)).real
+    with pytest.warns(UserWarning, match="boundary decay"):
+        m1 = integrate(g).real
     assert abs(m1 - m0) <= 1e-4 * abs(m0)
     assert abs(m0 - integrate(f).real) <= 1e-2 * abs(m0)
 

@@ -91,3 +91,13 @@ def test_build_rejects_spans_and_counts_that_break_the_weights():
                    {"n_phi": 0}):
         with pytest.raises(ValueError, match="r_min < r_max"):
             SingularQuadrature.build(**kwargs)
+
+
+def test_difference_integrals_reject_a_sample_of_another_dimension():
+    # an H^2 point on an H^1 input is refused, not cut to its first coordinates
+    u = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), GridSpec(N_z=8, N_t=8))
+    point = [HeisenbergPoint([0.3, 0.2], [0.1, -0.4], 0.2)]
+    for call in (lambda: ir_values(u, 0.3, point), lambda: d_s_values(u, 0.3, point),
+                 lambda: t_s_values(u, u, 0.3, point)):
+        with pytest.raises(ValueError, match="samples of H\\^1"):
+            call()

@@ -170,8 +170,9 @@ def test_g_star_rejects_boundary_sample_and_n_above_one(setup, monkeypatch):
 def test_g_function_parts_add_in_squares(setup):
     # g1, g_x and g share one rho-ladder, so g^2 = g1^2 + g_x^2 pointwise
     spec, grid, quad, f, Su = setup
-    g, g1, gx = (g_function(f, parts, SHORT, grid, quad).values
-                 for parts in ("full", "g1", "gx"))
+    with pytest.warns(UserWarning, match="rho-ladder tail share"):
+        g, g1, gx = (g_function(f, parts, SHORT, grid, quad).values
+                     for parts in ("full", "g1", "gx"))
     assert g.dtype == g1.dtype == gx.dtype == np.float64
     assert np.max(np.abs(g * g - (g1 * g1 + gx * gx))) <= 1e-12 * np.max(g * g)
     assert np.max(g1) > 0 and np.max(gx) > 0
