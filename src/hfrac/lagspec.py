@@ -263,7 +263,8 @@ def _project(x: np.ndarray, W: np.ndarray, kcaps, alpha: int) -> list:
 # _t_transform is the one forward t-transform: analyze_polyradial's grid route
 # applies its grid trapezoid to the radial profile of the samples.
 # _lambda_phases and _lambda_inversion are the one lambda-inversion of every
-# synthesis, grid or point, and of the g* gradient table.  The transform of a
+# synthesis, grid or point; _half_mesh_inversion is its form on a t-mesh
+# symmetric about 0, which the g* gradient table takes.  The transform of a
 # whole grid function and its inverse on a slice array, central_transform and
 # inverse_central_transform, are test oracles in tests/oracles.py.  The
 # lattice omits the band |lam| < lam_min; a correction for it belongs in these
@@ -296,6 +297,31 @@ def _lambda_inversion(slices: np.ndarray, phases: np.ndarray, pointwise: bool = 
     """
     rows = np.concatenate([slices.real, -slices.imag])
     return np.einsum("mj,mj->j", rows, phases) if pointwise else rows.T @ phases
+
+
+def _half_mesh_inversion(slices: np.ndarray, phases: np.ndarray, parity: float,
+                        out: np.ndarray) -> np.ndarray:
+    """_lambda_inversion of (M, N) slices on a t-mesh symmetric about 0, from
+    the _lambda_phases of ph on its t >= 0 half, into the (N, N_t) out: half
+    the products of the full mesh.
+
+    With phases at -t equal to parity times the conjugates of those at t
+    (parity 1 for ph, -1 for its t-derivative), a = Re(s)^T Re ph(t) and
+    b = Im(s)^T Im ph(t) give F(t) = a - b and F(-t) = parity (a + b), for
+    any slices: one real product over the nodes per half.  A mesh of odd
+    size holds t = 0 once, as the first column of the half.
+    """
+    m, h = slices.shape[0], phases.shape[1]
+    neg = out.shape[1] - h                       # columns t < 0
+    pos = out[:, neg:]
+    # contiguous copies of the parts multiply in BLAS
+    np.matmul(slices.real.copy().T, phases[:m], out=pos)             # a
+    b = slices.imag.copy().T @ phases[m:]
+    np.add(pos[:, h - neg:][:, ::-1], b[:, h - neg:][:, ::-1], out=out[:, :neg])
+    if parity < 0:
+        np.negative(out[:, :neg], out=out[:, :neg])
+    pos -= b
+    return out
 
 
 def _alias_guard(grid: LambdaGrid, spec: GridSpec):
@@ -625,25 +651,30 @@ SWEEP_BUDGET = 2 ** 18     # doubles (2 MiB) of one synthesis group's accumulato
 
 
 def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,
-                          want_du: bool = False):
+                          want_du=False):
     """Per-level slices (L, M, Nu) at the nodes lambda > 0 for a family of
     diagonal symbols, and with want_du their d/du slices as well.
 
     mults is a sequence of SpectralMultiplier or None (the identity); a symbol
     without SpectralMultiplier.on_pairs, such as a plain callable, raises
     TypeError.  A symbol of another dimension n than the spectrum's, or a
-    negative u = |z|^2, raises ValueError.
+    negative u = |z|^2, raises ValueError.  want_du is a bool, True for the
+    d/du slices of every symbol, or a list or tuple of one bool per symbol;
+    with a list or tuple the d/du slices are those of the flagged symbols,
+    in order, (D, M, Nu) for D flags, and (slices, d/du slices) is returned
+    whatever the flags.
 
     Each symbol's on_pairs runs once, on the (k, lambda) points of every node,
     deepest node (longest row) first.  A group holds as many nodes as keep its
     working set within SWEEP_BUDGET doubles, at least one: per node and
     radius, the accumulators and the product they add (2 R real rows each,
-    R = L, or 2 L with the d/du rows) and the table block of EXPAND_CHUNK + 2
-    rows.  On the default lattice a batch of one at 198 radii takes 18 nodes
-    per group (17 with want_du) and steps the recurrence 12,542 times, at 360
-    radii 10 nodes (9) and 13,203 steps, against the 33,436 of one sweep per
-    node.  A batch of dozens of levels falls back to one node per group, as
-    do the g* table's 29- and 43-level want_du batches at 512 and 640 radii.
+    R = L plus one row per d/du slice) and the table block of
+    EXPAND_CHUNK + 2 rows.  On the default lattice a batch of one at 198
+    radii takes 18 nodes per group (17 with want_du) and steps the
+    recurrence 12,542 times, at 360 radii 10 nodes (9) and 13,203 steps,
+    against the 33,436 of one sweep per node.  A batch of dozens of levels
+    falls back to one node per group, as do the g* tables' merged batches:
+    58 symbols with 29 d/du rows at 512 radii, 86 with 43 at 640.
     """
     for m in mults:
         if m is not None and not hasattr(m, "on_pairs"):
@@ -654,72 +685,103 @@ def slices_at_radii_batch(S: PolyradialSpectrum, u_vals: np.ndarray, mults,
     if np.any(u_vals < 0):
         raise ValueError("radii u = |z|^2 must be >= 0")
     L, nu = len(mults), u_vals.size
+    if isinstance(want_du, (list, tuple)):
+        if len(want_du) != L:
+            raise ValueError(f"want_du has {len(want_du)} flags for {L} symbols")
+        du = [l for l, flag in enumerate(want_du) if flag]
+    else:
+        du = list(range(L)) if want_du else []
     out = np.empty((L, S.grid.M, nu), dtype=complex)
-    dout = np.empty_like(out) if want_du else None
+    dout = np.empty((len(du), S.grid.M, nu), dtype=complex)
     depth = np.array([len(c) for c in S.coeffs])
     order = np.argsort(depth, kind="stable")[::-1]
     depth = depth[order]
     lam = S.grid.nodes[order]
-    syms = [None if m is None else m.on_pairs(lam, depth) for m in mults]
     ends = np.cumsum(depth)
-    R = 2 * L if want_du else L
+    # every symbol's values, (points, L), in one array freed as one when the
+    # call ends, then a row the last group's blocks read past its end; the
+    # identity's column is 1
+    syms = np.zeros((ends[-1] + 1, L))
+    for l, m in enumerate(mults):
+        syms[:-1, l] = 1.0 if m is None else m.on_pairs(lam, depth)
+    R = L + len(du)
     per_node = nu * (4 * R + EXPAND_CHUNK + 2)                  # doubles
     size = max(1, SWEEP_BUDGET // max(per_node, 1))
     for g in range(0, len(order), size):
         h = slice(g, g + size)
-        span = slice(ends[g] - depth[g], ends[h][-1])
-        _sweep_group(S, order[h], lam[h], depth[h], [v if v is None else v[span] for v in syms],
-                     u_vals, out, dout)
-    return (out, dout) if want_du else out
+        span = slice(ends[g] - depth[g], ends[h][-1] + 1)      # and one point past it
+        _sweep_group(S, order[h], lam[h], depth[h], syms[span], du, u_vals, out, dout)
+    return (out, dout) if isinstance(want_du, (list, tuple)) or want_du else out
 
 
-def _sweep_group(S: PolyradialSpectrum, rows, lam, depth, syms, u_vals: np.ndarray,
+def _sweep_group(S: PolyradialSpectrum, rows, lam, depth, syms, du, u_vals: np.ndarray,
                  out, dout) -> None:
-    """Fill the columns of one group of lambda nodes in out (and dout): the
+    """Fill the columns of one group of lambda nodes in out and dout: the
     group's share of slices_at_radii_batch.
 
     rows indexes the group's nodes, deepest first, with their lambda and
-    depths, and syms holds each symbol's SpectralMultiplier.on_pairs values on
-    the group's points, or None for the identity; no symbol is evaluated here.
-
-    A d/du row is a series on the same table: d/dx sum_{k<d} a_k l_k =
-    sum_{k<d} b_k l_k with b_k = -(a_k/2 + sum_{k<j<d} a_j), exactly, since
-    d/dx L_k^alpha = -L_{k-1}^{alpha+1} = -sum_{j<k} L_j^alpha (DLMF 18.9,
-    18.18); d/du = (lam/2) d/dx.
+    depths, and syms (points + 1, L) holds each symbol's
+    SpectralMultiplier.on_pairs values on the group's points, node after
+    node, and one finite row past them; no symbol is evaluated here.  du
+    lists the symbols whose d/du slices fill dout, in order.  The d/du rows'
+    suffix sums need whole rows, so they are formed up front (_du_rows); a
+    value row is the coefficients times the symbol, formed block by block.
     """
-    L, nu, n = len(syms), u_vals.size, S.n
-    dsts = [out] if dout is None else [out, dout]
-    R = L * len(dsts)
+    L, nu, n = syms.shape[1], u_vals.size, S.n
+    D = len(du)
+    R = L + D
     offset = np.concatenate([[0], np.cumsum(depth)])
-    # the nodes' coefficient rows one after another, then a zero column that
-    # the blocks read past a row's end: the re rows of every symbol (with
-    # dout, then of its d/du row), then the im rows in the same order
-    V = np.zeros((2 * R, offset[-1] + 1))
-    c = np.concatenate([S.coeffs[i] for i in rows])
-    for l, sym in enumerate(syms):
-        cl = c if sym is None else c * sym
-        V[l, :-1], V[R + l, :-1] = cl.real, cl.imag
-        if dout is None:
-            continue
-        for i, (lo, hi) in enumerate(zip(offset[:-1], offset[1:])):
-            b = -0.5 * cl[lo:hi]
-            b[:-1] -= np.cumsum(cl[hi - 1:lo:-1])[::-1]          # sum_{j>k} a_j, this row only
-            b *= 0.5 * lam[i]
-            V[L + l, lo:hi], V[R + L + l, lo:hi] = b.real, b.imag
+    end = offset[-1]
+    # the nodes' coefficient rows one after another, then a zero that the
+    # blocks read past a row's end; the d/du rows alike
+    c = np.concatenate([S.coeffs[i] for i in rows] + [np.zeros(1)])
+    dV = _du_rows(c[:-1], syms[:-1, du], offset, lam)
     x = (0.5 * lam)[:, None] * u_vals[None, :]
     acc = np.zeros((len(rows), 2 * R, nu))
     prod = np.empty_like(acc)
     for k0, block in _laguerre_sweep(x, depth, n - 1, EXPAND_CHUNK):
         klen, a = len(block), int(np.count_nonzero(depth > k0))
         kk = k0 + np.arange(klen)
-        at = np.where(kk < depth[:a, None], offset[:a, None] + kk, offset[-1])
-        Ck = V[:, at].transpose(1, 0, 2)                       # (a, 2R, klen)
-        np.matmul(Ck, block.reshape(klen, a, nu).transpose(1, 0, 2), out=prod[:a])
+        at = np.where(kk < depth[:a, None], offset[:a, None] + kk, end)
+        # the block's rows, (a, klen, 2R) in memory: re and im of every
+        # symbol's coefficients, then of the d/du rows.  matmul picks its
+        # kernel, and so its roundoff, by the operands' strides; this layout
+        # keeps the bits of every synthesis without d/du rows
+        Ck = np.empty((a, klen, R), dtype=complex)
+        np.multiply(np.take(c, at)[..., None], np.take(syms, at, axis=0), out=Ck[..., :L])
+        if D:
+            Ck[..., L:] = np.take(dV, at, axis=0)
+        np.matmul(Ck.view(float).transpose(0, 2, 1), block.reshape(klen, a, nu).transpose(1, 0, 2),
+                  out=prod[:a])
         acc[:a] += prod[:a]
     acc *= ((2 * math.pi) ** (-n) * lam ** n)[:, None, None]
-    for d, dst in enumerate(dsts):
-        dst.real[:, rows] = acc[:, d * L:(d + 1) * L].transpose(1, 0, 2)
-        dst.imag[:, rows] = acc[:, R + d * L:R + (d + 1) * L].transpose(1, 0, 2)
+    for dst, part in ((out, acc[:, :2 * L]), (dout, acc[:, 2 * L:])):
+        dst.real[:, rows] = part[:, 0::2].transpose(1, 0, 2)
+        dst.imag[:, rows] = part[:, 1::2].transpose(1, 0, 2)
+
+
+def _du_rows(c: np.ndarray, syms: np.ndarray, offset, lam) -> np.ndarray:
+    """(points + 1, D) complex d/du rows of the coefficients c times the D
+    symbol columns syms, node after node (offset), then a zero row.
+
+    A d/du row is a series on the same table: d/dx sum_{k<d} a_k l_k =
+    sum_{k<d} b_k l_k with b_k = -(a_k/2 + sum_{k<j<d} a_j), exactly, since
+    d/dx L_k^alpha = -L_{k-1}^{alpha+1} = -sum_{j<k} L_j^alpha (DLMF 18.9,
+    18.18); d/du = (lam/2) d/dx.  A node's rows are formed for as many
+    symbols at once as keep each temporary within SWEEP_BUDGET doubles.
+    """
+    D = syms.shape[1]
+    out = np.zeros((offset[-1] + 1, D), dtype=complex)
+    for i, (lo, hi) in enumerate(zip(offset[:-1], offset[1:])):
+        step = max(1, SWEEP_BUDGET // (2 * (hi - lo)))
+        for d0 in range(0, D, step):
+            d = slice(d0, min(d0 + step, D))
+            a = c[lo:hi] * syms[lo:hi, d].T
+            b = -0.5 * a
+            b[:, :-1] -= np.cumsum(a[:, :0:-1], axis=1)[:, ::-1]   # sum_{j>k} a_j, this row only
+            b *= 0.5 * lam[i]
+            out[lo:hi, d] = b.T
+    return out
 
 
 def _synthesized_values(S: PolyradialSpectrum, spec: GridSpec, mults):

@@ -12,17 +12,25 @@ For polyradial U the gradient square collapses to
 
 with G(u, t; rho) the radial profile: the horizontal twist terms cancel, which
 keeps every evaluation on the (u, t) half-plane.
+
+g* reads |nabla U|^2 off cubic-spline tables on an (r, t) mesh, one ladder
+level at a time: every level's slices come from one batched Laguerre sweep
+over the mesh radii, each field is lambda-inverted on the t >= 0 half of the
+symmetric t-mesh, the spline fits are band products over the truncated
+collocation inverses, and each level meets its y-weights as it is fitted.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.interpolate import BSpline, NdBSpline
+from scipy.linalg import solve_banded
 from scipy.sparse import csr_array
 
 from .group import GridFunction, GridSpec, _diff_axis, _horizontal_field
@@ -30,7 +38,7 @@ from .lagspec import (
     AnalysisQuadrature,
     LambdaGrid,
     PolyradialSpectrum,
-    _lambda_inversion,
+    _half_mesh_inversion,
     _lambda_phases,
     analyze_polyradial,
     slices_at_radii_batch,
@@ -72,6 +80,11 @@ class SquareFunctionConfig:
     def __post_init__(self):
         if not 0 < self.rho_min < self.rho_max or self._ladder_size() < 2:
             raise ValueError("the rho-ladder needs 0 < rho_min < rho_max and at least two levels")
+        # a cubic not-a-knot spline needs four mesh points per axis
+        for name in ("n_table_r", "n_table_t"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 4:
+                raise ValueError(f"{name} must be an integer >= 4, not {size!r}")
         # the y-rule is g*'s singular-quadrature node set: refused here, before
         # any suite that takes the config does work, on what the build refuses
         _require_rule("the y-rule (y_r_min, y_r_max, y_per_decade, y_n_theta, y_n_phi)",
@@ -174,8 +187,16 @@ def g_function(u: GridFunction, parts: str = "full",
 # ---------------------------------------------------------------------------
 
 def _gradient_sq(u, du, dt, drho):
-    """|nabla U|^2 = 4 u (d_u G)^2 + (u/4) (d_t G)^2 + (d_rho G)^2 at u = |z|^2."""
-    return 4.0 * u * du * du + 0.25 * u * dt * dt + drho * drho
+    """|nabla U|^2 = 4 u (d_u G)^2 + (u/4) (d_t G)^2 + (d_rho G)^2 at u = |z|^2,
+    in place: the result is du, and dt and drho are overwritten."""
+    du *= du
+    dt *= dt
+    dt *= 0.0625
+    du += dt
+    du *= 4.0 * u
+    drho *= drho
+    du += drho
+    return du
 
 
 def _interp_knots(x: np.ndarray) -> np.ndarray:
@@ -183,16 +204,50 @@ def _interp_knots(x: np.ndarray) -> np.ndarray:
     return np.concatenate([np.repeat(x[0], 4), x[2:-2], np.repeat(x[-1], 4)])
 
 
-def _collocation_inverse(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
-    """A^{-1} of the cubic collocation matrix A[i, j] = B_j(x_i).
+def _collocation_inverse(x: np.ndarray, knots: np.ndarray):
+    """A^{-1} of the cubic collocation matrix A[i, j] = B_j(x_i), by a banded
+    solve of A X = I, and the half-width w of its band.
 
-    The inverse decays geometrically away from its diagonal; entries below
-    1e-20 of its largest are set to zero, since left in they underflow to
-    subnormals in the fits and slow every GEMM about fivefold.
+    The inverse of the banded A decays geometrically away from its diagonal,
+    at the rate of the cubic B-spline pole 2 - sqrt(3) (Demko, Moss & Smith,
+    Math. Comp. 43 (1984); Unser, Aldroubi & Eden, IEEE Trans. Signal
+    Process. 41 (1993)).  Entries below 1e-20 of its largest are set to
+    zero, and the nonzeros left lie within |i - j| <= w, read off them: 35 at
+    every mesh of 96 points or more, so the fits multiply only inside the
+    band (_band_fit).
     """
-    inv = np.linalg.inv(BSpline.design_matrix(x, knots, 3).toarray())
+    A = BSpline.design_matrix(x, knots, 3).toarray()
+    i, j = np.nonzero(A)
+    lo, up = int(np.max(i - j)), int(np.max(j - i))
+    banded = np.zeros((lo + up + 1, x.size))
+    banded[up + i - j, j] = A[i, j]
+    inv = solve_banded((lo, up), banded, np.eye(x.size))
     inv[np.abs(inv) < 1e-20 * np.max(np.abs(inv))] = 0.0
-    return inv
+    i, j = np.nonzero(inv)
+    return inv, int(np.max(np.abs(i - j)))
+
+
+FIT_TILE = 96      # rows (columns) of one band block of the spline fits
+
+
+def _band_fit(inv_r, w_r: int, V: np.ndarray, inv_t, w_t: int, left: np.ndarray) -> np.ndarray:
+    """inv_r @ V @ inv_t.T, written into V, for inverses whose nonzeros lie
+    within the half-widths w_r and w_t of their diagonals.
+
+    Each tile of FIT_TILE rows of inv_r @ V (columns of the product with
+    inv_t.T) multiplies only the band's columns (rows); the terms skipped are
+    exact zeros.  left is an (N_r, N_t) scratch array.
+    """
+    nr, nt = V.shape
+    for i0 in range(0, nr, FIT_TILE):
+        i1 = min(i0 + FIT_TILE, nr)
+        lo, hi = max(i0 - w_r, 0), min(i1 + w_r, nr)
+        np.matmul(inv_r[i0:i1, lo:hi], V[lo:hi], out=left[i0:i1])
+    for j0 in range(0, nt, FIT_TILE):
+        j1 = min(j0 + FIT_TILE, nt)
+        lo, hi = max(j0 - w_t, 0), min(j1 + w_t, nt)
+        np.matmul(left[:, lo:hi], inv_t[j0:j1, lo:hi].T, out=V[:, j0:j1])
+    return V
 
 
 class _GradientTable:
@@ -202,38 +257,52 @@ class _GradientTable:
     Nothing but the mesh values depends on rho: the (r, t) mesh, its
     not-a-knot knots, the collocation inverses of both axes and the
     evaluation matrix at any point set are shared by every level.  A level's
-    spline coefficients are A_r^{-1} V A_t^{-T} of its mesh values V (two
-    GEMMs) and its values at the points are one sparse mat-vec, so no spline
-    object and no stack of levels is kept.  The Laguerre slices of all levels
-    come from two batched sweeps over the mesh radii: U with its u-derivative,
-    and d_rho U.
+    spline coefficients are A_r^{-1} V A_t^{-T} of its mesh values V, two
+    band products, and its values at the points are one sparse mat-vec, so
+    no spline object and no stack of levels is kept.  The Laguerre slices of
+    all levels come from one batched sweep over the mesh radii: U with its
+    u-derivative, and d_rho U.  The t-mesh is symmetric about 0, so each
+    field is lambda-inverted on its t >= 0 half.
     """
 
     R_MAX = 25.0
     T_MAX = 26.0
 
     def __init__(self, Su: PolyradialSpectrum, cfg: SquareFunctionConfig):
+        n_t = cfg.n_table_t
         self.r_axis = np.linspace(0.0, self.R_MAX, cfg.n_table_r)
-        self.t_axis = np.linspace(-self.T_MAX, self.T_MAX, cfg.n_table_t)
+        # the t >= 0 half of linspace(-T_MAX, T_MAX, n_t), mirrored; an odd
+        # count holds t = 0 once
+        self._t_half = np.linspace(-self.T_MAX, self.T_MAX, n_t)[n_t // 2:]
+        if n_t % 2:
+            self._t_half[0] = 0.0
+        self.t_axis = np.concatenate([-self._t_half[n_t % 2:][::-1], self._t_half])
         self.Su = Su
         self.knots = (_interp_knots(self.r_axis), _interp_knots(self.t_axis))
-        self._inv_r, self._inv_t = (_collocation_inverse(x, k)
-                                    for x, k in zip((self.r_axis, self.t_axis), self.knots))
+        (self._inv_r, self._w_r), (self._inv_t, self._w_t) = (
+            _collocation_inverse(x, k) for x, k in zip((self.r_axis, self.t_axis), self.knots))
 
     def mesh_values(self, rho_levels):
-        """|nabla U|^2 on the (r, t) mesh, one (N_r, N_t) array per level."""
-        n = self.Su.n
+        """|nabla U|^2 on the (r, t) mesh: an iterator of one (N_r, N_t)
+        array per level.
+
+        The one Laguerre sweep of every level runs at the call.  A level is
+        formed when it is asked for, in buffers the next level overwrites.
+        """
+        n, L = self.Su.n, len(rho_levels)
         uu = self.r_axis * self.r_axis
         sl, dsl = slices_at_radii_batch(
-            self.Su, uu, [SpectralMultiplier("poisson_nonconf", r, n=n) for r in rho_levels],
-            want_du=True)
-        rsl = slices_at_radii_batch(
-            self.Su, uu, [SpectralMultiplier("poisson_nonconf_drho", r, n=n) for r in rho_levels])
+            self.Su, uu,
+            [SpectralMultiplier("poisson_nonconf", r, n=n) for r in rho_levels]
+            + [SpectralMultiplier("poisson_nonconf_drho", r, n=n) for r in rho_levels],
+            want_du=[True] * L + [False] * L)
         grid = self.Su.grid
-        ph, ph_t = _lambda_phases(grid, self.t_axis), _lambda_phases(grid, self.t_axis, dt=True)
-        for l in range(len(rho_levels)):
-            yield _gradient_sq(uu[:, None], _lambda_inversion(dsl[l], ph),
-                               _lambda_inversion(sl[l], ph_t), _lambda_inversion(rsl[l], ph))
+        ph, ph_t = _lambda_phases(grid, self._t_half), _lambda_phases(grid, self._t_half, dt=True)
+        du, dt, drho = (np.empty((uu.size, self.t_axis.size)) for _ in range(3))
+        return (_gradient_sq(uu[:, None], _half_mesh_inversion(dsl[l], ph, 1.0, du),
+                             _half_mesh_inversion(sl[l], ph_t, -1.0, dt),
+                             _half_mesh_inversion(sl[L + l], ph, 1.0, drho))
+                for l in range(L))
 
     def design_matrix(self, zx, zy, t) -> csr_array:
         """(P, N_r N_t) B-spline evaluation matrix at the points (zx, zy, t).
@@ -252,12 +321,21 @@ class _GradientTable:
         D.data[np.repeat(outside, np.diff(D.indptr))] = 0.0
         return D
 
-    def values(self, rho_levels, D: csr_array) -> np.ndarray:
-        """(L, P) values, clamped at 0, of every level's spline at the rows of D."""
-        out = np.empty((len(rho_levels), D.shape[0]))
-        for l, V in enumerate(self.mesh_values(rho_levels)):
-            out[l] = D @ (self._inv_r @ V @ self._inv_t.T).ravel()
-        return np.maximum(out, 0.0, out=out)
+    def values(self, rho_levels, zx, zy, t):
+        """Yield each level's spline at the points (zx, zy, t), clamped at 0:
+        one (P,) array per level.
+
+        The evaluation matrix is built after the sweep, whose slices are the
+        table's largest arrays, and each level's coefficients overwrite its
+        mesh values.
+        """
+        fields = self.mesh_values(rho_levels)
+        D = self.design_matrix(zx, zy, t)
+        left = np.empty((self.r_axis.size, self.t_axis.size))
+        for V in fields:
+            C = _band_fit(self._inv_r, self._w_r, V, self._inv_t, self._w_t, left)
+            out = D @ C.ravel()
+            yield np.maximum(out, 0.0, out=out)
 
 
 def _require_gstar_inputs(spec: GridSpec, samples) -> None:
@@ -282,8 +360,8 @@ def g_star(Su: PolyradialSpectrum, cfg: SquareFunctionConfig, samples,
     from cubic-spline tables of the exact spectral gradients.  The y-nodes
     are the singular-quadrature node set on [y_r_min, y_r_max], which like
     the tables is built for n = 1.  One evaluation matrix at every offset
-    x y^{-1} serves all levels, and the (level, offset) values meet the
-    (level, y-node) weights in one contraction.
+    x y^{-1} serves all levels, and each level's values meet its y-node
+    weights as the level is fitted, so no (level, offset) array is kept.
     """
     _require_gstar_inputs(spec, samples)
     Q = 2 * spec.n + 2
@@ -295,11 +373,13 @@ def g_star(Su: PolyradialSpectrum, cfg: SquareFunctionConfig, samples,
     table = _GradientTable(Su, cfg)
     # x y^{-1} over the y-nodes, sample after sample
     px, py, pt = (np.concatenate(c) for c in zip(*(_right_args(x, yq) for x in samples)))
-    vals = table.values(lad, table.design_matrix(px, py, pt))
     rho = lad[:, None]
     weight = (rho / (rho + yq.gauge)) ** (lam_param * Q) * rho ** (1 - Q)   # (L, y-nodes)
     wy = (wts * lad)[:, None] * yq.w_haar * weight
-    return np.sqrt(np.einsum("lsy,ly->s", vals.reshape(len(lad), len(samples), -1), wy))
+    g2 = np.zeros(len(samples))
+    for vals, w in zip(table.values(lad, px, py, pt), wy):
+        g2 += vals.reshape(len(samples), -1) @ w
+    return np.sqrt(g2)
 
 
 # ---------------------------------------------------------------------------

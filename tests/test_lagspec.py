@@ -254,6 +254,38 @@ def test_slices_grouping_does_not_change_values(monkeypatch):
     assert np.max(np.abs(got[1][0] - dsl[grid.M:])) <= 1e-13 * np.max(np.abs(dsl))
 
 
+def test_per_symbol_du_batch_matches_separate_calls(monkeypatch):
+    # one sweep asked for d/du on some symbols only gives the value slices of
+    # a plain call and the d/du slices of a want_du call on the flagged
+    # symbols, in their order; also with one node per group.  The t-shifted
+    # rows are complex, so a mixed-up re or im row cannot pass
+    spec = GridSpec(N_z=16, N_t=32)
+    grid = LambdaGrid.build(nodes_per_sign=20, K=8, k_energy_cap=2.0)
+    f = make_test_function(TestFunctionId("gaussian", (1.0, 1.0)), spec)
+    S = _shifted(analyze_polyradial(f, grid))
+    u = np.array([0.0, 0.3, 1.7, 4.0, 9.5])
+    mults = [None, SpectralMultiplier("heat", 0.1), SpectralMultiplier("frac_conf", 0.3),
+             SpectralMultiplier("poisson_nonconf", 0.5)]
+    flags = [True, False, False, True]
+    for budget in (lagspec.SWEEP_BUDGET, 1):
+        with monkeypatch.context() as m:
+            m.setattr(lagspec, "SWEEP_BUDGET", budget)
+            sl, dsl = slices_at_radii_batch(S, u, mults, want_du=flags)
+            ref = slices_at_radii_batch(S, u, mults)
+            _, dref = slices_at_radii_batch(S, u, [mults[0], mults[3]], want_du=True)
+        assert sl.shape == (4, grid.M, u.size) and dsl.shape == (2, grid.M, u.size)
+        for got, r in ((sl, ref), (dsl, dref)):
+            assert np.max(np.abs(got - r)) <= 1e-14 * np.max(np.abs(r)), budget
+    # a tuple asks the same; a list asks for the pair even with no flag set;
+    # flags of another length are refused
+    tsl, tdsl = slices_at_radii_batch(S, u, mults, want_du=tuple(flags))
+    assert np.array_equal(tsl, sl) and np.array_equal(tdsl, dsl)
+    none, dnone = slices_at_radii_batch(S, u, mults, want_du=[False] * 4)
+    assert np.array_equal(none, ref) and dnone.shape == (0, grid.M, u.size)
+    with pytest.raises(ValueError, match="flags"):
+        slices_at_radii_batch(S, u, mults, want_du=[True])
+
+
 def _mp_du_slice(rows, lam, u, n, mpmath):
     """d/du of (2 pi)^{-n} lam^n sum_k c_k L_k^{n-1}(x) e^{-x/2}, x = lam u / 2,
     for each coefficient row c (a list of mpf), from d/dx L_k^a = -L_{k-1}^{a+1}:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
@@ -8,7 +10,11 @@ from hfrac.lagspec import (
     AnalysisQuadrature,
     LambdaGrid,
     PolyradialSpectrum,
+    _half_mesh_inversion,
+    _lambda_inversion,
+    _lambda_phases,
     analyze_polyradial,
+    slices_at_radii_batch,
     synthesize_at,
 )
 from hfrac.operators import SpectralMultiplier, apply_operator
@@ -16,6 +22,7 @@ from hfrac import squarefn
 from hfrac.singular import SingularQuadrature, _right_args, d_s_values
 from hfrac.squarefn import (
     SquareFunctionConfig,
+    _band_fit,
     _GradientTable,
     g_function,
     g_parts,
@@ -46,8 +53,7 @@ def test_gradient_table_interpolates_exact_gradient(setup):
     # pair in one real product; the t-shifted spectrum, whose rows are
     # complex, checks that the fold keeps the imaginary parts' share
     Su = setup[4]
-    shifted = PolyradialSpectrum(grid=Su.grid, n=Su.n, name="shifted", coeffs=[
-        c * np.exp(0.7j * lam) for c, lam in zip(Su.coeffs, Su.grid.nodes)])
+    shifted = _shifted(Su)
     lad = SHORT.rho_ladder()
     rng = np.random.default_rng(7)
     ir = rng.integers(0, SHORT.n_table_r, 50)
@@ -55,10 +61,73 @@ def test_gradient_table_interpolates_exact_gradient(setup):
     for S in (Su, shifted):
         table = _GradientTable(S, SHORT)
         r, t = table.r_axis[ir], table.t_axis[it]
-        got = table.values(lad, table.design_matrix(r, np.zeros_like(r), t))
+        got = table.values(lad, r, np.zeros_like(r), t)
         for rho, g in zip(lad, got):
             exact = extension_gradient_sq_at(S, rho, r * r, t)
             assert np.max(np.abs(g - exact)) <= 1e-10 * np.max(np.abs(exact)), (S.name, rho)
+
+
+def _shifted(S):
+    """The spectrum of S's function shifted by 0.7 in t: complex rows."""
+    return PolyradialSpectrum(grid=S.grid, n=S.n, name="shifted", coeffs=[
+        c * np.exp(0.7j * lam) for c, lam in zip(S.coeffs, S.grid.nodes)])
+
+
+@pytest.mark.parametrize("n_t", [96, 97])
+def test_half_mesh_inversion_matches_full_mesh(setup, n_t):
+    # the t-mesh mirrors the t >= 0 half of linspace(-T, T, n_t), with t = 0
+    # once for an odd count, and the inversion on that half gives the
+    # full-mesh inversion for every real spectrum, even in t or not, and for
+    # the t-derivative's phases as well
+    S = _shifted(setup[4])
+    table = _GradientTable(S, replace(SHORT, n_table_t=n_t))
+    t = table.t_axis
+    assert t.size == n_t and np.array_equal(t, -t[::-1])
+    assert np.count_nonzero(t == 0.0) == n_t % 2
+    assert np.max(np.abs(t - np.linspace(-table.T_MAX, table.T_MAX, n_t))) <= 1e-14 * table.T_MAX
+    sl = slices_at_radii_batch(S, table.r_axis ** 2, [SpectralMultiplier("poisson_nonconf", 0.5)])[0]
+    for dt, parity in ((False, 1.0), (True, -1.0)):
+        ref = _lambda_inversion(sl, _lambda_phases(S.grid, t, dt=dt))
+        got = _half_mesh_inversion(sl, _lambda_phases(S.grid, t[n_t // 2:], dt=dt), parity,
+                                  np.empty_like(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), dt
+
+
+def test_band_fit_matches_dense_truncated_product(setup):
+    # the default and refined tables' collocation inverses, truncated at 1e-20
+    # of their largest entry, are narrow bands whose half-width is read off
+    # the nonzeros; the band product skips only exact zeros, so it is the
+    # dense product up to summation order, boundary rows and columns included
+    rng = np.random.default_rng(3)
+    for cfg in (SquareFunctionConfig(), SquareFunctionConfig().refine()):
+        table = _GradientTable(setup[4], cfg)
+        inverses = ((table._inv_r, table._w_r), (table._inv_t, table._w_t))
+        for inv, w in inverses:
+            i, j = np.nonzero(inv)
+            assert np.max(np.abs(i - j)) == w and 2 * w + 1 < inv.shape[0] // 4
+        V = rng.standard_normal((cfg.n_table_r, cfg.n_table_t))
+        ref = table._inv_r @ V @ table._inv_t.T
+        got = _band_fit(table._inv_r, table._w_r, V.copy(), table._inv_t, table._w_t,
+                        np.empty_like(V))
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), cfg.n_table_r
+
+
+def test_gradient_table_sweeps_once(setup, monkeypatch):
+    # U with its d/du slices and d_rho U come from one batched sweep over the
+    # mesh radii, with d/du on the Poisson levels only
+    spec, Su = setup[0], setup[4]
+    calls = []
+    real = squarefn.slices_at_radii_batch
+
+    def spy(S, u_vals, mults, want_du=False):
+        calls.append((len(mults), want_du))
+        return real(S, u_vals, mults, want_du)
+
+    monkeypatch.setattr(squarefn, "slices_at_radii_batch", spy)
+    g_star(Su, SHORT, [HeisenbergPoint([0.3], [-0.5], 0.2)], spec, LAM_PARAM)
+    L = len(SHORT.rho_ladder())
+    assert calls == [(2 * L, [True] * L + [False] * L)]
 
 
 def _fitpack_eval(table, V, zx, zy, t):
@@ -81,10 +150,10 @@ def test_gradient_table_matches_fitpack_splines(setup):
     zx, zy = rng.uniform(-20.0, 20.0, (2, 400))
     t = rng.uniform(-30.0, 30.0, 400)
     assert np.any(np.hypot(zx, zy) > table.R_MAX) and np.any(np.abs(t) > table.T_MAX)
-    got = table.values(lad, table.design_matrix(zx, zy, t))
-    for l, V in enumerate(table.mesh_values(lad)):
+    got = table.values(lad, zx, zy, t)
+    for rho, g, V in zip(lad, got, table.mesh_values(lad)):
         ref = _fitpack_eval(table, V, zx, zy, t)
-        assert np.max(np.abs(got[l] - ref)) <= 1e-13 * np.max(ref), lad[l]
+        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(ref), rho
 
 
 def test_g_star_matches_per_sample_level_loop(setup):
@@ -198,6 +267,21 @@ def test_config_rejects_ladders_below_two_levels():
                {"rho_min": 2.0, "rho_max": 1.0}):
         with pytest.raises(ValueError):
             SquareFunctionConfig(**kw)
+
+
+def test_config_rejects_table_sizes_the_spline_cannot_take(setup):
+    # a cubic not-a-knot spline needs four mesh points per axis: smaller,
+    # fractional and non-integer sizes are refused at construction, before
+    # any analysis, and the least sizes build a working table
+    for kw in ({"n_table_r": 3}, {"n_table_t": 2.5}, {"n_table_t": 0}, {"n_table_r": 512.0},
+               {"n_table_t": True}, {"n_table_r": "512"}):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            SquareFunctionConfig(**kw)
+    cfg = SquareFunctionConfig(rho_min=0.5, rho_max=1.0, per_octave=1,
+                               n_table_r=np.int64(4), n_table_t=5)
+    table = _GradientTable(setup[4], cfg)
+    vals = list(table.values(cfg.rho_ladder(), np.array([0.5]), np.array([0.0]), np.array([0.0])))
+    assert len(vals) == 2 and all(np.all(np.isfinite(v)) for v in vals)
 
 
 def test_pointwise_theorem_check_compares_d_s_with_g_star_of_L_s(setup):
